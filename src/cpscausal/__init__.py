@@ -14,7 +14,7 @@ from .graph import CausalGraph, Edge, EdgeDiff, add_edge, break_cycles, compare,
     is_dag, markov_equivalent, structures, topological_order
 from .impact import AttackSpec, ImpactConfig, ImpactReport, classify_attack, discover_impact, \
     load_domain_graph
-from .inference import Query, brute_force_posterior, joint_prob, posterior
+from .inference import Query, posterior
 from .ingest import DiscreteDataset, RawLog, VariableSpec, discretize, parse_log, project, \
     suggest_bins
 from .learning import ClConfig, HcConfig, PcConfig, extend_to_dag, learn_cl, learn_hc, learn_pc
@@ -25,10 +25,10 @@ __all__ = [
     "CpsCausalError", "DataError", "DiscreteDataset", "Edge", "EdgeDiff",
     "FixtureNet", "HcConfig", "ImpactConfig", "ImpactReport", "ModelError",
     "PcConfig", "Query", "RawLog", "VariableSpec",
-    "add_edge", "break_cycles", "brute_force_posterior", "chi_square_ci",
+    "add_edge", "break_cycles", "chi_square_ci",
     "classify_attack", "compare", "counts", "d_separated", "discover_impact",
     "discretize", "extend_to_dag", "fit_bayes", "fit_mle", "forward_sample",
-    "is_dag", "joint_prob", "learn_cl", "learn_hc", "learn_pc",
+    "is_dag", "learn_cl", "learn_hc", "learn_pc",
     "load_domain_graph", "markov_equivalent", "mutual_information",
     "parse_log", "posterior", "project", "sample_with_clamp", "score",
     "structures", "suggest_bins", "topological_order",

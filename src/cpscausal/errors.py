@@ -100,6 +100,10 @@ class NonPositiveEss(ModelError):
     pass
 
 
+class InvalidCpt(ModelError):
+    """A CPT breaks its own contract or disagrees with the net around it."""
+
+
 # --- inference --------------------------------------------------------------
 
 class IncompleteAssignment(ModelError):

@@ -31,8 +31,8 @@ from scipy.stats import chi2 as _chi2_dist
 
 from .errors import (
     DuplicateParent,
-    EmptyDataset,
     InsufficientData,
+    InvalidCpt,
     NonPositiveEss,
     UnknownColumn,
 )
@@ -59,11 +59,11 @@ class Cpt:
     def __post_init__(self):
         q = int(np.prod(self.parent_cards)) if self.parents else 1
         if self.table.shape != (q, len(self.states)):
-            raise EmptyDataset(f"{self.child}: CPT shape {self.table.shape} != ({q}, {len(self.states)})")
-        if np.any(self.table < -1e-12) or np.any(self.table > 1 + 1e-12):
-            raise EmptyDataset(f"{self.child}: CPT entries outside [0, 1]")
+            raise InvalidCpt(f"{self.child}: CPT shape {self.table.shape} != ({q}, {len(self.states)})")
+        if not np.all((self.table >= -1e-12) & (self.table <= 1 + 1e-12)):  # NaN fails too
+            raise InvalidCpt(f"{self.child}: CPT entries outside [0, 1]")
         if np.any(np.abs(self.table.sum(axis=1) - 1.0) > 1e-9):
-            raise EmptyDataset(f"{self.child}: CPT rows must sum to 1")
+            raise InvalidCpt(f"{self.child}: CPT rows must sum to 1")
 
     @property
     def cardinality(self) -> int:
@@ -87,9 +87,15 @@ class BayesNet:
         topological_order(self.graph)
         for n in self.graph.nodes:
             if n not in self.cpts:
-                raise EmptyDataset(f"missing CPT for node {n}")
+                raise InvalidCpt(f"missing CPT for node {n}")
             if self.cpts[n].parents != tuple(sorted(self.graph.parents(n))):
-                raise EmptyDataset(f"CPT parents for {n} do not match the graph")
+                raise InvalidCpt(f"CPT parents for {n} do not match the graph")
+        for n in self.graph.nodes:
+            cpt = self.cpts[n]
+            cards = tuple(self.cpts[p].cardinality for p in cpt.parents)
+            if cpt.parent_cards != cards:
+                raise InvalidCpt(f"CPT parent_cards for {n} are {list(cpt.parent_cards)}, "
+                                 f"but its parents {list(cpt.parents)} have {list(cards)} states")
 
     @property
     def nodes(self) -> tuple[str, ...]:

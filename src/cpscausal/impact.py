@@ -20,7 +20,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import ParseError, TargetNotInNet, UnknownNode, UnknownStage, UnknownVariable, ZeroProbabilityEvidence
+import numpy as np
+
+from .errors import ParseError, TargetNotInNet, UnknownNode, UnknownStage, UnknownState, UnknownVariable, \
+    ZeroProbabilityEvidence
 from .estimation import BayesNet
 from .graph import CONTROL, PHYSICAL, CausalGraph, Edge
 from .inference import Query, posterior
@@ -109,8 +112,9 @@ def discover_impact(net: BayesNet, a: AttackSpec, cfg: ImpactConfig = ImpactConf
 
     For every candidate neighbour v_j of a targeted DP v_i, evaluates
     P(v_i = s_k | v_j = s_l) over all state pairs and keeps the maximizing
-    pair; v_j is impacted when that maximum reaches theta. Candidate states
-    whose evidence has probability zero are skipped. Ordering is
+    pair; v_j is impacted when that maximum reaches theta. Each pair costs
+    one joint posterior P(v_j, v_i | evidence), read row by row. Candidate
+    states whose evidence has probability zero are skipped. Ordering is
     deterministic: candidates lexicographic, ties on equal probability
     resolved toward the smaller (target, s_k, s_l).
     """
@@ -134,23 +138,30 @@ def discover_impact(net: BayesNet, a: AttackSpec, cfg: ImpactConfig = ImpactConf
         for dp, label in a.preconditions.items():
             if dp not in net.graph.node_set:
                 raise UnknownVariable(f"precondition DP {dp!r} not in the net")
-            base_evidence[dp] = net.states(dp).index(label)
+            states = net.states(dp)
+            if label not in states:
+                raise UnknownState(f"attack {a.id!r}: precondition {dp} has no state {label!r}; "
+                                   f"choices: {', '.join(states)}")
+            base_evidence[dp] = states.index(label)
 
     findings = []
     for cand in sorted(pairs):
         scored = []  # (probability, target, s_k, s_l)
         for target in pairs[cand]:
-            t_states = net.states(target)
-            c_states = net.states(cand)
-            for s_l in range(len(c_states)):
-                evidence = dict(base_evidence)
-                evidence.pop(target, None)  # preconditions may overlap the targeted set
-                evidence[cand] = s_l
-                try:
-                    dist = posterior(net, Query(target=target, evidence=evidence))
-                except ZeroProbabilityEvidence:
+            # preconditions may overlap the targeted set and the candidate
+            evidence = {dp: s for dp, s in base_evidence.items() if dp not in (target, cand)}
+            try:
+                joint = posterior(net, Query(target=(cand, target), evidence=evidence))
+            except ZeroProbabilityEvidence:
+                continue
+            # each row is normalized in log space, as posterior normalizes one target
+            with np.errstate(divide="ignore"):
+                log_joint = np.log(joint)
+            for s_l, row in enumerate(log_joint):
+                z = np.logaddexp.reduce(row)
+                if z == -np.inf:  # cand = s_l is unreachable under the evidence
                     continue
-                scored.extend((float(dist[s_k]), target, s_k, s_l) for s_k in range(len(t_states)))
+                scored.extend((float(p), target, s_k, s_l) for s_k, p in enumerate(np.exp(row - z)))
         if not scored:
             continue
         # maximizing pair; on equal probability prefer smaller (target, s_k, s_l)

@@ -1,11 +1,13 @@
 """Exact probabilistic queries on a BayesNet.
 
-:func:`posterior` runs variable elimination over log-space factors with a
-min-degree elimination order; :func:`brute_force_posterior` materializes
-the full joint tensor and marginalizes it directly, serving as the testing
-oracle. Both raise :class:`ZeroProbabilityEvidence` instead of returning
-NaNs when the evidence has probability zero, so callers must handle
-unreachable states explicitly.
+:func:`posterior` runs bucket elimination (Dechter 1999) over log-space
+factors with a min-degree elimination order. Each bucket is one
+``np.einsum`` over max-shifted, exponentiated operands, so probabilities
+far below the float range survive as logs between buckets. It raises
+:class:`ZeroProbabilityEvidence` instead of returning NaNs when the
+evidence has probability zero, so callers must handle unreachable states
+explicitly. The brute-force enumeration oracle it is tested against lives
+in the test suite.
 """
 
 from __future__ import annotations
@@ -15,188 +17,112 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (
-    IncompleteAssignment,
-    StateSpaceTooLarge,
-    UnknownState,
-    UnknownVariable,
-    ZeroProbabilityEvidence,
-)
+from .errors import UnknownState, UnknownVariable, ZeroProbabilityEvidence
 from .estimation import BayesNet
-from .graph import topological_order
 
 
 @dataclass(frozen=True)
 class Query:
-    target: str
+    """``target`` names one DP, or a tuple of distinct DPs for a joint."""
+
+    target: str | tuple[str, ...]
     evidence: Mapping[str, int] = field(default_factory=dict)
 
 
-def _validate_query(net: BayesNet, q: Query) -> None:
-    if q.target not in net.graph.node_set:
-        raise UnknownVariable(f"no node named {q.target!r}")
-    if q.target in q.evidence:
-        raise UnknownVariable(f"target {q.target!r} cannot also be evidence")
+def _validate_query(net: BayesNet, q: Query) -> tuple[str, ...]:
+    targets = (q.target,) if isinstance(q.target, str) else tuple(q.target)
+    if not targets or len(set(targets)) != len(targets):
+        raise UnknownVariable(f"targets {targets!r} must be distinct and non-empty")
+    for t in targets:
+        if t not in net.graph.node_set:
+            raise UnknownVariable(f"no node named {t!r}")
+        if t in q.evidence:
+            raise UnknownVariable(f"target {t!r} cannot also be evidence")
     for name, state in q.evidence.items():
         if name not in net.graph.node_set:
             raise UnknownVariable(f"no node named {name!r}")
         if not 0 <= state < net.cardinality(name):
             raise UnknownState(f"{name} has no state index {state}")
+    return targets
 
 
-def joint_prob(net: BayesNet, assignment: Mapping[str, int]) -> float:
-    """Probability of one full assignment: the product of CPT entries,
-    accumulated in log space."""
-    missing = net.graph.node_set - assignment.keys()
-    extra = assignment.keys() - net.graph.node_set
-    if missing or extra:
-        raise IncompleteAssignment(
-            f"assignment must cover every node exactly once "
-            f"(missing {sorted(missing)}, unexpected {sorted(extra)})")
-    lp = 0.0
-    for node in net.graph.nodes:
-        cpt = net.cpts[node]
-        state = assignment[node]
-        if not 0 <= state < cpt.cardinality:
-            raise UnknownState(f"{node} has no state index {state}")
-        p = cpt.table[cpt.row_index(assignment), state]
-        if p == 0.0:
-            return 0.0
-        lp += np.log(p)
-    return float(np.exp(lp))
+def _restricted_cpt(net: BayesNet, node: str, evidence: Mapping[str, int]):
+    """The node's CPT as a log-space factor restricted by the evidence: its
+    unobserved variables in sorted order, and one array axis per variable."""
+    cpt = net.cpts[node]
+    scope = cpt.parents + (node,)
+    with np.errstate(divide="ignore"):
+        logp = np.log(cpt.table).reshape(cpt.parent_cards + (cpt.cardinality,))
+    logp = logp[tuple(evidence.get(v, slice(None)) for v in scope)]
+    kept = [v for v in scope if v not in evidence]
+    vars_ = tuple(sorted(kept))
+    return vars_, np.transpose(logp, [kept.index(v) for v in vars_])
 
 
-class _Factor:
-    """Log-space potential over a sorted tuple of variables."""
+def _sum_product(factors: list, out: tuple[str, ...]) -> np.ndarray:
+    """Log of the product of the factors, summed over every variable not in
+    ``out``; one axis per name in ``out``, in that order.
 
-    __slots__ = ("vars", "logp")
-
-    def __init__(self, vars: tuple[str, ...], logp: np.ndarray):
-        self.vars = vars
-        self.logp = logp
-
-    @classmethod
-    def from_cpt(cls, net: BayesNet, node: str) -> "_Factor":
-        cpt = net.cpts[node]
-        scope = cpt.parents + (node,)
-        shape = cpt.parent_cards + (cpt.cardinality,)
-        with np.errstate(divide="ignore"):
-            logp = np.log(cpt.table).reshape(shape)
-        order = tuple(sorted(range(len(scope)), key=lambda k: scope[k]))
-        return cls(tuple(scope[k] for k in order), np.transpose(logp, order))
-
-    def restrict(self, evidence: Mapping[str, int]) -> "_Factor":
-        idx = tuple(evidence.get(v, slice(None)) for v in self.vars)
-        keep = tuple(v for v in self.vars if v not in evidence)
-        return _Factor(keep, self.logp[idx])
-
-    def multiply(self, other: "_Factor") -> "_Factor":
-        merged = tuple(sorted(set(self.vars) | set(other.vars)))
-
-        def expand(f: _Factor) -> np.ndarray:
-            shape = tuple(f.logp.shape[f.vars.index(v)] if v in f.vars else 1 for v in merged)
-            order = tuple(f.vars.index(v) for v in merged if v in f.vars)
-            return np.transpose(f.logp, order).reshape(shape)
-
-        return _Factor(merged, expand(self) + expand(other))
-
-    def marginalize(self, var: str) -> "_Factor":
-        axis = self.vars.index(var)
-        with np.errstate(invalid="ignore"):
-            logp = np.logaddexp.reduce(self.logp, axis=axis)
-        return _Factor(tuple(v for v in self.vars if v != var), logp)
-
-
-def _relevant_nodes(net: BayesNet, q: Query) -> set[str]:
-    # barren leaves outside the ancestral closure of target+evidence sum out to 1
-    out = {q.target, *q.evidence}
-    stack = list(out)
-    while stack:
-        v = stack.pop()
-        for p in net.graph.parents(v):
-            if p not in out:
-                out.add(p)
-                stack.append(p)
-    return out
+    Factors over the same variables are added in log space first, so the
+    einsum sees at most one operand per distinct scope. Each operand is
+    shifted by its maximum before exponentiation and the shifts are added
+    back after the log. Labels are numbered within this one call, which
+    keeps them under numpy's limit of 52 whatever the size of the net.
+    """
+    by_scope: dict[tuple[str, ...], np.ndarray] = {}
+    for vars_, logp in factors:
+        by_scope[vars_] = by_scope[vars_] + logp if vars_ in by_scope else logp
+    label = {v: k for k, v in enumerate(sorted({v for vars_ in by_scope for v in vars_}))}
+    args: list = []
+    shift = 0.0
+    for vars_, logp in by_scope.items():
+        m = float(logp.max())
+        m = m if np.isfinite(m) else 0.0
+        shift += m
+        args += [np.exp(logp - m), [label[v] for v in vars_]]
+    with np.errstate(divide="ignore"):
+        return np.log(np.einsum(*args, [label[v] for v in out])) + shift
 
 
 def posterior(net: BayesNet, q: Query) -> np.ndarray:
-    """P(target | evidence) by variable elimination.
+    """P(target | evidence) by bucket elimination.
 
-    Elimination order is the min-degree heuristic on the factor
-    interaction graph, ties broken lexicographically. The returned vector
-    is normalized over the target's states.
+    Only the target and evidence nodes and their ancestors enter; every
+    other node sums out to 1. Evidence restricts each CPT, and families it
+    observes completely fold into one log scalar. Hidden variables are
+    eliminated in min-degree order on the factor interaction graph, ties
+    broken lexicographically. For a single target the result is normalized
+    over its states; for a tuple of targets it is the normalized joint with
+    one axis per target in the given order.
     """
-    _validate_query(net, q)
-    relevant = _relevant_nodes(net, q)
-    restricted = [_Factor.from_cpt(net, n).restrict(q.evidence) for n in sorted(relevant)]
-    factors = [f for f in restricted if f.vars]
-    scalar = sum(float(f.logp) for f in restricted if not f.vars)
+    targets = _validate_query(net, q)
+    relevant = {*targets, *q.evidence}
+    for v in tuple(relevant):
+        relevant |= net.graph.ancestors(v)
 
-    hidden = {v for f in factors for v in f.vars} - {q.target}
-    adj: dict[str, set[str]] = {v: set() for v in hidden | {q.target}}
-    for f in factors:
-        for a in f.vars:
-            for b in f.vars:
-                if a != b:
-                    adj[a].add(b)
+    factors = []
+    scalar = 0.0
+    for node in sorted(relevant):
+        vars_, logp = _restricted_cpt(net, node, q.evidence)
+        if vars_:
+            factors.append((vars_, logp))
+        else:
+            scalar += float(logp)
 
+    hidden = {v for vars_, _ in factors for v in vars_} - set(targets)
     while hidden:
-        var = min(hidden, key=lambda v: (len(adj[v] & hidden), v))
-        bucket = [f for f in factors if var in f.vars]
-        rest = [f for f in factors if var not in f.vars]
-        prod = bucket[0]
-        for f in bucket[1:]:
-            prod = prod.multiply(f)
-        factors = rest + [prod.marginalize(var)]
-        for a in adj[var]:
-            adj[a].discard(var)
-            adj[a].update(x for x in adj[var] if x != a)
+        # a variable's bucket scope is itself plus its current neighbours
+        scope = {v: set().union(*(vars_ for vars_, _ in factors if v in vars_)) for v in hidden}
+        var = min(hidden, key=lambda v: (len(scope[v] & hidden), v))
+        bucket = [f for f in factors if var in f[0]]
+        factors = [f for f in factors if var not in f[0]]
+        out = tuple(sorted(scope[var] - {var}))
+        factors.append((out, _sum_product(bucket, out)))
         hidden.discard(var)
 
-    result = _Factor((q.target,), np.zeros(net.cardinality(q.target)))
-    for f in factors:
-        result = result.multiply(f)
-    logp = result.logp + scalar
-
+    logp = _sum_product(factors, targets) + scalar
     with np.errstate(invalid="ignore"):
-        z = float(np.logaddexp.reduce(logp))
+        z = float(np.logaddexp.reduce(logp, axis=None))
     if z == -np.inf or np.isnan(z):
         raise ZeroProbabilityEvidence(f"evidence {dict(q.evidence)!r} has probability 0")
     return np.exp(logp - z)
-
-
-def brute_force_posterior(net: BayesNet, q: Query) -> np.ndarray:
-    """Enumeration oracle: build the full joint tensor, slice in the
-    evidence, and sum out everything but the target."""
-    _validate_query(net, q)
-    nodes = tuple(sorted(net.graph.nodes))
-    cards = tuple(net.cardinality(n) for n in nodes)
-    size = 1
-    for c in cards:
-        size *= c
-        if size > 10_000_000:
-            raise StateSpaceTooLarge(f"joint has more than 1e7 configurations")
-    topological_order(net.graph)
-
-    log_joint = np.zeros(cards)
-    for node in nodes:
-        cpt = net.cpts[node]
-        scope = cpt.parents + (node,)
-        shape = tuple(cards[nodes.index(v)] if v in scope else 1 for v in nodes)
-        axes = tuple(sorted(range(len(scope)), key=lambda k: nodes.index(scope[k])))
-        with np.errstate(divide="ignore"):
-            block = np.log(cpt.table).reshape(cpt.parent_cards + (cpt.cardinality,))
-        log_joint = log_joint + np.transpose(block, axes).reshape(shape)
-
-    idx = tuple(q.evidence.get(v, slice(None)) for v in nodes)
-    sliced = log_joint[idx]
-    keep = [v for v in nodes if v not in q.evidence]
-    with np.errstate(invalid="ignore"):
-        for v in [v for v in keep if v != q.target]:
-            sliced = np.logaddexp.reduce(sliced, axis=keep.index(v))
-            keep.remove(v)
-        z = float(np.logaddexp.reduce(sliced))
-    if z == -np.inf or np.isnan(z):
-        raise ZeroProbabilityEvidence(f"evidence {dict(q.evidence)!r} has probability 0")
-    return np.exp(sliced - z)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InsufficientData, NoConsistentExtension, UnknownColumn
-from .estimation import chi_square_ci, family_score, mutual_information
+from .estimation import chi_square_ci, counts, family_score, mutual_information
 from .graph import LEARNT, CausalGraph, Edge, is_dag
 from .ingest import DiscreteDataset
 
@@ -38,7 +38,6 @@ class HcConfig:
     max_iter: int = 200
     max_parents: int | None = None
     ess: float = 1.0          # bdeu only
-    ci_prefilter: bool = False  # skip add moves whose marginal chi2 p-value > 0.5
 
     def __post_init__(self):
         if self.plateau_k < 1 or self.max_iter < 1 or self.plateau_k > self.max_iter:
@@ -83,6 +82,15 @@ def learn_pc(ds: DiscreteDataset, cfg: PcConfig = PcConfig()) -> PcResult:
 
     adj: dict[str, set[str]] = {n: set(names) - {n} for n in names}
     sepsets: dict[tuple[str, str], tuple[str, ...]] = {}
+
+    # A DP constant in the data is independent of every other DP; level 0
+    # drops its edges with an empty separating set, without a test.
+    for i in names:
+        if (counts(ds, i) > 0).sum() == 1:
+            for j in adj[i]:
+                adj[j].discard(i)
+                sepsets[(i, j)] = sepsets[(j, i)] = ()
+            adj[i] = set()
 
     level = 0
     while level <= max_cond:
@@ -247,13 +255,6 @@ def learn_hc(ds: DiscreteDataset, cfg: HcConfig = HcConfig()) -> HcResult:
             cache[key] = family_score(ds, child, key[1], method=cfg.score_method, ess=cfg.ess)
         return cache[key]
 
-    blocked_adds: set[tuple[str, str]] = set()
-    if cfg.ci_prefilter:
-        for i, j in itertools.combinations(names, 2):
-            if chi_square_ci(ds, i, j, (), alpha=0.01).p_value > 0.5:
-                blocked_adds.add((i, j))
-                blocked_adds.add((j, i))
-
     def creates_cycle(src: str, dst: str) -> bool:
         # adding src -> dst closes a cycle iff dst already reaches src
         stack, seen = [dst], set()
@@ -285,8 +286,6 @@ def learn_hc(ds: DiscreteDataset, cfg: HcConfig = HcConfig()) -> HcResult:
 
         for src, dst in itertools.permutations(names, 2):
             if src in parents[dst]:
-                continue
-            if (src, dst) in blocked_adds:
                 continue
             if cfg.max_parents is not None and len(parents[dst]) >= cfg.max_parents:
                 continue

@@ -3,18 +3,22 @@
 These deliberately avoid the library's algorithms: d-separation is decided
 by enumerating every undirected path and applying the blocking rules;
 spanning trees come from Prufer sequences; DAG enumeration tries all edge
-assignments. Slow and simple on purpose.
+assignments; posteriors come from the full joint tensor. Slow and simple
+on purpose.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from cpscausal.graph import CausalGraph, Edge
+from cpscausal.errors import IncompleteAssignment, StateSpaceTooLarge, UnknownState, ZeroProbabilityEvidence
+from cpscausal.estimation import BayesNet
+from cpscausal.graph import CausalGraph, Edge, topological_order
+from cpscausal.inference import Query, _validate_query
 
 
 def all_paths(g: CausalGraph, i: str, j: str) -> list[tuple[str, ...]]:
@@ -153,3 +157,61 @@ def random_net(names: tuple[str, ...], max_card: int, rng: np.random.Generator,
             table=table,
         )
     return BayesNet(graph=graph, cpts=cpts)
+
+
+def joint_prob(net: BayesNet, assignment: Mapping[str, int]) -> float:
+    """Probability of one full assignment: the product of CPT entries,
+    accumulated in log space."""
+    missing = net.graph.node_set - assignment.keys()
+    extra = assignment.keys() - net.graph.node_set
+    if missing or extra:
+        raise IncompleteAssignment(
+            f"assignment must cover every node exactly once "
+            f"(missing {sorted(missing)}, unexpected {sorted(extra)})")
+    lp = 0.0
+    for node in net.graph.nodes:
+        cpt = net.cpts[node]
+        state = assignment[node]
+        if not 0 <= state < cpt.cardinality:
+            raise UnknownState(f"{node} has no state index {state}")
+        p = cpt.table[cpt.row_index(assignment), state]
+        if p == 0.0:
+            return 0.0
+        lp += np.log(p)
+    return float(np.exp(lp))
+
+
+def brute_force_posterior(net: BayesNet, q: Query) -> np.ndarray:
+    """Enumeration oracle: build the full joint tensor, slice in the
+    evidence, and sum out everything but the target."""
+    _validate_query(net, q)
+    nodes = tuple(sorted(net.graph.nodes))
+    cards = tuple(net.cardinality(n) for n in nodes)
+    size = 1
+    for c in cards:
+        size *= c
+        if size > 10_000_000:
+            raise StateSpaceTooLarge(f"joint has more than 1e7 configurations")
+    topological_order(net.graph)
+
+    log_joint = np.zeros(cards)
+    for node in nodes:
+        cpt = net.cpts[node]
+        scope = cpt.parents + (node,)
+        shape = tuple(cards[nodes.index(v)] if v in scope else 1 for v in nodes)
+        axes = tuple(sorted(range(len(scope)), key=lambda k: nodes.index(scope[k])))
+        with np.errstate(divide="ignore"):
+            block = np.log(cpt.table).reshape(cpt.parent_cards + (cpt.cardinality,))
+        log_joint = log_joint + np.transpose(block, axes).reshape(shape)
+
+    idx = tuple(q.evidence.get(v, slice(None)) for v in nodes)
+    sliced = log_joint[idx]
+    keep = [v for v in nodes if v not in q.evidence]
+    with np.errstate(invalid="ignore"):
+        for v in [v for v in keep if v != q.target]:
+            sliced = np.logaddexp.reduce(sliced, axis=keep.index(v))
+            keep.remove(v)
+        z = float(np.logaddexp.reduce(sliced))
+    if z == -np.inf or np.isnan(z):
+        raise ZeroProbabilityEvidence(f"evidence {dict(q.evidence)!r} has probability 0")
+    return np.exp(sliced - z)

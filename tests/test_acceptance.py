@@ -17,10 +17,11 @@ from cpscausal.estimation import fit_bayes, fit_mle, mutual_information, score
 from cpscausal.fixtures import get_fixture
 from cpscausal.graph import CausalGraph, Edge, d_separated
 from cpscausal.impact import AttackSpec, ImpactConfig, discover_impact, load_attacks
-from cpscausal.inference import Query, brute_force_posterior, posterior
+from cpscausal.inference import Query, posterior
 from cpscausal.ingest import ACTUATOR, DiscreteDataset, VariableSpec
 from cpscausal.learning import ClConfig, learn_cl, learn_hc, learn_pc
-from oracles import all_dags, all_paths, all_spanning_trees, path_blocked, random_dag, random_net
+from oracles import all_dags, all_paths, all_spanning_trees, brute_force_posterior, path_blocked, \
+    random_dag, random_net
 
 from test_impact import data_text
 

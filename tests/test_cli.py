@@ -1,5 +1,7 @@
 import json
 from importlib import resources
+
+import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
@@ -172,3 +174,51 @@ class TestErrors:
         attacks.write_text(json.dumps([{"id": "x", "targeted": ["GHOST999"]}]))
         code = main(["impact", "--net", str(pipeline / "net.json"), "--attacks", str(attacks)])
         assert code == 4
+
+    def test_unknown_precondition_label_is_model_error(self, repo_root, tmp_path, capsys):
+        attacks = tmp_path / "a.json"
+        attacks.write_text(json.dumps([
+            {"id": "x", "targeted": ["MV101"], "preconditions": {"LIT101": "Hgh"}}]))
+        code = main(["impact", "--net", str(repo_root / "tests/golden/stage1/net.json"),
+                     "--attacks", str(attacks), "--condition-preconditions"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "UnknownState" in err and "LIT101" in err and "'Hgh'" in err
+        assert "Low, Medium, High" in err
+
+    @pytest.mark.parametrize("command", ["infer", "impact"])
+    def test_parent_cards_mismatch_is_model_error(self, repo_root, tmp_path, capsys, command):
+        obj = json.loads((repo_root / "tests/golden/stage1/net.json").read_text())
+        p101 = next(c for c in obj["cpts"] if c["child"] == "P101")
+        p101["parent_cards"] = [2]  # LIT101 has 3 states
+        p101["table"] = p101["table"][:2]
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(obj))
+        argv = (["infer", "--net", str(net), "--target", "P101", "--evidence", "LIT101=High"]
+                if command == "infer" else
+                ["impact", "--net", str(net), "--attacks", attacks_path("stage1.json")])
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "InvalidCpt" in err and "P101" in err
+
+    def test_cpt_contract_violation_is_model_error(self, repo_root, tmp_path, capsys):
+        obj = json.loads((repo_root / "tests/golden/stage1/net.json").read_text())
+        obj["cpts"][0]["table"][0] = [0.5, 0.6]
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(obj))
+        assert main(["infer", "--net", str(net), "--target", "P101"]) == 4
+        assert "InvalidCpt" in capsys.readouterr().err
+
+    def test_pc_isolates_constant_dp(self, tmp_path):
+        rng = np.random.default_rng(26)
+        a = rng.integers(0, 2, 2000)
+        b = np.where(rng.random(2000) < 0.1, 1 - a, a)
+        spec = {"kind": "actuator", "states": ["s0", "s1"], "bin_edges": None, "codes": None}
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps({
+            "specs": [{"name": n, **spec} for n in ("A", "B", "C")],
+            "data": np.column_stack([a, b, np.zeros(2000, dtype=int)]).tolist()}))
+        out = tmp_path / "graph.json"
+        assert main(["learn", "--dataset", str(dataset), "--algo", "pc", "--out", str(out)]) == 0
+        edges = json.loads(out.read_text())["edges"]
+        assert {frozenset((e["src"], e["dst"])) for e in edges} == {frozenset("AB")}

@@ -4,8 +4,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from cpscausal.errors import ParseError, TargetNotInNet, UnknownNode, UnknownStage
+from cpscausal.errors import ParseError, TargetNotInNet, UnknownNode, UnknownStage, ZeroProbabilityEvidence
 from cpscausal.estimation import BayesNet, Cpt
+from cpscausal.fixtures import get_fixture
 from cpscausal.graph import CausalGraph, Edge
 from cpscausal.impact import (
     AttackSpec,
@@ -268,3 +269,54 @@ class TestAttackFile:
     def test_empty_targeted_rejected(self):
         with pytest.raises(ParseError):
             load_attacks('[{"id": "x", "targeted": []}]')
+
+
+
+def per_state_table(net, a, cfg):
+    """The impact definition computed the long way, one single-target
+    posterior per candidate state: for each candidate, every
+    P(target = s_k | cand = s_l) keyed by (target, s_k label, s_l label)."""
+    pairs = {}
+    for target in sorted(set(a.targeted)):
+        hood = net.graph.children(target) if cfg.candidate_rule == "children" \
+            else net.graph.neighbors(target)
+        for cand in hood:
+            if cand not in a.targeted:
+                pairs.setdefault(cand, []).append(target)
+    base = {dp: net.states(dp).index(label) for dp, label in a.preconditions.items()} \
+        if cfg.condition_preconditions else {}
+    out = {}
+    for cand, targets in pairs.items():
+        table = {}
+        for target in targets:
+            for s_l, c_label in enumerate(net.states(cand)):
+                evidence = {dp: s for dp, s in base.items() if dp != target}
+                evidence[cand] = s_l
+                try:
+                    dist = posterior(net, Query(target, evidence))
+                except ZeroProbabilityEvidence:
+                    continue
+                table.update({(target, t_label, c_label): float(p)
+                              for t_label, p in zip(net.states(target), dist)})
+        if table:
+            out[cand] = table
+    return out
+
+
+@pytest.mark.parametrize("fixture", ["stage1", "twostage"])
+@pytest.mark.parametrize("conditioned", [False, True])
+@pytest.mark.parametrize("rule", ["children", "undirected_neighbors"])
+def test_findings_match_per_state_definition(fixture, conditioned, rule):
+    fx = get_fixture(fixture)
+    cfg = ImpactConfig(candidate_rule=rule, condition_preconditions=conditioned)
+    for a in load_attacks(data_text(f"attacks/{fixture}.json")):
+        rep = discover_impact(fx.net, a, cfg, stage_of=fx.stage_of)
+        expected = per_state_table(fx.net, a, cfg)
+        assert [f.candidate for f in rep.findings] == sorted(expected), a.id
+        for f in rep.findings:
+            table = expected[f.candidate]
+            best = max(table.values())
+            assert abs(f.probability - best) <= 1e-12, (a.id, f)
+            # exact ties in hand-written CPTs may break either way by an ulp
+            assert table[(f.target, f.target_state, f.candidate_state)] >= best - 1e-12, (a.id, f)
+            assert f.included == (best >= rep.theta), (a.id, f)

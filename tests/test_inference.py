@@ -13,8 +13,8 @@ from cpscausal.errors import (
 from cpscausal.estimation import BayesNet, Cpt
 from cpscausal.fixtures import get_fixture
 from cpscausal.graph import CausalGraph, Edge, d_separated
-from cpscausal.inference import Query, brute_force_posterior, joint_prob, posterior
-from oracles import random_net
+from cpscausal.inference import Query, posterior
+from oracles import brute_force_posterior, joint_prob, random_net
 
 FIXTURES = ("stage1", "stage1_learnt", "stage6", "chain3", "fork3", "collider3", "twostage")
 
@@ -120,6 +120,41 @@ class TestPosterior:
         dist = posterior(fx.net, Query("LIT101", {"P205": 1, "FIT101": 0}))
         assert float(dist.sum()) == pytest.approx(1.0, abs=1e-9)
 
+    def test_tiny_evidence_survives_in_log_space(self):
+        # a 70-node copy chain with flip probability 1e-6 and alternating
+        # evidence: P(evidence) is about 1e-414, far below the float range
+        eps = 1e-6
+        names = tuple(f"X{k:02d}" for k in range(70))
+        flip = np.array([[1 - eps, eps], [eps, 1 - eps]])
+        cpts = {names[0]: Cpt(names[0], (), (), ("s0", "s1"), np.array([[0.5, 0.5]]))}
+        for parent, child in zip(names, names[1:]):
+            cpts[child] = Cpt(child, (parent,), (2,), ("s0", "s1"), flip)
+        graph = CausalGraph(nodes=names, edges=tuple(Edge(a, b) for a, b in zip(names, names[1:])))
+        evidence = {n: k % 2 for k, n in enumerate(names) if k > 0}
+        got = posterior(BayesNet(graph=graph, cpts=cpts), Query(names[0], evidence))
+        assert got == pytest.approx([eps, 1 - eps], rel=1e-9)
+
+    @pytest.mark.parametrize("target, root_state", [("R", None), ("C00", None), ("C00", 2)])
+    def test_root_with_seventy_observed_children(self, target, root_state):
+        rng = np.random.default_rng(41)
+        kids = tuple(f"C{k:02d}" for k in range(70))
+        prior = np.array([[0.2, 0.3, 0.5]])
+        tables = {c: rng.dirichlet((1.0, 1.0), size=3) for c in kids}
+        cpts = {"R": Cpt("R", (), (), ("r0", "r1", "r2"), prior)}
+        cpts.update({c: Cpt(c, ("R",), (3,), ("s0", "s1"), tables[c]) for c in kids})
+        net = BayesNet(graph=CausalGraph(nodes=("R",) + kids, edges=tuple(Edge("R", c) for c in kids)),
+                       cpts=cpts)
+        states = {c: int(rng.integers(2)) for c in kids}
+        evidence = {c: states[c] for c in kids if c != target}
+        log_r = np.log(prior[0]) + sum(np.log(tables[c][:, s]) for c, s in evidence.items())
+        p_r = np.exp(log_r - np.logaddexp.reduce(log_r))
+        if root_state is not None:  # every family but the target's is fully observed
+            evidence["R"] = root_state
+            p_r = np.eye(3)[root_state]
+        expected = p_r if target == "R" else p_r @ tables[target]
+        got = posterior(net, Query(target, evidence))
+        assert np.max(np.abs(got - expected)) < 1e-12
+
 
 class TestBruteForce:
     def test_uniform_net_uniform_posterior(self):
@@ -161,6 +196,50 @@ class TestBruteForce:
                 continue
             bf = brute_force_posterior(net, q)
             assert np.max(np.abs(ve - bf)) < 1e-9
+
+
+def brute_force_joint(net: BayesNet, targets: tuple[str, ...], evidence: dict) -> np.ndarray:
+    """P(targets | evidence) by the chain rule over single-target oracle calls."""
+    first = brute_force_posterior(net, Query(targets[0], evidence))
+    if len(targets) == 1:
+        return first
+    rows = [p * brute_force_joint(net, targets[1:], {**evidence, targets[0]: s}) if p > 0
+            else np.zeros([net.cardinality(t) for t in targets[1:]])
+            for s, p in enumerate(first)]
+    return np.stack(rows)
+
+
+class TestJointTargets:
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_matches_brute_force_joint(self, fixture):
+        net = get_fixture(fixture).net
+        nodes = net.graph.nodes
+        rng = np.random.default_rng(sum(map(ord, fixture)))
+        for _ in range(10):
+            size = min(len(nodes), int(rng.integers(2, 4)))
+            targets = tuple(nodes[k] for k in rng.permutation(len(nodes))[:size])
+            evidence = {n: int(rng.integers(net.cardinality(n)))
+                        for n in nodes if n not in targets and rng.random() < 0.4}
+            q = Query(targets, evidence)
+            try:
+                joint = posterior(net, q)
+            except ZeroProbabilityEvidence:
+                with pytest.raises(ZeroProbabilityEvidence):
+                    brute_force_posterior(net, Query(targets[0], evidence))
+                continue
+            assert joint.shape == tuple(net.cardinality(t) for t in targets)
+            assert np.max(np.abs(joint - brute_force_joint(net, targets, evidence))) < 1e-9
+            marginal = joint.sum(axis=tuple(range(1, size)))
+            assert np.max(np.abs(marginal - posterior(net, Query(targets[0], evidence)))) < 1e-9
+
+    def test_repeated_or_observed_target_rejected(self):
+        net = two_node_net()
+        with pytest.raises(UnknownVariable):
+            posterior(net, Query(("A", "A")))
+        with pytest.raises(UnknownVariable):
+            posterior(net, Query(("A", "B"), {"B": 0}))
+        with pytest.raises(UnknownVariable):
+            posterior(net, Query(()))
 
 
 class TestDSeparationConsistency:

@@ -163,18 +163,6 @@ class TestHc:
         ds = fx.sample(5000, seed=107)
         assert learn_hc(ds).graph == learn_hc(ds).graph
 
-    def test_ci_prefilter_blocks_weak_pairs(self):
-        rng = np.random.default_rng(25)
-        ds = make_ds({"A": rng.integers(0, 2, 2000).tolist(),
-                      "B": rng.integers(0, 2, 2000).tolist()})
-        res = learn_hc(ds, HcConfig(ci_prefilter=True))
-        assert res.graph.edges == ()
-        # and the filter leaves strongly dependent pairs alone
-        a = rng.integers(0, 2, 2000)
-        b = np.where(rng.random(2000) < 0.1, 1 - a, a)
-        ds2 = make_ds({"A": a.tolist(), "B": b.tolist()})
-        assert skeleton(learn_hc(ds2, HcConfig(ci_prefilter=True)).graph) == {frozenset("AB")}
-
 
 class TestCl:
     def test_copy_pair_in_tree(self):
