@@ -23,7 +23,7 @@ score-equivalent across Markov-equivalent DAGs; K2 is not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lgamma, log
+from math import lgamma, log, prod
 from typing import Mapping
 
 import numpy as np
@@ -130,16 +130,14 @@ def counts(ds: DiscreteDataset, child: str, parents: tuple[str, ...] | list[str]
     """Contingency counts N(child_state, parent_config), shape (q, r_child)."""
     parents = tuple(parents)
     _check_family(ds, child, parents)
-    r = ds.cardinality(child)
-    cards = tuple(ds.cardinality(p) for p in parents)
-    q = int(np.prod(cards)) if parents else 1
-    c = ds.column(child)
-    if parents:
-        cfg = np.ravel_multi_index(tuple(ds.column(p) for p in parents), cards)
-    else:
-        cfg = np.zeros(ds.n_records, dtype=np.int64)
-    flat = np.bincount(cfg * r + c, minlength=q * r)
-    return flat.reshape(q, r)
+    family = parents + (child,)
+    cards = tuple(ds.cardinality(v) for v in family)
+    # row-major cell index ((p1 * c2 + p2) * c3 + ...) * r + child, by Horner's rule in place
+    cell = ds.column(family[0]).astype(np.intp)
+    for v, card in zip(family[1:], cards[1:]):
+        cell *= card
+        cell += ds.column(v)
+    return np.bincount(cell, minlength=prod(cards)).reshape(-1, cards[-1])
 
 
 def _fit(ds: DiscreteDataset, graph: CausalGraph, smooth) -> BayesNet:
@@ -200,38 +198,22 @@ def chi_square_ci(ds: DiscreteDataset, i: str, j: str, s: tuple[str, ...] | list
     s = tuple(s)
     if i == j or i in s or j in s:
         raise DuplicateParent("i, j, and the conditioning set must be disjoint")
-    _check_family(ds, i, (j,) + s)
     ci, cj = ds.cardinality(i), ds.cardinality(j)
-    xi, xj = ds.column(i), ds.column(j)
-    if np.all(xi == xi[0]) or np.all(xj == xj[0]):
-        raise InsufficientData(f"{i if np.all(xi == xi[0]) else j} is constant in the data")
-
-    if s:
-        cards = tuple(ds.cardinality(v) for v in s)
-        strata = np.ravel_multi_index(tuple(ds.column(v) for v in s), cards)
-        n_strata = int(np.prod(cards))
-    else:
-        strata = np.zeros(ds.n_records, dtype=np.int64)
-        n_strata = 1
-
-    joint = np.bincount((strata * ci + xi) * cj + xj, minlength=n_strata * ci * cj)
-    joint = joint.reshape(n_strata, ci, cj).astype(np.float64)
-
-    stat = 0.0
-    dof = 0
-    seen_any = False
-    for k in range(n_strata):
-        obs = joint[k]
-        total = obs.sum()
-        if total == 0:
-            continue
-        seen_any = True
-        dof += (ci - 1) * (cj - 1)
-        expected = np.outer(obs.sum(axis=1), obs.sum(axis=0)) / total
-        mask = expected > 0
-        stat += float((np.square(obs[mask] - expected[mask]) / expected[mask]).sum())
-    if not seen_any:
+    # counts' cell index ((s..) * ci + i) * cj + j gives one (ci, cj) table per stratum
+    joint = counts(ds, j, s + (i,)).reshape(-1, ci, cj).astype(np.float64)
+    for v, margin in ((i, joint.sum(axis=(0, 2))), (j, joint.sum(axis=(0, 1)))):
+        if np.count_nonzero(margin) == 1:
+            raise InsufficientData(f"{v} is constant in the data")
+    obs = joint[joint.sum(axis=(1, 2)) > 0]
+    if not len(obs):
         raise InsufficientData("all strata are empty")
+
+    # all non-empty strata in one expression; a cell with zero expectation adds 0
+    expected = obs.sum(axis=2)[:, :, None] * obs.sum(axis=1)[:, None, :] / obs.sum(axis=(1, 2))[:, None, None]
+    terms = np.divide(np.square(obs - expected), expected, out=np.zeros_like(expected), where=expected > 0)
+    # a running sum over the strata in order, like a stratum-by-stratum loop
+    stat = float(np.add.accumulate(terms.reshape(len(obs), -1).sum(axis=1))[-1])
+    dof = (ci - 1) * (cj - 1) * len(obs)
 
     p = float(_chi2_dist.sf(stat, dof))
     return CiResult(statistic=stat, dof=dof, p_value=p, independent=p > alpha)

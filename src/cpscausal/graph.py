@@ -113,18 +113,39 @@ class CausalGraph:
         return tuple(sorted(set(self._parents[node]) | set(self._children[node])
                             | set(self._undirected_neighbors[node])))
 
+    @cached_property
+    def _edge_index(self) -> dict[tuple[str, str], Edge]:
+        return {(e.src, e.dst): e for e in self.edges}
+
     def has_edge(self, src: str, dst: str) -> bool:
-        return any(e.src == src and e.dst == dst for e in self.edges)
+        return (src, dst) in self._edge_index
 
     def edge(self, src: str, dst: str) -> Edge:
-        for e in self.edges:
-            if e.src == src and e.dst == dst:
-                return e
-        raise UnknownNode(f"no edge ({src}, {dst})")
+        try:
+            return self._edge_index[(src, dst)]
+        except KeyError:
+            raise UnknownNode(f"no edge ({src}, {dst})") from None
 
     @cached_property
     def fully_directed(self) -> bool:
         return all(e.directed for e in self.edges)
+
+    @cached_property
+    def _topological_order(self) -> tuple[str, ...] | None:
+        """Kahn's order over the directed edges, smallest name first among
+        the ready nodes; None when they hold a cycle."""
+        indeg = {n: len(self._parents[n]) for n in self.nodes}
+        ready = [n for n in self.nodes if indeg[n] == 0]
+        heapq.heapify(ready)
+        order: list[str] = []
+        while ready:
+            n = heapq.heappop(ready)
+            order.append(n)
+            for c in self._children[n]:
+                indeg[c] -= 1
+                if indeg[c] == 0:
+                    heapq.heappush(ready, c)
+        return tuple(order) if len(order) == len(self.nodes) else None
 
     def descendants(self, node: str) -> frozenset[str]:
         """Strict descendants via directed edges."""
@@ -182,20 +203,9 @@ def topological_order(g: CausalGraph) -> tuple[str, ...]:
     """Topological order with ties broken by node-name lexicographic order."""
     if not g.fully_directed:
         raise CyclicGraph("graph has undirected edges; not a DAG")
-    indeg = {n: len(g._parents[n]) for n in g.nodes}
-    ready = [n for n in g.nodes if indeg[n] == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        n = heapq.heappop(ready)
-        order.append(n)
-        for c in g._children[n]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                heapq.heappush(ready, c)
-    if len(order) != len(g.nodes):
+    if g._topological_order is None:
         raise CyclicGraph("graph contains a directed cycle")
-    return tuple(order)
+    return g._topological_order
 
 
 class Structures(NamedTuple):

@@ -33,6 +33,10 @@ UNDIRECTED = "undirected_neighbors"
 
 _STAGE_RE = re.compile(r"^[A-Za-z]+(\d+)$")
 
+# Probabilities this close are one value computed along two float paths;
+# exact ties in hand-written CPTs (0.85 vs 0.8500000000000002) differ by ulps.
+_TIE = 1e-12
+
 
 @dataclass(frozen=True)
 class AttackSpec:
@@ -115,8 +119,9 @@ def discover_impact(net: BayesNet, a: AttackSpec, cfg: ImpactConfig = ImpactConf
     pair; v_j is impacted when that maximum reaches theta. Each pair costs
     one joint posterior P(v_j, v_i | evidence), read row by row. Candidate
     states whose evidence has probability zero are skipped. Ordering is
-    deterministic: candidates lexicographic, ties on equal probability
-    resolved toward the smaller (target, s_k, s_l).
+    deterministic: candidates lexicographic, and probabilities within 1e-12
+    of the maximum count as equal, resolved toward the smaller
+    (target, s_k, s_l).
     """
     missing = sorted(set(a.targeted) - set(net.graph.node_set))
     if missing:
@@ -164,8 +169,10 @@ def discover_impact(net: BayesNet, a: AttackSpec, cfg: ImpactConfig = ImpactConf
                 scored.extend((float(p), target, s_k, s_l) for s_k, p in enumerate(np.exp(row - z)))
         if not scored:
             continue
-        # maximizing pair; on equal probability prefer smaller (target, s_k, s_l)
-        p, target, s_k, s_l = min(scored, key=lambda r: (-r[0], r[1], r[2], r[3]))
+        # maximizing pair: probabilities within _TIE of the maximum are equal,
+        # and the smallest (target, s_k, s_l) among them wins
+        top = max(r[0] for r in scored)
+        p, target, s_k, s_l = min((r for r in scored if r[0] >= top - _TIE), key=lambda r: r[1:])
         findings.append(CandidateFinding(
             candidate=cand,
             target=target,

@@ -19,6 +19,7 @@ import io
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -135,9 +136,14 @@ class DiscreteDataset:
             if col.min() < 0 or col.max() >= spec.cardinality:
                 raise UnmappedActuatorValue(f"{spec.name}: state index out of range")
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.specs)
+
+    @cached_property
+    def _column_of(self) -> dict[str, int]:
+        # reversed, so a repeated name maps to its first column as tuple.index does
+        return {name: k for k, name in reversed(tuple(enumerate(self.names)))}
 
     @property
     def n_records(self) -> int:
@@ -145,8 +151,8 @@ class DiscreteDataset:
 
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._column_of[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise UnknownColumn(f"no variable named {name!r}") from None
 
     def spec(self, name: str) -> VariableSpec:

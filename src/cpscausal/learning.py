@@ -15,6 +15,8 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import InsufficientData, NoConsistentExtension, UnknownColumn
 from .estimation import chi_square_ci, counts, family_score, mutual_information
 from .graph import LEARNT, CausalGraph, Edge, is_dag
@@ -66,6 +68,14 @@ def _require_learnable(ds: DiscreteDataset) -> None:
         raise InsufficientData("structure learning needs at least 2 variables")
 
 
+def _column_major(ds: DiscreteDataset) -> DiscreteDataset:
+    """The same records with each DP's column contiguous, in the smallest
+    unsigned dtype that holds its states: the learners' counts read whole
+    columns, thousands of times."""
+    dtype = np.min_scalar_type(max(s.cardinality for s in ds.specs) - 1)
+    return DiscreteDataset(specs=ds.specs, data=np.asfortranarray(ds.data, dtype=dtype))
+
+
 def learn_pc(ds: DiscreteDataset, cfg: PcConfig = PcConfig()) -> PcResult:
     """PC algorithm: skeleton by conditional-independence tests, then
     v-structure orientation and Meek rules R1-R4.
@@ -77,6 +87,7 @@ def learn_pc(ds: DiscreteDataset, cfg: PcConfig = PcConfig()) -> PcResult:
     orient are returned with their undirected flag set.
     """
     _require_learnable(ds)
+    ds = _column_major(ds)
     names = sorted(ds.names)
     max_cond = cfg.max_cond_size if cfg.max_cond_size is not None else len(names) - 2
 
@@ -232,9 +243,6 @@ def extend_to_dag(pdag: CausalGraph) -> CausalGraph:
     return out
 
 
-_MOVE_ORDER = {"add": 0, "remove": 1, "reverse": 2}
-
-
 def learn_hc(ds: DiscreteDataset, cfg: HcConfig = HcConfig()) -> HcResult:
     """Greedy hill-climb over add/remove/reverse moves from the empty graph.
 
@@ -242,91 +250,97 @@ def learn_hc(ds: DiscreteDataset, cfg: HcConfig = HcConfig()) -> HcResult:
     the largest gain (ties: add < remove < reverse, then (src, dst)).
     Stops after ``plateau_k`` iterations without improvement or at
     ``max_iter``. Returns the DAG and the per-iteration score trace.
+
+    The search keeps a delta cache (Chickering 2002; bnlearn's ``hc``):
+    each node's family score, and its score with every other node toggled
+    into or out of its parent set. A move changes one family (two for a
+    reversal), and only those families are rescored. Legality comes from the
+    descendant sets, built once per iteration: ``s -> d`` may be added iff
+    ``s`` is not a descendant of ``d``, and reversed iff no other child of
+    ``s`` reaches ``d``. Gains are the same float expressions as a move-by-
+    move rescoring, so graph and trace do not depend on the cache.
     """
     _require_learnable(ds)
+    ds = _column_major(ds)
     names = sorted(ds.names)
-    parents: dict[str, set[str]] = {n: set() for n in names}
+    n = len(names)
+    cap = cfg.max_parents if cfg.max_parents is not None else n
+    memo: dict[tuple[int, tuple[int, ...]], float] = {}
 
-    cache: dict[tuple[str, tuple[str, ...]], float] = {}
+    def fam(child: int, ps: tuple[int, ...]) -> float:
+        if (child, ps) not in memo:
+            memo[(child, ps)] = family_score(ds, names[child], tuple(names[p] for p in ps),
+                                             method=cfg.score_method, ess=cfg.ess)
+        return memo[(child, ps)]
 
-    def fam(child: str, ps: set[str]) -> float:
-        key = (child, tuple(sorted(ps)))
-        if key not in cache:
-            cache[key] = family_score(ds, child, key[1], method=cfg.score_method, ess=cfg.ess)
-        return cache[key]
+    adj = np.zeros((n, n), dtype=bool)  # adj[s, d]: s is a parent of d
+    own = np.empty(n)                   # own[d]: score of d's family
+    toggled = np.full((n, n), -np.inf)  # toggled[s, d]: d's family score with s toggled,
+                                        # -inf for s == d and for adds past max_parents
 
-    def creates_cycle(src: str, dst: str) -> bool:
-        # adding src -> dst closes a cycle iff dst already reaches src
-        stack, seen = [dst], set()
-        while stack:
-            v = stack.pop()
-            if v == src:
-                return True
-            for w in names:
-                if v in parents[w] and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return False
+    def rescore(d: int) -> None:
+        ps = tuple(np.flatnonzero(adj[:, d]).tolist())
+        own[d] = fam(d, ps)
+        room = len(ps) < cap
+        for s in range(n):
+            if s in ps:
+                toggled[s, d] = fam(d, tuple(p for p in ps if p != s))
+            elif s != d and room:
+                toggled[s, d] = fam(d, tuple(sorted(ps + (s,))))
+            else:
+                toggled[s, d] = -np.inf
 
-    total = sum(fam(n, parents[n]) for n in names)
+    for d in range(n):
+        rescore(d)
+    total = sum(own.tolist())
     trace: list[float] = []
     stale = 0
-    iteration = 0
-    while iteration < cfg.max_iter and stale < cfg.plateau_k:
-        iteration += 1
-        best: tuple[float, int, str, str] | None = None
-        best_apply = None
-
-        def consider(delta: float, kind: str, src: str, dst: str, apply_fn) -> None:
-            nonlocal best, best_apply
-            key = (-delta, _MOVE_ORDER[kind], src, dst)
-            if delta > 0 and (best is None or key < best):
-                best = key
-                best_apply = apply_fn
-
-        for src, dst in itertools.permutations(names, 2):
-            if src in parents[dst]:
-                continue
-            if cfg.max_parents is not None and len(parents[dst]) >= cfg.max_parents:
-                continue
-            if creates_cycle(src, dst):
-                continue
-            delta = fam(dst, parents[dst] | {src}) - fam(dst, parents[dst])
-            consider(delta, "add", src, dst,
-                     lambda s=src, d=dst: parents[d].add(s))
-
-        for src, dst in itertools.permutations(names, 2):
-            if src not in parents[dst]:
-                continue
-            delta = fam(dst, parents[dst] - {src}) - fam(dst, parents[dst])
-            consider(delta, "remove", src, dst,
-                     lambda s=src, d=dst: parents[d].discard(s))
-
-        for src, dst in itertools.permutations(names, 2):
-            if src not in parents[dst]:
-                continue
-            if cfg.max_parents is not None and len(parents[src]) >= cfg.max_parents:
-                continue
-            parents[dst].discard(src)
-            cyclic = creates_cycle(dst, src)
-            parents[dst].add(src)
-            if cyclic:
-                continue
-            delta = (fam(dst, parents[dst] - {src}) - fam(dst, parents[dst])
-                     + fam(src, parents[src] | {dst}) - fam(src, parents[src]))
-            consider(delta, "reverse", src, dst,
-                     lambda s=src, d=dst: (parents[d].discard(s), parents[s].add(d)))
-
-        if best_apply is not None:
-            best_apply()
-            total += -best[0]
-            stale = 0
-        else:
+    for _ in range(cfg.max_iter):
+        if stale >= cfg.plateau_k:
+            break
+        reach = _descendants(adj)
+        gain = toggled - own  # gain[s, d] of adding or removing s -> d
+        best = _best_move(np.stack((
+            np.where(~adj & ~reach.T, gain, -np.inf),                                   # add
+            np.where(adj, gain, -np.inf),                                               # remove
+            np.where(adj & ~(adj @ reach), gain + toggled.T - own[:, None], -np.inf),  # reverse
+        )))
+        if best is None:
             stale += 1
+        else:
+            delta, kind, s, d = best
+            adj[s, d] = kind == 0
+            if kind == 2:
+                adj[d, s] = True
+                rescore(s)
+            rescore(d)
+            total += delta
+            stale = 0
         trace.append(total)
 
-    edges = tuple(Edge(p, n, LEARNT, True) for n in names for p in sorted(parents[n]))
+    edges = tuple(Edge(names[s], names[d], LEARNT, True) for s, d in zip(*np.nonzero(adj)))
     return HcResult(CausalGraph(nodes=ds.names, edges=edges), tuple(trace))
+
+
+def _best_move(gains: np.ndarray) -> tuple[float, int, int, int] | None:
+    """The largest strictly positive ``gains[kind, src, dst]`` with its
+    position, or None. Equal gains go to the smallest (kind, src, dst):
+    the first maximum in C order."""
+    k = int(np.argmax(gains))
+    if not gains.flat[k] > 0:
+        return None
+    return (float(gains.flat[k]), *(int(i) for i in np.unravel_index(k, gains.shape)))
+
+
+def _descendants(adj: np.ndarray) -> np.ndarray:
+    """Transitive closure of a DAG's adjacency matrix: ``out[u, v]`` iff
+    ``v`` is a strict descendant of ``u``."""
+    reach = adj
+    while True:
+        wider = reach | (reach @ reach)
+        if (wider == reach).all():
+            return reach
+        reach = wider
 
 
 def learn_cl(ds: DiscreteDataset, cfg: ClConfig) -> CausalGraph:

@@ -3,7 +3,9 @@
 These deliberately avoid the library's algorithms: d-separation is decided
 by enumerating every undirected path and applying the blocking rules;
 spanning trees come from Prufer sequences; DAG enumeration tries all edge
-assignments; posteriors come from the full joint tensor. Slow and simple
+assignments; posteriors come from the full joint tensor; chi-square
+statistics are tallied record by record, stratum by stratum; hill-climbing
+rescores every candidate move from scratch each iteration. Slow and simple
 on purpose.
 """
 
@@ -16,9 +18,11 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from cpscausal.errors import IncompleteAssignment, StateSpaceTooLarge, UnknownState, ZeroProbabilityEvidence
-from cpscausal.estimation import BayesNet
-from cpscausal.graph import CausalGraph, Edge, topological_order
+from cpscausal.estimation import BayesNet, family_score
+from cpscausal.graph import LEARNT, CausalGraph, Edge, topological_order
 from cpscausal.inference import Query, _validate_query
+from cpscausal.ingest import DiscreteDataset
+from cpscausal.learning import HcConfig, HcResult, _require_learnable
 
 
 def all_paths(g: CausalGraph, i: str, j: str) -> list[tuple[str, ...]]:
@@ -215,3 +219,122 @@ def brute_force_posterior(net: BayesNet, q: Query) -> np.ndarray:
     if z == -np.inf or np.isnan(z):
         raise ZeroProbabilityEvidence(f"evidence {dict(q.evidence)!r} has probability 0")
     return np.exp(sliced - z)
+
+
+def reference_chi_square(ds: DiscreteDataset, i: str, j: str, s: tuple[str, ...] = ()) -> tuple[float, int]:
+    """Pearson chi-square statistic and degrees of freedom of i and j given
+    s, tallied record by record and summed one non-empty stratum at a time."""
+    ci, cj = ds.cardinality(i), ds.cardinality(j)
+    xi, xj = ds.column(i), ds.column(j)
+    strata = [tuple(row) for row in ds.data[:, [ds.index(v) for v in s]].tolist()]
+    stat, dof = 0.0, 0
+    for key in itertools.product(*(range(ds.cardinality(v)) for v in s)):
+        obs = np.zeros((ci, cj))
+        for r, stratum in enumerate(strata):
+            if stratum == key:
+                obs[xi[r], xj[r]] += 1
+        total = obs.sum()
+        if total == 0:
+            continue
+        dof += (ci - 1) * (cj - 1)
+        expected = np.outer(obs.sum(axis=1), obs.sum(axis=0)) / total
+        mask = expected > 0
+        stat += float((np.square(obs[mask] - expected[mask]) / expected[mask]).sum())
+    return stat, dof
+
+
+_MOVE_ORDER = {"add": 0, "remove": 1, "reverse": 2}
+
+
+def reference_learn_hc(ds: DiscreteDataset, cfg: HcConfig = HcConfig()) -> HcResult:
+    """Greedy hill-climb over add/remove/reverse moves from the empty graph.
+
+    Each iteration applies the single strictly score-improving move with
+    the largest gain (ties: add < remove < reverse, then (src, dst)).
+    Stops after ``plateau_k`` iterations without improvement or at
+    ``max_iter``. Returns the DAG and the per-iteration score trace.
+    """
+    _require_learnable(ds)
+    names = sorted(ds.names)
+    parents: dict[str, set[str]] = {n: set() for n in names}
+
+    cache: dict[tuple[str, tuple[str, ...]], float] = {}
+
+    def fam(child: str, ps: set[str]) -> float:
+        key = (child, tuple(sorted(ps)))
+        if key not in cache:
+            cache[key] = family_score(ds, child, key[1], method=cfg.score_method, ess=cfg.ess)
+        return cache[key]
+
+    def creates_cycle(src: str, dst: str) -> bool:
+        # adding src -> dst closes a cycle iff dst already reaches src
+        stack, seen = [dst], set()
+        while stack:
+            v = stack.pop()
+            if v == src:
+                return True
+            for w in names:
+                if v in parents[w] and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return False
+
+    total = sum(fam(n, parents[n]) for n in names)
+    trace: list[float] = []
+    stale = 0
+    iteration = 0
+    while iteration < cfg.max_iter and stale < cfg.plateau_k:
+        iteration += 1
+        best: tuple[float, int, str, str] | None = None
+        best_apply = None
+
+        def consider(delta: float, kind: str, src: str, dst: str, apply_fn) -> None:
+            nonlocal best, best_apply
+            key = (-delta, _MOVE_ORDER[kind], src, dst)
+            if delta > 0 and (best is None or key < best):
+                best = key
+                best_apply = apply_fn
+
+        for src, dst in itertools.permutations(names, 2):
+            if src in parents[dst]:
+                continue
+            if cfg.max_parents is not None and len(parents[dst]) >= cfg.max_parents:
+                continue
+            if creates_cycle(src, dst):
+                continue
+            delta = fam(dst, parents[dst] | {src}) - fam(dst, parents[dst])
+            consider(delta, "add", src, dst,
+                     lambda s=src, d=dst: parents[d].add(s))
+
+        for src, dst in itertools.permutations(names, 2):
+            if src not in parents[dst]:
+                continue
+            delta = fam(dst, parents[dst] - {src}) - fam(dst, parents[dst])
+            consider(delta, "remove", src, dst,
+                     lambda s=src, d=dst: parents[d].discard(s))
+
+        for src, dst in itertools.permutations(names, 2):
+            if src not in parents[dst]:
+                continue
+            if cfg.max_parents is not None and len(parents[src]) >= cfg.max_parents:
+                continue
+            parents[dst].discard(src)
+            cyclic = creates_cycle(dst, src)
+            parents[dst].add(src)
+            if cyclic:
+                continue
+            delta = (fam(dst, parents[dst] - {src}) - fam(dst, parents[dst])
+                     + fam(src, parents[src] | {dst}) - fam(src, parents[src]))
+            consider(delta, "reverse", src, dst,
+                     lambda s=src, d=dst: (parents[d].discard(s), parents[s].add(d)))
+
+        if best_apply is not None:
+            best_apply()
+            total += -best[0]
+            stale = 0
+        else:
+            stale += 1
+        trace.append(total)
+
+    edges = tuple(Edge(p, n, LEARNT, True) for n in names for p in sorted(parents[n]))
+    return HcResult(CausalGraph(nodes=ds.names, edges=edges), tuple(trace))

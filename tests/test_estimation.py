@@ -25,8 +25,10 @@ from cpscausal.estimation import (
     net_to_json,
     score,
 )
+from cpscausal.fixtures import get_fixture
 from cpscausal.graph import CausalGraph, Edge
 from cpscausal.ingest import ACTUATOR, DiscreteDataset, VariableSpec
+from oracles import reference_chi_square
 
 
 def make_ds(columns: dict[str, list[int]], cards: dict[str, int] | None = None) -> DiscreteDataset:
@@ -190,6 +192,26 @@ class TestChiSquare:
         assert r1.statistic == pytest.approx(r2.statistic, abs=1e-12)
         assert r1.p_value == pytest.approx(r2.p_value, abs=1e-12)
         assert r1.dof == r2.dof
+
+    @pytest.mark.parametrize("fixture, n", [("stage1", 400), ("twostage", 60)])
+    def test_matches_stratum_by_stratum_reference(self, fixture, n):
+        # 60 twostage records leave many strata empty and many margins zero;
+        # the strata are summed in another float order, hence the tolerance
+        ds = get_fixture(fixture).sample(n, seed=31)
+        names = sorted(ds.names)
+        checked = 0
+        for i, j in itertools.combinations(names, 2):
+            rest = [v for v in names if v not in (i, j)]
+            for s in itertools.chain(((),), itertools.combinations(rest, 1), itertools.combinations(rest[:4], 2)):
+                try:
+                    res = chi_square_ci(ds, i, j, s)
+                except InsufficientData:
+                    continue
+                stat, dof = reference_chi_square(ds, i, j, s)
+                assert res.dof == dof, (i, j, s)
+                assert res.statistic == pytest.approx(stat, rel=1e-12, abs=1e-12), (i, j, s)
+                checked += 1
+        assert checked >= 50
 
 
 class TestMutualInformation:

@@ -317,6 +317,38 @@ def test_findings_match_per_state_definition(fixture, conditioned, rule):
             table = expected[f.candidate]
             best = max(table.values())
             assert abs(f.probability - best) <= 1e-12, (a.id, f)
-            # exact ties in hand-written CPTs may break either way by an ulp
-            assert table[(f.target, f.target_state, f.candidate_state)] >= best - 1e-12, (a.id, f)
+            # pairs within 1e-12 of the maximum tie; the (target, s_k, s_l) key picks one
+            tied = [key for key, p in table.items() if p >= best - 1e-12]
+            winner = min(tied, key=lambda key: (key[0], fx.net.states(key[0]).index(key[1]),
+                                                fx.net.states(f.candidate).index(key[2])))
+            assert (f.target, f.target_state, f.candidate_state) == winner, (a.id, f, tied)
             assert f.included == (best >= rep.theta), (a.id, f)
+
+
+def test_exact_tie_goes_to_smallest_state_pair():
+    """In twostage, P(MV101=Close | LIT101=Low) and P(MV101=Open |
+    LIT101=Medium) are both 0.85 in the CPTs; computed, they differ in the
+    last bit. The smaller (target, s_k, s_l) key wins."""
+    fx = get_fixture("twostage")
+    a = next(a for a in load_attacks(data_text("attacks/twostage.json")) if a.id == "fx-multi")
+    rep = discover_impact(fx.net, a, ImpactConfig(candidate_rule="undirected_neighbors"), stage_of=fx.stage_of)
+    f = next(f for f in rep.findings if f.candidate == "LIT101")
+    assert (f.target, f.target_state, f.candidate_state) == ("MV101", "Close", "Low")
+    assert f.probability == pytest.approx(0.85, abs=1e-12)
+    assert not f.included
+
+
+@pytest.mark.parametrize("v, prior", [(0.85, 0.1), (0.7, 0.6), (0.9, 0.3), (0.7, 0.45), (0.95, 0.2)])
+def test_symmetric_cpt_tie_goes_to_smallest_state_pair(v, prior):
+    """C -> T with P(T=t0 | C=c0) = P(T=t1 | C=c1) = v in the CPT. Read back
+    from the joint the two may differ by an ulp either way; (t0, c0) wins."""
+    g = CausalGraph(nodes=("C", "T"), edges=(Edge("C", "T"),))
+    net = BayesNet(g, {
+        "C": Cpt("C", (), (), ("c0", "c1"), np.array([[prior, 1 - prior]])),
+        "T": Cpt("T", ("C",), (2,), ("t0", "t1"), np.array([[v, 1 - v], [1 - v, v]])),
+    })
+    rep = discover_impact(net, AttackSpec("tie", ("T",)), ImpactConfig(candidate_rule="undirected_neighbors"),
+                          stage_of={"C": "1", "T": "1"})
+    (f,) = rep.findings
+    assert (f.target_state, f.candidate_state) == ("t0", "c0")
+    assert f.probability == pytest.approx(v, abs=1e-12)

@@ -5,7 +5,7 @@ import pytest
 
 from cpscausal.errors import InsufficientData, NoConsistentExtension
 from cpscausal.estimation import mutual_information, score
-from cpscausal.fixtures import get_fixture
+from cpscausal.fixtures import FIXTURE_NAMES, get_fixture
 from cpscausal.graph import (
     CausalGraph,
     Edge,
@@ -17,12 +17,14 @@ from cpscausal.ingest import DiscreteDataset
 from cpscausal.learning import (
     ClConfig,
     HcConfig,
+    _best_move,
     extend_to_dag,
     learn_cl,
     learn_hc,
     learn_pc,
 )
-from oracles import all_spanning_trees
+from cpscausal.simgen import forward_sample
+from oracles import all_spanning_trees, random_net, reference_learn_hc
 
 from test_estimation import make_ds
 
@@ -162,6 +164,72 @@ class TestHc:
         fx = get_fixture("stage1")
         ds = fx.sample(5000, seed=107)
         assert learn_hc(ds).graph == learn_hc(ds).graph
+
+
+class TestHcMatchesReference:
+    """learn_hc's delta cache against the move-by-move rescoring in
+    oracles.reference_learn_hc: the same graph, and the same trace under
+    ==, float for float."""
+
+    @staticmethod
+    def assert_same(ds, cfg):
+        got, want = learn_hc(ds, cfg), reference_learn_hc(ds, cfg)
+        assert got.graph == want.graph, cfg
+        assert got.trace == want.trace, cfg
+
+    @pytest.mark.parametrize("method", ["bic", "k2", "bdeu"])
+    @pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+    def test_fixtures(self, fixture, method):
+        ds = get_fixture(fixture).sample(3000, seed=111)
+        for max_parents in (None, 1, 2):
+            self.assert_same(ds, HcConfig(score_method=method, max_parents=max_parents))
+
+    @staticmethod
+    def random_ds(n_dps, seed):
+        rng = np.random.default_rng(seed)
+        # columns out of name order, so sorted-name indices differ from column indices
+        names = tuple(rng.permutation([f"X{k:02d}" for k in range(n_dps)]).tolist())
+        return forward_sample(random_net(names, 3, rng), 1500, seed=seed)
+
+    @pytest.mark.parametrize("n_dps", range(6, 13))
+    def test_random_data_all_settings(self, n_dps):
+        ds = self.random_ds(n_dps, n_dps)
+        for method, max_parents, plateau_k in itertools.product(("bic", "k2", "bdeu"), (None, 1, 2), (1, 3)):
+            self.assert_same(ds, HcConfig(score_method=method, plateau_k=plateau_k, max_parents=max_parents))
+        self.assert_same(ds, HcConfig(plateau_k=2, max_iter=3))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_data(self, seed):
+        # many datasets: a gain summed in another float order shows on a few of them
+        ds = self.random_ds(6 + seed % 7, 1000 + seed)
+        for method in ("bic", "k2", "bdeu"):
+            self.assert_same(ds, HcConfig(score_method=method))
+
+    def test_best_move_tie_break(self):
+        # gains[kind, src, dst], kinds add < remove < reverse
+        g = np.full((3, 3, 3), -np.inf)
+        g[2, 0, 1] = g[1, 2, 0] = g[0, 2, 1] = 1.5
+        assert _best_move(g) == (1.5, 0, 2, 1)
+        g[0, 2, 1] = -np.inf
+        assert _best_move(g) == (1.5, 1, 2, 0)
+        g[1, 2, 0] = -np.inf
+        g[2, 1, 0] = g[2, 0, 2] = 1.5
+        assert _best_move(g) == (1.5, 2, 0, 1)
+        g[1, 1, 1] = 2.0
+        assert _best_move(g) == (2.0, 1, 1, 1)
+        g[g > 0] = 0.0  # a move must strictly improve the score
+        assert _best_move(g) is None
+
+    def test_exact_ties(self):
+        # A and B are the same column, so A -> B and B -> A gain the same
+        # float and the (src, dst) tie-break picks A -> B
+        rng = np.random.default_rng(25)
+        a = rng.integers(0, 3, 4000)
+        c = np.where(rng.random(4000) < 0.1, rng.integers(0, 3, 4000), a)
+        ds = make_ds({"C": c.tolist(), "B": a.tolist(), "A": a.tolist()})
+        for method in ("bic", "k2", "bdeu"):
+            self.assert_same(ds, HcConfig(score_method=method, plateau_k=3))
+        assert learn_hc(ds).graph.has_edge("A", "B")
 
 
 class TestCl:
