@@ -7,7 +7,7 @@ a cyber attack on a given target set impacts.
 
 __version__ = "0.1.0"
 
-from .errors import CpsCausalError, DataError, ModelError
+from .errors import CpsCausalError, DataError, ModelError, UsageError
 from .estimation import BayesNet, CiResult, Cpt, chi_square_ci, counts, fit_bayes, fit_mle, \
     mutual_information, score
 from .graph import CausalGraph, Edge, EdgeDiff, add_edge, break_cycles, compare, d_separated, \
@@ -24,7 +24,7 @@ __all__ = [
     "AttackSpec", "BayesNet", "CausalGraph", "CiResult", "ClConfig", "Cpt",
     "CpsCausalError", "DataError", "DiscreteDataset", "Edge", "EdgeDiff",
     "FixtureNet", "HcConfig", "ImpactConfig", "ImpactReport", "ModelError",
-    "PcConfig", "Query", "RawLog", "VariableSpec",
+    "PcConfig", "Query", "RawLog", "UsageError", "VariableSpec",
     "add_edge", "break_cycles", "chi_square_ci",
     "classify_attack", "compare", "counts", "d_separated", "discover_impact",
     "discretize", "extend_to_dag", "fit_bayes", "fit_mle", "forward_sample",

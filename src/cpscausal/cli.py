@@ -18,7 +18,7 @@ import tempfile
 from pathlib import Path
 
 from . import __version__
-from .errors import CpsCausalError, DataError
+from .errors import CpsCausalError, DataError, ParseError, UsageError
 from .estimation import fit_bayes, fit_mle, net_from_json, net_to_json
 from .fixtures import FIXTURE_NAMES, get_fixture
 from .graph import compare, graph_from_json, graph_to_dot, graph_to_json
@@ -39,10 +39,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_MODEL = 4
-
-
-class UsageError(Exception):
-    pass
 
 
 def _dump_json(obj) -> str:
@@ -246,6 +242,9 @@ def cmd_impact(args) -> int:
     cfg = ImpactConfig(theta=args.theta, candidate_rule=args.candidate_rule,
                        condition_preconditions=args.condition_preconditions)
     stage_of = _load_json(args.stages) if args.stages else None
+    if stage_of is not None and not (isinstance(stage_of, dict)
+                                     and all(isinstance(v, (str, int)) for v in stage_of.values())):
+        raise ParseError(f"{args.stages} must be a JSON object mapping DP names to stage ids")
     reports = [discover_impact(net, a, cfg, stage_of=stage_of) for a in attacks]
 
     for rep in reports:
@@ -363,9 +362,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except UsageError as exc:
-        print(f"error [usage]: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
         print(f"error [usage]: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:

@@ -1,6 +1,7 @@
 """Exception hierarchy shared by every module.
 
-Two broad families matter to callers: ``DataError`` (malformed or
+Three families matter to callers: ``UsageError`` (an argument or config
+value out of its documented range), ``DataError`` (malformed or
 insufficient input data) and ``ModelError`` (a graph, net, or query that
 violates a structural contract). The CLI maps them to distinct exit codes.
 """
@@ -8,6 +9,10 @@ violates a structural contract). The CLI maps them to distinct exit codes.
 
 class CpsCausalError(Exception):
     """Base class for all library errors."""
+
+
+class UsageError(CpsCausalError, ValueError):
+    """An argument or config value is out of range; a ``ValueError`` too."""
 
 
 class DataError(CpsCausalError):

@@ -18,16 +18,21 @@ Closed forms (natural logarithms throughout):
 where ``q_i`` is the number of parent configurations of node ``i`` and
 ``r_i`` its cardinality. Higher scores are better. BIC and BDeu are
 score-equivalent across Markov-equivalent DAGs; K2 is not.
+
+The chi-square test's p-value is the regularized upper incomplete gamma
+``P(X > stat) = Q(dof/2, stat/2)`` (Abramowitz & Stegun section 26.4), computed
+as in Numerical Recipes (3rd ed., section 6.2): ``1 - P(a, x)`` by its power
+series when ``x < a + 1``, otherwise ``Q(a, x)`` by its continued fraction
+under the modified Lentz method.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lgamma, log, prod
+from math import exp, lgamma, log, prod
 from typing import Mapping
 
 import numpy as np
-from scipy.stats import chi2 as _chi2_dist
 
 from .errors import (
     DuplicateParent,
@@ -215,8 +220,47 @@ def chi_square_ci(ds: DiscreteDataset, i: str, j: str, s: tuple[str, ...] | list
     stat = float(np.add.accumulate(terms.reshape(len(obs), -1).sum(axis=1))[-1])
     dof = (ci - 1) * (cj - 1) * len(obs)
 
-    p = float(_chi2_dist.sf(stat, dof))
+    p = _chi2_sf(stat, dof)
     return CiResult(statistic=stat, dof=dof, p_value=p, independent=p > alpha)
+
+
+_EPS = 4e-15     # relative size of the last series term or continued-fraction step
+_TINY = 1e-300   # Lentz's stand-in for a zero denominator
+
+
+def _chi2_sf(stat: float, dof: int) -> float:
+    """Chi-square survival function ``Q(dof/2, stat/2)``; see the module docstring.
+
+    Both loops test convergence with ``>=``, so a NaN ends them (and returns NaN).
+    """
+    if stat <= 0:
+        return 1.0
+    a, x = dof / 2.0, stat / 2.0
+    front = exp(a * log(x) - x - lgamma(a))  # x^a e^-x / Gamma(a)
+    if x < a + 1.0:
+        # P(a, x) = front * sum_n x^n / (a (a+1) ... (a+n))
+        term = total = 1.0 / a
+        n = a
+        while term >= total * _EPS:
+            n += 1.0
+            term *= x / n
+            total += term
+        return 1.0 - front * total
+    # Q(a, x) = front / (x+1-a - 1(1-a) / (x+3-a - 2(2-a) / (x+5-a - ...)))
+    b = x + 1.0 - a
+    c, d = 1.0 / _TINY, 1.0 / b
+    h, delta, n = d, 0.0, 0
+    while abs(delta - 1.0) >= _EPS:
+        n += 1
+        an = n * (a - n)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= _TINY else _TINY)
+        c = b + an / c
+        c = c if abs(c) >= _TINY else _TINY
+        delta = c * d
+        h *= delta
+    return front * h
 
 
 def mutual_information(ds: DiscreteDataset, i: str, j: str) -> float:

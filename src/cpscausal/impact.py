@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import ParseError, TargetNotInNet, UnknownNode, UnknownStage, UnknownState, UnknownVariable, \
-    ZeroProbabilityEvidence
+    UsageError, ZeroProbabilityEvidence
 from .estimation import BayesNet
 from .graph import CONTROL, PHYSICAL, CausalGraph, Edge
 from .inference import Query, posterior
@@ -61,9 +61,9 @@ class ImpactConfig:
 
     def __post_init__(self):
         if not 0 < self.theta <= 1:
-            raise ValueError(f"theta must be in (0, 1], got {self.theta}")
+            raise UsageError(f"theta must be in (0, 1], got {self.theta}")
         if self.candidate_rule not in (CHILDREN, UNDIRECTED):
-            raise ValueError(f"candidate_rule must be {CHILDREN!r} or {UNDIRECTED!r}")
+            raise UsageError(f"candidate_rule must be {CHILDREN!r} or {UNDIRECTED!r}")
 
 
 @dataclass(frozen=True)
@@ -247,7 +247,7 @@ def attacks_from_json(obj: list) -> tuple[AttackSpec, ...]:
                 description=rec.get("description", ""),
                 theta=rec.get("theta"),
             ))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError: preconditions not a mapping
             raise ParseError(f"malformed attack record: {exc}") from None
     return tuple(out)
 

@@ -20,6 +20,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import isfinite, nan
 
 import numpy as np
 
@@ -171,7 +172,8 @@ def parse_log(text: str, delimiter: str = ",") -> RawLog:
     The header row names the columns; a column named ``Timestamp`` (any
     case) is set aside verbatim. Raises :class:`EmptyInput` when there is
     no header or no data row, :class:`RaggedRow` on length mismatches, and
-    :class:`NonNumericCell` when a value cell fails numeric parsing.
+    :class:`NonNumericCell` when a value cell is not a finite number
+    (``nan``, ``inf`` and digit-group underscores such as ``1_0`` included).
     """
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     rows = [row for row in reader if row and any(cell.strip() for cell in row)]
@@ -196,9 +198,13 @@ def parse_log(text: str, delimiter: str = ",") -> RawLog:
         for out, k in enumerate(value_idx):
             cell = row[k].strip()
             try:
-                values[r - 2, out] = float(cell)
+                value = float(cell)
             except ValueError:
-                raise NonNumericCell(f"line {r}, column {header[k]!r}: {cell!r}") from None
+                value = nan
+            # float() also reads "nan", "inf" and "1_0"; none of them is a reading
+            if not isfinite(value) or "_" in cell:
+                raise NonNumericCell(f"line {r}, column {header[k]!r}: {cell!r}")
+            values[r - 2, out] = value
         if ts_idx:
             timestamps.append(row[ts_idx[0]].strip())
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InsufficientData, NoConsistentExtension, UnknownColumn
+from .errors import InsufficientData, NoConsistentExtension, UnknownColumn, UsageError
 from .estimation import chi_square_ci, counts, family_score, mutual_information
 from .graph import LEARNT, CausalGraph, Edge, is_dag
 from .ingest import DiscreteDataset
@@ -30,7 +30,9 @@ class PcConfig:
 
     def __post_init__(self):
         if not 0 < self.alpha < 1:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+            raise UsageError(f"alpha must be in (0, 1), got {self.alpha}")
+        if self.max_cond_size is not None and self.max_cond_size < 0:
+            raise UsageError(f"max_cond_size must be >= 0, got {self.max_cond_size}")
 
 
 @dataclass(frozen=True)
@@ -43,9 +45,11 @@ class HcConfig:
 
     def __post_init__(self):
         if self.plateau_k < 1 or self.max_iter < 1 or self.plateau_k > self.max_iter:
-            raise ValueError("need 1 <= plateau_k <= max_iter")
+            raise UsageError("need 1 <= plateau_k <= max_iter")
         if self.score_method not in ("bic", "k2", "bdeu"):
-            raise ValueError(f"unknown score method {self.score_method!r}")
+            raise UsageError(f"unknown score method {self.score_method!r}")
+        if self.max_parents is not None and self.max_parents < 0:
+            raise UsageError(f"max_parents must be >= 0, got {self.max_parents}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
@@ -7,6 +10,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT202012
 
+from cpscausal import cli
 from cpscausal.cli import main
 
 
@@ -209,6 +213,43 @@ class TestErrors:
         assert main(["infer", "--net", str(net), "--target", "P101"]) == 4
         assert "InvalidCpt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["--algo", "pc", "--max-cond-size", "-1"],
+                                      ["--algo", "hc", "--max-parents", "-1"]])
+    def test_negative_limit_is_usage_error(self, repo_root, tmp_path, capsys, argv):
+        out = tmp_path / "x.json"
+        code = main(["learn", "--dataset", str(repo_root / "tests/golden/stage1/dataset.json"),
+                     *argv, "--out", str(out)])
+        assert code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
+        def broken(args):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "cmd_export", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["export", "--graph", "unused.json"])
+
+    def test_nan_reading_is_data_error(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text("LIT101,MV101\n500,1\nnan,2\n")
+        spec = tmp_path / "s.vspec"
+        spec.write_text("LIT101 sensor Low,Medium,High edges=210,750\nMV101 actuator Close,Open codes=1,2\n")
+        code = main(["discretize", "--input", str(log), "--spec", str(spec),
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        assert "NonNumericCell" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stages", ['"P1"', '[["LIT101"]]', '{"LIT101": [1]}'])
+    def test_malformed_stage_file_is_data_error(self, repo_root, tmp_path, capsys, stages):
+        path = tmp_path / "stages.json"
+        path.write_text(stages)
+        code = main(["impact", "--net", str(repo_root / "tests/golden/stage1/net.json"),
+                     "--attacks", attacks_path("stage1.json"), "--stages", str(path)])
+        assert code == 3
+        assert "ParseError" in capsys.readouterr().err
+
     def test_pc_isolates_constant_dp(self, tmp_path):
         rng = np.random.default_rng(26)
         a = rng.integers(0, 2, 2000)
@@ -222,3 +263,12 @@ class TestErrors:
         assert main(["learn", "--dataset", str(dataset), "--algo", "pc", "--out", str(out)]) == 0
         edges = json.loads(out.read_text())["edges"]
         assert {frozenset((e["src"], e["dst"])) for e in edges} == {frozenset("AB")}
+
+
+def test_cli_imports_numpy_as_its_only_dependency(repo_root):
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(repo_root / "src"), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; before = set(sys.modules); import cpscausal.cli; "
+            "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+    assert set(run.stdout.split()) - set(sys.stdlib_module_names) == {"cpscausal", "numpy"}

@@ -1,13 +1,16 @@
 import itertools
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpscausal import learning
 from cpscausal.errors import (
     DuplicateParent,
     InsufficientData,
@@ -15,6 +18,7 @@ from cpscausal.errors import (
     UnknownColumn,
 )
 from cpscausal.estimation import (
+    _chi2_sf,
     chi_square_ci,
     counts,
     family_score,
@@ -25,7 +29,7 @@ from cpscausal.estimation import (
     net_to_json,
     score,
 )
-from cpscausal.fixtures import get_fixture
+from cpscausal.fixtures import FIXTURE_NAMES, get_fixture
 from cpscausal.graph import CausalGraph, Edge
 from cpscausal.ingest import ACTUATOR, DiscreteDataset, VariableSpec
 from oracles import reference_chi_square
@@ -212,6 +216,53 @@ class TestChiSquare:
                 assert res.statistic == pytest.approx(stat, rel=1e-12, abs=1e-12), (i, j, s)
                 checked += 1
         assert checked >= 50
+
+
+def assert_chi2_tail(p: float, stat: float, dof: int) -> None:
+    """p is Q(dof/2, stat/2) to 1e-11 relative, by mpmath at 40 digits.
+    Below the smallest normal double no float carries 11 digits, so there p
+    need only be that small too."""
+    with mpmath.workdps(40):
+        ref = float(mpmath.gammainc(dof / 2, stat / 2, mpmath.inf, regularized=True))
+    if ref < sys.float_info.min:
+        assert p <= sys.float_info.min, (stat, dof, p, ref)
+    else:
+        assert abs(p - ref) <= 1e-11 * ref, (stat, dof, p, ref)
+
+
+class TestChiSquareTail:
+    def test_matches_mpmath_on_a_grid(self):
+        # every small dof, then a geometric sweep to 3000; stat from 0 to 3 dof
+        dofs = sorted(set(range(1, 31)) | {int(v) for v in np.geomspace(31, 3000, 25)})
+        for dof in dofs:
+            for k in range(31):
+                stat = 3.0 * dof * k / 30
+                assert_chi2_tail(_chi2_sf(stat, dof), stat, dof)
+
+    def test_series_and_continued_fraction_meet(self):
+        # the two branches switch at stat = dof + 2
+        for dof in (1, 2, 7, 40, 999):
+            for stat in np.nextafter(dof + 2.0, [0.0, np.inf]).tolist() + [dof + 2.0]:
+                assert_chi2_tail(_chi2_sf(stat, dof), stat, dof)
+
+    def test_nan_statistic_returns_nan(self):
+        assert math.isnan(_chi2_sf(math.nan, 3))
+
+    @pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+    def test_every_pc_test_matches_mpmath(self, fixture, monkeypatch):
+        seen = []
+
+        def recording(*args, **kwargs):
+            res = chi_square_ci(*args, **kwargs)
+            seen.append(res)
+            return res
+
+        monkeypatch.setattr(learning, "chi_square_ci", recording)
+        for n in (60, 2000):
+            learning.learn_pc(get_fixture(fixture).sample(n, seed=31), learning.PcConfig(alpha=0.05))
+        assert seen
+        for res in seen:
+            assert_chi2_tail(res.p_value, res.statistic, res.dof)
 
 
 class TestMutualInformation:

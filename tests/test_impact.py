@@ -4,7 +4,8 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from cpscausal.errors import ParseError, TargetNotInNet, UnknownNode, UnknownStage, ZeroProbabilityEvidence
+from cpscausal.errors import ParseError, TargetNotInNet, UnknownNode, UnknownStage, UsageError, \
+    ZeroProbabilityEvidence
 from cpscausal.estimation import BayesNet, Cpt
 from cpscausal.fixtures import get_fixture
 from cpscausal.graph import CausalGraph, Edge
@@ -270,6 +271,17 @@ class TestAttackFile:
         with pytest.raises(ParseError):
             load_attacks('[{"id": "x", "targeted": []}]')
 
+    @pytest.mark.parametrize("pre", ['"ab"', '[["LIT101"]]'])
+    def test_preconditions_must_be_a_mapping(self, pre):
+        with pytest.raises(ParseError, match="malformed attack record"):
+            load_attacks(f'[{{"id": "x", "targeted": ["MV101"], "preconditions": {pre}}}]')
+
+
+def test_impact_config_range_errors_are_usage_errors():
+    with pytest.raises(UsageError, match="theta"):
+        ImpactConfig(theta=0)
+    with pytest.raises(UsageError, match="candidate_rule"):
+        ImpactConfig(candidate_rule="parents")
 
 
 def per_state_table(net, a, cfg):

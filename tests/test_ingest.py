@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,12 @@ class TestParseLog:
     def test_missing_value_rejected(self):
         with pytest.raises(NonNumericCell):
             parse_log("A,B\n1,\n")
+
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "1_0"])
+    def test_non_finite_or_underscored_cell_rejected(self, cell):
+        # Python's float() reads all three
+        with pytest.raises(NonNumericCell, match=re.escape(f"line 3, column 'B': {cell!r}")):
+            parse_log(f"A,B\n1,2\n1,{cell}\n")
 
     def test_timestamp_column_set_aside(self):
         log = parse_log("Timestamp,A\n 2015-12-28 10:00:00,1\nlater,2\n")

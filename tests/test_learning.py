@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cpscausal.errors import InsufficientData, NoConsistentExtension
+from cpscausal.errors import InsufficientData, NoConsistentExtension, UsageError
 from cpscausal.estimation import mutual_information, score
 from cpscausal.fixtures import FIXTURE_NAMES, get_fixture
 from cpscausal.graph import (
@@ -17,6 +17,7 @@ from cpscausal.ingest import DiscreteDataset
 from cpscausal.learning import (
     ClConfig,
     HcConfig,
+    PcConfig,
     _best_move,
     extend_to_dag,
     learn_cl,
@@ -27,6 +28,25 @@ from cpscausal.simgen import forward_sample
 from oracles import all_spanning_trees, random_net, reference_learn_hc
 
 from test_estimation import make_ds
+
+
+class TestConfigs:
+    def test_negative_limits_are_usage_errors(self):
+        with pytest.raises(UsageError, match="max_cond_size"):
+            PcConfig(max_cond_size=-1)
+        with pytest.raises(UsageError, match="max_parents"):
+            HcConfig(max_parents=-1)
+
+    def test_zero_limits_are_legal(self):
+        ds = get_fixture("stage1").sample(300, seed=4)
+        assert learn_pc(ds, PcConfig(max_cond_size=0)).graph.edges
+        assert not learn_hc(ds, HcConfig(max_parents=0)).graph.edges
+
+    def test_usage_error_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            PcConfig(alpha=1.5)
+        with pytest.raises(ValueError):
+            HcConfig(plateau_k=0)
 
 
 def skeleton(g: CausalGraph) -> set[frozenset[str]]:
