@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -42,7 +43,23 @@ EXIT_MODEL = 4
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """Artifact text: ``json.dumps(obj, indent=2)``, except that a list of
+    integer lists, such as a dataset's records, gets one inner list per line."""
+    return _json_text(obj, "\n") + "\n"
+
+
+def _json_text(obj, newline: str) -> str:
+    inner = newline + "  "
+    if isinstance(obj, dict) and obj:
+        return "{" + inner + ("," + inner).join(
+            f"{json.dumps(str(key))}: {_json_text(value, inner)}" for key, value in obj.items()) + newline + "}"
+    if isinstance(obj, list) and obj:
+        if all(type(row) is list for row in obj) and set(map(type, chain.from_iterable(obj))) <= {int}:
+            # integers only, so "],[" occurs only between two rows
+            rows = json.dumps(obj, separators=(",", ":"))[1:-1].replace("],[", "]," + inner + "[")
+            return "[" + inner + rows + newline + "]"
+        return "[" + inner + ("," + inner).join(_json_text(value, inner) for value in obj) + newline + "]"
+    return json.dumps(obj)
 
 
 def _atomic_write(path: Path, text: str) -> str:

@@ -240,9 +240,12 @@ def attacks_from_json(obj: list) -> tuple[AttackSpec, ...]:
     out = []
     for rec in obj:
         try:
+            attack_id, targeted = str(rec["id"]), rec["targeted"]
+            if not (isinstance(targeted, list) and all(isinstance(t, str) for t in targeted)):
+                raise ParseError(f"attack {attack_id!r}: targeted must be a list of DP names")
             out.append(AttackSpec(
-                id=str(rec["id"]),
-                targeted=tuple(rec["targeted"]),
+                id=attack_id,
+                targeted=tuple(targeted),
                 preconditions=dict(rec.get("preconditions", {})),
                 description=rec.get("description", ""),
                 theta=rec.get("theta"),

@@ -17,10 +17,12 @@ from __future__ import annotations
 import csv
 import io
 import re
-from bisect import bisect_right
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import isfinite, nan
+from numbers import Real
+from typing import NoReturn
 
 import numpy as np
 
@@ -91,6 +93,8 @@ class VariableSpec:
                 raise ParseError(f"{self.name}: sensor needs len(states)-1 bin edges")
             if self.codes is not None:
                 raise ParseError(f"{self.name}: sensors do not take codes")
+            if not all(isfinite(e) for e in self.bin_edges):
+                raise ParseError(f"{self.name}: bin edges must be finite")
             if any(a >= b for a, b in zip(self.bin_edges, self.bin_edges[1:])):
                 raise ParseError(f"{self.name}: bin edges must be strictly increasing")
         else:
@@ -105,19 +109,6 @@ class VariableSpec:
     @property
     def cardinality(self) -> int:
         return len(self.states)
-
-    def state_of(self, value: float) -> int:
-        """Map one raw reading to its state index."""
-        if self.kind == SENSOR:
-            return bisect_right(self.bin_edges, value)
-        code = round(value)
-        if abs(value - code) > 1e-9:
-            raise UnmappedActuatorValue(f"{self.name}: non-integer actuator value {value!r}")
-        codes = self.codes if self.codes is not None else tuple(range(len(self.states)))
-        try:
-            return codes.index(code)
-        except ValueError:
-            raise UnmappedActuatorValue(f"{self.name}: code {code} not in declared codes {codes}") from None
 
 
 @dataclass(frozen=True)
@@ -174,9 +165,10 @@ def parse_log(text: str, delimiter: str = ",") -> RawLog:
     no header or no data row, :class:`RaggedRow` on length mismatches, and
     :class:`NonNumericCell` when a value cell is not a finite number
     (``nan``, ``inf`` and digit-group underscores such as ``1_0`` included).
+    The first faulty line decides which error is raised.
     """
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    rows = [row for row in reader if any(map(str.strip, row))]
     if not rows:
         raise EmptyInput("log has no header row")
     header = [cell.strip() for cell in rows[0]]
@@ -189,26 +181,48 @@ def parse_log(text: str, delimiter: str = ",") -> RawLog:
     if len(set(columns)) != len(columns) or any(not c for c in columns):
         raise ParseError("column names must be unique and non-empty")
 
+    body = rows[1:]
+    values = None
+    if set(map(len, body)) == {len(header)}:
+        table = list(zip(*body))
+        values = _readings([table[k] for k in value_idx], len(body))
+    if values is None:
+        _raise_first_fault(header, value_idx, body)
+    timestamps = tuple(map(str.strip, table[ts_idx[0]])) if ts_idx else None
+    return RawLog(columns=columns, values=values, timestamps=timestamps)
+
+
+def _readings(value_columns: list[tuple[str, ...]], n_records: int) -> np.ndarray | None:
+    """The value cells as an ``(n_records, n_columns)`` float array, or None
+    when any cell is not a finite number."""
+    values = np.empty((n_records, len(value_columns)), dtype=np.float64)
+    try:
+        for out, cells in enumerate(value_columns):
+            # strip first: float() keeps the separators U+001C..U+001F that strip() drops
+            values[:, out] = np.fromiter(map(float, map(str.strip, cells)), np.float64, n_records)
+    except ValueError:
+        return None
+    # float() also reads "nan", "inf" and "1_0"; none of them is a reading
+    if not np.isfinite(values).all() or any("_" in "".join(cells) for cells in value_columns):
+        return None
+    return values
+
+
+def _raise_first_fault(header: list[str], value_idx: list[int], body: list[list[str]]) -> NoReturn:
+    """Raise the error for the first faulty line of ``body``, naming its bad cell."""
     n_cols = len(header)
-    values = np.empty((len(rows) - 1, len(columns)), dtype=np.float64)
-    timestamps: list[str] = []
-    for r, row in enumerate(rows[1:], start=2):
+    for r, row in enumerate(body, start=2):
         if len(row) != n_cols:
             raise RaggedRow(f"line {r}: expected {n_cols} cells, got {len(row)}")
-        for out, k in enumerate(value_idx):
+        for k in value_idx:
             cell = row[k].strip()
             try:
                 value = float(cell)
             except ValueError:
                 value = nan
-            # float() also reads "nan", "inf" and "1_0"; none of them is a reading
             if not isfinite(value) or "_" in cell:
                 raise NonNumericCell(f"line {r}, column {header[k]!r}: {cell!r}")
-            values[r - 2, out] = value
-        if ts_idx:
-            timestamps.append(row[ts_idx[0]].strip())
-
-    return RawLog(columns=columns, values=values, timestamps=tuple(timestamps) if ts_idx else None)
+    raise AssertionError("parse_log found a fault that the line scan does not")
 
 
 def suggest_bins(log: RawLog, column: str, n_bins: int, method: str = "equal_width") -> tuple[float, ...]:
@@ -249,8 +263,32 @@ def discretize(log: RawLog, specs: list[VariableSpec] | tuple[VariableSpec, ...]
         if spec.kind == SENSOR:
             data[:, k] = np.searchsorted(np.asarray(spec.bin_edges), raw, side="right")
         else:
-            data[:, k] = [spec.state_of(v) for v in raw]
+            data[:, k] = _actuator_states(spec, raw)
     return DiscreteDataset(specs=specs, data=data)
+
+
+def _actuator_states(spec: VariableSpec, raw: np.ndarray) -> np.ndarray:
+    """Position of each rounded reading in the spec's codes (``0..n-1`` when
+    omitted). The first reading that is not within 1e-9 of an integer, or
+    whose integer is not a code, raises :class:`UnmappedActuatorValue`."""
+    codes = spec.codes if spec.codes is not None else tuple(range(spec.cardinality))
+    # readings are float64, so a code that float64 cannot hold matches none of them
+    held = sorted((c, k) for k, c in enumerate(codes)
+                  if isinstance(c, Real) and abs(c) <= sys.float_info.max and float(c) == c)
+    # the NaN after the largest code is where searchsorted puts a reading above
+    # every code (and NaN itself); it equals no reading
+    table = np.array([float(c) for c, _ in held] + [nan])
+    code = np.rint(raw)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, and NaN fails the test as it should
+        non_integer = ~(np.abs(raw - code) <= 1e-9)
+    pos = np.searchsorted(table, code)
+    fault = non_integer | (table[pos] != code)
+    if fault.any():
+        i = int(fault.argmax())
+        if non_integer[i]:
+            raise UnmappedActuatorValue(f"{spec.name}: non-integer actuator value {float(raw[i])!r}")
+        raise UnmappedActuatorValue(f"{spec.name}: code {int(code[i])} not in declared codes {codes}")
+    return np.array([k for _, k in held], dtype=np.int64)[pos]
 
 
 def project(ds: DiscreteDataset, names: list[str] | tuple[str, ...]) -> DiscreteDataset:

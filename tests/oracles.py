@@ -5,23 +5,38 @@ by enumerating every undirected path and applying the blocking rules;
 spanning trees come from Prufer sequences; DAG enumeration tries all edge
 assignments; posteriors come from the full joint tensor; chi-square
 statistics are tallied record by record, stratum by stratum; hill-climbing
-rescores every candidate move from scratch each iteration. Slow and simple
-on purpose.
+rescores every candidate move from scratch each iteration; a historian log
+is parsed and discretized cell by cell. Slow and simple on purpose.
 """
 
 from __future__ import annotations
 
+import csv
 import heapq
+import io
 import itertools
+from bisect import bisect_right
+from math import isfinite, nan
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from cpscausal.errors import IncompleteAssignment, StateSpaceTooLarge, UnknownState, ZeroProbabilityEvidence
+from cpscausal.errors import (
+    EmptyInput,
+    IncompleteAssignment,
+    MissingColumn,
+    NonNumericCell,
+    ParseError,
+    RaggedRow,
+    StateSpaceTooLarge,
+    UnknownState,
+    UnmappedActuatorValue,
+    ZeroProbabilityEvidence,
+)
 from cpscausal.estimation import BayesNet, family_score
 from cpscausal.graph import LEARNT, CausalGraph, Edge, topological_order
 from cpscausal.inference import Query, _validate_query
-from cpscausal.ingest import DiscreteDataset
+from cpscausal.ingest import SENSOR, DiscreteDataset, RawLog, VariableSpec
 from cpscausal.learning import HcConfig, HcResult, _require_learnable
 
 
@@ -338,3 +353,72 @@ def reference_learn_hc(ds: DiscreteDataset, cfg: HcConfig = HcConfig()) -> HcRes
 
     edges = tuple(Edge(p, n, LEARNT, True) for n in names for p in sorted(parents[n]))
     return HcResult(CausalGraph(nodes=ds.names, edges=edges), tuple(trace))
+
+
+def reference_parse_log(text: str, delimiter: str = ",") -> RawLog:
+    """``parse_log`` as one loop over the cells, line by line."""
+    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    if not rows:
+        raise EmptyInput("log has no header row")
+    header = [cell.strip() for cell in rows[0]]
+    if len(rows) == 1:
+        raise EmptyInput("log has a header but no records")
+
+    ts_idx = [k for k, name in enumerate(header) if name.lower() == "timestamp"]
+    value_idx = [k for k in range(len(header)) if k not in ts_idx]
+    columns = tuple(header[k] for k in value_idx)
+    if len(set(columns)) != len(columns) or any(not c for c in columns):
+        raise ParseError("column names must be unique and non-empty")
+
+    n_cols = len(header)
+    values = np.empty((len(rows) - 1, len(columns)), dtype=np.float64)
+    timestamps: list[str] = []
+    for r, row in enumerate(rows[1:], start=2):
+        if len(row) != n_cols:
+            raise RaggedRow(f"line {r}: expected {n_cols} cells, got {len(row)}")
+        for out, k in enumerate(value_idx):
+            cell = row[k].strip()
+            try:
+                value = float(cell)
+            except ValueError:
+                value = nan
+            # float() also reads "nan", "inf" and "1_0"; none of them is a reading
+            if not isfinite(value) or "_" in cell:
+                raise NonNumericCell(f"line {r}, column {header[k]!r}: {cell!r}")
+            values[r - 2, out] = value
+        if ts_idx:
+            timestamps.append(row[ts_idx[0]].strip())
+
+    return RawLog(columns=columns, values=values, timestamps=tuple(timestamps) if ts_idx else None)
+
+
+def reference_state_of(spec: VariableSpec, value: float) -> int:
+    """State index of one raw reading: bisection for a sensor, a linear
+    search of the rounded reading in the codes for an actuator."""
+    if spec.kind == SENSOR:
+        return bisect_right(spec.bin_edges, value)
+    code = round(value)
+    if abs(value - code) > 1e-9:
+        raise UnmappedActuatorValue(f"{spec.name}: non-integer actuator value {float(value)!r}")
+    codes = spec.codes if spec.codes is not None else tuple(range(len(spec.states)))
+    try:
+        return codes.index(code)
+    except ValueError:
+        raise UnmappedActuatorValue(f"{spec.name}: code {code} not in declared codes {codes}") from None
+
+
+def reference_discretize(log: RawLog, specs: list[VariableSpec] | tuple[VariableSpec, ...]) -> DiscreteDataset:
+    """``discretize`` with every actuator cell mapped by :func:`reference_state_of`."""
+    specs = tuple(specs)
+    for spec in specs:
+        if spec.name not in log.columns:
+            raise MissingColumn(f"log has no column {spec.name!r}")
+    data = np.empty((log.n_records, len(specs)), dtype=np.int64)
+    for k, spec in enumerate(specs):
+        raw = log.column(spec.name)
+        if spec.kind == SENSOR:
+            data[:, k] = np.searchsorted(np.asarray(spec.bin_edges), raw, side="right")
+        else:
+            data[:, k] = [reference_state_of(spec, v) for v in raw]
+    return DiscreteDataset(specs=specs, data=data)

@@ -241,6 +241,36 @@ class TestErrors:
         assert code == 3
         assert "NonNumericCell" in capsys.readouterr().err
 
+    def test_non_integer_actuator_reading_is_data_error(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text("MV101\n1\n1.5\n")
+        spec = tmp_path / "s.vspec"
+        spec.write_text("MV101 actuator Close,Open codes=1,2\n")
+        code = main(["discretize", "--input", str(log), "--spec", str(spec),
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        assert capsys.readouterr().err == \
+            "error [UnmappedActuatorValue]: MV101: non-integer actuator value 1.5\n"
+
+    def test_non_finite_bin_edge_is_data_error(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text("LIT101\n100\n500\n900\n")
+        spec = tmp_path / "s.vspec"
+        spec.write_text("LIT101 sensor Low,Medium,High edges=nan,750\n")
+        code = main(["discretize", "--input", str(log), "--spec", str(spec),
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        assert "ParseError" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_targeted_string_is_data_error(self, repo_root, tmp_path, capsys):
+        attacks = tmp_path / "attacks.json"
+        attacks.write_text(json.dumps([{"id": "x", "targeted": "MV101"}]))
+        code = main(["impact", "--net", str(repo_root / "tests/golden/stage1/net.json"),
+                     "--attacks", str(attacks)])
+        assert code == 3
+        assert "ParseError" in capsys.readouterr().err
+
     @pytest.mark.parametrize("stages", ['"P1"', '[["LIT101"]]', '{"LIT101": [1]}'])
     def test_malformed_stage_file_is_data_error(self, repo_root, tmp_path, capsys, stages):
         path = tmp_path / "stages.json"
@@ -272,3 +302,19 @@ def test_cli_imports_numpy_as_its_only_dependency(repo_root):
             "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))")
     run = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
     assert set(run.stdout.split()) - set(sys.stdlib_module_names) == {"cpscausal", "numpy"}
+
+
+def test_dump_json_writes_one_record_per_line():
+    dataset = {"specs": [{"name": "A", "codes": [1, 2]}], "data": [[0, 1], [1, -2], []]}
+    assert cli._dump_json(dataset) == (
+        '{\n  "specs": [\n    {\n      "name": "A",\n      "codes": [\n        1,\n        2\n'
+        '      ]\n    }\n  ],\n  "data": [\n    [0,1],\n    [1,-2],\n    []\n  ]\n}\n')
+    assert json.loads(cli._dump_json(dataset)) == dataset
+
+
+@pytest.mark.parametrize("obj", [
+    {"edges": [["A", "B"]], "table": [[0.5, 0.5], [1.0, 0.0]], "rows": [1, 2], "flags": [[True]]},
+    [], {}, [[]], [{"id": "x", "theta": None, "nested": [[1.5]]}], "text", 3,
+])
+def test_dump_json_is_indented_json_for_everything_else(obj):
+    assert cli._dump_json(obj) == json.dumps(obj, indent=2) + "\n"

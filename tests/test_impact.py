@@ -271,6 +271,12 @@ class TestAttackFile:
         with pytest.raises(ParseError):
             load_attacks('[{"id": "x", "targeted": []}]')
 
+    @pytest.mark.parametrize("targeted", ['"MV101"', '{"MV101": 1}', '["MV101", 101]', "null"])
+    def test_targeted_must_be_a_list_of_names(self, targeted):
+        # a bare string used to become one target per character
+        with pytest.raises(ParseError, match="attack 'x': targeted must be a list of DP names"):
+            load_attacks(f'[{{"id": "x", "targeted": {targeted}}}]')
+
     @pytest.mark.parametrize("pre", ['"ab"', '[["LIT101"]]'])
     def test_preconditions_must_be_a_mapping(self, pre):
         with pytest.raises(ParseError, match="malformed attack record"):
