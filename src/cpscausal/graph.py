@@ -1,4 +1,5 @@
-"""Directed-graph core: DAG queries, d-separation, equivalence, comparison.
+"""Directed-graph core: DAG queries, d-separation by Bayes-ball, equivalence,
+comparison.
 
 A :class:`CausalGraph` is an immutable value: nodes are DP names, edges
 carry a kind (``control`` and ``physical`` for domain knowledge, ``learnt``
@@ -14,7 +15,6 @@ run of every operation is reproducible.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -26,6 +26,7 @@ from .errors import (
     SelfLoop,
     StillCyclic,
     UnknownNode,
+    UsageError,
 )
 
 CONTROL = "control"
@@ -150,25 +151,24 @@ class CausalGraph:
     def descendants(self, node: str) -> frozenset[str]:
         """Strict descendants via directed edges."""
         self._require(node)
-        seen: set[str] = set()
-        stack = list(self._children[node])
-        while stack:
-            v = stack.pop()
-            if v not in seen:
-                seen.add(v)
-                stack.extend(self._children[v])
-        return frozenset(seen)
+        return frozenset(_reach(self._children[node], self._children))
 
     def ancestors(self, node: str) -> frozenset[str]:
         self._require(node)
-        seen: set[str] = set()
-        stack = list(self._parents[node])
-        while stack:
-            v = stack.pop()
-            if v not in seen:
-                seen.add(v)
-                stack.extend(self._parents[v])
-        return frozenset(seen)
+        return frozenset(_reach(self._parents[node], self._parents))
+
+
+def _reach(start: Iterable[str], step: dict[str, tuple[str, ...]]) -> set[str]:
+    """Every node reachable from ``start`` along ``step`` (a graph's
+    ``_children`` or ``_parents``), ``start`` included."""
+    seen = set(start)
+    stack = list(seen)
+    while stack:
+        for w in step[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def add_edge(g: CausalGraph, src: str, dst: str, kind: str = LEARNT, directed: bool = True) -> CausalGraph:
@@ -192,11 +192,7 @@ def remove_edge(g: CausalGraph, src: str, dst: str) -> CausalGraph:
 
 def is_dag(g: CausalGraph) -> bool:
     """True iff every edge is directed and a topological order exists."""
-    try:
-        topological_order(g)
-        return True
-    except CyclicGraph:
-        return False
+    return g.fully_directed and g._topological_order is not None
 
 
 def topological_order(g: CausalGraph) -> tuple[str, ...]:
@@ -238,50 +234,36 @@ def structures(g: CausalGraph) -> Structures:
 def d_separated(g: CausalGraph, i: str, j: str, s: Iterable[str] = ()) -> bool:
     """Whether every i-j path is blocked by conditioning set ``s``.
 
-    Uses the moralized ancestral graph criterion: restrict to the ancestral
-    closure of ``{i, j} | s``, marry co-parents, drop ``s``, and test
-    undirected connectivity. Equivalent to the path-blocking rules (a
-    non-collider on the path is in ``s``, or a collider has neither itself
-    nor any descendant in ``s``).
+    Bayes-ball (Shachter 1998; Koller & Friedman 2009, Alg. 3.1): a trail
+    leaves ``i`` in both directions, and reaching ``j`` means some path is
+    active. A node outside ``s`` passes the trail down to its children, and
+    up to its parents when the trail came from a child. A node the trail
+    reached from a parent is a collider on it, and passes it up only when
+    the node or one of its descendants is in ``s``, that is when it is in
+    ``opened``: ``s`` and its ancestors.
     """
     s = frozenset(s)
     g._require(i, j, *s)
     if i == j:
-        raise ValueError("i and j must differ")
+        raise UsageError("i and j must differ")
     if i in s or j in s:
-        raise ValueError("i and j must not be in the conditioning set")
+        raise UsageError("i and j must not be in the conditioning set")
     topological_order(g)  # raises CyclicGraph on non-DAGs
 
-    relevant: set[str] = {i, j} | set(s)
-    stack = list(relevant)
+    opened = _reach(s, g._parents)
+    visited: set[tuple[str, bool]] = set()
+    stack = [(i, True)]  # (node, the trail arrived from a child)
     while stack:
-        v = stack.pop()
-        for p in g._parents[v]:
-            if p not in relevant:
-                relevant.add(p)
-                stack.append(p)
-
-    adj: dict[str, set[str]] = {v: set() for v in relevant}
-    for v in relevant:
-        pa = [p for p in g._parents[v] if p in relevant]
-        for p in pa:
-            adj[v].add(p)
-            adj[p].add(v)
-        for a in range(len(pa)):
-            for b in range(a + 1, len(pa)):
-                adj[pa[a]].add(pa[b])
-                adj[pa[b]].add(pa[a])
-
-    seen = {i}
-    queue = deque([i])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w == j:
-                return False
-            if w not in seen and w not in s:
-                seen.add(w)
-                queue.append(w)
+        v, from_child = stack.pop()
+        if v == j:
+            return False
+        if (v, from_child) in visited:
+            continue
+        visited.add((v, from_child))
+        if v not in s:
+            stack.extend((c, False) for c in g._children[v])
+        if (v not in s) if from_child else (v in opened):
+            stack.extend((p, True) for p in g._parents[v])
     return True
 
 
@@ -444,9 +426,9 @@ def graph_from_json(obj: dict) -> CausalGraph:
 _DOT_STYLE = {CONTROL: "dashed", PHYSICAL: "solid", LEARNT: "solid"}
 
 
-def graph_to_dot(g: CausalGraph, name: str = "causal") -> str:
+def graph_to_dot(g: CausalGraph) -> str:
     """DOT export: control edges dashed, physical solid, learnt solid gray."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph causal {"]
     for n in g.nodes:
         lines.append(f'  "{n}";')
     for e in g.edges:

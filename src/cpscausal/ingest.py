@@ -157,7 +157,7 @@ class DiscreteDataset:
         return self.spec(name).cardinality
 
 
-def parse_log(text: str, delimiter: str = ",") -> RawLog:
+def parse_log(text: str) -> RawLog:
     """Parse historian log text into a :class:`RawLog`.
 
     The header row names the columns; a column named ``Timestamp`` (any
@@ -165,9 +165,10 @@ def parse_log(text: str, delimiter: str = ",") -> RawLog:
     no header or no data row, :class:`RaggedRow` on length mismatches, and
     :class:`NonNumericCell` when a value cell is not a finite number
     (``nan``, ``inf`` and digit-group underscores such as ``1_0`` included).
-    The first faulty line decides which error is raised.
+    The first faulty record decides which error is raised, and the message
+    names the line of the text on which that record starts.
     """
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if any(map(str.strip, row))]
     if not rows:
         raise EmptyInput("log has no header row")
@@ -187,7 +188,7 @@ def parse_log(text: str, delimiter: str = ",") -> RawLog:
         table = list(zip(*body))
         values = _readings([table[k] for k in value_idx], len(body))
     if values is None:
-        _raise_first_fault(header, value_idx, body)
+        _raise_first_fault(text, header, value_idx)
     timestamps = tuple(map(str.strip, table[ts_idx[0]])) if ts_idx else None
     return RawLog(columns=columns, values=values, timestamps=timestamps)
 
@@ -208,10 +209,18 @@ def _readings(value_columns: list[tuple[str, ...]], n_records: int) -> np.ndarra
     return values
 
 
-def _raise_first_fault(header: list[str], value_idx: list[int], body: list[list[str]]) -> NoReturn:
-    """Raise the error for the first faulty line of ``body``, naming its bad cell."""
+def _raise_first_fault(text: str, header: list[str], value_idx: list[int]) -> NoReturn:
+    """Raise the error for the first faulty record of the log ``text``,
+    naming the line it starts on and its bad cell. Blank lines and quoted
+    cells that span lines count, as in the text."""
+    reader = csv.reader(io.StringIO(text))
+    records, line = [], 1  # line: where the next record starts
+    for row in reader:
+        if any(map(str.strip, row)):
+            records.append((line, row))
+        line = reader.line_num + 1
     n_cols = len(header)
-    for r, row in enumerate(body, start=2):
+    for r, row in records[1:]:  # records[0] is the header
         if len(row) != n_cols:
             raise RaggedRow(f"line {r}: expected {n_cols} cells, got {len(row)}")
         for k in value_idx:

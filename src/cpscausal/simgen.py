@@ -95,7 +95,7 @@ def forward_sample(net: BayesNet, n: int, seed: int,
     return sample_with_clamp(net, n, seed, clamp=None, specs=specs)
 
 
-def write_historian_csv(ds: DiscreteDataset, with_timestamp: bool = True) -> str:
+def write_historian_csv(ds: DiscreteDataset) -> str:
     """Render a discrete dataset as the historian CSV data_ingest consumes.
 
     Sensor states are emitted as a representative raw value inside the
@@ -116,10 +116,9 @@ def write_historian_csv(ds: DiscreteDataset, with_timestamp: bool = True) -> str
             rep.append([str(c) for c in codes])
 
     buf = io.StringIO()
-    header = (["Timestamp"] if with_timestamp else []) + list(ds.names)
-    buf.write(",".join(header) + "\n")
+    buf.write(",".join(["Timestamp", *ds.names]) + "\n")
     for t in range(ds.n_records):
-        row = [str(t)] if with_timestamp else []
+        row = [str(t)]
         row += [rep[k][ds.data[t, k]] for k in range(len(ds.specs))]
         buf.write(",".join(row) + "\n")
     return buf.getvalue()

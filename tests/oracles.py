@@ -1,7 +1,8 @@
 """Independent oracles the test suite checks production code against.
 
 These deliberately avoid the library's algorithms: d-separation is decided
-by enumerating every undirected path and applying the blocking rules;
+by enumerating every undirected path and applying the blocking rules, or on
+graphs too large for that, by connectivity in the moralized ancestral graph;
 spanning trees come from Prufer sequences; DAG enumeration tries all edge
 assignments; posteriors come from the full joint tensor; chi-square
 statistics are tallied record by record, stratum by stratum; hill-climbing
@@ -16,6 +17,7 @@ import heapq
 import io
 import itertools
 from bisect import bisect_right
+from collections import deque
 from math import isfinite, nan
 from typing import Iterable, Iterator, Mapping
 
@@ -78,6 +80,44 @@ def dsep_oracle(g: CausalGraph, i: str, j: str, s: Iterable[str]) -> bool:
     s = frozenset(s)
     desc = {n: g.descendants(n) for n in g.nodes}
     return all(path_blocked(g, p, s, desc) for p in all_paths(g, i, j))
+
+
+def reference_d_separated(g: CausalGraph, i: str, j: str, s: Iterable[str] = ()) -> bool:
+    """d-separation by the moralized ancestral graph criterion: restrict to
+    the ancestral closure of ``{i, j} | s``, marry co-parents, drop ``s``,
+    and test undirected connectivity."""
+    s = frozenset(s)
+    relevant: set[str] = {i, j} | set(s)
+    stack = list(relevant)
+    while stack:
+        v = stack.pop()
+        for p in g.parents(v):
+            if p not in relevant:
+                relevant.add(p)
+                stack.append(p)
+
+    adj: dict[str, set[str]] = {v: set() for v in relevant}
+    for v in relevant:
+        pa = [p for p in g.parents(v) if p in relevant]
+        for p in pa:
+            adj[v].add(p)
+            adj[p].add(v)
+        for a in range(len(pa)):
+            for b in range(a + 1, len(pa)):
+                adj[pa[a]].add(pa[b])
+                adj[pa[b]].add(pa[a])
+
+    seen = {i}
+    queue = deque([i])
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if w == j:
+                return False
+            if w not in seen and w not in s:
+                seen.add(w)
+                queue.append(w)
+    return True
 
 
 def all_dags(names: tuple[str, ...]) -> Iterator[CausalGraph]:
@@ -355,13 +395,19 @@ def reference_learn_hc(ds: DiscreteDataset, cfg: HcConfig = HcConfig()) -> HcRes
     return HcResult(CausalGraph(nodes=ds.names, edges=edges), tuple(trace))
 
 
-def reference_parse_log(text: str, delimiter: str = ",") -> RawLog:
-    """``parse_log`` as one loop over the cells, line by line."""
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+def reference_parse_log(text: str) -> RawLog:
+    """``parse_log`` as one loop over the cells, record by record. Errors
+    name the line of the text on which the faulty record starts."""
+    reader = csv.reader(io.StringIO(text))
+    rows: list[tuple[int, list[str]]] = []
+    line = 1  # where the next record starts
+    for row in reader:
+        if row and any(cell.strip() for cell in row):
+            rows.append((line, row))
+        line = reader.line_num + 1
     if not rows:
         raise EmptyInput("log has no header row")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in rows[0][1]]
     if len(rows) == 1:
         raise EmptyInput("log has a header but no records")
 
@@ -374,7 +420,7 @@ def reference_parse_log(text: str, delimiter: str = ",") -> RawLog:
     n_cols = len(header)
     values = np.empty((len(rows) - 1, len(columns)), dtype=np.float64)
     timestamps: list[str] = []
-    for r, row in enumerate(rows[1:], start=2):
+    for out_row, (r, row) in enumerate(rows[1:]):
         if len(row) != n_cols:
             raise RaggedRow(f"line {r}: expected {n_cols} cells, got {len(row)}")
         for out, k in enumerate(value_idx):
@@ -386,7 +432,7 @@ def reference_parse_log(text: str, delimiter: str = ",") -> RawLog:
             # float() also reads "nan", "inf" and "1_0"; none of them is a reading
             if not isfinite(value) or "_" in cell:
                 raise NonNumericCell(f"line {r}, column {header[k]!r}: {cell!r}")
-            values[r - 2, out] = value
+            values[out_row, out] = value
         if ts_idx:
             timestamps.append(row[ts_idx[0]].strip())
 

@@ -179,6 +179,16 @@ class TestErrors:
         code = main(["impact", "--net", str(pipeline / "net.json"), "--attacks", str(attacks)])
         assert code == 4
 
+    def test_one_unknown_target_aborts_the_attack_file(self, repo_root, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(["impact", "--net", str(repo_root / "tests/golden/stage1/net.json"),
+                     "--attacks", attacks_path("swat_attacks.json"), "--out", str(out)])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "TargetNotInNet" in captured.err and "attack-4" in captured.err and "MV201" in captured.err
+        assert not out.exists()
+
     def test_unknown_precondition_label_is_model_error(self, repo_root, tmp_path, capsys):
         attacks = tmp_path / "a.json"
         attacks.write_text(json.dumps([

@@ -10,6 +10,7 @@ from cpscausal.errors import (
     SelfLoop,
     StillCyclic,
     UnknownNode,
+    UsageError,
 )
 from cpscausal.graph import (
     CONTROL,
@@ -29,7 +30,7 @@ from cpscausal.graph import (
     structures,
     topological_order,
 )
-from oracles import all_dags, dsep_oracle, random_dag
+from oracles import all_dags, dsep_oracle, random_dag, reference_d_separated
 
 
 def g_of(nodes, *edges, kind=LEARNT):
@@ -124,6 +125,21 @@ class TestDSeparation:
         with pytest.raises(CyclicGraph):
             d_separated(g_of("ABC", ("A", "B"), ("B", "A")), "A", "C", set())
 
+    def test_undirected_edge_rejected(self):
+        g = CausalGraph(nodes=("A", "B", "C"), edges=(Edge("A", "B", directed=False), Edge("B", "C")))
+        with pytest.raises(CyclicGraph):
+            d_separated(g, "A", "C", set())
+
+    @pytest.mark.parametrize("i, j, s", [("A", "A", ()), ("A", "C", ("A",)), ("A", "C", ("B", "C"))])
+    def test_bad_query_is_usage_error(self, i, j, s):
+        with pytest.raises(UsageError) as info:
+            d_separated(g_of("ABC", ("A", "B"), ("B", "C")), i, j, s)
+        assert isinstance(info.value, ValueError)
+
+    def test_unknown_conditioning_node(self):
+        with pytest.raises(UnknownNode):
+            d_separated(g_of("ABC", ("A", "B"), ("B", "C")), "A", "C", {"Z"})
+
     def test_matches_oracle_on_all_4_node_dags(self):
         names = ("A", "B", "C", "D")
         for g in all_dags(names):
@@ -144,6 +160,36 @@ class TestDSeparation:
             rest = [n for n in names if n not in (i, j)]
             s = tuple(n for n in rest if rng.random() < 0.35)
             assert d_separated(g, i, j, s) == dsep_oracle(g, i, j, s)
+
+    def test_matches_moral_graph_reference_on_large_dags(self):
+        """Seeded 12- to 40-node DAGs, too large for path enumeration,
+        against the moralized ancestral graph. Besides random conditioning
+        sets, each graph gets queries between two parents of a collider
+        that condition on a descendant of the collider but not on it."""
+        rng = np.random.default_rng(8)
+        answers = {True: 0, False: 0}
+        collider_queries = 0
+        for _ in range(120):
+            names = tuple(f"n{k}" for k in range(int(rng.integers(12, 41))))
+            g = random_dag(names, rng, p=float(rng.uniform(2, 5)) / len(names))
+            queries = []
+            for _ in range(10):
+                i, j = (names[int(k)] for k in rng.choice(len(names), size=2, replace=False))
+                queries.append((i, j, {n for n in names if n not in (i, j) and rng.random() < 0.2}))
+            for c in names:
+                pa, below = g.parents(c), sorted(g.descendants(c))
+                if len(pa) < 2 or not below:
+                    continue
+                i, j = pa[0], pa[-1]
+                d = below[int(rng.integers(len(below)))]
+                others = {n for n in names if n not in (i, j, c) and rng.random() < 0.1}
+                queries.append((i, j, others | {d}))
+                collider_queries += 1
+            for i, j, s in queries:
+                got = d_separated(g, i, j, s)
+                assert got == reference_d_separated(g, i, j, s), (g.edges, i, j, sorted(s))
+                answers[got] += 1
+        assert min(answers.values()) > 100 and collider_queries > 500, (answers, collider_queries)
 
 
 class TestMarkovEquivalence:

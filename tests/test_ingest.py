@@ -70,6 +70,16 @@ class TestParseLog:
         with pytest.raises(NonNumericCell, match=re.escape(f"line 3, column 'B': {cell!r}")):
             parse_log(f"A,B\n1,2\n1,{cell}\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("A,B\n\n\n1,x\n", "line 4, column 'B': 'x'"),
+        ('Timestamp,A\n"28/12/2015\n10:00",1\nt1,x\n', "line 4, column 'A': 'x'"),
+        ('Timestamp,A\n"a\nb\nc",1\n\nt1,2,3\n', "line 6: expected 2 cells, got 3"),
+    ])
+    def test_error_names_the_line_the_record_starts_on(self, text, message):
+        # blank lines and quoted cells that span lines count as lines of the text
+        with pytest.raises((NonNumericCell, RaggedRow), match=re.escape(message)):
+            parse_log(text)
+
     def test_timestamp_column_set_aside(self):
         log = parse_log("Timestamp,A\n 2015-12-28 10:00:00,1\nlater,2\n")
         assert log.columns == ("A",)
@@ -290,6 +300,13 @@ PARSE_CORPUS = {
     "ragged-short": "A,B\n1,2\n3\n",
     "non-numeric-then-ragged": "A,B\n1,x\n1,2,3\n",
     "ragged-then-non-numeric": "A,B\n1,2,3\n1,x\n",
+    "blank-lines-before-bad-cell": "A,B\n\n\n1,x\n",
+    "blank-lines-before-header": "\n \nA,B\n1,2\n1,nan\n",
+    "whitespace-lines-before-ragged-row": "A,B\n  \n\t\n1,2,3\n",
+    "crlf-blank-line-before-bad-cell": "A,B\r\n\r\n1,x\r\n",
+    "multi-line-quote-before-bad-cell": 'Timestamp,A\n"28/12/2015\n10:00",1\nt1,x\n',
+    "multi-line-quote-before-ragged-row": 'Timestamp,A\n"a\nb\nc",1\n\nt1,2,3\n',
+    "multi-line-quote-in-bad-record": 'Timestamp,A\nt0,1\n"a\nb",x\n',
     "bad-value-column-only": "Timestamp,A\nnot-a-time,oops\n",
     "no-text": "",
     "header-only": "A,B\n",
