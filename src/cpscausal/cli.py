@@ -15,8 +15,9 @@ import json
 import os
 import sys
 import tempfile
-from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .errors import CpsCausalError, DataError, ParseError, UsageError
@@ -26,12 +27,14 @@ from .graph import compare, graph_from_json, graph_to_dot, graph_to_json
 from .impact import ImpactConfig, discover_impact, load_attacks, report_to_json
 from .inference import Query, posterior
 from .ingest import (
-    dataset_from_json,
+    dataset_from_json,  # the dict path, which bench/tracing.py reads through this module
+    dataset_from_text,
     dataset_to_json,
     discretize,
     parse_log,
     parse_spec_file,
     format_spec_file,
+    records_json,
 )
 from .learning import ClConfig, HcConfig, PcConfig, extend_to_dag, learn_cl, learn_hc, learn_pc
 from .simgen import forward_sample, sample_with_clamp, write_historian_csv
@@ -43,8 +46,8 @@ EXIT_MODEL = 4
 
 
 def _dump_json(obj) -> str:
-    """Artifact text: ``json.dumps(obj, indent=2)``, except that a list of
-    integer lists, such as a dataset's records, gets one inner list per line."""
+    """Artifact text: ``json.dumps(obj, indent=2)``, except that a 2-D
+    integer array, such as a dataset's records, gets one row per line."""
     return _json_text(obj, "\n") + "\n"
 
 
@@ -54,11 +57,9 @@ def _json_text(obj, newline: str) -> str:
         return "{" + inner + ("," + inner).join(
             f"{json.dumps(str(key))}: {_json_text(value, inner)}" for key, value in obj.items()) + newline + "}"
     if isinstance(obj, list) and obj:
-        if all(type(row) is list for row in obj) and set(map(type, chain.from_iterable(obj))) <= {int}:
-            # integers only, so "],[" occurs only between two rows
-            rows = json.dumps(obj, separators=(",", ":"))[1:-1].replace("],[", "]," + inner + "[")
-            return "[" + inner + rows + newline + "]"
         return "[" + inner + ("," + inner).join(_json_text(value, inner) for value in obj) + newline + "]"
+    if isinstance(obj, np.ndarray) and len(obj):
+        return "[" + inner + records_json(obj, ("," + inner).encode()).decode() + newline + "]"
     return json.dumps(obj)
 
 
@@ -98,9 +99,9 @@ def _read(path: str) -> str:
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
-def _load_json(path: str):
+def _load_json(path: str, decode=json.loads):
     try:
-        return json.loads(_read(path))
+        return decode(_read(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from None
 
@@ -165,7 +166,7 @@ def cmd_discretize(args) -> int:
 
 
 def cmd_learn(args) -> int:
-    ds = dataset_from_json(_load_json(args.dataset))
+    ds = _load_json(args.dataset, dataset_from_text)
     score = args.score
     if args.algo == "pc":
         if score not in (None, "chi2"):
@@ -199,7 +200,7 @@ def cmd_learn(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    ds = dataset_from_json(_load_json(args.dataset))
+    ds = _load_json(args.dataset, dataset_from_text)
     graph = graph_from_json(_load_json(args.graph))
     if not graph.fully_directed:
         graph = extend_to_dag(graph)

@@ -234,13 +234,13 @@ def structures(g: CausalGraph) -> Structures:
 def d_separated(g: CausalGraph, i: str, j: str, s: Iterable[str] = ()) -> bool:
     """Whether every i-j path is blocked by conditioning set ``s``.
 
-    Bayes-ball (Shachter 1998; Koller & Friedman 2009, Alg. 3.1): a trail
-    leaves ``i`` in both directions, and reaching ``j`` means some path is
-    active. A node outside ``s`` passes the trail down to its children, and
-    up to its parents when the trail came from a child. A node the trail
-    reached from a parent is a collider on it, and passes it up only when
-    the node or one of its descendants is in ``s``, that is when it is in
-    ``opened``: ``s`` and its ancestors.
+    Bayes-ball (Shachter 1998): a trail leaves ``i`` in both directions,
+    and reaching ``j`` means some path is active. A node outside ``s``
+    passes the trail down to its children, and up to its parents when the
+    trail came from a child. A node in ``s`` that the trail reached from a
+    parent bounces it back up to its parents. So a collider outside ``s``
+    with a descendant in ``s`` passes the trail: it goes down to that
+    descendant, bounces, and climbs back up through the collider.
     """
     s = frozenset(s)
     g._require(i, j, *s)
@@ -250,7 +250,6 @@ def d_separated(g: CausalGraph, i: str, j: str, s: Iterable[str] = ()) -> bool:
         raise UsageError("i and j must not be in the conditioning set")
     topological_order(g)  # raises CyclicGraph on non-DAGs
 
-    opened = _reach(s, g._parents)
     visited: set[tuple[str, bool]] = set()
     stack = [(i, True)]  # (node, the trail arrived from a child)
     while stack:
@@ -262,7 +261,7 @@ def d_separated(g: CausalGraph, i: str, j: str, s: Iterable[str] = ()) -> bool:
         visited.add((v, from_child))
         if v not in s:
             stack.extend((c, False) for c in g._children[v])
-        if (v not in s) if from_child else (v in opened):
+        if (v in s) != from_child:  # from a child and outside s, or from a parent and in s
             stack.extend((p, True) for p in g._parents[v])
     return True
 

@@ -15,11 +15,14 @@ enter the discrete data. Missing values are rejected at parse time.
 from __future__ import annotations
 
 import csv
+import gc
 import io
+import json
 import re
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from math import isfinite, nan
 from numbers import Real
 from typing import NoReturn
@@ -123,9 +126,8 @@ class DiscreteDataset:
             raise EmptyDataset("data shape does not match specs")
         if self.data.shape[0] < 1:
             raise EmptyDataset("dataset needs at least one record")
-        for k, spec in enumerate(self.specs):
-            col = self.data[:, k]
-            if col.min() < 0 or col.max() >= spec.cardinality:
+        for spec, low, high in zip(self.specs, self.data.min(axis=0), self.data.max(axis=0)):
+            if low < 0 or high >= spec.cardinality:
                 raise UnmappedActuatorValue(f"{spec.name}: state index out of range")
 
     @cached_property
@@ -166,29 +168,38 @@ def parse_log(text: str) -> RawLog:
     :class:`NonNumericCell` when a value cell is not a finite number
     (``nan``, ``inf`` and digit-group underscores such as ``1_0`` included).
     The first faulty record decides which error is raised, and the message
-    names the line of the text on which that record starts.
+    names the line of the text on which that record starts. The cyclic
+    garbage collector is paused while the log is parsed, and left as the
+    caller had it.
     """
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if any(map(str.strip, row))]
-    if not rows:
-        raise EmptyInput("log has no header row")
-    header = [cell.strip() for cell in rows[0]]
-    if len(rows) == 1:
-        raise EmptyInput("log has a header but no records")
+    # None of the lists built here can form a cycle, and the collector's
+    # passes over them would take about half of the reader's and zip's time
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text)) if any(map(str.strip, row))]
+        if not rows:
+            raise EmptyInput("log has no header row")
+        header = [cell.strip() for cell in rows[0]]
+        if len(rows) == 1:
+            raise EmptyInput("log has a header but no records")
 
-    ts_idx = [k for k, name in enumerate(header) if name.lower() == "timestamp"]
-    value_idx = [k for k in range(len(header)) if k not in ts_idx]
-    columns = tuple(header[k] for k in value_idx)
-    if len(set(columns)) != len(columns) or any(not c for c in columns):
-        raise ParseError("column names must be unique and non-empty")
+        ts_idx = [k for k, name in enumerate(header) if name.lower() == "timestamp"]
+        value_idx = [k for k in range(len(header)) if k not in ts_idx]
+        columns = tuple(header[k] for k in value_idx)
+        if len(set(columns)) != len(columns) or any(not c for c in columns):
+            raise ParseError("column names must be unique and non-empty")
 
-    body = rows[1:]
-    values = None
-    if set(map(len, body)) == {len(header)}:
-        table = list(zip(*body))
-        values = _readings([table[k] for k in value_idx], len(body))
-    if values is None:
-        _raise_first_fault(text, header, value_idx)
+        body = rows[1:]
+        values = None
+        if set(map(len, body)) == {len(header)}:
+            table = list(zip(*body))
+            values = _readings([table[k] for k in value_idx], len(body))
+        if values is None:
+            _raise_first_fault(text, header, value_idx)
+    finally:
+        if collecting:
+            gc.enable()
     timestamps = tuple(map(str.strip, table[ts_idx[0]])) if ts_idx else None
     return RawLog(columns=columns, values=values, timestamps=timestamps)
 
@@ -364,8 +375,18 @@ def format_spec_file(specs: tuple[VariableSpec, ...] | list[VariableSpec]) -> st
 
 
 # --- dataset JSON -------------------------------------------------------------
+#
+# {"specs": [{"name", "kind", "states", "bin_edges", "codes"}, ...],
+#  "data": [[state index per spec], ...]}, one record per line:
+#
+#   "data": [
+#     [0,2,1],
+#     [1,0,1]
+#   ]
 
 def dataset_to_json(ds: DiscreteDataset) -> dict:
+    """The dataset as a dict for the CLI's JSON writer; ``data`` is the int64
+    records array itself, which the writer lays out with :func:`records_json`."""
     return {
         "specs": [
             {
@@ -377,11 +398,14 @@ def dataset_to_json(ds: DiscreteDataset) -> dict:
             }
             for s in ds.specs
         ],
-        "data": ds.data.tolist(),
+        "data": ds.data,
     }
 
 
 def dataset_from_json(obj: dict) -> DiscreteDataset:
+    """Validate a parsed dataset JSON object. Every ``data`` cell must be an
+    integer: a bool, a float, a string or an integer outside int64 raises
+    :class:`ParseError`. ``data`` may also be an integer array."""
     try:
         specs = tuple(
             VariableSpec(
@@ -396,4 +420,148 @@ def dataset_from_json(obj: dict) -> DiscreteDataset:
         data = np.asarray(obj["data"], dtype=np.int64)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed dataset JSON: {exc}") from None
-    return DiscreteDataset(specs=specs, data=data)
+    except OverflowError:
+        raise ParseError("malformed dataset JSON: a data cell is outside the int64 range") from None
+    ds = DiscreteDataset(specs=specs, data=data)
+    # checked last, so that a dataset that fails a check above keeps its error
+    if not _integer_cells(obj["data"]):
+        raise ParseError("malformed dataset JSON: every data cell must be an integer")
+    return ds
+
+
+def _integer_cells(data) -> bool:
+    """Whether every cell of ``data``, an array or a sequence of rows, is an
+    integer and none a bool."""
+    if isinstance(data, np.ndarray):
+        return data.dtype.kind in "iu"
+    return all(issubclass(t, (int, np.integer)) and t is not bool
+               for t in set(map(type, chain.from_iterable(data))))
+
+
+def dataset_from_text(text: str) -> DiscreteDataset:
+    """Read dataset JSON text: the same dataset, or the same error, as
+    ``dataset_from_json(json.loads(text))``, with the records read as one
+    array instead of a list per record. Text that is not JSON raises
+    :class:`json.JSONDecodeError`, with json's own message."""
+    try:
+        obj = _json_object(text)
+    except ValueError:  # JSONDecodeError included
+        obj = json.loads(text)  # raises json's error for this text
+    return dataset_from_json(obj)
+
+
+_JSON_WS = re.compile(r"[ \t\n\r]*")
+_DECODER = json.JSONDecoder()
+
+
+def _json_object(text: str) -> dict:
+    """The JSON object ``text`` holds, walked as json's own decoder walks it
+    (the last of duplicate keys wins), except that a ``data`` value that is
+    a list of integer lists becomes an int64 array. Raises ValueError when
+    ``text`` is not one JSON object."""
+    ws = _JSON_WS.match
+    obj = {}
+    i = ws(text).end()
+    if not text.startswith("{", i):
+        raise ValueError("not a JSON object")
+    i = ws(text, i + 1).end()
+    if text.startswith("}", i):
+        i += 1
+    else:
+        while True:
+            if not text.startswith('"', i):
+                raise ValueError("expected a key")
+            key, i = json.decoder.scanstring(text, i + 1)
+            i = ws(text, i).end()
+            if not text.startswith(":", i):
+                raise ValueError("expected ':'")
+            i = ws(text, i + 1).end()
+            found = _records_at(text, i) if key == "data" else None
+            obj[key], i = found or _DECODER.raw_decode(text, i)
+            i = ws(text, i).end()
+            if text.startswith("}", i):
+                i += 1
+                break
+            if not text.startswith(",", i):
+                raise ValueError("expected ',' or '}'")
+            i = ws(text, i + 1).end()
+    if ws(text, i).end() != len(text):
+        raise ValueError("text after the object")
+    return obj
+
+
+_RECORDS_END = re.compile(r"\][ \t\n\r]*\]")
+# digits and '-' to '0', all else to ' ': one run of '0's per JSON number
+_NUMBER_RUNS = bytes(ord("0") if c in b"-0123456789" else ord(" ") for c in range(256))
+
+
+def _records_at(text: str, i: int) -> tuple[np.ndarray, int] | None:
+    """The list of integer lists of equal length that starts at ``text[i]``
+    as an int64 array, and the index just after it; None when the JSON value
+    there is anything else."""
+    end = _RECORDS_END.search(text, i) if text.startswith("[", i) else None
+    if end is None:
+        return None
+    raw = text[i:end.end()]
+    if not raw.isascii():
+        return None
+    raw = raw.encode()
+    compact = raw.translate(None, b" \t\n\r")
+    cells = _cells(compact.translate(None, b"[]"))
+    # deleting the whitespace must not have joined two numbers into one
+    if cells is None or raw.translate(_NUMBER_RUNS).count(b" 0") != cells.size:
+        return None
+    n_records = compact.count(b"[") - 1
+    if n_records < 1 or cells.size % n_records:
+        return None
+    records = cells.reshape(n_records, cells.size // n_records)
+    # The text must be exactly these records written as JSON integers, which
+    # checks every cell's form, the brackets and the row width at once
+    written = records_json(records, b",")
+    if len(compact) != len(written) + 2 or not compact.startswith(written, 1):
+        return None
+    return records, end.end()
+
+
+def _cells(text: bytes) -> np.ndarray | None:
+    """The comma-separated integers of ``text``, or None when numpy cannot
+    read them. The caller checks their form."""
+    if len(text) == 2 * text.count(b",") + 1:  # one character a cell, as with up to 10 states
+        return np.subtract(np.frombuffer(text, dtype=np.uint8)[::2], ord("0"), dtype=np.int64)
+    try:
+        return np.fromstring(text, dtype=np.int64, sep=",")
+    except (ValueError, DeprecationWarning):  # older numpy warns instead, and may be told to raise
+        return None
+
+
+def records_json(data: np.ndarray, sep: bytes) -> bytes:
+    """The rows of a 2-D integer array as compact JSON lists joined by
+    ``sep``: ``[0,2,1]`` + sep + ``[1,0,1]``. Each cell is written into a
+    fixed-width field, right-aligned and padded with NUL bytes, and one
+    ``bytes.translate`` drops the padding."""
+    n, w = data.shape
+    if n == 0:
+        return b""
+    low, high = (int(data.min()), int(data.max())) if data.size else (0, 0)
+    sign = int(low < 0)
+    n_digits = len(str(max(-low, high)))
+    field_width = sign + n_digits + 1  # the last byte is the ',' after the cell
+    row = np.zeros((n, 1 + w * field_width + 1 + len(sep)), dtype=np.uint8)
+    row[:, 0] = ord("[")
+    fields = row[:, 1:1 + w * field_width].reshape(n, w, field_width)
+    if sign:
+        fields[:, :, 0][data < 0] = ord("-")
+    rest = np.abs(data).astype(np.uint64) if sign else data  # the int64 minimum included
+    for k in range(n_digits):  # right to left
+        place = fields[:, :, -2 - k]
+        np.remainder(rest, 10, out=place, casting="unsafe")
+        place += ord("0")
+        if k:
+            place[rest == 0] = 0  # no leading zeros
+        if k < n_digits - 1:
+            rest = rest // 10
+    fields[:, :-1, -1] = ord(",")
+    row[:, 1 + w * field_width] = ord("]")
+    row[:, row.shape[1] - len(sep):] = np.frombuffer(sep, dtype=np.uint8)
+    row[-1, row.shape[1] - len(sep):] = 0  # nothing after the last row
+    return row.tobytes().translate(None, b"\0")

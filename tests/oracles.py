@@ -7,7 +7,8 @@ spanning trees come from Prufer sequences; DAG enumeration tries all edge
 assignments; posteriors come from the full joint tensor; chi-square
 statistics are tallied record by record, stratum by stratum; hill-climbing
 rescores every candidate move from scratch each iteration; a historian log
-is parsed and discretized cell by cell. Slow and simple on purpose.
+is parsed and discretized cell by cell; dataset JSON is read by ``json``
+into one list per record. Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import csv
 import heapq
 import io
 import itertools
+import json
 from bisect import bisect_right
 from collections import deque
 from math import isfinite, nan
@@ -38,7 +40,7 @@ from cpscausal.errors import (
 from cpscausal.estimation import BayesNet, family_score
 from cpscausal.graph import LEARNT, CausalGraph, Edge, topological_order
 from cpscausal.inference import Query, _validate_query
-from cpscausal.ingest import SENSOR, DiscreteDataset, RawLog, VariableSpec
+from cpscausal.ingest import SENSOR, DiscreteDataset, RawLog, VariableSpec, dataset_from_json
 from cpscausal.learning import HcConfig, HcResult, _require_learnable
 
 
@@ -468,3 +470,9 @@ def reference_discretize(log: RawLog, specs: list[VariableSpec] | tuple[Variable
         else:
             data[:, k] = [reference_state_of(spec, v) for v in raw]
     return DiscreteDataset(specs=specs, data=data)
+
+
+def reference_dataset_from_text(text: str) -> DiscreteDataset:
+    """``dataset_from_text`` as ``json.loads`` into Python lists, then the
+    dict validator."""
+    return dataset_from_json(json.loads(text))

@@ -12,6 +12,7 @@ from referencing.jsonschema import DRAFT202012
 
 from cpscausal import cli
 from cpscausal.cli import main
+from cpscausal.ingest import ACTUATOR, DiscreteDataset, VariableSpec, dataset_from_text, dataset_to_json
 
 
 def attacks_path(name: str) -> str:
@@ -290,6 +291,32 @@ class TestErrors:
         assert code == 3
         assert "ParseError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell, error", [
+        ("1.5", "ParseError"), ("true", "ParseError"), ('"1"', "ParseError"), ("1e30", "ParseError"),
+        (str(2**70), "ParseError"), ("-1", "UnmappedActuatorValue"),
+    ])
+    @pytest.mark.parametrize("command", ["learn", "fit"])
+    def test_dataset_cell_that_is_not_an_integer_is_data_error(self, repo_root, tmp_path, capsys,
+                                                               command, cell, error):
+        golden = repo_root / "tests/golden/stage1"
+        head, records, tail = (golden / "dataset.json").read_text().partition('"data": [\n    [')
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(head + records + cell + tail[1:])  # in place of the first cell, one digit
+        out = tmp_path / "out.json"
+        argv = (["learn", "--dataset", str(dataset), "--algo", "cl", "--root", "LIT101"] if command == "learn" else
+                ["fit", "--dataset", str(dataset), "--graph", str(golden / "graph.json")])
+        assert main([*argv, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"error [{error}]: ")
+        assert not out.exists()
+
+    def test_truncated_dataset_is_invalid_json(self, repo_root, tmp_path, capsys):
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text((repo_root / "tests/golden/stage1/dataset.json").read_text()[:-20])
+        code = main(["learn", "--dataset", str(dataset), "--algo", "cl", "--root", "LIT101",
+                     "--out", str(tmp_path / "graph.json")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"error [DataError]: {dataset} is not valid JSON: ")
+
     def test_pc_isolates_constant_dp(self, tmp_path):
         rng = np.random.default_rng(26)
         a = rng.integers(0, 2, 2000)
@@ -315,16 +342,31 @@ def test_cli_imports_numpy_as_its_only_dependency(repo_root):
 
 
 def test_dump_json_writes_one_record_per_line():
-    dataset = {"specs": [{"name": "A", "codes": [1, 2]}], "data": [[0, 1], [1, -2], []]}
+    dataset = {"specs": [{"name": "A", "codes": [1, 2]}], "data": np.array([[0, 1], [1, -2]])}
     assert cli._dump_json(dataset) == (
         '{\n  "specs": [\n    {\n      "name": "A",\n      "codes": [\n        1,\n        2\n'
-        '      ]\n    }\n  ],\n  "data": [\n    [0,1],\n    [1,-2],\n    []\n  ]\n}\n')
-    assert json.loads(cli._dump_json(dataset)) == dataset
+        '      ]\n    }\n  ],\n  "data": [\n    [0,1],\n    [1,-2]\n  ]\n}\n')
+    assert json.loads(cli._dump_json(dataset)) == {**dataset, "data": [[0, 1], [1, -2]]}
+
+
+@pytest.mark.parametrize("cardinality, n_vars", [(12, 3), (150, 3), (3, 1)],
+                         ids=["two-digit", "three-digit", "one-column"])
+def test_dump_json_writes_datasets_that_load_back(cardinality, n_vars):
+    rng = np.random.default_rng(cardinality)
+    data = rng.integers(0, cardinality, size=(40, n_vars))
+    data[:2] = [[0] * n_vars, [cardinality - 1] * n_vars]
+    specs = tuple(VariableSpec(f"X{k}", ACTUATOR, tuple(f"s{j}" for j in range(cardinality)))
+                  for k in range(n_vars))
+    text = cli._dump_json(dataset_to_json(DiscreteDataset(specs=specs, data=data)))
+    assert np.array_equal(json.loads(text)["data"], data)
+    rows = ",\n    ".join(json.dumps(row, separators=(",", ":")) for row in data.tolist())
+    assert text.endswith(f'"data": [\n    {rows}\n  ]\n}}\n')
+    assert np.array_equal(dataset_from_text(text).data, data)
 
 
 @pytest.mark.parametrize("obj", [
     {"edges": [["A", "B"]], "table": [[0.5, 0.5], [1.0, 0.0]], "rows": [1, 2], "flags": [[True]]},
-    [], {}, [[]], [{"id": "x", "theta": None, "nested": [[1.5]]}], "text", 3,
+    [], {}, [[]], [[0, 1], [2, 3]], [{"id": "x", "theta": None, "nested": [[1.5]]}], "text", 3,
 ])
 def test_dump_json_is_indented_json_for_everything_else(obj):
     assert cli._dump_json(obj) == json.dumps(obj, indent=2) + "\n"

@@ -150,6 +150,15 @@ class TestDSeparation:
                         assert d_separated(g, i, j, s) == dsep_oracle(g, i, j, s), \
                             f"{g.edges} {i} {j} {s}"
 
+    def test_matches_moral_graph_reference_on_every_small_dag(self):
+        for names in ("AB", "ABC", "ABCD"):
+            for g in all_dags(tuple(names)):
+                for i, j in itertools.permutations(names, 2):
+                    rest = [n for n in names if n not in (i, j)]
+                    for s in itertools.chain.from_iterable(
+                            itertools.combinations(rest, r) for r in range(len(rest) + 1)):
+                        assert d_separated(g, i, j, s) == reference_d_separated(g, i, j, s), (g.edges, i, j, s)
+
     def test_matches_oracle_on_random_8_node_dags(self):
         rng = np.random.default_rng(2024)
         names = tuple(f"n{k}" for k in range(8))

@@ -1,11 +1,15 @@
+import gc
 import json
+import random
 import re
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpscausal import ingest
 from cpscausal.errors import (
     CpsCausalError,
     DegenerateColumn,
@@ -23,15 +27,17 @@ from cpscausal.ingest import (
     RawLog,
     VariableSpec,
     dataset_from_json,
+    dataset_from_text,
     dataset_to_json,
     discretize,
     format_spec_file,
     parse_log,
     parse_spec_file,
     project,
+    records_json,
     suggest_bins,
 )
-from oracles import reference_discretize, reference_parse_log, reference_state_of
+from oracles import reference_dataset_from_text, reference_discretize, reference_parse_log, reference_state_of
 
 LIT101 = VariableSpec("LIT101", SENSOR, ("Low", "Medium", "High"), bin_edges=(210.0, 750.0))
 MV101 = VariableSpec("MV101", ACTUATOR, ("Close", "Open"), codes=(1, 2))
@@ -88,6 +94,19 @@ class TestParseLog:
     def test_duplicate_columns_rejected(self):
         with pytest.raises(ParseError):
             parse_log("A,A\n1,2\n")
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    @pytest.mark.parametrize("text, error", [("A,B\n1,2\n", None), ("A,B\n1,2,3\n", RaggedRow)],
+                             ids=["parsed", "ragged"])
+    def test_garbage_collector_left_as_the_caller_had_it(self, collecting, text, error):
+        was_collecting = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            with pytest.raises(error) if error else nullcontext():
+                parse_log(text)
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was_collecting else gc.disable)()
 
 
 class TestSuggestBins:
@@ -257,16 +276,199 @@ def test_dataset_json_rejects_non_finite_edge():
     obj = dataset_to_json(discretize(parse_log("LIT101\n100\n"), [LIT101]))
     obj["specs"][0]["bin_edges"] = [float("nan"), 750.0]
     with pytest.raises(ParseError, match="LIT101: bin edges must be finite"):
-        dataset_from_json(json.loads(json.dumps(obj)))
+        dataset_from_json(json.loads(json.dumps({**obj, "data": obj["data"].tolist()})))
 
 
 def test_dataset_json_in_the_indented_layout_still_loads():
     ds = discretize(parse_log("LIT101,MV101\n100,1\n500,2\n900,1\n"), [LIT101, MV101])
-    old_layout = json.dumps(dataset_to_json(ds), indent=2)  # one cell per line
+    old_layout = json.dumps({**dataset_to_json(ds), "data": ds.data.tolist()}, indent=2)  # one cell per line
     assert "[\n      0,\n      0\n    ]" in old_layout
-    back = dataset_from_json(json.loads(old_layout))
-    assert back.specs == ds.specs
-    assert np.array_equal(back.data, ds.data)
+    for back in dataset_from_json(json.loads(old_layout)), dataset_from_text(old_layout):
+        assert back.specs == ds.specs
+        assert np.array_equal(back.data, ds.data)
+
+
+class _Raw(str):
+    """JSON text pasted into a generated document as it is."""
+
+
+class _Pairs(list):
+    """A JSON object as (key, value) pairs, so that a key can repeat."""
+
+
+# cells that are not JSON integers, are not JSON, or are integers that no
+# list of ints in int64 holds; "-0" and int64's extremes are valid
+_ODD_CELLS = ["1.5", "1.0", "1E2", "1e30", "-0", "01", "+1", "1 2", "- 1", "true", "false", "null",
+              '"1"', "[1]", "{}", "NaN", "Infinity", "-Infinity", "\u0661", "0x1",
+              str(2**63 - 1), str(-2**63), str(2**63), str(2**70)]
+_WHITESPACE = ["", "", "", " ", "\n", "\n    ", "\t", "\r\n  "]
+
+
+def _emit(value, rnd: random.Random) -> str:
+    """``value`` as JSON text with random JSON whitespace between tokens."""
+    def ws():
+        return rnd.choice(_WHITESPACE)
+
+    if isinstance(value, _Raw):
+        return value
+    if isinstance(value, dict):
+        value = _Pairs(value.items())
+    if isinstance(value, _Pairs):
+        return "{" + ws() + ",".join(
+            f"{ws()}{json.dumps(key, ensure_ascii=rnd.random() < 0.5)}{ws()}:{ws()}{_emit(item, rnd)}{ws()}"
+            for key, item in value) + ws() + "}"
+    if isinstance(value, list):
+        return "[" + ws() + ",".join(ws() + _emit(item, rnd) + ws() for item in value) + ws() + "]"
+    return json.dumps(value)
+
+
+@st.composite
+def _dataset_documents(draw):
+    """Dataset JSON text, and whether it is a well-formed dataset whose
+    records are a list of JSON integer lists."""
+    cards = draw(st.lists(st.sampled_from([2, 3, 12, 150]), min_size=1, max_size=3))
+    names = draw(st.lists(st.sampled_from(["P101", "LIT101", 'A"B', "back\\slash", "tab\tname", "Füll", "\u2603"]),
+                          min_size=len(cards), max_size=len(cards), unique=True))
+    specs = [{"name": name, "kind": "actuator", "states": [f"s{k}" for k in range(card)],
+              "bin_edges": None, "codes": None} for name, card in zip(names, cards)]
+    rows = draw(st.lists(st.tuples(*(st.integers(0, card - 1) for card in cards)).map(list),
+                         min_size=1, max_size=4))
+    rnd = draw(st.randoms(use_true_random=False))
+    fault = draw(st.sampled_from([None, None, None, "cell", "ragged", "records", "specs", "duplicate", "truncate"]))
+    data = rows
+    if fault == "cell":
+        rows[rnd.randrange(len(rows))][rnd.randrange(len(cards))] = _Raw(draw(st.sampled_from(_ODD_CELLS)))
+    elif fault == "ragged":
+        row = rows[rnd.randrange(len(rows))]
+        row.append(0) if rnd.random() < 0.5 else row.pop()
+    elif fault == "records":
+        data = _Raw(rnd.choice(["[]", "[[]]", "[[],[]]", "5", '"x"', "null", "{}", "[[[0]]]", "[0,1]", "[[0]"]))
+    pairs = _Pairs([("specs", specs), ("data", data)])
+    if fault == "specs":
+        pairs.pop(0)
+    if rnd.random() < 0.3:
+        pairs.append(("note", {"data": [[1.5]], "text": "]]"}))
+    if fault == "duplicate":  # the last "data" wins
+        pairs.insert(rnd.randrange(len(pairs) + 1), ("data", rnd.choice([[[1.5]], [[0, 1], [0]], "x", [[0] * len(cards)]])))
+    rnd.shuffle(pairs)
+    layout = rnd.choice(["random", "compact", "indent"])
+    if layout == "random" or fault in ("cell", "records", "duplicate"):
+        text = _emit(pairs, rnd)
+    else:
+        text = json.dumps(dict(pairs), indent=2 if layout == "indent" else None)
+    if fault == "truncate":
+        text = text[:rnd.randrange(len(text))]
+    return text, fault is None
+
+
+def _read_outcome(read, text):
+    """The dataset ``read(text)`` gives, or the class and message of its error."""
+    try:
+        ds = read(text)
+    except (CpsCausalError, json.JSONDecodeError) as exc:
+        return type(exc), str(exc)
+    return ds.specs, ds.data.dtype, ds.data.tolist()
+
+
+@given(document=_dataset_documents())
+@settings(max_examples=200, deadline=None)
+def test_dataset_from_text_matches_reference(document):
+    text, well_formed = document
+    assert _read_outcome(dataset_from_text, text) == _read_outcome(reference_dataset_from_text, text)
+    if well_formed:  # read as one array, with no list per record
+        assert isinstance(ingest._json_object(text)["data"], np.ndarray)
+
+
+_TWO_SPECS = json.dumps([{"name": name, "kind": "actuator", "states": ["s0", "s1", "s2"]} for name in "AB"])
+DATASET_TEXT_CORPUS = {
+    # well-formed, read as one array
+    "one-record-per-line": ("[\n    [0,1],\n    [2,0]\n  ]", True),
+    "compact": ("[[0,1],[2,0]]", True),
+    "one-cell-per-line": ("[\n  [\n    0,\n    1\n  ],\n  [\n    2,\n    0\n  ]\n]", True),
+    "spaces-everywhere": (" [ [ 0 , 1 ] ,\t[ 2 ,\r\n0 ] ] ", True),
+    "int64-extremes": ("[[9223372036854775807,-9223372036854775808]]", True),
+    "negative": ("[[-1,0]]", True),
+    # well-formed, but not in the form the array check reads
+    "no-columns": ("[[],[]]", False),
+    "minus-zero": ("[[-0,1]]", False),
+    "empty": ("[]", False),
+    # not JSON
+    "space-splits-number": ("[[1 2,0]]", False),
+    "space-after-minus": ("[[- 1,0]]", False),
+    "leading-zero": ("[[01,1]]", False),
+    "plus-sign": ("[[+1,1]]", False),
+    "hex": ("[[0x1,1]]", False),
+    "empty-cell": ("[[0,,1]]", False),
+    "trailing-comma": ("[[0,1],]", False),
+    "extra-bracket": ("[[0,1]]]", False),
+    "unclosed": ("[[0,1],[2,0]", False),
+    "non-ascii-digit": ("[[\u0661,0]]", False),
+    # JSON, but not a dataset
+    "rows-of-unequal-width": ("[[0,1],[0],[0,1,0]]", False),
+    "nested-list": ("[[0,[1]]]", False),
+    "flat-list": ("[0,1]", False),
+    "beyond-int64": ("[[9223372036854775808,0]]", False),
+    "float": ("[[1.0,0]]", False),
+    "exponent": ("[[1e0,0]]", False),
+    "bool": ("[[true,0]]", False),
+    "string": ('[["1",0]]', False),
+    "null": ("[[null,0]]", False),
+    "nan": ("[[NaN,0]]", False),
+}
+DATASET_DOCUMENT_CORPUS = {
+    "data-first": f'{{"data": [[0,1]], "specs": {_TWO_SPECS}, "note": "]]"}}',
+    "last-data-wins": f'{{"data": [[1.5,0]], "specs": {_TWO_SPECS}, "data": [[0,1]]}}',
+    "last-data-is-bad": f'{{"data": [[0,1]], "specs": {_TWO_SPECS}, "data": [[1.5,0]]}}',
+    "escaped-keys": f'{{"sp\\u0065cs": {_TWO_SPECS}, "d\\u0061ta": [[0,1]]}}',
+    "no-data": f'{{"specs": {_TWO_SPECS}}}',
+    "byte-order-mark": f'\ufeff{{"specs": {_TWO_SPECS}, "data": [[0,1]]}}',
+    "text-after-object": f'{{"specs": {_TWO_SPECS}, "data": [[0,1]]}} x',
+    "trailing-comma-in-object": f'{{"specs": {_TWO_SPECS}, "data": [[0,1]],}}',
+    "top-level-array": "[[0,1]]",
+    "empty-object": "{}",
+    "no-text": "",
+}
+
+
+@pytest.mark.parametrize("records, one_array", DATASET_TEXT_CORPUS.values(), ids=DATASET_TEXT_CORPUS.keys())
+def test_dataset_records_read_as_the_reference_reads_them(records, one_array):
+    text = f'{{"specs": {_TWO_SPECS}, "data": {records}}}'
+    assert _read_outcome(dataset_from_text, text) == _read_outcome(reference_dataset_from_text, text)
+    if one_array:
+        assert isinstance(ingest._json_object(text)["data"], np.ndarray)
+
+
+@pytest.mark.parametrize("text", DATASET_DOCUMENT_CORPUS.values(), ids=DATASET_DOCUMENT_CORPUS.keys())
+def test_dataset_document_read_as_the_reference_reads_it(text):
+    assert _read_outcome(dataset_from_text, text) == _read_outcome(reference_dataset_from_text, text)
+
+
+@pytest.mark.parametrize("cell", ["1.5", "true", '"1"', "1e30", str(2**70)])
+def test_dataset_cell_that_is_not_an_integer_is_a_parse_error(cell):
+    text = json.dumps({"specs": [{"name": "A", "kind": "actuator", "states": ["s0", "s1"]}], "data": [[0], [1]]})
+    text = text.replace("[1]", f"[{cell}]")
+    for read in dataset_from_text, reference_dataset_from_text:
+        with pytest.raises(ParseError, match="malformed dataset JSON"):
+            read(text)
+
+
+def test_dataset_from_json_reads_an_integer_array_and_rejects_others():
+    specs = ({"name": "A", "kind": "actuator", "states": ["s0", "s1"]},)
+    assert dataset_from_json({"specs": specs, "data": np.array([[0], [1]], dtype=np.uint8)}).data.tolist() == [[0], [1]]
+    for data in np.array([[0.0], [1.0]]), np.array([[False], [True]]):
+        with pytest.raises(ParseError):
+            dataset_from_json({"specs": specs, "data": data})
+
+
+@pytest.mark.parametrize("data", [
+    [[-9223372036854775808, 9223372036854775807, 0], [-5, 10, -10]],
+    [[0, 1], [1, 0]],
+    [[], []],
+], ids=["int64-extremes", "one-digit", "no-columns"])
+def test_records_json_writes_each_row_as_compact_json(data):
+    text = records_json(np.array(data, dtype=np.int64), b",\n    ")
+    assert text == ",\n    ".join(json.dumps(row, separators=(",", ":")) for row in data).encode()
+    assert json.loads(b"[" + text + b"]") == data
 
 
 def _outcome(fn, *args):
