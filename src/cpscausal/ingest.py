@@ -456,9 +456,9 @@ _DECODER = json.JSONDecoder()
 
 def _json_object(text: str) -> dict:
     """The JSON object ``text`` holds, walked as json's own decoder walks it
-    (the last of duplicate keys wins), except that a ``data`` value that is
-    a list of integer lists becomes an int64 array. Raises ValueError when
-    ``text`` is not one JSON object."""
+    (the last of duplicate keys wins), except that a ``data`` value written
+    in the CLI's one-record-per-line layout becomes an int64 array. Raises
+    ValueError when ``text`` is not one JSON object."""
     ws = _JSON_WS.match
     obj = {}
     i = ws(text).end()
@@ -490,48 +490,37 @@ def _json_object(text: str) -> dict:
     return obj
 
 
-_RECORDS_END = re.compile(r"\][ \t\n\r]*\]")
-# digits and '-' to '0', all else to ' ': one run of '0's per JSON number
-_NUMBER_RUNS = bytes(ord("0") if c in b"-0123456789" else ord(" ") for c in range(256))
+# the records as the CLI writes them, in the layout shown above
+_RECORDS_OPEN = "[\n    ["
+_RECORDS_CLOSE = "]\n  ]"
+_RECORDS_SEP = b",\n    "
 
 
 def _records_at(text: str, i: int) -> tuple[np.ndarray, int] | None:
-    """The list of integer lists of equal length that starts at ``text[i]``
-    as an int64 array, and the index just after it; None when the JSON value
-    there is anything else."""
-    end = _RECORDS_END.search(text, i) if text.startswith("[", i) else None
-    if end is None:
+    """The records that start at ``text[i]`` as an int64 array, and the
+    index just after them, when they are exactly the bytes the dataset
+    writer produces for that array; None for any other text, which json
+    then reads."""
+    end = text.find(_RECORDS_CLOSE, i) if text.startswith(_RECORDS_OPEN, i) else -1
+    if end < 0:
         return None
-    raw = text[i:end.end()]
+    end += len(_RECORDS_CLOSE)
+    raw = text[i:end]
     if not raw.isascii():
         return None
     raw = raw.encode()
-    compact = raw.translate(None, b" \t\n\r")
-    cells = _cells(compact.translate(None, b"[]"))
-    # deleting the whitespace must not have joined two numbers into one
-    if cells is None or raw.translate(_NUMBER_RUNS).count(b" 0") != cells.size:
-        return None
-    n_records = compact.count(b"[") - 1
-    if n_records < 1 or cells.size % n_records:
-        return None
-    records = cells.reshape(n_records, cells.size // n_records)
-    # The text must be exactly these records written as JSON integers, which
-    # checks every cell's form, the brackets and the row width at once
-    written = records_json(records, b",")
-    if len(compact) != len(written) + 2 or not compact.startswith(written, 1):
-        return None
-    return records, end.end()
-
-
-def _cells(text: bytes) -> np.ndarray | None:
-    """The comma-separated integers of ``text``, or None when numpy cannot
-    read them. The caller checks their form."""
-    if len(text) == 2 * text.count(b",") + 1:  # one character a cell, as with up to 10 states
-        return np.subtract(np.frombuffer(text, dtype=np.uint8)[::2], ord("0"), dtype=np.int64)
     try:
-        return np.fromstring(text, dtype=np.int64, sep=",")
+        cells = np.fromstring(raw.translate(None, b"[] \n"), dtype=np.int64, sep=",")
     except (ValueError, DeprecationWarning):  # older numpy warns instead, and may be told to raise
         return None
+    n_records = raw.count(b"\n") - 1
+    if cells.size % n_records:
+        return None
+    records = cells.reshape(n_records, cells.size // n_records)
+    # checks every cell's form and range, the brackets and the row width at once
+    if raw != b"[\n    " + records_json(records, _RECORDS_SEP) + b"\n  ]":
+        return None
+    return records, end
 
 
 def records_json(data: np.ndarray, sep: bytes) -> bytes:

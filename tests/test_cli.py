@@ -10,7 +10,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT202012
 
-from cpscausal import cli
+from cpscausal import cli, ingest
 from cpscausal.cli import main
 from cpscausal.ingest import ACTUATOR, DiscreteDataset, VariableSpec, dataset_from_text, dataset_to_json
 
@@ -362,6 +362,7 @@ def test_dump_json_writes_datasets_that_load_back(cardinality, n_vars):
     rows = ",\n    ".join(json.dumps(row, separators=(",", ":")) for row in data.tolist())
     assert text.endswith(f'"data": [\n    {rows}\n  ]\n}}\n')
     assert np.array_equal(dataset_from_text(text).data, data)
+    assert isinstance(ingest._json_object(text)["data"], np.ndarray)  # read as one array
 
 
 @pytest.mark.parametrize("obj", [

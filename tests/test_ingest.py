@@ -325,7 +325,7 @@ def _emit(value, rnd: random.Random) -> str:
 @st.composite
 def _dataset_documents(draw):
     """Dataset JSON text, and whether it is a well-formed dataset whose
-    records are a list of JSON integer lists."""
+    records are in the CLI's one-record-per-line layout."""
     cards = draw(st.lists(st.sampled_from([2, 3, 12, 150]), min_size=1, max_size=3))
     names = draw(st.lists(st.sampled_from(["P101", "LIT101", 'A"B', "back\\slash", "tab\tname", "Füll", "\u2603"]),
                           min_size=len(cards), max_size=len(cards), unique=True))
@@ -343,6 +343,9 @@ def _dataset_documents(draw):
         row.append(0) if rnd.random() < 0.5 else row.pop()
     elif fault == "records":
         data = _Raw(rnd.choice(["[]", "[[]]", "[[],[]]", "5", '"x"', "null", "{}", "[[[0]]]", "[0,1]", "[[0]"]))
+    one_record_per_line = fault != "records" and rnd.random() < 0.5
+    if one_record_per_line:
+        data = _Raw(_records_layout(rows))
     pairs = _Pairs([("specs", specs), ("data", data)])
     if fault == "specs":
         pairs.pop(0)
@@ -352,13 +355,18 @@ def _dataset_documents(draw):
         pairs.insert(rnd.randrange(len(pairs) + 1), ("data", rnd.choice([[[1.5]], [[0, 1], [0]], "x", [[0] * len(cards)]])))
     rnd.shuffle(pairs)
     layout = rnd.choice(["random", "compact", "indent"])
-    if layout == "random" or fault in ("cell", "records", "duplicate"):
+    if layout == "random" or one_record_per_line or fault in ("cell", "records", "duplicate"):
         text = _emit(pairs, rnd)
     else:
         text = json.dumps(dict(pairs), indent=2 if layout == "indent" else None)
     if fault == "truncate":
         text = text[:rnd.randrange(len(text))]
-    return text, fault is None
+    return text, fault is None and one_record_per_line
+
+
+def _records_layout(rows) -> str:
+    """``rows`` in the layout the CLI writes dataset records in."""
+    return "[\n    " + ",\n    ".join("[" + ",".join(map(str, row)) + "]" for row in rows) + "\n  ]"
 
 
 def _read_outcome(read, text):
@@ -375,21 +383,46 @@ def _read_outcome(read, text):
 def test_dataset_from_text_matches_reference(document):
     text, well_formed = document
     assert _read_outcome(dataset_from_text, text) == _read_outcome(reference_dataset_from_text, text)
-    if well_formed:  # read as one array, with no list per record
-        assert isinstance(ingest._json_object(text)["data"], np.ndarray)
+    if well_formed:
+        assert _read_as_one_array(text)
+
+
+def _read_as_one_array(text) -> bool:
+    """Whether the reader takes the records of ``text`` as one array, with no
+    list per record."""
+    try:
+        return isinstance(ingest._json_object(text)["data"], np.ndarray)
+    except ValueError:  # not one JSON object
+        return False
 
 
 _TWO_SPECS = json.dumps([{"name": name, "kind": "actuator", "states": ["s0", "s1", "s2"]} for name in "AB"])
 DATASET_TEXT_CORPUS = {
-    # well-formed, read as one array
+    # in the CLI's layout, read as one array
     "one-record-per-line": ("[\n    [0,1],\n    [2,0]\n  ]", True),
-    "compact": ("[[0,1],[2,0]]", True),
-    "one-cell-per-line": ("[\n  [\n    0,\n    1\n  ],\n  [\n    2,\n    0\n  ]\n]", True),
-    "spaces-everywhere": (" [ [ 0 , 1 ] ,\t[ 2 ,\r\n0 ] ] ", True),
-    "int64-extremes": ("[[9223372036854775807,-9223372036854775808]]", True),
-    "negative": ("[[-1,0]]", True),
-    # well-formed, but not in the form the array check reads
-    "no-columns": ("[[],[]]", False),
+    "one-record": ("[\n    [0,1]\n  ]", True),
+    "int64-extremes": ("[\n    [9223372036854775807,-9223372036854775808]\n  ]", True),
+    "negative": ("[\n    [-1,0]\n  ]", True),
+    "no-columns": ("[\n    []\n  ]", True),
+    # in the CLI's layout but for one fault, left to json
+    "layout-beyond-int64": ("[\n    [9223372036854775808,0]\n  ]", False),
+    "layout-below-int64": ("[\n    [-9223372036854775809,0]\n  ]", False),
+    "layout-minus-zero": ("[\n    [-0,1]\n  ]", False),
+    "layout-leading-zero": ("[\n    [01,1]\n  ]", False),
+    "layout-float": ("[\n    [1.0,0]\n  ]", False),
+    "layout-ragged": ("[\n    [0,1],\n    [0]\n  ]", False),
+    "layout-ragged-same-cell-count": ("[\n    [0,1,2],\n    [0,1,2,0],\n    [1,2]\n  ]", False),
+    "layout-space-in-row": ("[\n    [0, 1]\n  ]", False),
+    "layout-space-splits-number": ("[\n    [1 2,0]\n  ]", False),
+    "layout-empty-cell": ("[\n    [0,,1]\n  ]", False),
+    "layout-two-rows-a-line": ("[\n    [0,1],[2,0]\n  ]", False),
+    "layout-crlf": ("[\r\n    [0,1]\r\n  ]", False),
+    "layout-string": ('[\n    ["1",0]\n  ]', False),
+    # well-formed, in other layouts, left to json
+    "compact": ("[[0,1],[2,0]]", False),
+    "one-cell-per-line": ("[\n  [\n    0,\n    1\n  ],\n  [\n    2,\n    0\n  ]\n]", False),
+    "spaces-everywhere": (" [ [ 0 , 1 ] ,\t[ 2 ,\r\n0 ] ] ", False),
+    "compact-no-columns": ("[[],[]]", False),
     "minus-zero": ("[[-0,1]]", False),
     "empty": ("[]", False),
     # not JSON
@@ -402,6 +435,7 @@ DATASET_TEXT_CORPUS = {
     "trailing-comma": ("[[0,1],]", False),
     "extra-bracket": ("[[0,1]]]", False),
     "unclosed": ("[[0,1],[2,0]", False),
+    "unclosed-layout": ("[\n    [0,1],\n    [2,0]", False),
     "non-ascii-digit": ("[[\u0661,0]]", False),
     # JSON, but not a dataset
     "rows-of-unequal-width": ("[[0,1],[0],[0,1,0]]", False),
@@ -434,8 +468,7 @@ DATASET_DOCUMENT_CORPUS = {
 def test_dataset_records_read_as_the_reference_reads_them(records, one_array):
     text = f'{{"specs": {_TWO_SPECS}, "data": {records}}}'
     assert _read_outcome(dataset_from_text, text) == _read_outcome(reference_dataset_from_text, text)
-    if one_array:
-        assert isinstance(ingest._json_object(text)["data"], np.ndarray)
+    assert _read_as_one_array(text) == one_array
 
 
 @pytest.mark.parametrize("text", DATASET_DOCUMENT_CORPUS.values(), ids=DATASET_DOCUMENT_CORPUS.keys())
