@@ -39,12 +39,17 @@ from .errors import (
     RaggedRow,
     UnknownColumn,
     UnmappedActuatorValue,
+    UsageError,
 )
 
 SENSOR = "sensor"
 ACTUATOR = "actuator"
 
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
+
+# The largest contingency table that estimation.counts tallies from the
+# per-state bitsets (DiscreteDataset._state_bits) rather than by bincount
+BITSET_CELLS = 128
 
 
 @dataclass(frozen=True)
@@ -138,6 +143,26 @@ class DiscreteDataset:
     def _column_of(self) -> dict[str, int]:
         # reversed, so a repeated name maps to its first column as tuple.index does
         return {name: k for k, name in reversed(tuple(enumerate(self.names)))}
+
+    @cached_property
+    def _state_bits(self) -> tuple[np.ndarray | None, ...]:
+        """Per column, a ``(cardinality, ceil(n_records / 64))`` uint64 array:
+        bit ``n % 64`` of word ``n // 64`` in row ``k`` is set iff record ``n``
+        is in state ``k``, and the bits past the last record are zero. None
+        for a DP with more than ``BITSET_CELLS`` states, whose families
+        the bitsets never count."""
+        n = self.n_records
+        width = -(-n // 64) * 64
+        out = []
+        for k, spec in enumerate(self.specs):
+            if spec.cardinality > BITSET_CELLS:
+                out.append(None)
+                continue
+            member = np.zeros((spec.cardinality, width), dtype=bool)
+            np.equal(self.data[:, k], np.arange(spec.cardinality)[:, None], out=member[:, :n])
+            # popcounts and ANDs do not depend on the byte order inside a word
+            out.append(np.packbits(member, axis=1, bitorder="little").view(np.uint64))
+        return tuple(out)
 
     @property
     def n_records(self) -> int:
@@ -250,24 +275,25 @@ def suggest_bins(log: RawLog, column: str, n_bins: int, method: str = "equal_wid
 
     ``equal_width`` splits ``[min, max]`` evenly; ``quantile`` places edges
     at the empirical ``k/n_bins`` quantiles (linear interpolation). Constant
-    columns and collapsed quantile edges raise :class:`DegenerateColumn`.
+    columns, and edges that float64 cannot hold apart, raise
+    :class:`DegenerateColumn`; an ``n_bins`` below 2 or an unknown method
+    raises :class:`UsageError`.
     """
     if n_bins < 2:
-        raise ValueError(f"n_bins must be >= 2, got {n_bins}")
+        raise UsageError(f"n_bins must be >= 2, got {n_bins}")
+    if method not in ("equal_width", "quantile"):
+        raise UsageError(f"unknown binning method {method!r}")
     x = log.column(column)
     lo, hi = float(x.min()), float(x.max())
     if lo == hi:
         raise DegenerateColumn(f"{column}: constant column")
     if method == "equal_width":
         edges = np.linspace(lo, hi, n_bins + 1)[1:-1]
-    elif method == "quantile":
-        qs = [k / n_bins for k in range(1, n_bins)]
-        edges = np.quantile(x, qs)
     else:
-        raise ValueError(f"unknown binning method {method!r}")
+        edges = np.quantile(x, [k / n_bins for k in range(1, n_bins)])
     edges = tuple(float(e) for e in edges)
     if any(a >= b for a, b in zip(edges, edges[1:])):
-        raise DegenerateColumn(f"{column}: quantile edges collapsed ({edges})")
+        raise DegenerateColumn(f"{column}: {method} edges collapsed ({edges})")
     return edges
 
 

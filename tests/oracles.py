@@ -4,11 +4,12 @@ These deliberately avoid the library's algorithms: d-separation is decided
 by enumerating every undirected path and applying the blocking rules, or on
 graphs too large for that, by connectivity in the moralized ancestral graph;
 spanning trees come from Prufer sequences; DAG enumeration tries all edge
-assignments; posteriors come from the full joint tensor; chi-square
-statistics are tallied record by record, stratum by stratum; hill-climbing
-rescores every candidate move from scratch each iteration; a historian log
-is parsed and discretized cell by cell; dataset JSON is read by ``json``
-into one list per record. Slow and simple on purpose.
+assignments; posteriors come from the full joint tensor; contingency
+counts and chi-square statistics are tallied record by record, the latter
+stratum by stratum; hill-climbing rescores every candidate move from
+scratch each iteration; a historian log is parsed and discretized cell by
+cell; dataset JSON is read by ``json`` into one list per record. Slow and
+simple on purpose.
 """
 
 from __future__ import annotations
@@ -276,6 +277,20 @@ def brute_force_posterior(net: BayesNet, q: Query) -> np.ndarray:
     if z == -np.inf or np.isnan(z):
         raise ZeroProbabilityEvidence(f"evidence {dict(q.evidence)!r} has probability 0")
     return np.exp(sliced - z)
+
+
+def reference_counts(ds: DiscreteDataset, child: str, parents: tuple[str, ...] = ()) -> np.ndarray:
+    """N(child_state, parent_config) as an intp ``(q, r_child)`` table, one
+    record at a time; parent configurations are row-major in the given order."""
+    cards = [ds.cardinality(v) for v in parents]
+    table = np.zeros((int(np.prod(cards, dtype=np.int64)), ds.cardinality(child)), dtype=np.intp)
+    columns, c = [ds.index(v) for v in parents], ds.index(child)
+    for record in ds.data.tolist():
+        row = 0
+        for k, card in zip(columns, cards):
+            row = row * card + record[k]
+        table[row, record[c]] += 1
+    return table
 
 
 def reference_chi_square(ds: DiscreteDataset, i: str, j: str, s: tuple[str, ...] = ()) -> tuple[float, int]:

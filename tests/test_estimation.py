@@ -16,6 +16,7 @@ from cpscausal.errors import (
     InsufficientData,
     NonPositiveEss,
     UnknownColumn,
+    UsageError,
 )
 from cpscausal.estimation import (
     _chi2_sf,
@@ -32,7 +33,7 @@ from cpscausal.estimation import (
 from cpscausal.fixtures import FIXTURE_NAMES, get_fixture
 from cpscausal.graph import CausalGraph, Edge
 from cpscausal.ingest import ACTUATOR, DiscreteDataset, VariableSpec
-from oracles import reference_chi_square
+from oracles import reference_chi_square, reference_counts
 
 
 def make_ds(columns: dict[str, list[int]], cards: dict[str, int] | None = None) -> DiscreteDataset:
@@ -72,6 +73,61 @@ class TestCounts:
         ds = make_ds({"A": [0, 1]})
         with pytest.raises(UnknownColumn):
             counts(ds, "Z")
+
+
+# Seven binary DPs (B0..B6), one DP each with 3 to 12 states (C3..C12), and
+# C43, so that a family can have exactly 129 cells (3 * 43)
+_ORACLE_CARDS = {**{f"B{k}": 2 for k in range(7)}, **{f"C{c}": c for c in range(3, 13)}, "C43": 43}
+_ORACLE_FAMILIES = [
+    ("B0", ()), ("C12", ()), ("C43", ()),
+    ("C3", ("B4", "B1")),
+    ("B2", ("C12", "C7")),                            # 168 cells
+    ("C4", ("B5", "B0", "B3", "B2", "B1")),           # 128 cells, the largest bitset table
+    ("C3", ("C43",)),                                 # 129 cells, the smallest bincount table
+    ("C11", ("C12",)),                                # 132 cells
+    ("B6", ("B3", "B5", "B0", "B4", "B1")),           # 64 cells
+    ("C5", ("C12", "B2", "C7", "B6", "C3")),          # 5040 cells
+]
+
+
+def _oracle_families(seed: int, n_families: int = 40) -> list[tuple[str, tuple[str, ...]]]:
+    """The fixed families above, then random ones of up to 5000 cells with 0
+    to 5 parents in random (so mostly non-sorted) order."""
+    rng = np.random.default_rng(seed)
+    names = sorted(_ORACLE_CARDS)
+    out = list(_ORACLE_FAMILIES)
+    while len(out) < n_families:
+        family = [names[k] for k in rng.permutation(len(names))[:int(rng.integers(1, 7))]]
+        if math.prod(_ORACLE_CARDS[v] for v in family) <= 5000:
+            out.append((family[-1], tuple(family[:-1])))
+    return out
+
+
+class TestCountsOracle:
+    """``counts`` tallies tables of at most 128 cells from bitsets and larger
+    ones by bincount; both must match a record-by-record tally."""
+
+    def test_families_cover_both_sides_of_128_cells(self):
+        cells = {math.prod(_ORACLE_CARDS[v] for v in (*ps, c)) for c, ps in _oracle_families(0)}
+        assert {128, 129} <= cells
+        assert min(cells) <= 128 < max(cells)
+        assert max(len(ps) for c, ps in _oracle_families(0)) == 5
+
+    # 63, 64 and 65 records end just before, on and after a 64-bit word
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 1000])
+    @pytest.mark.parametrize("layout", ["row_major_int64", "column_major"])
+    def test_matches_reference_tally(self, n, layout):
+        rng = np.random.default_rng(n)
+        ds = make_ds({v: rng.integers(0, c, n).tolist() for v, c in _ORACLE_CARDS.items()}, cards=_ORACLE_CARDS)
+        if layout == "column_major":
+            ds = learning._column_major(ds)
+            assert ds.data.flags.f_contiguous and ds.data.dtype == np.uint8
+        for child, parents in _oracle_families(n):
+            expected = reference_counts(ds, child, parents)
+            got = counts(ds, child, parents)
+            assert got.dtype == expected.dtype == np.intp, (child, parents)
+            assert got.shape == expected.shape, (child, parents)
+            assert np.array_equal(got, expected), (child, parents)
 
 
 class TestFitMle:
@@ -313,6 +369,11 @@ class TestScores:
             family_delta = (family_score(ds, "C", ("A",), method)
                             - family_score(ds, "C", (), method))
             assert delta == pytest.approx(family_delta, abs=1e-9)
+
+    def test_unknown_method_is_a_usage_error(self):
+        ds = make_ds({"A": [0, 1], "B": [1, 0]})
+        with pytest.raises(UsageError, match="unknown score method 'aic'"):
+            family_score(ds, "A", ("B",), method="aic")
 
     @pytest.mark.parametrize("method", ["bic", "bdeu"])
     def test_score_equivalence_chain_vs_fork(self, method):

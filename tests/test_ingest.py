@@ -6,7 +6,7 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpscausal import ingest
@@ -20,6 +20,7 @@ from cpscausal.errors import (
     RaggedRow,
     UnknownColumn,
     UnmappedActuatorValue,
+    UsageError,
 )
 from cpscausal.ingest import (
     ACTUATOR,
@@ -128,8 +129,21 @@ class TestSuggestBins:
 
     def test_collapsed_quantile_edges_degenerate(self):
         log = parse_log("X\n1\n1\n1\n1\n9\n")
-        with pytest.raises(DegenerateColumn):
+        with pytest.raises(DegenerateColumn, match="quantile edges collapsed"):
             suggest_bins(log, "X", 4, "quantile")
+
+    def test_collapsed_equal_width_edges_name_the_method(self):
+        # no float lies strictly between 0 and 5e-324, so three cut points collapse
+        log = parse_log("X\n0.0\n5e-324\n")
+        with pytest.raises(DegenerateColumn, match="X: equal_width edges collapsed"):
+            suggest_bins(log, "X", 4, "equal_width")
+
+    @pytest.mark.parametrize("n_bins, method", [(1, "equal_width"), (0, "quantile"), (-3, "equal_width"),
+                                                (2, "kmeans"), (2, "")])
+    def test_argument_errors_are_usage_errors(self, n_bins, method):
+        log = parse_log("X\n1\n2\n3\n")
+        with pytest.raises(UsageError):
+            suggest_bins(log, "X", n_bins, method)
 
     def test_unknown_column(self):
         log = parse_log("X\n1\n2\n")
@@ -138,11 +152,17 @@ class TestSuggestBins:
 
     @given(values=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=60),
            n_bins=st.integers(2, 6))
+    @example(values=[0.0, 5e-324], n_bins=4)
     @settings(max_examples=60, deadline=None)
     def test_equal_width_partitions_evenly(self, values, n_bins):
         log = parse_log("X\n" + "\n".join(repr(v) for v in values))
         lo, hi = min(values), max(values)
         if lo == hi:
+            return
+        # a range too narrow for n_bins - 1 distinct float64 cut points cannot split
+        if np.any(np.diff(np.linspace(lo, hi, n_bins + 1)[1:-1]) <= 0):
+            with pytest.raises(DegenerateColumn, match="equal_width edges collapsed"):
+                suggest_bins(log, "X", n_bins, "equal_width")
             return
         edges = suggest_bins(log, "X", n_bins, "equal_width")
         assert len(edges) == n_bins - 1
