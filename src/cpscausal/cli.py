@@ -64,18 +64,20 @@ def _json_text(obj, newline: str) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> str:
-    """Write text via temp file + rename; returns the content's sha256."""
+    """Write text as UTF-8 via temp file + rename; returns the sha256 of the
+    bytes written."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    data = text.encode()
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(data).hexdigest()
 
 
 def _write_with_manifest(path: Path, text: str, command: str, inputs: dict, config: dict,
@@ -93,9 +95,10 @@ def _write_with_manifest(path: Path, text: str, command: str, inputs: dict, conf
 
 
 def _read(path: str) -> str:
+    """The UTF-8 text of a file, without a leading byte-order mark."""
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
 
 

@@ -22,7 +22,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from math import isfinite, nan
 from numbers import Real
 from typing import NoReturn
@@ -187,32 +187,47 @@ class DiscreteDataset:
 def parse_log(text: str) -> RawLog:
     """Parse historian log text into a :class:`RawLog`.
 
-    The header row names the columns; a column named ``Timestamp`` (any
-    case) is set aside verbatim. Raises :class:`EmptyInput` when there is
-    no header or no data row, :class:`RaggedRow` on length mismatches, and
+    The text is comma-separated, with the quoting rules of :mod:`csv`'s
+    default dialect; rows whose cells are all blank are skipped. The first
+    other row names the columns, and a column named ``Timestamp`` (any
+    case) is set aside verbatim. Every other cell, stripped of whitespace,
+    must be a finite number as ``float`` reads it. Raises
+    :class:`EmptyInput` when there is no header or no data row,
+    :class:`ParseError` when :mod:`csv` cannot read the text or the value
+    columns' names are not unique and non-empty, :class:`RaggedRow` on
+    length mismatches, and
     :class:`NonNumericCell` when a value cell is not a finite number
     (``nan``, ``inf`` and digit-group underscores such as ``1_0`` included).
     The first faulty record decides which error is raised, and the message
-    names the line of the text on which that record starts. The cyclic
-    garbage collector is paused while the log is parsed, and left as the
-    caller had it.
+    names the line of the text on which that record starts.
+
+    Plain numeric text (no quotes, ``\\r`` or NUL, the header on the first
+    line, the same number of commas on every line) is read by numpy's C
+    reader; any other text, and every fault, goes through :mod:`csv`. Both
+    give the same log, or the same error, for the same text. The csv path
+    pauses the cyclic garbage collector, and leaves it as the caller had it.
     """
+    log = _parse_plain(text)
+    if log is not None:
+        return log
     # None of the lists built here can form a cycle, and the collector's
     # passes over them would take about half of the reader's and zip's time
     collecting = gc.isenabled()
     gc.disable()
     try:
-        rows = [row for row in csv.reader(io.StringIO(text)) if any(map(str.strip, row))]
+        reader = csv.reader(io.StringIO(text))
+        try:
+            rows = [row for row in reader if any(map(str.strip, row))]
+        except csv.Error as exc:  # a carriage return inside a field, or a field above csv's limit
+            raise ParseError(f"line {reader.line_num}: {exc}") from None
         if not rows:
             raise EmptyInput("log has no header row")
         header = [cell.strip() for cell in rows[0]]
         if len(rows) == 1:
             raise EmptyInput("log has a header but no records")
 
-        ts_idx = [k for k, name in enumerate(header) if name.lower() == "timestamp"]
-        value_idx = [k for k in range(len(header)) if k not in ts_idx]
-        columns = tuple(header[k] for k in value_idx)
-        if len(set(columns)) != len(columns) or any(not c for c in columns):
+        ts_idx, value_idx, columns = _header_columns(header)
+        if not _unique_names(columns):
             raise ParseError("column names must be unique and non-empty")
 
         body = rows[1:]
@@ -226,6 +241,57 @@ def parse_log(text: str) -> RawLog:
         if collecting:
             gc.enable()
     timestamps = tuple(map(str.strip, table[ts_idx[0]])) if ts_idx else None
+    return RawLog(columns=columns, values=values, timestamps=timestamps)
+
+
+def _header_columns(header: list[str]) -> tuple[list[int], list[int], tuple[str, ...]]:
+    """The positions of the timestamp columns and of the value columns in
+    the stripped ``header``, and the value columns' names."""
+    ts_idx = [k for k, name in enumerate(header) if name.lower() == "timestamp"]
+    value_idx = [k for k in range(len(header)) if k not in ts_idx]
+    return ts_idx, value_idx, tuple(header[k] for k in value_idx)
+
+
+def _unique_names(columns: tuple[str, ...]) -> bool:
+    return len(set(columns)) == len(columns) and all(columns)
+
+
+def _parse_plain(text: str) -> RawLog | None:
+    """The log of ``text`` read by numpy's C reader, or None when the text
+    is not plain numeric CSV or holds a fault, which the csv path then
+    names. ``loadtxt`` reads a float with the same correctly rounded
+    ``PyOS_string_to_double`` as ``float`` and strips the same whitespace as
+    ``str.strip``; the guards keep out what it reads otherwise."""
+    # csv.reader gives these a meaning of its own: quoting, a line end, and
+    # on Python 3.10 an error
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    first, _, body = text.partition("\n")
+    header = [cell.strip() for cell in first.split(",")]
+    ts_idx, value_idx, columns = _header_columns(header)
+    # a blank first line is skipped by csv; an empty body makes loadtxt warn
+    if not columns or not _unique_names(columns) or not body or body.isspace():
+        return None
+    lines = body.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    # usecols would drop the extra cells of a long row without a word, and
+    # only the csv path names a field longer than csv's limit
+    if set(map(str.count, lines, repeat(","))) != {len(header) - 1} \
+            or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        values = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.float64, comments=None, ndmin=2,
+                            usecols=value_idx)
+    except ValueError:  # a cell that is not a number
+        return None
+    # loadtxt reads "nan", "inf" and "1e400"; none of them is a reading
+    if not np.isfinite(values).all():
+        return None
+    timestamps = None
+    if ts_idx:
+        k = ts_idx[0]
+        timestamps = tuple(line.split(",", k + 1)[k].strip() for line in lines)
     return RawLog(columns=columns, values=values, timestamps=timestamps)
 
 

@@ -72,14 +72,6 @@ def _require_learnable(ds: DiscreteDataset) -> None:
         raise InsufficientData("structure learning needs at least 2 variables")
 
 
-def _column_major(ds: DiscreteDataset) -> DiscreteDataset:
-    """The same records with each DP's column contiguous, in the smallest
-    unsigned dtype that holds its states: the learners' counts read whole
-    columns, thousands of times."""
-    dtype = np.min_scalar_type(max(s.cardinality for s in ds.specs) - 1)
-    return DiscreteDataset(specs=ds.specs, data=np.asfortranarray(ds.data, dtype=dtype))
-
-
 def learn_pc(ds: DiscreteDataset, cfg: PcConfig = PcConfig()) -> PcResult:
     """PC algorithm: skeleton by conditional-independence tests, then
     v-structure orientation and Meek rules R1-R4.
@@ -91,7 +83,6 @@ def learn_pc(ds: DiscreteDataset, cfg: PcConfig = PcConfig()) -> PcResult:
     orient are returned with their undirected flag set.
     """
     _require_learnable(ds)
-    ds = _column_major(ds)
     names = sorted(ds.names)
     max_cond = cfg.max_cond_size if cfg.max_cond_size is not None else len(names) - 2
 
@@ -265,7 +256,6 @@ def learn_hc(ds: DiscreteDataset, cfg: HcConfig = HcConfig()) -> HcResult:
     move rescoring, so graph and trace do not depend on the cache.
     """
     _require_learnable(ds)
-    ds = _column_major(ds)
     names = sorted(ds.names)
     n = len(names)
     cap = cfg.max_parents if cfg.max_parents is not None else n

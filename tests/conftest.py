@@ -2,8 +2,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# ten times hypothesis' default examples, for the CI step that selects it
+# with --hypothesis-profile=ci; tests that set max_examples keep their own
+settings.register_profile("ci", max_examples=1000)
 
 from cpscausal.fixtures import get_fixture
 

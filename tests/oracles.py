@@ -418,10 +418,13 @@ def reference_parse_log(text: str) -> RawLog:
     reader = csv.reader(io.StringIO(text))
     rows: list[tuple[int, list[str]]] = []
     line = 1  # where the next record starts
-    for row in reader:
-        if row and any(cell.strip() for cell in row):
-            rows.append((line, row))
-        line = reader.line_num + 1
+    try:
+        for row in reader:
+            if row and any(cell.strip() for cell in row):
+                rows.append((line, row))
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise EmptyInput("log has no header row")
     header = [cell.strip() for cell in rows[0][1]]

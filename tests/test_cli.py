@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +14,9 @@ from referencing.jsonschema import DRAFT202012
 
 from cpscausal import cli, ingest
 from cpscausal.cli import main
+from cpscausal.errors import DataError
 from cpscausal.ingest import ACTUATOR, DiscreteDataset, VariableSpec, dataset_from_text, dataset_to_json
+from oracles import reference_parse_log
 
 
 def attacks_path(name: str) -> str:
@@ -153,6 +157,45 @@ class TestErrors:
         code = main(["discretize", "--input", str(bad), "--spec", str(spec),
                      "--out", str(tmp_path / "x.json")])
         assert code == 3
+
+    @pytest.mark.parametrize("text", [
+        "A,B\n1,2,3\n", "A,B\n1,2\n3\n", "A,B\n1,x\n", "A,B\n1,\n", "A,B\n1,nan\n", "A,B\n1,1e400\n",
+        "A,B\n1_0,2\n", "A,B\n", "", "A,A\n1,2\n", "A,B\r\n\r\n1,x\r\n", 'Timestamp,A\n"t\n0",1\nt1,"x"\n',
+        "A,B\n1,2\n3," + "4" * (csv.field_size_limit() + 1) + "\n",
+    ], ids=["long-row", "short-row", "word", "empty-cell", "nan", "overflow", "digit-group", "header-only",
+            "no-text", "duplicate-columns", "crlf", "quoted", "field-above-csv-limit"])
+    def test_malformed_log_is_data_error_named_as_parse_log_names_it(self, tmp_path, capsys, text):
+        log = tmp_path / "log.csv"
+        log.write_bytes(text.encode())
+        spec = tmp_path / "s.vspec"
+        spec.write_text("A actuator Off,On\n")
+        code = main(["discretize", "--input", str(log), "--spec", str(spec), "--out", str(tmp_path / "x.json")])
+        with pytest.raises(DataError) as raised:
+            reference_parse_log(text)
+        assert code == 3
+        assert capsys.readouterr().err == f"error [{type(raised.value).__name__}]: {raised.value}\n"
+        assert not (tmp_path / "x.json").exists()
+
+    def test_log_that_is_not_utf8_is_data_error_naming_the_file(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_bytes(b"A,B\n1,\xff2\n")
+        spec = tmp_path / "s.vspec"
+        spec.write_text("A actuator Off,On\n")
+        code = main(["discretize", "--input", str(log), "--spec", str(spec), "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [DataError]: cannot read {log}: ")
+        assert "can't decode byte 0xff" in err
+
+    def test_byte_order_mark_before_the_header_is_dropped(self, tmp_path):
+        text = "Timestamp,MV101\nt0,1\nt1,2\n"
+        spec = tmp_path / "s.vspec"
+        spec.write_text("MV101 actuator Close,Open codes=1,2\n")
+        for name, data in [("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())]:
+            (tmp_path / f"{name}.csv").write_bytes(data)
+            assert main(["discretize", "--input", str(tmp_path / f"{name}.csv"), "--spec", str(spec),
+                         "--out", str(tmp_path / f"{name}.json")]) == 0
+        assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
     def test_cyclic_graph_is_model_error(self, pipeline, tmp_path):
         cyclic = tmp_path / "cyclic.json"
@@ -339,6 +382,22 @@ def test_cli_imports_numpy_as_its_only_dependency(repo_root):
             "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))")
     run = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
     assert set(run.stdout.split()) - set(sys.stdlib_module_names) == {"cpscausal", "numpy"}
+
+
+def test_artifacts_are_utf8_whatever_the_locale(repo_root, tmp_path):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"nodes": ["Füll", "LIT101"],
+                                 "edges": [{"src": "Füll", "dst": "LIT101", "kind": "learnt"}]}))
+    out = tmp_path / "graph.dot"
+    # an ASCII locale, with neither UTF-8 mode nor locale coercion to turn it into UTF-8
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(repo_root / "src"), os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-m", "cpscausal.cli", "export", "--graph", str(graph), "--out", str(out)],
+                   env=env, check=True, capture_output=True)
+    data = out.read_bytes()
+    assert '"Füll" -> "LIT101"'.encode() in data
+    manifest = json.loads((tmp_path / "graph.dot.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["outputs"] == {"graph.dot": "sha256:" + hashlib.sha256(data).hexdigest()}
 
 
 def test_dump_json_writes_one_record_per_line():

@@ -120,8 +120,7 @@ class TestCountsOracle:
         rng = np.random.default_rng(n)
         ds = make_ds({v: rng.integers(0, c, n).tolist() for v, c in _ORACLE_CARDS.items()}, cards=_ORACLE_CARDS)
         if layout == "column_major":
-            ds = learning._column_major(ds)
-            assert ds.data.flags.f_contiguous and ds.data.dtype == np.uint8
+            ds = DiscreteDataset(specs=ds.specs, data=np.asfortranarray(ds.data, dtype=np.uint8))
         for child, parents in _oracle_families(n):
             expected = reference_counts(ds, child, parents)
             got = counts(ds, child, parents)

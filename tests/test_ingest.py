@@ -1,3 +1,4 @@
+import csv
 import gc
 import json
 import random
@@ -567,18 +568,112 @@ PARSE_CORPUS = {
     "header-only": "A,B\n",
     "duplicate-columns": "A,A\n1,2\n",
     "empty-column-name": "A,\n1,2\n",
+    "blank-lines-after-header": "A\n\n\n",
+    "quoted-timestamp": 'Timestamp,A\n"t0",1\n',
+    "carriage-return-in-timestamp": "A,Timestamp\n1,t\r0\n",
 }
+
+
+def _assert_parses_as_reference(text) -> RawLog | None:
+    """Check that ``parse_log`` gives the reference's log or error for
+    ``text``; return the log, or None on an error."""
+    got, want = _outcome(parse_log, text), _outcome(reference_parse_log, text)
+    if isinstance(want, tuple):
+        assert got == want
+        return None
+    assert (got.columns, got.timestamps) == (want.columns, want.timestamps)
+    assert got.values.shape == want.values.shape
+    assert got.values.tobytes() == want.values.tobytes()  # -0.0 keeps its sign
+    return got
 
 
 @pytest.mark.parametrize("text", PARSE_CORPUS.values(), ids=PARSE_CORPUS.keys())
 def test_parse_log_matches_reference(text):
-    got, want = _outcome(parse_log, text), _outcome(reference_parse_log, text)
-    if isinstance(want, tuple):
-        assert got == want
-    else:
-        assert (got.columns, got.timestamps) == (want.columns, want.timestamps)
-        assert got.values.shape == want.values.shape
-        assert got.values.tobytes() == want.values.tobytes()  # -0.0 keeps its sign
+    _assert_parses_as_reference(text)
+
+
+# readings float() reads, subnormals, -0.0, long mantissas and exponents at
+# the edges of float64 included; from_regex also overflows to inf now and then
+_READINGS = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.from_regex(r"[-+]?[0-9]{0,25}\.?[0-9]{1,45}([eE][-+]?[0-9]{1,3})?", fullmatch=True),
+)
+# value cells that are not readings, and readings in odd forms: padded,
+# quoted, in non-ASCII digits, at float64's edges
+_ODD_CELLS = ["nan", "-nan", "inf", "-Infinity", "1e400", "-1e309", "1e-400", "1_0", "", " ", " 1 ", "\t2.5\t",
+              "\x1c1", "1\x1f", "\x0b3", "\xa04", "\u20005", "6\u3000", "\u0661", "0x10", "1 2", "1e", "+.5", "1.",
+              ".", "x", "4.9e-324", "2.2250738585072014e-308", "-0.0", "0." + "9" * 400, '"1"', '" 2 "', '""']
+# timestamps free of what csv.reader treats specially, and odd ones: quoted,
+# empty, or holding a carriage return or another line-like character
+_TIMESTAMPS = st.text(st.characters(exclude_characters=',"\r\n\0'), max_size=6)
+_ODD_TIMESTAMPS = ['"28/12/2015, 10:00"', '"a\nb"', '"say ""hi"""', '"t0"', '""', " ", "a\rb", "a\x85b", "a\u2028b"]
+_ODD_LINES = ["", " ", "\t", " , ", ",", "\x0c"]
+
+
+@st.composite
+def _historian_logs(draw):
+    """Historian log text, and whether it is plain: rows of readings under
+    unique names, with an optional timestamp column in any position. A
+    log that is not plain also has, at random, odd cells or odd text:
+    quotes, CRLF line ends, blank lines, cells too many or too few and bad
+    names."""
+    rnd = draw(st.randoms(use_true_random=False))
+    odd_cells, odd = draw(st.sampled_from([0.0, 0.05, 0.2])), draw(st.sampled_from([0.0, 0.0, 0.05, 0.2]))
+    names = draw(st.lists(st.sampled_from(["P101", "LIT101", " FIT101 ", "MV101", "AIT201"]),
+                          min_size=1, max_size=4, unique=True))
+    if rnd.random() < odd:
+        names[rnd.randrange(len(names))] = rnd.choice(["", " ", "P101", "lit101"])
+    ts_name = draw(st.sampled_from([None, "Timestamp", " timestamp ", "TIMESTAMP"]))
+    ts_at = draw(st.integers(0, len(names)))  # first, middle or last
+    header = names[:]
+    if ts_name:
+        header.insert(ts_at, ts_name)
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        cells = [rnd.choice(_ODD_CELLS) if rnd.random() < odd_cells else draw(_READINGS) for _ in names]
+        if ts_name:
+            cells.insert(ts_at, rnd.choice(_ODD_TIMESTAMPS) if rnd.random() < odd else draw(_TIMESTAMPS))
+        if rnd.random() < odd:
+            cells.append(draw(_READINGS))
+        if rnd.random() < odd:
+            cells.pop()
+        lines.append(",".join(cells))
+    for _ in range(len(lines)):
+        if rnd.random() < odd:
+            lines.insert(rnd.randrange(len(lines) + 1), rnd.choice(_ODD_LINES))
+    newline = "\r\n" if rnd.random() < odd else "\n"
+    return newline.join(lines) + rnd.choice([newline, newline, ""]), odd_cells == odd == 0
+
+
+@given(log=_historian_logs())
+@settings(deadline=None)
+def test_parse_log_matches_reference_on_generated_logs(log):
+    text, plain = log
+    parsed = _assert_parses_as_reference(text)
+    if plain and parsed is not None:
+        assert ingest._parse_plain(text) is not None
+
+
+def test_plain_numeric_log_never_reaches_csv_reader(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(csv, "reader", refuse)
+    log = parse_log("LIT101,Timestamp,MV101\n100.5, 2015-12-28 10:00:00 ,1\n800.25,t1,2\n")
+    assert log.columns == ("LIT101", "MV101")
+    assert log.values.tolist() == [[100.5, 1.0], [800.25, 2.0]]
+    assert log.timestamps == ("2015-12-28 10:00:00", "t1")
+    # a fault is named by the csv path
+    with pytest.raises(AssertionError, match="csv.reader called"):
+        parse_log("A,B\n1,x\n")
+
+
+def test_field_longer_than_csv_allows_is_a_parse_error():
+    text = "Timestamp,A\nt0,1\n" + "t" * (csv.field_size_limit() + 1) + ",1\n"
+    _assert_parses_as_reference(text)
+    with pytest.raises(ParseError, match=re.escape(f"line 3: field larger than field limit ({csv.field_size_limit()})")):
+        parse_log(text)
 
 
 def _actuator(codes, n_states=2):
