@@ -95,9 +95,11 @@ def _write_with_manifest(path: Path, text: str, command: str, inputs: dict, conf
 
 
 def _read(path: str) -> str:
-    """The UTF-8 text of a file, without a leading byte-order mark."""
+    """The UTF-8 text of a file, without a leading byte-order mark, with its
+    line ends as they are in the file."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
 

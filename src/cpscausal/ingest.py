@@ -15,7 +15,6 @@ enter the discrete data. Missing values are rejected at parse time.
 from __future__ import annotations
 
 import csv
-import gc
 import io
 import json
 import re
@@ -87,6 +86,8 @@ class VariableSpec:
     codes: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ParseError(f"variable name must be text, got {self.name!r}")
         if self.kind not in (SENSOR, ACTUATOR):
             raise ParseError(f"{self.name}: kind must be sensor or actuator, got {self.kind!r}")
         if len(self.states) < 2:
@@ -131,6 +132,9 @@ class DiscreteDataset:
             raise EmptyDataset("data shape does not match specs")
         if self.data.shape[0] < 1:
             raise EmptyDataset("dataset needs at least one record")
+        if len(self._column_of) != len(self.specs):
+            repeated = sorted({name for name in self.names if self.names.count(name) > 1})
+            raise ParseError(f"variable names must be unique; repeated: {', '.join(map(repr, repeated))}")
         for spec, low, high in zip(self.specs, self.data.min(axis=0), self.data.max(axis=0)):
             if low < 0 or high >= spec.cardinality:
                 raise UnmappedActuatorValue(f"{spec.name}: state index out of range")
@@ -141,8 +145,7 @@ class DiscreteDataset:
 
     @cached_property
     def _column_of(self) -> dict[str, int]:
-        # reversed, so a repeated name maps to its first column as tuple.index does
-        return {name: k for k, name in reversed(tuple(enumerate(self.names)))}
+        return {name: k for k, name in enumerate(self.names)}
 
     @cached_property
     def _state_bits(self) -> tuple[np.ndarray | None, ...]:
@@ -191,56 +194,49 @@ def parse_log(text: str) -> RawLog:
     default dialect; rows whose cells are all blank are skipped. The first
     other row names the columns, and a column named ``Timestamp`` (any
     case) is set aside verbatim. Every other cell, stripped of whitespace,
-    must be a finite number as ``float`` reads it. Raises
+    must be a finite number written in ASCII, as ``float`` reads it. Raises
     :class:`EmptyInput` when there is no header or no data row,
     :class:`ParseError` when :mod:`csv` cannot read the text or the value
     columns' names are not unique and non-empty, :class:`RaggedRow` on
-    length mismatches, and
-    :class:`NonNumericCell` when a value cell is not a finite number
-    (``nan``, ``inf`` and digit-group underscores such as ``1_0`` included).
+    length mismatches, and :class:`NonNumericCell` when a value cell is not
+    a finite number (``nan``, ``inf``, ``1_0`` and ``\\u0661`` included).
     The first faulty record decides which error is raised, and the message
     names the line of the text on which that record starts.
 
-    Plain numeric text (no quotes, ``\\r`` or NUL, the header on the first
-    line, the same number of commas on every line) is read by numpy's C
-    reader; any other text, and every fault, goes through :mod:`csv`. Both
-    give the same log, or the same error, for the same text. The csv path
-    pauses the cyclic garbage collector, and leaves it as the caller had it.
+    numpy's C reader reads every number. Plain numeric text (no quotes, NUL
+    or ``\\r`` outside a CRLF line end, the header on the first line, the
+    same number of commas on every line) goes to it as it is; :mod:`csv`
+    splits any other text into rows first, and names every fault. Both give
+    the same log, or the same error, for the same text.
     """
     log = _parse_plain(text)
     if log is not None:
         return log
-    # None of the lists built here can form a cycle, and the collector's
-    # passes over them would take about half of the reader's and zip's time
-    collecting = gc.isenabled()
-    gc.disable()
+    reader = csv.reader(io.StringIO(text))
     try:
-        reader = csv.reader(io.StringIO(text))
-        try:
-            rows = [row for row in reader if any(map(str.strip, row))]
-        except csv.Error as exc:  # a carriage return inside a field, or a field above csv's limit
-            raise ParseError(f"line {reader.line_num}: {exc}") from None
-        if not rows:
-            raise EmptyInput("log has no header row")
-        header = [cell.strip() for cell in rows[0]]
-        if len(rows) == 1:
-            raise EmptyInput("log has a header but no records")
+        rows = [row for row in reader if any(map(str.strip, row))]
+    except csv.Error as exc:  # a carriage return inside a field, or a field above csv's limit
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise EmptyInput("log has no header row")
+    header = [cell.strip() for cell in rows[0]]
+    if len(rows) == 1:
+        raise EmptyInput("log has a header but no records")
 
-        ts_idx, value_idx, columns = _header_columns(header)
-        if not _unique_names(columns):
-            raise ParseError("column names must be unique and non-empty")
+    ts_idx, value_idx, columns = _header_columns(header)
+    if not _unique_names(columns):
+        raise ParseError("column names must be unique and non-empty")
 
-        body = rows[1:]
-        values = None
-        if set(map(len, body)) == {len(header)}:
-            table = list(zip(*body))
-            values = _readings([table[k] for k in value_idx], len(body))
-        if values is None:
-            _raise_first_fault(text, header, value_idx)
-    finally:
-        if collecting:
-            gc.enable()
-    timestamps = tuple(map(str.strip, table[ts_idx[0]])) if ts_idx else None
+    body = rows[1:]
+    values = None
+    if set(map(len, body)) == {len(header)}:
+        cells = "\n".join([",".join([row[k].strip() for k in value_idx]) for row in body])
+        # a cell that holds a line end would read as a record of its own
+        if "\r" not in cells and cells.count("\n") == len(body) - 1:
+            values = _read_numbers(cells, (len(body), len(columns)))
+    if values is None:
+        _raise_first_fault(text, header, value_idx)
+    timestamps = tuple(row[ts_idx[0]].strip() for row in body) if ts_idx else None
     return RawLog(columns=columns, values=values, timestamps=timestamps)
 
 
@@ -257,20 +253,19 @@ def _unique_names(columns: tuple[str, ...]) -> bool:
 
 
 def _parse_plain(text: str) -> RawLog | None:
-    """The log of ``text`` read by numpy's C reader, or None when the text
+    """The log of ``text`` read without :mod:`csv`, or None when the text
     is not plain numeric CSV or holds a fault, which the csv path then
-    names. ``loadtxt`` reads a float with the same correctly rounded
-    ``PyOS_string_to_double`` as ``float`` and strips the same whitespace as
-    ``str.strip``; the guards keep out what it reads otherwise."""
+    names."""
     # csv.reader gives these a meaning of its own: quoting, a line end, and
     # on Python 3.10 an error
-    if '"' in text or "\r" in text or "\0" in text:
+    if '"' in text or "\0" in text or ("\r" in text and text.count("\r") != text.count("\r\n")):
         return None
     first, _, body = text.partition("\n")
     header = [cell.strip() for cell in first.split(",")]
     ts_idx, value_idx, columns = _header_columns(header)
-    # a blank first line is skipped by csv; an empty body makes loadtxt warn
-    if not columns or not _unique_names(columns) or not body or body.isspace():
+    # csv skips a blank first line; with no value column, loadtxt cannot
+    # tell a blank line, which csv skips, from a record
+    if not columns or not _unique_names(columns):
         return None
     lines = body.split("\n")
     if not lines[-1]:
@@ -280,13 +275,8 @@ def _parse_plain(text: str) -> RawLog | None:
     if set(map(str.count, lines, repeat(","))) != {len(header) - 1} \
             or max(map(len, lines)) > csv.field_size_limit():
         return None
-    try:
-        values = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.float64, comments=None, ndmin=2,
-                            usecols=value_idx)
-    except ValueError:  # a cell that is not a number
-        return None
-    # loadtxt reads "nan", "inf" and "1e400"; none of them is a reading
-    if not np.isfinite(values).all():
+    values = _read_numbers(body, (len(lines), len(columns)), value_idx)
+    if values is None:
         return None
     timestamps = None
     if ts_idx:
@@ -295,18 +285,23 @@ def _parse_plain(text: str) -> RawLog | None:
     return RawLog(columns=columns, values=values, timestamps=timestamps)
 
 
-def _readings(value_columns: list[tuple[str, ...]], n_records: int) -> np.ndarray | None:
-    """The value cells as an ``(n_records, n_columns)`` float array, or None
-    when any cell is not a finite number."""
-    values = np.empty((n_records, len(value_columns)), dtype=np.float64)
-    try:
-        for out, cells in enumerate(value_columns):
-            # strip first: float() keeps the separators U+001C..U+001F that strip() drops
-            values[:, out] = np.fromiter(map(float, map(str.strip, cells)), np.float64, n_records)
-    except ValueError:
+def _read_numbers(body: str, shape: tuple[int, int], usecols: list[int] | None = None) -> np.ndarray | None:
+    """The comma-separated cells of ``body``, one record per line, read by
+    numpy's C reader as a float array of ``shape``; None when a cell is not a
+    finite number or the records do not fill ``shape``. ``loadtxt`` strips
+    cells as ``str.strip`` does and reads them as ``float`` does, but for
+    digit-group underscores and digits outside ASCII, which it refuses."""
+    if not shape[1]:
+        return np.empty(shape)
+    if body.isspace() or not body:  # loadtxt warns on text that holds no record
         return None
-    # float() also reads "nan", "inf" and "1_0"; none of them is a reading
-    if not np.isfinite(values).all() or any("_" in "".join(cells) for cells in value_columns):
+    try:
+        values = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.float64, comments=None, ndmin=2,
+                            usecols=usecols)
+    except ValueError:  # a cell that is not a number, or records of unequal length
+        return None
+    # loadtxt skips blank lines, and reads "nan", "inf" and "1e400", none of them a reading
+    if values.shape != shape or not np.isfinite(values).all():
         return None
     return values
 
@@ -331,7 +326,8 @@ def _raise_first_fault(text: str, header: list[str], value_idx: list[int]) -> No
                 value = float(cell)
             except ValueError:
                 value = nan
-            if not isfinite(value) or "_" in cell:
+            # float() also reads "nan", "inf", "1_0" and "١"; none of them is a reading
+            if not isfinite(value) or "_" in cell or not cell.isascii():
                 raise NonNumericCell(f"line {r}, column {header[k]!r}: {cell!r}")
     raise AssertionError("parse_log found a fault that the line scan does not")
 

@@ -413,8 +413,10 @@ def reference_learn_hc(ds: DiscreteDataset, cfg: HcConfig = HcConfig()) -> HcRes
 
 
 def reference_parse_log(text: str) -> RawLog:
-    """``parse_log`` as one loop over the cells, record by record. Errors
-    name the line of the text on which the faulty record starts."""
+    """``parse_log`` as one loop over the cells, record by record, each
+    value cell stripped and read by ``float``; a cell that is not ASCII
+    after stripping is not a reading. Errors name the line of the text on
+    which the faulty record starts."""
     reader = csv.reader(io.StringIO(text))
     rows: list[tuple[int, list[str]]] = []
     line = 1  # where the next record starts
@@ -449,8 +451,9 @@ def reference_parse_log(text: str) -> RawLog:
                 value = float(cell)
             except ValueError:
                 value = nan
-            # float() also reads "nan", "inf" and "1_0"; none of them is a reading
-            if not isfinite(value) or "_" in cell:
+            # float() also reads "nan", "inf", "1_0" and digits outside ASCII
+            # such as "\u0661"; none of them is a reading
+            if not isfinite(value) or "_" in cell or not cell.isascii():
                 raise NonNumericCell(f"line {r}, column {header[k]!r}: {cell!r}")
             values[out_row, out] = value
         if ts_idx:

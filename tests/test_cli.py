@@ -161,9 +161,11 @@ class TestErrors:
     @pytest.mark.parametrize("text", [
         "A,B\n1,2,3\n", "A,B\n1,2\n3\n", "A,B\n1,x\n", "A,B\n1,\n", "A,B\n1,nan\n", "A,B\n1,1e400\n",
         "A,B\n1_0,2\n", "A,B\n", "", "A,A\n1,2\n", "A,B\r\n\r\n1,x\r\n", 'Timestamp,A\n"t\n0",1\nt1,"x"\n',
-        "A,B\n1,2\n3," + "4" * (csv.field_size_limit() + 1) + "\n",
+        "A,B\n1,2\n3," + "4" * (csv.field_size_limit() + 1) + "\n", "A,B\n1,2\r3,4\n",
+        'Timestamp,A\n"t\r\n0",1\nt1,x\n',
     ], ids=["long-row", "short-row", "word", "empty-cell", "nan", "overflow", "digit-group", "header-only",
-            "no-text", "duplicate-columns", "crlf", "quoted", "field-above-csv-limit"])
+            "no-text", "duplicate-columns", "crlf", "quoted", "field-above-csv-limit", "lone-carriage-return",
+            "crlf-in-quoted-timestamp"])
     def test_malformed_log_is_data_error_named_as_parse_log_names_it(self, tmp_path, capsys, text):
         log = tmp_path / "log.csv"
         log.write_bytes(text.encode())
@@ -359,6 +361,24 @@ class TestErrors:
                      "--out", str(tmp_path / "graph.json")])
         assert code == 3
         assert capsys.readouterr().err.startswith(f"error [DataError]: {dataset} is not valid JSON: ")
+
+    @pytest.mark.parametrize("argv", [["learn", "--algo", "pc"], ["learn", "--algo", "hc"],
+                                      ["learn", "--algo", "cl", "--root", "LIT101"], ["fit"]],
+                             ids=["pc", "hc", "cl", "fit"])
+    def test_dataset_that_repeats_a_name_is_data_error(self, repo_root, tmp_path, capsys, argv):
+        golden = repo_root / "tests/golden/stage1"
+        obj = json.loads((golden / "dataset.json").read_text())
+        obj["specs"][1]["name"] = "LIT101"  # P102, next to LIT101
+        obj["specs"][3]["name"] = "P101"  # MV101
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps(obj))
+        out = tmp_path / "out.json"
+        if argv == ["fit"]:
+            argv = ["fit", "--graph", str(golden / "graph.json")]
+        assert main([*argv, "--dataset", str(dataset), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == \
+            "error [ParseError]: variable names must be unique; repeated: 'LIT101', 'P101'\n"
+        assert not out.exists()
 
     def test_pc_isolates_constant_dp(self, tmp_path):
         rng = np.random.default_rng(26)

@@ -72,6 +72,11 @@ class TestParseLog:
         with pytest.raises(NonNumericCell):
             parse_log("A,B\n1,\n")
 
+    def test_digit_outside_ascii_rejected(self):
+        # float() reads U+0661, ARABIC-INDIC DIGIT ONE, as 1.0
+        with pytest.raises(NonNumericCell, match=re.escape("line 2, column 'A': '\u0661'")):
+            parse_log("A\n\u0661\n")
+
     @pytest.mark.parametrize("cell", ["nan", "-inf", "1_0"])
     def test_non_finite_or_underscored_cell_rejected(self, cell):
         # Python's float() reads all three
@@ -243,6 +248,10 @@ class TestProject:
         with pytest.raises(UnknownColumn):
             project(self._ds(), ["FIT999"])
 
+    def test_repeated_name_is_parse_error(self):
+        with pytest.raises(ParseError, match="repeated: 'MV101'"):
+            project(self._ds(), ["MV101", "LIT101", "MV101"])
+
     def test_slice_stage_from_wide_dataset(self):
         # carve the stage-1 feature vector out of a wider plant dataset
         from cpscausal.fixtures import get_fixture
@@ -253,6 +262,13 @@ class TestProject:
         assert out.n_records == 100
         for n in names:
             assert np.array_equal(out.column(n), wide.column(n))
+
+
+class TestVariableSpec:
+    def test_name_that_is_not_text_is_parse_error(self):
+        # a dataset JSON may hold any JSON value where a name belongs
+        with pytest.raises(ParseError, match="variable name must be text"):
+            VariableSpec(["MV101"], ACTUATOR, ("Close", "Open"))
 
 
 class TestSpecFile:
@@ -571,6 +587,12 @@ PARSE_CORPUS = {
     "blank-lines-after-header": "A\n\n\n",
     "quoted-timestamp": 'Timestamp,A\n"t0",1\n',
     "carriage-return-in-timestamp": "A,Timestamp\n1,t\r0\n",
+    "quoted-comma-in-only-record": 'A,B\n"1,2",3\n',
+    "quoted-line-end-in-cell": 'A\n"1\n2"\n',
+    "empty-and-blank-cells-under-timestamps": "Timestamp,A\nt0,\nt1, \n",
+    "digit-outside-ascii": "A\n\u0661\n",
+    "crlf-plain": "Timestamp,A,B\r\nt0,1,2\r\nt1,3,4\r\n",
+    "lone-carriage-return": "A,B\n1,2\r3,4\n",
 }
 
 
@@ -603,7 +625,8 @@ _READINGS = st.one_of(
 # quoted, in non-ASCII digits, at float64's edges
 _ODD_CELLS = ["nan", "-nan", "inf", "-Infinity", "1e400", "-1e309", "1e-400", "1_0", "", " ", " 1 ", "\t2.5\t",
               "\x1c1", "1\x1f", "\x0b3", "\xa04", "\u20005", "6\u3000", "\u0661", "0x10", "1 2", "1e", "+.5", "1.",
-              ".", "x", "4.9e-324", "2.2250738585072014e-308", "-0.0", "0." + "9" * 400, '"1"', '" 2 "', '""']
+              ".", "x", "4.9e-324", "2.2250738585072014e-308", "-0.0", "0." + "9" * 400, '"1"', '" 2 "', '""',
+              '"1,2"', '"1\n2"', '"1\r2"']
 # timestamps free of what csv.reader treats specially, and odd ones: quoted,
 # empty, or holding a carriage return or another line-like character
 _TIMESTAMPS = st.text(st.characters(exclude_characters=',"\r\n\0'), max_size=6)
@@ -614,10 +637,10 @@ _ODD_LINES = ["", " ", "\t", " , ", ",", "\x0c"]
 @st.composite
 def _historian_logs(draw):
     """Historian log text, and whether it is plain: rows of readings under
-    unique names, with an optional timestamp column in any position. A
-    log that is not plain also has, at random, odd cells or odd text:
-    quotes, CRLF line ends, blank lines, cells too many or too few and bad
-    names."""
+    unique names, with an optional timestamp column in any position, and
+    LF or CRLF line ends. A log that is not plain also has, at random, odd
+    cells or odd text: quotes, blank lines, cells too many or too few and
+    bad names."""
     rnd = draw(st.randoms(use_true_random=False))
     odd_cells, odd = draw(st.sampled_from([0.0, 0.05, 0.2])), draw(st.sampled_from([0.0, 0.0, 0.05, 0.2]))
     names = draw(st.lists(st.sampled_from(["P101", "LIT101", " FIT101 ", "MV101", "AIT201"]),
@@ -642,7 +665,7 @@ def _historian_logs(draw):
     for _ in range(len(lines)):
         if rnd.random() < odd:
             lines.insert(rnd.randrange(len(lines) + 1), rnd.choice(_ODD_LINES))
-    newline = "\r\n" if rnd.random() < odd else "\n"
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join(lines) + rnd.choice([newline, newline, ""]), odd_cells == odd == 0
 
 
