@@ -5,6 +5,10 @@ plus rename), and drops a ``<artifact>.manifest.json`` next to each output
 recording the command, inputs, configuration, seed, tool version, and
 output digests. Exit codes: 0 success, 2 usage error, 3 data error,
 4 model error.
+
+JSON artifacts are laid out by :func:`ingest.json_text`, where the dataset
+reader also finds the layout it reads fast; ``_dump_json`` adds the final
+newline.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .errors import CpsCausalError, DataError, ParseError, UsageError
@@ -34,7 +36,7 @@ from .ingest import (
     parse_log,
     parse_spec_file,
     format_spec_file,
-    records_json,
+    json_text,
 )
 from .learning import ClConfig, HcConfig, PcConfig, extend_to_dag, learn_cl, learn_hc, learn_pc
 from .simgen import forward_sample, sample_with_clamp, write_historian_csv
@@ -48,19 +50,7 @@ EXIT_MODEL = 4
 def _dump_json(obj) -> str:
     """Artifact text: ``json.dumps(obj, indent=2)``, except that a 2-D
     integer array, such as a dataset's records, gets one row per line."""
-    return _json_text(obj, "\n") + "\n"
-
-
-def _json_text(obj, newline: str) -> str:
-    inner = newline + "  "
-    if isinstance(obj, dict) and obj:
-        return "{" + inner + ("," + inner).join(
-            f"{json.dumps(str(key))}: {_json_text(value, inner)}" for key, value in obj.items()) + newline + "}"
-    if isinstance(obj, list) and obj:
-        return "[" + inner + ("," + inner).join(_json_text(value, inner) for value in obj) + newline + "]"
-    if isinstance(obj, np.ndarray) and len(obj):
-        return "[" + inner + records_json(obj, ("," + inner).encode()).decode() + newline + "]"
-    return json.dumps(obj)
+    return json_text(obj, "\n") + "\n"
 
 
 def _atomic_write(path: Path, text: str) -> str:

@@ -111,10 +111,6 @@ class InvalidCpt(ModelError):
 
 # --- inference --------------------------------------------------------------
 
-class IncompleteAssignment(ModelError):
-    pass
-
-
 class UnknownState(ModelError):
     pass
 
@@ -124,10 +120,6 @@ class UnknownVariable(ModelError):
 
 
 class ZeroProbabilityEvidence(ModelError):
-    pass
-
-
-class StateSpaceTooLarge(ModelError):
     pass
 
 

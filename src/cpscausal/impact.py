@@ -27,6 +27,7 @@ from .errors import ParseError, TargetNotInNet, UnknownNode, UnknownStage, Unkno
 from .estimation import BayesNet
 from .graph import CONTROL, PHYSICAL, CausalGraph, Edge
 from .inference import Query, posterior
+from .ingest import split_lines
 
 CHILDREN = "children"
 UNDIRECTED = "undirected_neighbors"
@@ -215,7 +216,7 @@ def load_domain_graph(text: str) -> CausalGraph:
     """
     nodes: list[str] = []
     edges: list[Edge] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

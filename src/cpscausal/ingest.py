@@ -10,6 +10,11 @@ list of bin edges.
 Bin edges are half-open ``[lo, hi)``: a value equal to an edge belongs to
 the upper interval. Timestamp columns are carried as opaque text and never
 enter the discrete data. Missing values are rejected at parse time.
+
+This module also holds the one layout of the dataset JSON file: the CLI
+writes every JSON artifact with :func:`json_text`, and
+:func:`dataset_from_text` reads a dataset file exactly as that writes it
+with its records as one array, and any other text through :mod:`json`.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import (
+    CpsCausalError,
     DegenerateColumn,
     EmptyDataset,
     EmptyInput,
@@ -415,9 +421,16 @@ def project(ds: DiscreteDataset, names: list[str] | tuple[str, ...]) -> Discrete
 #
 # Round-trips losslessly through parse_spec_file / format_spec_file.
 
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text``, split at ``\\r\\n``, ``\\r`` and ``\\n`` only;
+    ``str.splitlines`` also splits at form feeds, U+0085, U+2028 and other
+    characters that may sit in a comment."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def parse_spec_file(text: str) -> tuple[VariableSpec, ...]:
     specs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -465,12 +478,18 @@ def format_spec_file(specs: tuple[VariableSpec, ...] | list[VariableSpec]) -> st
 # --- dataset JSON -------------------------------------------------------------
 #
 # {"specs": [{"name", "kind", "states", "bin_edges", "codes"}, ...],
-#  "data": [[state index per spec], ...]}, one record per line:
+#  "data": [[state index per spec], ...]}, which the CLI writes with
+# json_text, as json.dumps(indent=2) would but for one record per line:
 #
-#   "data": [
-#     [0,2,1],
-#     [1,0,1]
-#   ]
+#   {
+#     "specs": [
+#       ...
+#     ],
+#     "data": [
+#       [0,2,1],
+#       [1,0,1]
+#     ]
+#   }
 
 def dataset_to_json(ds: DiscreteDataset) -> dict:
     """The dataset as a dict for the CLI's JSON writer; ``data`` is the int64
@@ -526,89 +545,58 @@ def _integer_cells(data) -> bool:
                for t in set(map(type, chain.from_iterable(data))))
 
 
+# The writer's text of every dataset holds this once, between its specs and
+# its records: a raw newline cannot sit inside a JSON string
+_DATA_KEY = ',\n  "data": [\n    '
+
+
 def dataset_from_text(text: str) -> DiscreteDataset:
     """Read dataset JSON text: the same dataset, or the same error, as
-    ``dataset_from_json(json.loads(text))``, with the records read as one
-    array instead of a list per record. Text that is not JSON raises
+    ``dataset_from_json(json.loads(text))``. The text of a file exactly as
+    ``discretize`` writes it has its records read as one array instead of a
+    list per record. Text that is not JSON raises
     :class:`json.JSONDecodeError`, with json's own message."""
-    try:
-        obj = _json_object(text)
-    except ValueError:  # JSONDecodeError included
-        obj = json.loads(text)  # raises json's error for this text
-    return dataset_from_json(obj)
+    ds = _dataset_as_written(text)
+    return ds if ds is not None else dataset_from_json(json.loads(text))
 
 
-_JSON_WS = re.compile(r"[ \t\n\r]*")
-_DECODER = json.JSONDecoder()
-
-
-def _json_object(text: str) -> dict:
-    """The JSON object ``text`` holds, walked as json's own decoder walks it
-    (the last of duplicate keys wins), except that a ``data`` value written
-    in the CLI's one-record-per-line layout becomes an int64 array. Raises
-    ValueError when ``text`` is not one JSON object."""
-    ws = _JSON_WS.match
-    obj = {}
-    i = ws(text).end()
-    if not text.startswith("{", i):
-        raise ValueError("not a JSON object")
-    i = ws(text, i + 1).end()
-    if text.startswith("}", i):
-        i += 1
-    else:
-        while True:
-            if not text.startswith('"', i):
-                raise ValueError("expected a key")
-            key, i = json.decoder.scanstring(text, i + 1)
-            i = ws(text, i).end()
-            if not text.startswith(":", i):
-                raise ValueError("expected ':'")
-            i = ws(text, i + 1).end()
-            found = _records_at(text, i) if key == "data" else None
-            obj[key], i = found or _DECODER.raw_decode(text, i)
-            i = ws(text, i).end()
-            if text.startswith("}", i):
-                i += 1
-                break
-            if not text.startswith(",", i):
-                raise ValueError("expected ',' or '}'")
-            i = ws(text, i + 1).end()
-    if ws(text, i).end() != len(text):
-        raise ValueError("text after the object")
-    return obj
-
-
-# the records as the CLI writes them, in the layout shown above
-_RECORDS_OPEN = "[\n    ["
-_RECORDS_CLOSE = "]\n  ]"
-_RECORDS_SEP = b",\n    "
-
-
-def _records_at(text: str, i: int) -> tuple[np.ndarray, int] | None:
-    """The records that start at ``text[i]`` as an int64 array, and the
-    index just after them, when they are exactly the bytes the dataset
-    writer produces for that array; None for any other text, which json
-    then reads."""
-    end = text.find(_RECORDS_CLOSE, i) if text.startswith(_RECORDS_OPEN, i) else -1
-    if end < 0:
+def _dataset_as_written(text: str) -> DiscreteDataset | None:
+    """The dataset whose text, as the writer lays it out, is ``text``; None
+    when no dataset's text is that, and json then reads it."""
+    head, key, records = text.partition(_DATA_KEY)
+    if not key:
         return None
-    end += len(_RECORDS_CLOSE)
-    raw = text[i:end]
-    if not raw.isascii():
-        return None
-    raw = raw.encode()
     try:
-        cells = np.fromstring(raw.translate(None, b"[] \n"), dtype=np.int64, sep=",")
+        obj = json.loads(head + "}")
+        cells = np.fromstring(records.encode().translate(None, b"[] \n}"), dtype=np.int64, sep=",")
     except (ValueError, DeprecationWarning):  # older numpy warns instead, and may be told to raise
         return None
-    n_records = raw.count(b"\n") - 1
-    if cells.size % n_records:
+    n_records = records.count("[")
+    if not n_records or cells.size % n_records:
         return None
-    records = cells.reshape(n_records, cells.size // n_records)
-    # checks every cell's form and range, the brackets and the row width at once
-    if raw != b"[\n    " + records_json(records, _RECORDS_SEP) + b"\n  ]":
+    try:
+        ds = dataset_from_json({**obj, "data": cells.reshape(n_records, cells.size // n_records)})
+    except CpsCausalError:
         return None
-    return records, end
+    # checks every cell's form and range, the specs, the brackets and the row width at once
+    if json_text(dataset_to_json(ds), "\n") + "\n" != text:
+        return None
+    return ds
+
+
+def json_text(obj, newline: str) -> str:
+    """``obj`` as ``json.dumps(obj, indent=2)`` lays it out, for a value that
+    starts a line after ``newline``, except that a 2-D integer array, such as
+    a dataset's records, gets one row per line (:func:`records_json`)."""
+    inner = newline + "  "
+    if isinstance(obj, dict) and obj:
+        return "{" + inner + ("," + inner).join(
+            f"{json.dumps(str(key))}: {json_text(value, inner)}" for key, value in obj.items()) + newline + "}"
+    if isinstance(obj, list) and obj:
+        return "[" + inner + ("," + inner).join(json_text(value, inner) for value in obj) + newline + "]"
+    if isinstance(obj, np.ndarray) and len(obj):
+        return "[" + inner + records_json(obj, ("," + inner).encode()).decode() + newline + "]"
+    return json.dumps(obj)
 
 
 def records_json(data: np.ndarray, sep: bytes) -> bytes:

@@ -16,8 +16,8 @@ uniform. Fixed seed therefore means bit-identical datasets.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -103,25 +103,20 @@ def write_historian_csv(ds: DiscreteDataset) -> str:
     actuator states as their declared codes, so discretizing the output
     through the same specs reproduces the dataset exactly.
     """
-    rep: list[list[str]] = []
-    for spec in ds.specs:
+    columns = []
+    for k, spec in enumerate(ds.specs):
         if spec.kind == SENSOR:
             e = spec.bin_edges
             vals = [e[0] - 1.0]
             vals += [(a + b) / 2.0 for a, b in zip(e, e[1:])]
             vals.append(e[-1] + 1.0)
-            rep.append([repr(v) for v in vals])
+            rep = [repr(v) for v in vals]
         else:
             codes = spec.codes if spec.codes is not None else tuple(range(len(spec.states)))
-            rep.append([str(c) for c in codes])
-
-    buf = io.StringIO()
-    buf.write(",".join(["Timestamp", *ds.names]) + "\n")
-    for t in range(ds.n_records):
-        row = [str(t)]
-        row += [rep[k][ds.data[t, k]] for k in range(len(ds.specs))]
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+            rep = [str(c) for c in codes]
+        columns.append(np.array(rep, dtype=object)[ds.data[:, k]].tolist())
+    rows = map(",".join, zip(map(str, range(ds.n_records)), *columns))
+    return "\n".join(chain([",".join(["Timestamp", *ds.names])], rows)) + "\n"
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ spanning trees come from Prufer sequences; DAG enumeration tries all edge
 assignments; posteriors come from the full joint tensor; contingency
 counts and chi-square statistics are tallied record by record, the latter
 stratum by stratum; hill-climbing rescores every candidate move from
-scratch each iteration; a historian log is parsed and discretized cell by
-cell; dataset JSON is read by ``json`` into one list per record. Slow and
-simple on purpose.
+scratch each iteration; a historian log is parsed, discretized and written
+cell by cell; dataset JSON is read by ``json`` into one list per record.
+Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -23,17 +23,18 @@ from bisect import bisect_right
 from collections import deque
 from math import isfinite, nan
 from typing import Iterable, Iterator, Mapping
+from unittest import mock
 
 import numpy as np
 
 from cpscausal.errors import (
+    CpsCausalError,
     EmptyInput,
-    IncompleteAssignment,
     MissingColumn,
+    ModelError,
     NonNumericCell,
     ParseError,
     RaggedRow,
-    StateSpaceTooLarge,
     UnknownState,
     UnmappedActuatorValue,
     ZeroProbabilityEvidence,
@@ -41,8 +42,17 @@ from cpscausal.errors import (
 from cpscausal.estimation import BayesNet, family_score
 from cpscausal.graph import LEARNT, CausalGraph, Edge, topological_order
 from cpscausal.inference import Query, _validate_query
-from cpscausal.ingest import SENSOR, DiscreteDataset, RawLog, VariableSpec, dataset_from_json
+from cpscausal.ingest import SENSOR, DiscreteDataset, RawLog, VariableSpec, dataset_from_json, dataset_from_text
 from cpscausal.learning import HcConfig, HcResult, _require_learnable
+
+
+class IncompleteAssignment(ModelError):
+    """An assignment given to joint_prob misses or adds a node."""
+
+
+class StateSpaceTooLarge(ModelError):
+    """The joint that brute_force_posterior would build has more than 1e7
+    configurations."""
 
 
 def all_paths(g: CausalGraph, i: str, j: str) -> list[tuple[str, ...]]:
@@ -493,7 +503,50 @@ def reference_discretize(log: RawLog, specs: list[VariableSpec] | tuple[Variable
     return DiscreteDataset(specs=specs, data=data)
 
 
+def reference_write_historian_csv(ds: DiscreteDataset) -> str:
+    """``write_historian_csv`` as one loop over the records, each rendered
+    cell by cell and joined."""
+    rep: list[list[str]] = []
+    for spec in ds.specs:
+        if spec.kind == SENSOR:
+            e = spec.bin_edges
+            vals = [e[0] - 1.0]
+            vals += [(a + b) / 2.0 for a, b in zip(e, e[1:])]
+            vals.append(e[-1] + 1.0)
+            rep.append([repr(v) for v in vals])
+        else:
+            codes = spec.codes if spec.codes is not None else tuple(range(len(spec.states)))
+            rep.append([str(c) for c in codes])
+
+    buf = io.StringIO()
+    buf.write(",".join(["Timestamp", *ds.names]) + "\n")
+    for t in range(ds.n_records):
+        row = [str(t)]
+        row += [rep[k][ds.data[t, k]] for k in range(len(ds.specs))]
+        buf.write(",".join(row) + "\n")
+    return buf.getvalue()
+
+
 def reference_dataset_from_text(text: str) -> DiscreteDataset:
     """``dataset_from_text`` as ``json.loads`` into Python lists, then the
     dict validator."""
     return dataset_from_json(json.loads(text))
+
+
+def read_as_one_array(text: str) -> bool:
+    """Whether ``dataset_from_text`` reads ``text`` without handing all of
+    it to ``json.loads``, that is, its records as one array and not as a
+    list per record."""
+    seen = []
+    loads = json.loads
+
+    def spy(s, *args, **kwargs):
+        seen.append(s)
+        return loads(s, *args, **kwargs)
+
+    with mock.patch("json.loads", spy):
+        try:
+            dataset_from_text(text)
+        except (CpsCausalError, json.JSONDecodeError):
+            pass
+    return text not in seen

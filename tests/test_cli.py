@@ -12,11 +12,19 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT202012
 
-from cpscausal import cli, ingest
+from cpscausal import cli
 from cpscausal.cli import main
 from cpscausal.errors import DataError
-from cpscausal.ingest import ACTUATOR, DiscreteDataset, VariableSpec, dataset_from_text, dataset_to_json
-from oracles import reference_parse_log
+from cpscausal.ingest import (
+    ACTUATOR,
+    DiscreteDataset,
+    VariableSpec,
+    dataset_from_text,
+    dataset_to_json,
+    format_spec_file,
+)
+from cpscausal.simgen import write_historian_csv
+from oracles import read_as_one_array, reference_parse_log
 
 
 def attacks_path(name: str) -> str:
@@ -441,7 +449,22 @@ def test_dump_json_writes_datasets_that_load_back(cardinality, n_vars):
     rows = ",\n    ".join(json.dumps(row, separators=(",", ":")) for row in data.tolist())
     assert text.endswith(f'"data": [\n    {rows}\n  ]\n}}\n')
     assert np.array_equal(dataset_from_text(text).data, data)
-    assert isinstance(ingest._json_object(text)["data"], np.ndarray)  # read as one array
+    assert read_as_one_array(text)
+
+
+def test_bench_hooks_write_and_read_what_discretize_does(tmp_path, stage1):
+    # bench/tracing.py times the dataset write and read through these names of cli
+    ds = stage1.sample(300, seed=2)
+    log_path, spec_path, out = tmp_path / "log.csv", tmp_path / "stage1.vspec", tmp_path / "dataset.json"
+    log_path.write_text(write_historian_csv(ds))
+    spec_path.write_text(format_spec_file(ds.specs))
+    assert main(["discretize", "--input", str(log_path), "--spec", str(spec_path), "--out", str(out)]) == 0
+    again = cli.discretize(cli.parse_log(cli._read(str(log_path))), cli.parse_spec_file(cli._read(str(spec_path))))
+    assert cli._dump_json(cli.dataset_to_json(again)).encode() == out.read_bytes()
+    back = cli.dataset_from_json(cli._load_json(str(out)))
+    assert back.specs == ds.specs
+    assert np.array_equal(back.data, ds.data)
+    assert read_as_one_array(out.read_text())
 
 
 @pytest.mark.parametrize("obj", [

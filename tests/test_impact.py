@@ -54,6 +54,21 @@ class TestDomainGraph:
         with pytest.raises(ParseError):
             load_domain_graph("edge A => B\n")
 
+    # str.splitlines breaks at each of these too; only \r\n, \r and \n end a line
+    @pytest.mark.parametrize("mark", ["\x85", "\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_comment_may_hold_characters_that_are_not_line_ends(self, mark):
+        g = load_domain_graph(f"node A # x{mark}y z\nnode B\n")
+        assert g.nodes == ("A", "B")
+        with pytest.raises(ParseError, match="^line 3: "):
+            load_domain_graph(f"node A # x{mark}y z\nnode B\nedge A => B\n")
+
+    @pytest.mark.parametrize("line_end", ["\r", "\r\n"])
+    def test_cr_and_crlf_line_ends(self, line_end):
+        g = load_domain_graph(line_end.join(["# loop", "node A", "node B", "edge A -> B : control", ""]))
+        assert g.nodes == ("A", "B") and len(g.edges) == 1
+        with pytest.raises(ParseError, match="^line 2: "):
+            load_domain_graph(line_end.join(["node A", "edge A => B", ""]))
+
 
 class TestStageNames:
     def test_convention(self):

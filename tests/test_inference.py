@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from cpscausal.errors import (
-    IncompleteAssignment,
-    StateSpaceTooLarge,
     UnknownState,
     UnknownVariable,
     ZeroProbabilityEvidence,
@@ -14,7 +12,7 @@ from cpscausal.estimation import BayesNet, Cpt
 from cpscausal.fixtures import get_fixture
 from cpscausal.graph import CausalGraph, Edge, d_separated
 from cpscausal.inference import Query, posterior
-from oracles import brute_force_posterior, joint_prob, random_net
+from oracles import IncompleteAssignment, StateSpaceTooLarge, brute_force_posterior, joint_prob, random_net
 
 FIXTURES = ("stage1", "stage1_learnt", "stage6", "chain3", "fork3", "collider3", "twostage")
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cpscausal import ingest
+from cpscausal import cli, ingest
 from cpscausal.errors import (
     CpsCausalError,
     DegenerateColumn,
@@ -26,6 +26,7 @@ from cpscausal.errors import (
 from cpscausal.ingest import (
     ACTUATOR,
     SENSOR,
+    DiscreteDataset,
     RawLog,
     VariableSpec,
     dataset_from_json,
@@ -39,7 +40,13 @@ from cpscausal.ingest import (
     records_json,
     suggest_bins,
 )
-from oracles import reference_dataset_from_text, reference_discretize, reference_parse_log, reference_state_of
+from oracles import (
+    read_as_one_array,
+    reference_dataset_from_text,
+    reference_discretize,
+    reference_parse_log,
+    reference_state_of,
+)
 
 LIT101 = VariableSpec("LIT101", SENSOR, ("Low", "Medium", "High"), bin_edges=(210.0, 750.0))
 MV101 = VariableSpec("MV101", ACTUATOR, ("Close", "Open"), codes=(1, 2))
@@ -300,6 +307,20 @@ P101 actuator Off,On
         with pytest.raises(ParseError, match="line 1: LIT101: bin edges must be finite"):
             parse_spec_file(f"LIT101 sensor Low,Medium,High edges={edges}\n")
 
+    # str.splitlines breaks at each of these too; only \r\n, \r and \n end a line
+    @pytest.mark.parametrize("mark", ["\x85", "\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_comment_may_hold_characters_that_are_not_line_ends(self, mark):
+        text = f"MV101 actuator Close,Open codes=1,2 # note{mark}more words\nP101 bogus\n"
+        with pytest.raises(ParseError, match="^line 2: expected"):
+            parse_spec_file(text)
+        assert parse_spec_file(text.replace("P101 bogus", "P101 actuator Off,On"))[0] == MV101
+
+    @pytest.mark.parametrize("line_end", ["\r", "\r\n"])
+    def test_cr_and_crlf_line_ends(self, line_end):
+        assert parse_spec_file(self.TEXT.replace("\n", line_end)) == parse_spec_file(self.TEXT)
+        with pytest.raises(ParseError, match="^line 3: "):
+            parse_spec_file(line_end.join(["# note", "P101 actuator Off,On", "MV101 bogus", ""]))
+
 
 def test_dataset_json_round_trip():
     log = parse_log("LIT101,MV101\n100,1\n500,2\n900,1\n")
@@ -359,13 +380,49 @@ def _emit(value, rnd: random.Random) -> str:
     return json.dumps(value)
 
 
+_NAMES = ["P101", "LIT101", 'A"B', "back\\slash", "tab\tname", "Füll", "\u2603"]
+# bytes that, put into the writer's text, keep it JSON or make a near miss of it
+_EDIT_BYTES = ["0", "1", "9", "-", "[", "]", ",", " ", "\n", "\r", '"', "{", "}", "x", "\u0661"]
+
+
+@st.composite
+def _written_specs(draw):
+    """One VariableSpec of each form the writer meets: a sensor with bin
+    edges, an actuator with codes and an actuator without."""
+    kind = draw(st.sampled_from(["edges", "codes", "no-codes"]))
+    card = draw(st.sampled_from([2, 3, 12, 150] if kind == "no-codes" else [2, 3, 12]))
+    states = tuple(f"s{k}" for k in range(card))
+    if kind == "edges":
+        edges = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=card - 1,
+                              max_size=card - 1, unique=True))
+        return lambda name: VariableSpec(name, SENSOR, states, bin_edges=tuple(sorted(edges)))
+    if kind == "codes":
+        codes = draw(st.lists(st.integers(-2**70, 2**70), min_size=card, max_size=card, unique=True))
+        return lambda name: VariableSpec(name, ACTUATOR, states, codes=tuple(codes))
+    return lambda name: VariableSpec(name, ACTUATOR, states)
+
+
 @st.composite
 def _dataset_documents(draw):
-    """Dataset JSON text, and whether it is a well-formed dataset whose
-    records are in the CLI's one-record-per-line layout."""
+    """Dataset JSON text, and whether it is the text the writer gives for
+    the dataset it holds: the writer's text as it is, a one-byte edit of
+    it, or any other JSON layout of a dataset, well-formed or not."""
+    form = draw(st.sampled_from(["written", "edited", "other", "other"]))
+    if form != "other":
+        makers = draw(st.lists(_written_specs(), min_size=1, max_size=3))
+        names = draw(st.lists(st.sampled_from(_NAMES), min_size=len(makers), max_size=len(makers), unique=True))
+        specs = tuple(make(name) for make, name in zip(makers, names))
+        rows = draw(st.lists(st.tuples(*(st.integers(0, s.cardinality - 1) for s in specs)),
+                             min_size=1, max_size=5))
+        text = cli._dump_json(dataset_to_json(DiscreteDataset(specs=specs, data=np.array(rows, dtype=np.int64))))
+        if form == "edited":
+            # the ends of the text as often as anywhere inside it
+            i = draw(st.one_of(st.integers(0, len(text)), st.sampled_from([0, len(text) - 1, len(text)])))
+            cut = draw(st.sampled_from([0, 1])) if i < len(text) else 0
+            text = text[:i] + draw(st.sampled_from(["", *_EDIT_BYTES])) + text[i + cut:]
+        return text, form == "written"
     cards = draw(st.lists(st.sampled_from([2, 3, 12, 150]), min_size=1, max_size=3))
-    names = draw(st.lists(st.sampled_from(["P101", "LIT101", 'A"B', "back\\slash", "tab\tname", "Füll", "\u2603"]),
-                          min_size=len(cards), max_size=len(cards), unique=True))
+    names = draw(st.lists(st.sampled_from(_NAMES), min_size=len(cards), max_size=len(cards), unique=True))
     specs = [{"name": name, "kind": "actuator", "states": [f"s{k}" for k in range(card)],
               "bin_edges": None, "codes": None} for name, card in zip(names, cards)]
     rows = draw(st.lists(st.tuples(*(st.integers(0, card - 1) for card in cards)).map(list),
@@ -398,7 +455,7 @@ def _dataset_documents(draw):
         text = json.dumps(dict(pairs), indent=2 if layout == "indent" else None)
     if fault == "truncate":
         text = text[:rnd.randrange(len(text))]
-    return text, fault is None and one_record_per_line
+    return text, False
 
 
 def _records_layout(rows) -> str:
@@ -415,33 +472,39 @@ def _read_outcome(read, text):
     return ds.specs, ds.data.dtype, ds.data.tolist()
 
 
-@given(document=_dataset_documents())
-@settings(max_examples=200, deadline=None)
-def test_dataset_from_text_matches_reference(document):
-    text, well_formed = document
-    assert _read_outcome(dataset_from_text, text) == _read_outcome(reference_dataset_from_text, text)
-    if well_formed:
-        assert _read_as_one_array(text)
-
-
-def _read_as_one_array(text) -> bool:
-    """Whether the reader takes the records of ``text`` as one array, with no
-    list per record."""
+def _written_text(text):
+    """The writer's text of the dataset ``text`` holds; None when it holds none."""
     try:
-        return isinstance(ingest._json_object(text)["data"], np.ndarray)
-    except ValueError:  # not one JSON object
-        return False
+        return cli._dump_json(dataset_to_json(reference_dataset_from_text(text)))
+    except (CpsCausalError, json.JSONDecodeError):
+        return None
 
 
-_TWO_SPECS = json.dumps([{"name": name, "kind": "actuator", "states": ["s0", "s1", "s2"]} for name in "AB"])
+# the ci profile's example count, and never fewer than 200
+@given(document=_dataset_documents())
+@settings(max_examples=max(200, settings().max_examples), deadline=None)
+def test_dataset_from_text_matches_reference(document):
+    text, canonical = document
+    assert _read_outcome(dataset_from_text, text) == _read_outcome(reference_dataset_from_text, text)
+    assert read_as_one_array(text) == (text == _written_text(text))
+    if canonical:
+        assert read_as_one_array(text)
+
+
+_SPECS = [{"name": name, "kind": "actuator", "states": ["s0", "s1", "s2"], "bin_edges": None, "codes": None}
+          for name in "AB"]
+_TWO_SPECS = json.dumps(_SPECS)
+# the writer's text of a dataset of these specs, up to its records
+_WRITTEN_SPECS = ingest.json_text({"specs": _SPECS}, "\n").removesuffix("\n}")
 DATASET_TEXT_CORPUS = {
-    # in the CLI's layout, read as one array
+    # the whole text as the writer writes it, read as one array
     "one-record-per-line": ("[\n    [0,1],\n    [2,0]\n  ]", True),
     "one-record": ("[\n    [0,1]\n  ]", True),
-    "int64-extremes": ("[\n    [9223372036854775807,-9223372036854775808]\n  ]", True),
-    "negative": ("[\n    [-1,0]\n  ]", True),
-    "no-columns": ("[\n    []\n  ]", True),
-    # in the CLI's layout but for one fault, left to json
+    # in the writer's layout, but for a dataset that fails a check, left to json
+    "int64-extremes": ("[\n    [9223372036854775807,-9223372036854775808]\n  ]", False),
+    "negative": ("[\n    [-1,0]\n  ]", False),
+    "no-columns": ("[\n    []\n  ]", False),
+    # in the writer's layout but for one fault, left to json
     "layout-beyond-int64": ("[\n    [9223372036854775808,0]\n  ]", False),
     "layout-below-int64": ("[\n    [-9223372036854775809,0]\n  ]", False),
     "layout-minus-zero": ("[\n    [-0,1]\n  ]", False),
@@ -503,14 +566,45 @@ DATASET_DOCUMENT_CORPUS = {
 
 @pytest.mark.parametrize("records, one_array", DATASET_TEXT_CORPUS.values(), ids=DATASET_TEXT_CORPUS.keys())
 def test_dataset_records_read_as_the_reference_reads_them(records, one_array):
-    text = f'{{"specs": {_TWO_SPECS}, "data": {records}}}'
+    text = f'{_WRITTEN_SPECS},\n  "data": {records}\n}}\n'
     assert _read_outcome(dataset_from_text, text) == _read_outcome(reference_dataset_from_text, text)
-    assert _read_as_one_array(text) == one_array
+    assert read_as_one_array(text) == one_array
 
 
 @pytest.mark.parametrize("text", DATASET_DOCUMENT_CORPUS.values(), ids=DATASET_DOCUMENT_CORPUS.keys())
 def test_dataset_document_read_as_the_reference_reads_it(text):
     assert _read_outcome(dataset_from_text, text) == _read_outcome(reference_dataset_from_text, text)
+
+
+# edits of the writer's text of a small dataset, and whether the text is
+# still the writer's text of the dataset it holds
+_NEAR_MISSES = {
+    "as-written": (lambda t: t, True),
+    "edges-as-integers": (lambda t: t.replace("210.0", "210"), True),  # the dataset keeps integer edges
+    "no-final-newline": (lambda t: t[:-1], False),
+    "extra-final-newline": (lambda t: t + "\n", False),
+    "trailing-space": (lambda t: t + " ", False),
+    "leading-space": (lambda t: " " + t, False),
+    "crlf": (lambda t: t.replace("\n", "\r\n"), False),
+    "space-in-record": (lambda t: t.replace("[1,1]", "[1, 1]"), False),
+    "record-indented-more": (lambda t: t.replace("\n    [1,1]", "\n     [1,1]"), False),
+    "leading-zero-cell": (lambda t: t.replace("[1,1]", "[01,1]"), False),
+    "minus-zero-cell": (lambda t: t.replace("[0,0]", "[-0,0]"), False),
+    "spec-keys-reordered": (lambda t: t.replace('"name": "MV101",\n      "kind": "actuator"',
+                                                '"kind": "actuator",\n      "name": "MV101"'), False),
+    "escaped-data-key": (lambda t: t.replace('"data"', '"d\\u0061ta"'), False),
+    "specs-compact": (lambda t: '{"specs": ' + json.dumps(json.loads(t)["specs"]) + t[t.index(',\n  "data"'):], False),
+}
+_SMALL = discretize(parse_log("LIT101,MV101\n100,1\n500,2\n900,1\n"), [LIT101, MV101])
+
+
+@pytest.mark.parametrize("edit, one_array", _NEAR_MISSES.values(), ids=_NEAR_MISSES.keys())
+def test_only_the_writers_exact_text_is_read_as_one_array(edit, one_array):
+    written = cli._dump_json(dataset_to_json(_SMALL))
+    text = edit(written)
+    assert text != written or edit is _NEAR_MISSES["as-written"][0]  # every other edit applies
+    assert _read_outcome(dataset_from_text, text) == _read_outcome(reference_dataset_from_text, text)
+    assert read_as_one_array(text) == one_array == (text == _written_text(text))
 
 
 @pytest.mark.parametrize("cell", ["1.5", "true", '"1"', "1e30", str(2**70)])

@@ -5,8 +5,9 @@ from cpscausal.errors import UnknownVariable
 from cpscausal.estimation import BayesNet, Cpt, fit_mle
 from cpscausal.fixtures import FIXTURE_NAMES, get_fixture
 from cpscausal.graph import CausalGraph
-from cpscausal.ingest import discretize, parse_log
+from cpscausal.ingest import ACTUATOR, SENSOR, DiscreteDataset, VariableSpec, discretize, parse_log
 from cpscausal.simgen import forward_sample, sample_with_clamp, uniforms, write_historian_csv
+from oracles import reference_write_historian_csv
 
 
 def test_uniform_stream_is_counter_based():
@@ -80,3 +81,23 @@ def test_historian_csv_round_trip(stage1):
     back = discretize(log, ds.specs)
     assert back.specs == ds.specs
     assert np.array_equal(back.data, ds.data)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_historian_csv_matches_reference(name):
+    # the fixtures cover sensor edges, actuator codes and actuators without codes
+    ds = get_fixture(name).sample(500, seed=11)
+    assert write_historian_csv(ds) == reference_write_historian_csv(ds)
+
+
+def test_historian_csv_matches_reference_on_odd_specs():
+    specs = (VariableSpec("S", SENSOR, ("a", "b", "c", "d"), bin_edges=(-1e300, -0.5, 1e-7)),
+             VariableSpec("T", SENSOR, ("lo", "hi"), bin_edges=(0.1,)),
+             VariableSpec("V", ACTUATOR, ("x", "y", "z"), codes=(-3, 10**20, 0)),
+             VariableSpec("W", ACTUATOR, tuple(f"s{k}" for k in range(12))))
+    rng = np.random.default_rng(3)
+    data = np.column_stack([rng.integers(0, s.cardinality, size=200) for s in specs])
+    ds = DiscreteDataset(specs=specs, data=data)
+    assert write_historian_csv(ds) == reference_write_historian_csv(ds)
+    one = DiscreteDataset(specs=specs, data=data[:1])
+    assert write_historian_csv(one) == reference_write_historian_csv(one)
