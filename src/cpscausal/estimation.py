@@ -5,7 +5,7 @@ Everything here reduces to contingency counts ``N(c, r)`` of a child state
 row-major over the parent state indices in the CPT's parent order, so a CPT
 table has shape ``(prod(parent_cards), child_card)``.
 
-``counts`` has two kernels, chosen by the table's cell count alone. A table
+Counting has two kernels, chosen by the table's cell count alone. A table
 of at most ``BITSET_CELLS`` (128) cells is tallied from per-state bitsets
 that the dataset packs once, 64 records to a uint64 word (cached sufficient
 statistics; Moore & Lee 1998, JAIR 8): each cell's records are the AND of
@@ -16,6 +16,22 @@ about ``N * |family|``. Measured at 2k, 20k and 100k records, the two are
 within 20% of each other at 128 cells and ``bincount`` wins from 162 cells
 up (at 20k records: 0.035 against 0.095 ms for 16 cells, 0.74 against
 0.18 ms for 729).
+
+``_tally`` counts a batch of families whose DPs have the same
+cardinalities at once; with bitsets, by stacked ANDs, one popcount and one
+sum, in blocks of at most ``_BLOCK_BYTES``, and a DP that every family in
+the batch shares is ANDed in once. ``family_scores`` and ``_chi_square_stats`` (which
+PC calls) group their families by cardinalities and call it per group;
+``counts``, ``family_score`` and ``chi_square_ci`` are the one-family case
+of the same code, so each formula exists once and a batched score or
+statistic is the same float as the one-family one. Two sums need care
+for that. numpy sums a row pairwise, in an order set by its length, so a
+batch's BIC sums each table's non-zero terms in row-major order and sums
+the tables with the same number of terms together, a row each. The
+chi-square statistic adds the strata one after the other, so an empty
+stratum's zero leaves the running sum as it was. PC runs each test of an
+unordered pair once, with the pair in name order, and memoizes its
+decision (see ``learning.learn_pc``).
 
 Closed forms (natural logarithms throughout):
 
@@ -51,6 +67,7 @@ from .errors import (
     InsufficientData,
     InvalidCpt,
     NonPositiveEss,
+    ParseError,
     UnknownColumn,
     UsageError,
 )
@@ -75,6 +92,8 @@ class Cpt:
     uniform_rows: frozenset[int] = frozenset()
 
     def __post_init__(self):
+        if len(set(self.states)) != len(self.states):
+            raise InvalidCpt(f"{self.child}: state labels must be unique, got {list(self.states)!r}")
         q = int(np.prod(self.parent_cards)) if self.parents else 1
         if self.table.shape != (q, len(self.states)):
             raise InvalidCpt(f"{self.child}: CPT shape {self.table.shape} != ({q}, {len(self.states)})")
@@ -136,30 +155,74 @@ class CiResult:
     independent: bool
 
 
-def counts(ds: DiscreteDataset, child: str, parents: tuple[str, ...] | list[str] = ()) -> np.ndarray:
-    """Contingency counts N(child_state, parent_config), shape (q, r_child).
+# the bitset block that one step of _tally ANDs together, families x cells x
+# 64-record words, stays under this many bytes
+_BLOCK_BYTES = 1 << 20
 
-    A table of at most ``BITSET_CELLS`` cells is tallied from the dataset's
-    per-state bitsets, a larger one by ``bincount``; see the module docstring.
-    """
+
+def _family(ds: DiscreteDataset, child: str, parents: tuple[str, ...] | list[str]) -> tuple[int, ...]:
+    """Column indices of a family, parents first and child last."""
     cols = tuple(ds.index(v) for v in (*parents, child))
     if len(set(cols)) != len(cols):
         raise DuplicateParent(f"{child}: parents must be distinct and exclude the child")
-    cards = tuple(ds.specs[k].cardinality for k in cols)
-    if prod(cards) <= BITSET_CELLS:
-        # one row per cell in row-major order: AND in each DP's state bitsets,
-        # parents first, child last, then count the records left in each row
-        bits = ds._state_bits
-        acc = bits[cols[0]]
-        for k in cols[1:]:
-            acc = (acc[:, None, :] & bits[k][None, :, :]).reshape(-1, acc.shape[1])
-        return np.bitwise_count(acc).sum(axis=1, dtype=np.intp).reshape(-1, cards[-1])
-    # row-major cell index ((p1 * c2 + p2) * c3 + ...) * r + child, by Horner's rule in place
-    cell = ds.data[:, cols[0]].astype(np.intp)
-    for k, card in zip(cols[1:], cards[1:]):
-        cell *= card
-        cell += ds.data[:, k]
-    return np.bincount(cell, minlength=prod(cards)).reshape(-1, cards[-1])
+    return cols
+
+
+def _by_cards(ds: DiscreteDataset, families: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], list[int], np.ndarray]]:
+    """The families grouped by the cardinalities of their columns, in
+    first-seen order: per group, the cardinalities, the families' positions
+    in ``families`` and their columns as one array, a family per row."""
+    card = ds.cards
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for k, cols in enumerate(families):
+        groups.setdefault(tuple([card[c] for c in cols]), []).append(k)
+    return [(cards, which, np.array([families[k] for k in which])) for cards, which in groups.items()]
+
+
+def _tally(ds: DiscreteDataset, cols: np.ndarray, cards: tuple[int, ...]) -> np.ndarray:
+    """Contingency counts of a batch of families with the same cardinalities.
+
+    ``cols`` holds one family per row, as column indices in row-major order
+    (parents first, child last), and ``cards`` their cardinalities. Returns
+    an ``(m, prod(cards))`` intp array: each family's cells in row-major
+    order. See the module docstring for the two kernels.
+    """
+    cells = prod(cards)
+    out = np.empty((len(cols), cells), dtype=np.intp)
+    if cells > BITSET_CELLS:
+        for row, family in zip(out, cols.tolist()):
+            # row-major cell index ((p1 * c2 + p2) * c3 + ...) * r + child, by Horner's rule in place
+            cell = ds.data[:, family[0]].astype(np.intp)
+            for k, card in zip(family[1:], cards[1:]):
+                cell *= card
+                cell += ds.data[:, k]
+            row[:] = np.bincount(cell, minlength=cells)
+        return out
+    bits, first = ds._state_bits
+    words = bits.shape[1]
+    # each column's state bitsets: a view when all the families share the
+    # column, which is then ANDed in once and broadcast, else its rows per family
+    parts = [(True, bits[first[c[0]]:first[c[0]] + card][None]) if len(c) == 1 or (c == c[0]).all()
+             else (False, first[c][:, None] + np.arange(card)) for c, card in zip(cols.T, cards)]
+    step = max(1, _BLOCK_BYTES // (8 * cells * words))
+    for lo in range(0, len(cols), step):
+        block = [part if shared else bits[part[lo:lo + step]] for shared, part in parts]
+        # one row per cell in row-major order: the child's state bitsets,
+        # then each parent's ANDed in from the last to the first, as the
+        # outer index; each cell's count is the popcount of its row
+        acc = block[-1]
+        for b in reversed(block[:-1]):
+            acc = (b[:, :, None, :] & acc[:, None, :, :]).reshape(max(len(b), len(acc)), -1, words)
+        # a uint32 sum holds any count under 2**32 records and is faster than intp
+        out[lo:lo + step] = np.bitwise_count(acc).sum(axis=2, dtype=np.uint32)
+    return out
+
+
+def counts(ds: DiscreteDataset, child: str, parents: tuple[str, ...] | list[str] = ()) -> np.ndarray:
+    """Contingency counts N(child_state, parent_config), shape (q, r_child)."""
+    cols = _family(ds, child, parents)
+    cards = tuple(ds.cards[k] for k in cols)
+    return _tally(ds, np.array([cols]), cards).reshape(-1, cards[-1])
 
 
 def _fit(ds: DiscreteDataset, graph: CausalGraph, smooth) -> BayesNet:
@@ -220,25 +283,36 @@ def chi_square_ci(ds: DiscreteDataset, i: str, j: str, s: tuple[str, ...] | list
     s = tuple(s)
     if i == j or i in s or j in s:
         raise DuplicateParent("i, j, and the conditioning set must be disjoint")
-    ci, cj = ds.cardinality(i), ds.cardinality(j)
-    # counts' cell index ((s..) * ci + i) * cj + j gives one (ci, cj) table per stratum
-    joint = counts(ds, j, s + (i,)).reshape(-1, ci, cj).astype(np.float64)
-    for v, margin in ((i, joint.sum(axis=(0, 2))), (j, joint.sum(axis=(0, 1)))):
-        if np.count_nonzero(margin) == 1:
+    cols = _family(ds, j, s + (i,))
+    for v in (i, j):
+        if np.count_nonzero(counts(ds, v)) == 1:
             raise InsufficientData(f"{v} is constant in the data")
-    obs = joint[joint.sum(axis=(1, 2)) > 0]
-    if not len(obs):
-        raise InsufficientData("all strata are empty")
-
-    # all non-empty strata in one expression; a cell with zero expectation adds 0
-    expected = obs.sum(axis=2)[:, :, None] * obs.sum(axis=1)[:, None, :] / obs.sum(axis=(1, 2))[:, None, None]
-    terms = np.divide(np.square(obs - expected), expected, out=np.zeros_like(expected), where=expected > 0)
-    # a running sum over the strata in order, like a stratum-by-stratum loop
-    stat = float(np.add.accumulate(terms.reshape(len(obs), -1).sum(axis=1))[-1])
-    dof = (ci - 1) * (cj - 1) * len(obs)
-
+    stats, dofs = _chi_square_stats(ds, [cols])
+    stat, dof = float(stats[0]), int(dofs[0])
     p = _chi2_sf(stat, dof)
     return CiResult(statistic=stat, dof=dof, p_value=p, independent=p > alpha)
+
+
+def _chi_square_stats(ds: DiscreteDataset, tests: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson statistics and degrees of freedom of many CI tests, each
+    given as the column indices ``(*s, i, j)`` of ``chi_square_ci(ds, i, j,
+    s)``, whose statistic and dof each reproduces exactly."""
+    stats, dofs = np.empty(len(tests)), np.empty(len(tests), dtype=np.intp)
+    for cards, which, cols in _by_cards(ds, tests):
+        ci, cj = cards[-2:]
+        # one (ci, cj) table per stratum: the cell index is ((s..) * ci + i) * cj + j
+        joint = _tally(ds, cols, cards).reshape(len(which), -1, ci, cj)
+        # margins and their products are exact integers, so each expected
+        # count is rounded once, in the division
+        row, col = joint.sum(axis=3), joint.sum(axis=2)
+        total = row.sum(axis=2)
+        expected = row[:, :, :, None] * col[:, :, None, :] / np.maximum(total, 1)[:, :, None, None]
+        # a cell with zero expectation adds 0, and so does an empty stratum
+        terms = np.divide(np.square(joint - expected), expected, out=np.zeros(joint.shape), where=expected > 0)
+        # a running sum over the strata in order, like a stratum-by-stratum loop
+        stats[which] = np.add.accumulate(terms.reshape(*total.shape, -1).sum(axis=2), axis=1)[:, -1]
+        dofs[which] = (ci - 1) * (cj - 1) * np.count_nonzero(total, axis=1)
+    return stats, dofs
 
 
 _EPS = 4e-15     # relative size of the last series term or continued-fraction step
@@ -295,31 +369,77 @@ def mutual_information(ds: DiscreteDataset, i: str, j: str) -> float:
 def family_score(ds: DiscreteDataset, child: str, parents: tuple[str, ...],
                  method: str = "bic", ess: float = 1.0) -> float:
     """Decomposable per-family contribution of one node to a network score."""
+    return family_scores(ds, child, [parents], method=method, ess=ess)[0]
+
+
+def family_scores(ds: DiscreteDataset, child: str, parent_sets: list[tuple[str, ...]],
+                  method: str = "bic", ess: float = 1.0) -> list[float]:
+    """``family_score`` of one child under each parent set, counted in
+    batches; each float equals ``family_score``'s."""
     if method not in ("bic", "k2", "bdeu"):
         raise UsageError(f"unknown score method {method!r}")
-    n = counts(ds, child, parents)
-    q, r = n.shape
-    row = n.sum(axis=1)
-    if method == "bic":
-        mask = n > 0
-        row_totals = np.broadcast_to(row[:, None], n.shape)
-        ll = float((n[mask] * np.log(n[mask] / row_totals[mask])).sum())
-        return ll - (log(ds.n_records) / 2.0) * (r - 1) * q
-    if method == "k2":
-        out = 0.0
-        for k in range(q):
-            out += lgamma(r) - lgamma(row[k] + r)
-            out += sum(lgamma(v + 1) for v in n[k])
-        return out
-    if ess <= 0:  # bdeu
+    return _family_scores(ds, [_family(ds, child, ps) for ps in parent_sets], method, ess)
+
+
+def _family_scores(ds: DiscreteDataset, families: list[tuple[int, ...]], method: str, ess: float) -> list[float]:
+    """Scores of families given as column indices, parents first and child
+    last; the child may differ from family to family."""
+    if method == "bdeu" and ess <= 0:
         raise NonPositiveEss(f"ess must be > 0, got {ess}")
+    out = [0.0] * len(families)
+    for cards, which, cols in _by_cards(ds, families):
+        n = _tally(ds, cols, cards).reshape(len(which), -1, cards[-1])
+        for k, v in zip(which, _SCORES[method](n, ds.n_records, ess)):
+            out[k] = v
+    return out
+
+
+def _bic(n: np.ndarray, n_records: int, ess: float) -> list[float]:
+    m, q, r = n.shape
+    mask = n > 0
+    nz = n[mask]  # each table's non-zero cells, in row-major order, table after table
+    terms = nz * np.log(nz / np.broadcast_to(n.sum(axis=2)[:, :, None], n.shape)[mask])
+    # numpy sums a row pairwise in an order set by its length, so tables with
+    # the same number of terms are summed together, each as one row
+    sizes = np.count_nonzero(mask.reshape(m, -1), axis=1)
+    starts = np.cumsum(sizes) - sizes
+    by_size: dict[int, list[int]] = {}
+    for k, size in enumerate(sizes.tolist()):
+        by_size.setdefault(size, []).append(k)
+    ll = np.empty(m)
+    for size, which in by_size.items():
+        ll[which] = terms[starts[which][:, None] + np.arange(size)].sum(axis=1)
+    return (ll - (log(n_records) / 2.0) * (r - 1) * q).tolist()
+
+
+def _k2(n: np.ndarray, n_records: int, ess: float) -> list[float]:
+    r = n.shape[2]
+    scores = []
+    for table, rows in zip(n.tolist(), n.sum(axis=2).tolist()):
+        out = 0.0
+        for cells, row in zip(table, rows):
+            out += lgamma(r) - lgamma(row + r)
+            out += sum(lgamma(v + 1) for v in cells)
+        scores.append(out)
+    return scores
+
+
+def _bdeu(n: np.ndarray, n_records: int, ess: float) -> list[float]:
+    q, r = n.shape[1:]
     a_row = ess / q
     a_cell = ess / (q * r)
-    out = 0.0
-    for k in range(q):
-        out += lgamma(a_row) - lgamma(a_row + row[k])
-        out += sum(lgamma(a_cell + v) - lgamma(a_cell) for v in n[k])
-    return out
+    scores = []
+    for table, rows in zip(n.tolist(), n.sum(axis=2).tolist()):
+        out = 0.0
+        for cells, row in zip(table, rows):
+            out += lgamma(a_row) - lgamma(a_row + row)
+            out += sum(lgamma(a_cell + v) - lgamma(a_cell) for v in cells)
+        scores.append(out)
+    return scores
+
+
+# each maps a batch of (m, q, r) count tables to m family scores
+_SCORES = {"bic": _bic, "k2": _k2, "bdeu": _bdeu}
 
 
 def score(ds: DiscreteDataset, graph: CausalGraph, method: str = "bic", ess: float = 1.0) -> float:
@@ -354,21 +474,24 @@ def net_to_json(net: BayesNet) -> dict:
 
 def net_from_json(obj: dict) -> BayesNet:
     from .graph import graph_from_json
-    from .errors import ParseError
 
     try:
         graph = graph_from_json(obj["graph"])
-        cpts = {
-            c["child"]: Cpt(
-                child=c["child"],
+        cpts: dict[str, Cpt] = {}
+        for c in obj["cpts"]:
+            child, states = c["child"], tuple(c["states"])
+            if child in cpts:
+                raise ParseError(f"malformed net JSON: two CPT records for {child!r}")
+            if not all(isinstance(label, str) for label in states):
+                raise ParseError(f"malformed net JSON: {child}: state labels must be strings, got {list(states)!r}")
+            cpts[child] = Cpt(
+                child=child,
                 parents=tuple(c["parents"]),
                 parent_cards=tuple(c["parent_cards"]),
-                states=tuple(c["states"]),
+                states=states,
                 table=np.asarray(c["table"], dtype=np.float64),
                 uniform_rows=frozenset(c.get("uniform_rows", ())),
             )
-            for c in obj["cpts"]
-        }
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed net JSON: {exc}") from None
     return BayesNet(graph=graph, cpts=cpts)

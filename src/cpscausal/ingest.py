@@ -52,7 +52,7 @@ ACTUATOR = "actuator"
 
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
 
-# The largest contingency table that estimation.counts tallies from the
+# The largest contingency table that estimation._tally counts from the
 # per-state bitsets (DiscreteDataset._state_bits) rather than by bincount
 BITSET_CELLS = 128
 
@@ -154,24 +154,31 @@ class DiscreteDataset:
         return {name: k for k, name in enumerate(self.names)}
 
     @cached_property
-    def _state_bits(self) -> tuple[np.ndarray | None, ...]:
-        """Per column, a ``(cardinality, ceil(n_records / 64))`` uint64 array:
-        bit ``n % 64`` of word ``n // 64`` in row ``k`` is set iff record ``n``
-        is in state ``k``, and the bits past the last record are zero. None
-        for a DP with more than ``BITSET_CELLS`` states, whose families
-        the bitsets never count."""
+    def cards(self) -> tuple[int, ...]:
+        """The cardinality of each column, in column order."""
+        return tuple(spec.cardinality for spec in self.specs)
+
+    @cached_property
+    def _state_bits(self) -> tuple[np.ndarray, np.ndarray]:
+        """The per-state bitsets of every column, stacked: a
+        ``(states, ceil(n_records / 64))`` uint64 array in which bit
+        ``n % 64`` of word ``n // 64`` in row ``first[k] + s`` is set iff
+        record ``n`` has column ``k`` in state ``s``; the bits past the last
+        record are zero. Returns the array and ``first``. A DP with more than
+        ``BITSET_CELLS`` states, whose families the bitsets never count, gets
+        no rows and ``first`` -1."""
         n = self.n_records
         width = -(-n // 64) * 64
-        out = []
-        for k, spec in enumerate(self.specs):
-            if spec.cardinality > BITSET_CELLS:
-                out.append(None)
-                continue
-            member = np.zeros((spec.cardinality, width), dtype=bool)
-            np.equal(self.data[:, k], np.arange(spec.cardinality)[:, None], out=member[:, :n])
+        cards = np.array(self.cards)
+        kept = np.where(cards <= BITSET_CELLS, cards, 0)
+        first = np.where(kept > 0, np.cumsum(kept) - kept, -1)
+        bits = np.empty((int(kept.sum()), width // 64), dtype=np.uint64)
+        for k in np.flatnonzero(kept).tolist():
+            member = np.zeros((kept[k], width), dtype=bool)
+            np.equal(self.data[:, k], np.arange(kept[k])[:, None], out=member[:, :n])
             # popcounts and ANDs do not depend on the byte order inside a word
-            out.append(np.packbits(member, axis=1, bitorder="little").view(np.uint64))
-        return tuple(out)
+            bits[first[k]:first[k] + kept[k]] = np.packbits(member, axis=1, bitorder="little").view(np.uint64)
+        return bits, first
 
     @property
     def n_records(self) -> int:

@@ -18,7 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InsufficientData, NoConsistentExtension, UnknownColumn, UsageError
-from .estimation import chi_square_ci, counts, family_score, mutual_information
+from .estimation import _chi2_sf, _chi_square_stats, _family_scores, counts, mutual_information
+# no longer called here; bench/tracing.py wraps them under these names
+from .estimation import chi_square_ci, family_score  # noqa: F401
 from .graph import LEARNT, CausalGraph, Edge, is_dag
 from .ingest import DiscreteDataset
 
@@ -81,11 +83,60 @@ def learn_pc(ds: DiscreteDataset, cfg: PcConfig = PcConfig()) -> PcResult:
     l-subset of adj(i) minus j; the edge is dropped on the first
     independence and the separating set recorded. Edges the rules cannot
     orient are returned with their undirected flag set.
+
+    Each test of an unordered pair runs once, computed as
+    ``chi_square_ci(ds, min(i, j), max(i, j), s)`` computes it, and is
+    memoized: level 0 in one batch, and at later levels each pair's untested
+    sets in one batch when the walk reaches the pair. A p-value is computed
+    only for the tests the walk reads.
     """
-    _require_learnable(ds)
-    names = sorted(ds.names)
+    names, adj, sepsets = _pc_skeleton_start(ds)
     max_cond = cfg.max_cond_size if cfg.max_cond_size is not None else len(names) - 2
 
+    # statistics and decisions under the key (min(i, j), max(i, j), s)
+    col = {v: ds.index(v) for v in names}
+    stats: dict[tuple[str, str, tuple[str, ...]], tuple[float, int]] = {}
+    independent: dict[tuple[str, str, tuple[str, ...]], bool] = {}
+
+    def run(keys: list[tuple[str, str, tuple[str, ...]]]) -> None:
+        keys = [key for key in keys if key not in stats]
+        if keys:
+            stat, dof = _chi_square_stats(ds, [(*(col[v] for v in s), col[a], col[b]) for a, b, s in keys])
+            stats.update(zip(keys, zip(stat.tolist(), dof.tolist())))
+
+    def decide(key: tuple[str, str, tuple[str, ...]]) -> bool:
+        if key not in independent:
+            independent[key] = _chi2_sf(*stats[key]) > cfg.alpha
+        return independent[key]
+
+    run([(i, j, ()) for i in names for j in sorted(adj[i]) if i < j])  # all of level 0 at once
+    level = 0
+    while level <= max_cond:
+        if not any(len(adj[i] - {j}) >= level for i in names for j in adj[i]):
+            break
+        for i in names:
+            for j in sorted(adj[i]):
+                if j not in adj[i]:  # removed while iterating
+                    continue
+                a, b = min(i, j), max(i, j)
+                keys = [(a, b, s) for s in itertools.combinations(sorted(adj[i] - {j}), level)]
+                run(keys)  # the pair's untested sets in one batch, then read in order
+                for key in keys:
+                    if decide(key):
+                        adj[i].discard(j)
+                        adj[j].discard(i)
+                        sepsets[(i, j)] = sepsets[(j, i)] = key[2]
+                        break
+        level += 1
+    return _pc_orient(ds, names, adj, sepsets)
+
+
+def _pc_skeleton_start(ds: DiscreteDataset) -> tuple[list[str], dict[str, set[str]], dict[tuple[str, str], tuple[str, ...]]]:
+    """PC's starting skeleton: the sorted names, and the complete undirected
+    graph as adjacency sets, less the edges of every DP that is constant in
+    the data, with the separating sets of those edges."""
+    _require_learnable(ds)
+    names = sorted(ds.names)
     adj: dict[str, set[str]] = {n: set(names) - {n} for n in names}
     sepsets: dict[tuple[str, str], tuple[str, ...]] = {}
 
@@ -97,23 +148,13 @@ def learn_pc(ds: DiscreteDataset, cfg: PcConfig = PcConfig()) -> PcResult:
                 adj[j].discard(i)
                 sepsets[(i, j)] = sepsets[(j, i)] = ()
             adj[i] = set()
+    return names, adj, sepsets
 
-    level = 0
-    while level <= max_cond:
-        if not any(len(adj[i] - {j}) >= level for i in names for j in adj[i]):
-            break
-        for i in names:
-            for j in sorted(adj[i]):
-                if j not in adj[i]:  # removed while iterating
-                    continue
-                for s in itertools.combinations(sorted(adj[i] - {j}), level):
-                    if chi_square_ci(ds, i, j, s, alpha=cfg.alpha).independent:
-                        adj[i].discard(j)
-                        adj[j].discard(i)
-                        sepsets[(i, j)] = sepsets[(j, i)] = s
-                        break
-        level += 1
 
+def _pc_orient(ds: DiscreteDataset, names: list[str], adj: dict[str, set[str]],
+               sepsets: dict[tuple[str, str], tuple[str, ...]]) -> PcResult:
+    """PC's second phase on a learnt skeleton: v-structures, then Meek
+    rules R1-R4 until none applies."""
     directed: dict[tuple[str, str], bool] = {}  # (src, dst) -> True once oriented
     undirected: set[frozenset[str]] = {frozenset((i, j)) for i in names for j in adj[i]}
 
@@ -253,39 +294,44 @@ def learn_hc(ds: DiscreteDataset, cfg: HcConfig = HcConfig()) -> HcResult:
     descendant sets, built once per iteration: ``s -> d`` may be added iff
     ``s`` is not a descendant of ``d``, and reversed iff no other child of
     ``s`` reaches ``d``. Gains are the same float expressions as a move-by-
-    move rescoring, so graph and trace do not depend on the cache.
+    move rescoring, so graph and trace do not depend on the cache. The
+    empty graph's n x n families are scored in one batch, and so are the
+    families each move changes.
     """
     _require_learnable(ds)
     names = sorted(ds.names)
     n = len(names)
     cap = cfg.max_parents if cfg.max_parents is not None else n
-    memo: dict[tuple[int, tuple[int, ...]], float] = {}
-
-    def fam(child: int, ps: tuple[int, ...]) -> float:
-        if (child, ps) not in memo:
-            memo[(child, ps)] = family_score(ds, names[child], tuple(names[p] for p in ps),
-                                             method=cfg.score_method, ess=cfg.ess)
-        return memo[(child, ps)]
+    col = [ds.index(v) for v in names]
+    memo: dict[tuple[int, tuple[int, ...]], float] = {}  # (child, sorted parents) -> family score
 
     adj = np.zeros((n, n), dtype=bool)  # adj[s, d]: s is a parent of d
     own = np.empty(n)                   # own[d]: score of d's family
     toggled = np.full((n, n), -np.inf)  # toggled[s, d]: d's family score with s toggled,
                                         # -inf for s == d and for adds past max_parents
 
-    def rescore(d: int) -> None:
-        ps = tuple(np.flatnonzero(adj[:, d]).tolist())
-        own[d] = fam(d, ps)
-        room = len(ps) < cap
-        for s in range(n):
-            if s in ps:
-                toggled[s, d] = fam(d, tuple(p for p in ps if p != s))
-            elif s != d and room:
-                toggled[s, d] = fam(d, tuple(sorted(ps + (s,))))
-            else:
-                toggled[s, d] = -np.inf
+    def rescore(*children: int) -> None:
+        """Refill own and toggled for the children, scoring every family
+        not yet in the memo in one batch."""
+        plan = []
+        for d in children:
+            ps = tuple(np.flatnonzero(adj[:, d]).tolist())
+            room = len(ps) < cap
+            flips = {s: tuple(p for p in ps if p != s) if s in ps else tuple(sorted(ps + (s,)))
+                     for s in range(n) if s != d and (room or s in ps)}
+            plan.append((d, ps, flips))
+        todo = list(dict.fromkeys(key for d, ps, flips in plan
+                                  for key in ((d, ps), *((d, f) for f in flips.values()))
+                                  if key not in memo))
+        scores = _family_scores(ds, [(*(col[p] for p in ps), col[d]) for d, ps in todo], cfg.score_method, cfg.ess)
+        memo.update(zip(todo, scores))
+        for d, ps, flips in plan:
+            own[d] = memo[(d, ps)]
+            toggled[:, d] = -np.inf
+            for s, f in flips.items():
+                toggled[s, d] = memo[(d, f)]
 
-    for d in range(n):
-        rescore(d)
+    rescore(*range(n))  # the empty graph's n x n families in one batch
     total = sum(own.tolist())
     trace: list[float] = []
     stale = 0
@@ -295,9 +341,9 @@ def learn_hc(ds: DiscreteDataset, cfg: HcConfig = HcConfig()) -> HcResult:
         reach = _descendants(adj)
         gain = toggled - own  # gain[s, d] of adding or removing s -> d
         best = _best_move(np.stack((
-            np.where(~adj & ~reach.T, gain, -np.inf),                                   # add
-            np.where(adj, gain, -np.inf),                                               # remove
-            np.where(adj & ~(adj @ reach), gain + toggled.T - own[:, None], -np.inf),  # reverse
+            np.where(~adj & ~reach.T, gain, -np.inf),                                          # add
+            np.where(adj, gain, -np.inf),                                                      # remove
+            np.where(adj & ~_links(adj, reach), gain + toggled.T - own[:, None], -np.inf),  # reverse
         )))
         if best is None:
             stale += 1
@@ -306,8 +352,9 @@ def learn_hc(ds: DiscreteDataset, cfg: HcConfig = HcConfig()) -> HcResult:
             adj[s, d] = kind == 0
             if kind == 2:
                 adj[d, s] = True
-                rescore(s)
-            rescore(d)
+                rescore(s, d)
+            else:
+                rescore(d)
             total += delta
             stale = 0
         trace.append(total)
@@ -331,10 +378,16 @@ def _descendants(adj: np.ndarray) -> np.ndarray:
     ``v`` is a strict descendant of ``u``."""
     reach = adj
     while True:
-        wider = reach | (reach @ reach)
+        wider = reach | _links(reach, reach)
         if (wider == reach).all():
             return reach
         reach = wider
+
+
+def _links(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The boolean matrix product ``a @ b``, through float32: numpy's bool
+    matmul has no BLAS kernel, and path counts up to 2**24 are exact."""
+    return a.astype(np.float32) @ b.astype(np.float32) > 0
 
 
 def learn_cl(ds: DiscreteDataset, cfg: ClConfig) -> CausalGraph:

@@ -16,8 +16,10 @@ uniform. Fixed seed therefore means bit-identical datasets.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
+from math import inf, isfinite, nextafter
 from typing import Mapping
 
 import numpy as np
@@ -101,16 +103,19 @@ def write_historian_csv(ds: DiscreteDataset) -> str:
     Sensor states are emitted as a representative raw value inside the
     state's interval (bin midpoints; one unit beyond the outermost edges),
     actuator states as their declared codes, so discretizing the output
-    through the same specs reproduces the dataset exactly.
+    through the same specs reproduces the dataset exactly. Where that value
+    would fall outside the state's interval or overflow (edges beyond about
+    1e16 in magnitude, or near the largest float), the state is written as
+    the float just below the lowest edge, or as its interval's left edge.
     """
     columns = []
     for k, spec in enumerate(ds.specs):
         if spec.kind == SENSOR:
             e = spec.bin_edges
-            vals = [e[0] - 1.0]
-            vals += [(a + b) / 2.0 for a, b in zip(e, e[1:])]
-            vals.append(e[-1] + 1.0)
-            rep = [repr(v) for v in vals]
+            vals = [e[0] - 1.0, *((a + b) / 2.0 for a, b in zip(e, e[1:])), e[-1] + 1.0]
+            fallback = [nextafter(e[0], -inf), *e]
+            rep = [repr(v if isfinite(v) and bisect_right(e, v) == state else fallback[state])
+                   for state, v in enumerate(vals)]
         else:
             codes = spec.codes if spec.codes is not None else tuple(range(len(spec.states)))
             rep = [str(c) for c in codes]

@@ -6,9 +6,11 @@ graphs too large for that, by connectivity in the moralized ancestral graph;
 spanning trees come from Prufer sequences; DAG enumeration tries all edge
 assignments; posteriors come from the full joint tensor; contingency
 counts and chi-square statistics are tallied record by record, the latter
-stratum by stratum; hill-climbing rescores every candidate move from
-scratch each iteration; a historian log is parsed, discretized and written
-cell by cell; dataset JSON is read by ``json`` into one list per record.
+stratum by stratum; a family score is computed from one family's table;
+hill-climbing rescores every candidate move from scratch each iteration;
+PC runs one chi-square test each time it visits a pair and a conditioning
+set; a historian log is parsed, discretized and written cell by cell;
+dataset JSON is read by ``json`` into one list per record.
 Slow and simple on purpose.
 """
 
@@ -19,9 +21,10 @@ import heapq
 import io
 import itertools
 import json
+import math
 from bisect import bisect_right
 from collections import deque
-from math import isfinite, nan
+from math import inf, isfinite, nan
 from typing import Iterable, Iterator, Mapping
 from unittest import mock
 
@@ -39,11 +42,19 @@ from cpscausal.errors import (
     UnmappedActuatorValue,
     ZeroProbabilityEvidence,
 )
-from cpscausal.estimation import BayesNet, family_score
+from cpscausal.estimation import BayesNet, chi_square_ci, counts
 from cpscausal.graph import LEARNT, CausalGraph, Edge, topological_order
 from cpscausal.inference import Query, _validate_query
 from cpscausal.ingest import SENSOR, DiscreteDataset, RawLog, VariableSpec, dataset_from_json, dataset_from_text
-from cpscausal.learning import HcConfig, HcResult, _require_learnable
+from cpscausal.learning import (
+    HcConfig,
+    HcResult,
+    PcConfig,
+    PcResult,
+    _pc_orient,
+    _pc_skeleton_start,
+    _require_learnable,
+)
 
 
 class IncompleteAssignment(ModelError):
@@ -325,6 +336,58 @@ def reference_chi_square(ds: DiscreteDataset, i: str, j: str, s: tuple[str, ...]
     return stat, dof
 
 
+def reference_learn_pc(ds: DiscreteDataset, cfg: PcConfig = PcConfig()) -> PcResult:
+    """PC's skeleton with one ``chi_square_ci(ds, i, j, s)`` call per test,
+    in the order the walk visits the ordered pair (i, j), repeats included;
+    then ``learn_pc``'s own orientation phase."""
+    names, adj, sepsets = _pc_skeleton_start(ds)
+    max_cond = cfg.max_cond_size if cfg.max_cond_size is not None else len(names) - 2
+    level = 0
+    while level <= max_cond:
+        if not any(len(adj[i] - {j}) >= level for i in names for j in adj[i]):
+            break
+        for i in names:
+            for j in sorted(adj[i]):
+                if j not in adj[i]:  # removed while iterating
+                    continue
+                for s in itertools.combinations(sorted(adj[i] - {j}), level):
+                    if chi_square_ci(ds, i, j, s, alpha=cfg.alpha).independent:
+                        adj[i].discard(j)
+                        adj[j].discard(i)
+                        sepsets[(i, j)] = sepsets[(j, i)] = s
+                        break
+        level += 1
+    return _pc_orient(ds, names, adj, sepsets)
+
+
+def reference_family_score(ds: DiscreteDataset, child: str, parents: tuple[str, ...],
+                           method: str = "bic", ess: float = 1.0) -> float:
+    """One family's score from its own count table: BIC as one numpy sum
+    over the non-zero cells, K2 and BDeu row by row with ``math.lgamma``."""
+    n = counts(ds, child, parents)
+    q, r = n.shape
+    row = n.sum(axis=1)
+    if method == "bic":
+        mask = n > 0
+        row_totals = np.broadcast_to(row[:, None], n.shape)
+        ll = float((n[mask] * np.log(n[mask] / row_totals[mask])).sum())
+        return ll - (math.log(ds.n_records) / 2.0) * (r - 1) * q
+    if method == "k2":
+        out = 0.0
+        for k in range(q):
+            out += math.lgamma(r) - math.lgamma(row[k] + r)
+            out += sum(math.lgamma(v + 1) for v in n[k])
+        return out
+    assert method == "bdeu" and ess > 0
+    a_row = ess / q
+    a_cell = ess / (q * r)
+    out = 0.0
+    for k in range(q):
+        out += math.lgamma(a_row) - math.lgamma(a_row + row[k])
+        out += sum(math.lgamma(a_cell + v) - math.lgamma(a_cell) for v in n[k])
+    return out
+
+
 _MOVE_ORDER = {"add": 0, "remove": 1, "reverse": 2}
 
 
@@ -345,7 +408,7 @@ def reference_learn_hc(ds: DiscreteDataset, cfg: HcConfig = HcConfig()) -> HcRes
     def fam(child: str, ps: set[str]) -> float:
         key = (child, tuple(sorted(ps)))
         if key not in cache:
-            cache[key] = family_score(ds, child, key[1], method=cfg.score_method, ess=cfg.ess)
+            cache[key] = reference_family_score(ds, child, key[1], method=cfg.score_method, ess=cfg.ess)
         return cache[key]
 
     def creates_cycle(src: str, dst: str) -> bool:
@@ -513,6 +576,13 @@ def reference_write_historian_csv(ds: DiscreteDataset) -> str:
             vals = [e[0] - 1.0]
             vals += [(a + b) / 2.0 for a, b in zip(e, e[1:])]
             vals.append(e[-1] + 1.0)
+            # a value outside its state's interval falls back to the float just
+            # below the lowest edge (state 0) or to the interval's left edge
+            for state, v in enumerate(vals):
+                low = e[state - 1] if state else -inf
+                high = e[state] if state < len(e) else inf
+                if not (isfinite(v) and low <= v < high):
+                    vals[state] = math.nextafter(e[0], -inf) if state == 0 else low
             rep.append([repr(v) for v in vals])
         else:
             codes = spec.codes if spec.codes is not None else tuple(range(len(spec.states)))

@@ -277,6 +277,22 @@ class TestErrors:
         assert main(["infer", "--net", str(net), "--target", "P101"]) == 4
         assert "InvalidCpt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mutate, code, error", [
+        # a second record for FIT101, which would silently replace the first
+        (lambda cpts: cpts.append(dict(cpts[0], table=[[0.5, 0.5]])), 3, "ParseError"),
+        (lambda cpts: cpts[0].update(states=[1, 2]), 3, "ParseError"),
+        (lambda cpts: cpts[0].update(states=["a", "a"]), 4, "InvalidCpt"),
+    ], ids=["repeated_child", "label_not_text", "repeated_label"])
+    def test_malformed_cpt_record_is_rejected(self, repo_root, tmp_path, capsys, mutate, code, error):
+        obj = json.loads((repo_root / "tests/golden/stage1/net.json").read_text())
+        assert obj["cpts"][0]["child"] == "FIT101"
+        mutate(obj["cpts"])
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(obj))
+        assert main(["infer", "--net", str(net), "--target", "FIT101"]) == code
+        err = capsys.readouterr().err
+        assert error in err and "FIT101" in err
+
     @pytest.mark.parametrize("argv", [["--algo", "pc", "--max-cond-size", "-1"],
                                       ["--algo", "hc", "--max-parents", "-1"]])
     def test_negative_limit_is_usage_error(self, repo_root, tmp_path, capsys, argv):

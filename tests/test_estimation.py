@@ -23,6 +23,7 @@ from cpscausal.estimation import (
     chi_square_ci,
     counts,
     family_score,
+    family_scores,
     fit_bayes,
     fit_mle,
     mutual_information,
@@ -33,7 +34,7 @@ from cpscausal.estimation import (
 from cpscausal.fixtures import FIXTURE_NAMES, get_fixture
 from cpscausal.graph import CausalGraph, Edge
 from cpscausal.ingest import ACTUATOR, DiscreteDataset, VariableSpec
-from oracles import reference_chi_square, reference_counts
+from oracles import reference_chi_square, reference_counts, reference_family_score
 
 
 def make_ds(columns: dict[str, list[int]], cards: dict[str, int] | None = None) -> DiscreteDataset:
@@ -305,19 +306,20 @@ class TestChiSquareTail:
 
     @pytest.mark.parametrize("fixture", FIXTURE_NAMES)
     def test_every_pc_test_matches_mpmath(self, fixture, monkeypatch):
+        # every p-value that PC decides an edge on passes through learning._chi2_sf
         seen = []
 
-        def recording(*args, **kwargs):
-            res = chi_square_ci(*args, **kwargs)
-            seen.append(res)
-            return res
+        def recording(stat, dof):
+            p = _chi2_sf(stat, dof)
+            seen.append((stat, dof, p))
+            return p
 
-        monkeypatch.setattr(learning, "chi_square_ci", recording)
+        monkeypatch.setattr(learning, "_chi2_sf", recording)
         for n in (60, 2000):
             learning.learn_pc(get_fixture(fixture).sample(n, seed=31), learning.PcConfig(alpha=0.05))
         assert seen
-        for res in seen:
-            assert_chi2_tail(res.p_value, res.statistic, res.dof)
+        for stat, dof, p in seen:
+            assert_chi2_tail(p, stat, dof)
 
 
 class TestMutualInformation:
@@ -386,6 +388,48 @@ class TestScores:
             chain = CausalGraph(nodes=("A", "B", "C"), edges=(Edge("A", "B"), Edge("B", "C")))
             fork = CausalGraph(nodes=("A", "B", "C"), edges=(Edge("B", "A"), Edge("B", "C")))
             assert score(ds, chain, method) == pytest.approx(score(ds, fork, method), abs=1e-9)
+
+
+class TestFamilyScoresMatchReference:
+    """``family_scores`` counts and scores families in batches; each float
+    must equal the one-family computation in oracles.reference_family_score."""
+
+    @pytest.mark.parametrize("n", [60, 3000])
+    @pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+    def test_every_family_of_up_to_three_parents(self, fixture, n):
+        ds = get_fixture(fixture).sample(n, seed=17)
+        names = sorted(ds.names)
+        for child in names:
+            others = [v for v in names if v != child]
+            parent_sets = [ps for k in range(4) for ps in itertools.combinations(others, k)]
+            parent_sets += [ps[::-1] for ps in parent_sets if len(ps) > 1]  # parents out of name order
+            for method in ("bic", "k2", "bdeu"):
+                got = family_scores(ds, child, parent_sets, method=method, ess=2.5)
+                want = [reference_family_score(ds, child, ps, method=method, ess=2.5) for ps in parent_sets]
+                assert got == want, (child, method)
+
+    def test_tables_above_the_bitset_limit(self):
+        # 5 * 6 * 7 = 210 cells: bincount, mixed in one batch with bitset tables
+        rng = np.random.default_rng(5)
+        cards = {"A": 5, "B": 6, "C": 7, "D": 2}
+        ds = make_ds({v: rng.integers(0, c, 400).tolist() for v, c in cards.items()}, cards=cards)
+        parent_sets = [(), ("A",), ("A", "B"), ("B", "D"), ("D",)]
+        for method in ("bic", "k2", "bdeu"):
+            assert family_scores(ds, "C", parent_sets, method) == [
+                reference_family_score(ds, "C", ps, method) for ps in parent_sets]
+            assert family_score(ds, "C", ("A", "B"), method) == reference_family_score(ds, "C", ("A", "B"), method)
+
+    def test_errors(self):
+        ds = make_ds({"A": [0, 1], "B": [1, 0]})
+        with pytest.raises(UsageError, match="unknown score method"):
+            family_scores(ds, "A", [("B",)], method="aic")
+        with pytest.raises(NonPositiveEss):
+            family_scores(ds, "A", [("B",)], method="bdeu", ess=0.0)
+        with pytest.raises(DuplicateParent):
+            family_scores(ds, "A", [(), ("A",)])
+        with pytest.raises(UnknownColumn):
+            family_scores(ds, "A", [("Z",)])
+        assert family_scores(ds, "A", []) == []
 
 
 def test_net_json_round_trip(stage1):

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from cpscausal import learning
 from cpscausal.errors import InsufficientData, NoConsistentExtension, UsageError
-from cpscausal.estimation import mutual_information, score
+from cpscausal.estimation import chi_square_ci, mutual_information, score
 from cpscausal.fixtures import FIXTURE_NAMES, get_fixture
 from cpscausal.graph import (
     CausalGraph,
@@ -25,7 +26,7 @@ from cpscausal.learning import (
     learn_pc,
 )
 from cpscausal.simgen import forward_sample
-from oracles import all_spanning_trees, random_net, reference_learn_hc
+from oracles import all_spanning_trees, random_net, reference_learn_hc, reference_learn_pc
 
 from test_estimation import make_ds
 
@@ -250,6 +251,52 @@ class TestHcMatchesReference:
         for method in ("bic", "k2", "bdeu"):
             self.assert_same(ds, HcConfig(score_method=method, plateau_k=3))
         assert learn_hc(ds).graph.has_edge("A", "B")
+
+
+class TestPcMatchesReference:
+    """learn_pc's memoized, batched tests against oracles.reference_learn_pc,
+    which calls chi_square_ci once per visit of a pair and conditioning set:
+    the same graph and the same separating sets."""
+
+    CONFIGS = [PcConfig(alpha=alpha, max_cond_size=max_cond_size)
+               for alpha, max_cond_size in itertools.product((0.01, 0.05), (None, 0, 1))]
+
+    @classmethod
+    def assert_same(cls, ds):
+        for cfg in cls.CONFIGS:
+            got, want = learn_pc(ds, cfg), reference_learn_pc(ds, cfg)
+            assert got.graph == want.graph, cfg
+            assert got.sepsets == want.sepsets, cfg
+
+    @pytest.mark.parametrize("n", [60, 2000, 20_000])
+    @pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+    def test_fixtures(self, fixture, n):
+        self.assert_same(get_fixture(fixture).sample(n, seed=31))
+
+    @pytest.mark.parametrize("n_dps", range(6, 13))
+    def test_random_data(self, n_dps):
+        self.assert_same(TestHcMatchesReference.random_ds(n_dps, 500 + n_dps))
+
+    @pytest.mark.parametrize("fixture, n", [("twostage", 60), ("twostage", 2000), ("stage1", 20_000)])
+    def test_statistics_are_chi_square_ci_s(self, fixture, n, monkeypatch):
+        # each statistic and dof learn_pc computes is, bit for bit, the one
+        # chi_square_ci gives for the pair in name order
+        ds = get_fixture(fixture).sample(n, seed=31)
+        seen = []
+        batched = learning._chi_square_stats
+
+        def recording(ds, tests):
+            stats, dofs = batched(ds, tests)
+            seen.extend(zip(tests, stats.tolist(), dofs.tolist()))
+            return stats, dofs
+
+        monkeypatch.setattr(learning, "_chi_square_stats", recording)
+        learn_pc(ds, PcConfig(alpha=0.05))
+        assert seen
+        for (*s, i, j), stat, dof in seen:
+            assert ds.names[i] < ds.names[j]
+            res = chi_square_ci(ds, ds.names[i], ds.names[j], [ds.names[k] for k in s])
+            assert (res.statistic, res.dof) == (stat, dof), (i, j, s)
 
 
 class TestCl:

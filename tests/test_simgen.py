@@ -101,3 +101,16 @@ def test_historian_csv_matches_reference_on_odd_specs():
     assert write_historian_csv(ds) == reference_write_historian_csv(ds)
     one = DiscreteDataset(specs=specs, data=data[:1])
     assert write_historian_csv(one) == reference_write_historian_csv(one)
+
+
+@pytest.mark.parametrize("edges", [
+    (1e20,),                      # e[0] - 1.0 == e[0]: state 0 needs the float below the edge
+    (1e308, 1.7e308),             # the midpoint overflows to inf: the left edge instead
+    (-1.7e308, -1e308, 5.0, 1e20),
+])
+def test_historian_csv_round_trip_at_extreme_edges(edges):
+    spec = VariableSpec("S", SENSOR, tuple(f"s{k}" for k in range(len(edges) + 1)), bin_edges=edges)
+    ds = DiscreteDataset(specs=(spec,), data=np.repeat(np.arange(len(edges) + 1), 3)[:, None])
+    text = write_historian_csv(ds)
+    assert text == reference_write_historian_csv(ds)
+    assert np.array_equal(discretize(parse_log(text), ds.specs).data, ds.data)
