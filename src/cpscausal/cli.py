@@ -6,15 +6,21 @@ recording the command, inputs, configuration, seed, tool version, and
 output digests. Exit codes: 0 success, 2 usage error, 3 data error,
 4 model error.
 
-JSON artifacts are laid out by :func:`ingest.json_text`, where the dataset
-reader also finds the layout it reads fast; ``_dump_json`` adds the final
-newline.
+JSON artifacts are laid out by :func:`jsontext.json_text`, where the
+dataset reader also finds the layout it reads fast; ``_dump_json`` adds the
+final newline.
+
+This module imports only the standard library and the package's errors;
+each command imports the modules it runs, so ``--version``, ``--help``,
+``compare`` and ``export`` start without numpy. The library names the
+commands use still resolve as attributes of this module, on first access.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import sys
@@ -23,23 +29,34 @@ from pathlib import Path
 
 from . import __version__
 from .errors import CpsCausalError, DataError, ParseError, UsageError
-from .estimation import fit_bayes, fit_mle, net_from_json, net_to_json
-from .fixtures import FIXTURE_NAMES, get_fixture
-from .graph import compare, graph_from_json, graph_to_dot, graph_to_json
-from .impact import ImpactConfig, discover_impact, load_attacks, report_to_json
-from .inference import Query, posterior
-from .ingest import (
-    dataset_from_json,  # the dict path, which bench/tracing.py reads through this module
-    dataset_from_text,
-    dataset_to_json,
-    discretize,
-    parse_log,
-    parse_spec_file,
-    format_spec_file,
-    json_text,
-)
-from .learning import ClConfig, HcConfig, PcConfig, extend_to_dag, learn_cl, learn_hc, learn_pc
-from .simgen import forward_sample, sample_with_clamp, write_historian_csv
+from .jsontext import json_text
+
+# the fixtures.FIXTURE_NAMES that ``sample --fixture`` offers, kept here so
+# that building the parser imports no fixture
+FIXTURE_NAMES = ("chain3", "collider3", "fork3", "stage1", "stage1_learnt", "stage6", "twostage")
+
+# the library names the commands run, by module; in-process callers, such as
+# the benchmark's traced pass, read and wrap them as attributes of this module
+_HOMES = {
+    "estimation": ("fit_bayes", "fit_mle", "net_from_json", "net_to_json"),
+    "fixtures": ("get_fixture",),
+    "graph": ("compare", "graph_from_json", "graph_to_dot", "graph_to_json"),
+    "impact": ("ImpactConfig", "discover_impact", "load_attacks", "report_to_json"),
+    "inference": ("Query", "posterior"),
+    "ingest": ("dataset_from_json", "dataset_from_text", "dataset_to_json", "discretize", "format_spec_file",
+               "parse_log", "parse_spec_file"),
+    "learning": ("ClConfig", "HcConfig", "PcConfig", "extend_to_dag", "learn_cl", "learn_hc", "learn_pc"),
+    "simgen": ("forward_sample", "sample_with_clamp", "write_historian_csv"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+
+def __getattr__(name: str):
+    home = _HOME_OF.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__package__}.{home}"), name)
+
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -112,6 +129,10 @@ def _parse_assignments(text: str) -> dict[str, str]:
 
 
 def cmd_sample(args) -> int:
+    from .estimation import net_from_json
+    from .ingest import format_spec_file
+    from .simgen import forward_sample, sample_with_clamp, write_historian_csv
+
     if bool(args.fixture) == bool(args.net):
         raise UsageError("give exactly one of --fixture or --net")
     if args.n < 1:
@@ -119,6 +140,8 @@ def cmd_sample(args) -> int:
     clamp_labels = _parse_assignments(args.clamp) if args.clamp else {}
 
     if args.fixture:
+        from .fixtures import get_fixture
+
         fixture = get_fixture(args.fixture)
         net, specs = fixture.net, fixture.specs
     else:
@@ -150,6 +173,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_discretize(args) -> int:
+    from .ingest import dataset_to_json, discretize, parse_log, parse_spec_file
+
     log = parse_log(_read(args.input))
     specs = parse_spec_file(_read(args.spec))
     ds = discretize(log, specs)
@@ -161,6 +186,10 @@ def cmd_discretize(args) -> int:
 
 
 def cmd_learn(args) -> int:
+    from .graph import graph_to_json
+    from .ingest import dataset_from_text
+    from .learning import ClConfig, HcConfig, PcConfig, learn_cl, learn_hc, learn_pc
+
     ds = _load_json(args.dataset, dataset_from_text)
     score = args.score
     if args.algo == "pc":
@@ -195,9 +224,15 @@ def cmd_learn(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from .estimation import fit_bayes, fit_mle, net_to_json
+    from .graph import graph_from_json
+    from .ingest import dataset_from_text
+
     ds = _load_json(args.dataset, dataset_from_text)
     graph = graph_from_json(_load_json(args.graph))
     if not graph.fully_directed:
+        from .learning import extend_to_dag
+
         graph = extend_to_dag(graph)
     if args.estimator == "mle":
         net = fit_mle(ds, graph)
@@ -212,6 +247,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .graph import compare, graph_from_json
+
     left = graph_from_json(_load_json(args.left))
     right = graph_from_json(_load_json(args.right))
     diff = compare(left, right)
@@ -231,6 +268,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    from .estimation import net_from_json
+    from .inference import Query, posterior
+
     net = net_from_json(_load_json(args.net))
     evidence = {}
     for name, label in (_parse_assignments(args.evidence) if args.evidence else {}).items():
@@ -250,6 +290,9 @@ def cmd_infer(args) -> int:
 
 
 def cmd_impact(args) -> int:
+    from .estimation import net_from_json
+    from .impact import ImpactConfig, discover_impact, load_attacks, report_to_json
+
     net = net_from_json(_load_json(args.net))
     attacks = load_attacks(_read(args.attacks))
     cfg = ImpactConfig(theta=args.theta, candidate_rule=args.candidate_rule,
@@ -279,6 +322,8 @@ def cmd_impact(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from .graph import graph_from_json, graph_to_dot, graph_to_json
+
     graph = graph_from_json(_load_json(args.graph))
     if args.format == "dot":
         text = graph_to_dot(graph)

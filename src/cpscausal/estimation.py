@@ -71,7 +71,7 @@ from .errors import (
     UnknownColumn,
     UsageError,
 )
-from .graph import CausalGraph, topological_order
+from .graph import CausalGraph, _is_list_of, topological_order
 from .ingest import BITSET_CELLS, DiscreteDataset
 
 
@@ -473,25 +473,48 @@ def net_to_json(net: BayesNet) -> dict:
 
 
 def net_from_json(obj: dict) -> BayesNet:
+    """Validate a parsed net JSON object: ``graph`` as
+    :func:`graph.graph_from_json` reads it, and ``cpts`` a list with one
+    record per child, whose ``child`` is a name, ``parents`` and ``states``
+    lists of names, ``parent_cards`` a list of integers, ``table`` a list of
+    rows of numbers, and ``uniform_rows``, empty when absent, a list of
+    indices of those rows. Any other form raises :class:`ParseError`; a
+    record of that form that breaks a CPT's own contract raises
+    :class:`InvalidCpt`."""
     from .graph import graph_from_json
 
     try:
         graph = graph_from_json(obj["graph"])
+        records = obj["cpts"]
+        if not isinstance(records, list):
+            raise ParseError("malformed net JSON: cpts must be a list")
         cpts: dict[str, Cpt] = {}
-        for c in obj["cpts"]:
-            child, states = c["child"], tuple(c["states"])
+        for c in records:
+            child, table, uniform_rows = c["child"], c["table"], c.get("uniform_rows", [])
+            if not isinstance(child, str):
+                raise ParseError(f"malformed net JSON: a CPT's child must be a name, got {child!r}")
             if child in cpts:
                 raise ParseError(f"malformed net JSON: two CPT records for {child!r}")
-            if not all(isinstance(label, str) for label in states):
-                raise ParseError(f"malformed net JSON: {child}: state labels must be strings, got {list(states)!r}")
+            for key in ("parents", "states"):
+                if not _is_list_of(c[key], str):
+                    raise ParseError(f"malformed net JSON: {child}: {key} must be a list of names, got {c[key]!r}")
+            if not _is_list_of(c["parent_cards"], int):
+                raise ParseError(f"malformed net JSON: {child}: parent_cards must be a list of integers")
+            if not (isinstance(table, list) and all(_is_list_of(row, int, float) for row in table)):
+                raise ParseError(f"malformed net JSON: {child}: table must be a list of rows of numbers")
+            if not (_is_list_of(uniform_rows, int) and all(0 <= r < len(table) for r in uniform_rows)):
+                raise ParseError(f"malformed net JSON: {child}: uniform_rows must be a list of indices "
+                                 f"of the table's {len(table)} rows, got {uniform_rows!r}")
             cpts[child] = Cpt(
                 child=child,
                 parents=tuple(c["parents"]),
                 parent_cards=tuple(c["parent_cards"]),
-                states=states,
-                table=np.asarray(c["table"], dtype=np.float64),
-                uniform_rows=frozenset(c.get("uniform_rows", ())),
+                states=tuple(c["states"]),
+                table=np.asarray(table, dtype=np.float64),
+                uniform_rows=frozenset(uniform_rows),
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed net JSON: {exc}") from None
+    except OverflowError:
+        raise ParseError("malformed net JSON: a table cell is too large for a float") from None
     return BayesNet(graph=graph, cpts=cpts)

@@ -23,6 +23,7 @@ from .errors import (
     CyclicGraph,
     DuplicateEdge,
     NodeSetMismatch,
+    ParseError,
     SelfLoop,
     StillCyclic,
     UnknownNode,
@@ -408,18 +409,36 @@ def graph_to_json(g: CausalGraph) -> dict:
 
 
 def graph_from_json(obj: dict) -> CausalGraph:
-    from .errors import ParseError
-
+    """Validate a parsed graph JSON object: ``nodes`` a list of names and
+    ``edges`` a list of ``{"src", "dst", "kind", "directed"}`` records whose
+    ``src`` and ``dst`` are names and whose ``directed``, true when absent,
+    is a JSON bool. Any other form raises :class:`ParseError`."""
     try:
-        nodes = tuple(obj["nodes"])
-        edges = tuple(
-            Edge(src=e["src"], dst=e["dst"], kind=e.get("kind", LEARNT),
-                 directed=e.get("directed", True))
-            for e in obj["edges"]
-        )
+        nodes, records = obj["nodes"], obj["edges"]
+        if not _is_list_of(nodes, str):
+            raise ParseError("malformed graph JSON: nodes must be a list of names")
+        if not isinstance(records, list):
+            raise ParseError("malformed graph JSON: edges must be a list")
+        edges = tuple(_edge_from_json(e) for e in records)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed graph JSON: {exc}") from None
-    return CausalGraph(nodes=nodes, edges=edges)
+    return CausalGraph(nodes=tuple(nodes), edges=edges)
+
+
+def _edge_from_json(rec: dict) -> Edge:
+    src, dst, directed = rec["src"], rec["dst"], rec.get("directed", True)
+    if not (isinstance(src, str) and isinstance(dst, str)):
+        raise ParseError(f"malformed graph JSON: an edge's src and dst must be names, got {src!r} -> {dst!r}")
+    if not isinstance(directed, bool):
+        raise ParseError(f"malformed graph JSON: edge {src} -> {dst}: directed must be true or false, "
+                         f"got {directed!r}")
+    return Edge(src=src, dst=dst, kind=rec.get("kind", LEARNT), directed=directed)
+
+
+def _is_list_of(value, *types: type) -> bool:
+    """Whether ``value`` is a JSON list of values of ``types``; a JSON bool
+    is not a number."""
+    return isinstance(value, list) and all(isinstance(v, types) and not isinstance(v, bool) for v in value)
 
 
 _DOT_STYLE = {CONTROL: "dashed", PHYSICAL: "solid", LEARNT: "solid"}

@@ -12,9 +12,10 @@ the upper interval. Timestamp columns are carried as opaque text and never
 enter the discrete data. Missing values are rejected at parse time.
 
 This module also holds the one layout of the dataset JSON file: the CLI
-writes every JSON artifact with :func:`json_text`, and
-:func:`dataset_from_text` reads a dataset file exactly as that writes it
-with its records as one array, and any other text through :mod:`json`.
+writes every JSON artifact with :func:`jsontext.json_text`, which lays out
+a dataset's records with :func:`records_json`, and :func:`dataset_from_text`
+reads a dataset file exactly as that writes it with its records as one
+array, and any other text through :mod:`json`.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .errors import (
     UnmappedActuatorValue,
     UsageError,
 )
+from .jsontext import json_text
 
 SENSOR = "sensor"
 ACTUATOR = "actuator"
@@ -589,21 +591,6 @@ def _dataset_as_written(text: str) -> DiscreteDataset | None:
     if json_text(dataset_to_json(ds), "\n") + "\n" != text:
         return None
     return ds
-
-
-def json_text(obj, newline: str) -> str:
-    """``obj`` as ``json.dumps(obj, indent=2)`` lays it out, for a value that
-    starts a line after ``newline``, except that a 2-D integer array, such as
-    a dataset's records, gets one row per line (:func:`records_json`)."""
-    inner = newline + "  "
-    if isinstance(obj, dict) and obj:
-        return "{" + inner + ("," + inner).join(
-            f"{json.dumps(str(key))}: {json_text(value, inner)}" for key, value in obj.items()) + newline + "}"
-    if isinstance(obj, list) and obj:
-        return "[" + inner + ("," + inner).join(json_text(value, inner) for value in obj) + newline + "]"
-    if isinstance(obj, np.ndarray) and len(obj):
-        return "[" + inner + records_json(obj, ("," + inner).encode()).decode() + newline + "]"
-    return json.dumps(obj)
 
 
 def records_json(data: np.ndarray, sep: bytes) -> bytes:

@@ -1,0 +1,31 @@
+"""The one layout of every JSON artifact the CLI writes.
+
+:func:`json_text` lays a value out as ``json.dumps(obj, indent=2)`` does,
+except that a 2-D integer array, such as a dataset's records, gets one row
+per line. Standard library only: an array can only exist once numpy is
+loaded, so a value that holds none is written without importing it, and
+the rows of one that does are written by :func:`ingest.records_json`.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+
+
+def json_text(obj, newline: str) -> str:
+    """``obj`` as ``json.dumps(obj, indent=2)`` lays it out, for a value that
+    starts a line after ``newline``, except that a 2-D integer array, such as
+    a dataset's records, gets one row per line."""
+    inner = newline + "  "
+    if isinstance(obj, dict) and obj:
+        return "{" + inner + ("," + inner).join(
+            f"{json.dumps(str(key))}: {json_text(value, inner)}" for key, value in obj.items()) + newline + "}"
+    if isinstance(obj, list) and obj:
+        return "[" + inner + ("," + inner).join(json_text(value, inner) for value in obj) + newline + "]"
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, np.ndarray) and len(obj):
+        from .ingest import records_json
+
+        return "[" + inner + records_json(obj, ("," + inner).encode()).decode() + newline + "]"
+    return json.dumps(obj)

@@ -1,13 +1,21 @@
+import ast
+import contextlib
+import copy
 import csv
 import hashlib
+import importlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT202012
@@ -293,6 +301,51 @@ class TestErrors:
         err = capsys.readouterr().err
         assert error in err and "FIT101" in err
 
+    @pytest.mark.parametrize("graph", [
+        {"nodes": "AB", "edges": []},  # once read as the nodes A and B
+        {"nodes": [1, 2], "edges": []},
+        {"nodes": ["A", "B"], "edges": [{"src": "A", "dst": "B", "directed": "no"}]},  # once directed
+        {"nodes": [["A"], "B"], "edges": []},  # once a TypeError traceback
+        {"nodes": ["A", "B"], "edges": [{"src": "A", "dst": 2}]},
+        {"nodes": ["A", "B"], "edges": {"src": "A", "dst": "B"}},
+    ], ids=["nodes_text", "node_number", "directed_text", "node_list", "dst_number", "edges_object"])
+    @pytest.mark.parametrize("command", ["export", "compare", "fit"])
+    def test_malformed_graph_file_is_data_error(self, repo_root, tmp_path, capsys, command, graph):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(graph))
+        golden = repo_root / "tests/golden/stage1"
+        argv = {"export": ["export", "--graph", str(path)],
+                "compare": ["compare", "--left", str(golden / "graph.json"), "--right", str(path)],
+                "fit": ["fit", "--dataset", str(golden / "dataset.json"), "--graph", str(path),
+                        "--out", str(tmp_path / "net.json")]}[command]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error [ParseError]: malformed graph JSON: ")
+        assert not (tmp_path / "net.json").exists()
+
+    @pytest.mark.parametrize("mutate", [
+        lambda obj: obj["graph"].update(nodes="FIT101"),  # once UnknownNode, exit 4
+        lambda obj: obj["cpts"][0].update(states="LH"),  # once the states L and H
+        lambda obj: obj["cpts"][1].update(parents="LIT101"),
+        lambda obj: obj["cpts"][0]["table"][0].__setitem__(0, "0.3"),  # once read as 0.3
+        lambda obj: obj["cpts"][0]["table"][0].__setitem__(1, True),
+        lambda obj: obj["cpts"][0].update(uniform_rows="x"),  # once loaded and written back
+        lambda obj: obj["cpts"][0].update(uniform_rows=[5]),
+        lambda obj: obj["cpts"][0].update(uniform_rows=[False]),
+        lambda obj: obj["cpts"][0]["table"][0].__setitem__(0, 10 ** 400),
+        lambda obj: obj["cpts"][0].update(parent_cards=[2.0]),
+        lambda obj: obj.update(cpts={}),
+    ], ids=["graph_nodes_text", "states_text", "parents_text", "cell_text", "cell_bool",
+            "uniform_rows_text", "uniform_row_out_of_range", "uniform_row_bool", "cell_too_large",
+            "parent_card_float", "cpts_object"])
+    def test_malformed_net_file_is_data_error(self, repo_root, tmp_path, capsys, mutate):
+        obj = json.loads((repo_root / "tests/golden/stage1/net.json").read_text())
+        assert [c["child"] for c in obj["cpts"][:2]] == ["FIT101", "LIT101"]
+        mutate(obj)
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(obj))
+        assert main(["infer", "--net", str(net), "--target", "FIT101"]) == 3
+        assert capsys.readouterr().err.startswith("error [ParseError]: malformed ")
+
     @pytest.mark.parametrize("argv", [["--algo", "pc", "--max-cond-size", "-1"],
                                       ["--algo", "hc", "--max-parents", "-1"]])
     def test_negative_limit_is_usage_error(self, repo_root, tmp_path, capsys, argv):
@@ -419,13 +472,127 @@ class TestErrors:
         assert {frozenset((e["src"], e["dst"])) for e in edges} == {frozenset("AB")}
 
 
-def test_cli_imports_numpy_as_its_only_dependency(repo_root):
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(repo_root / "src"), os.environ.get("PYTHONPATH")]))}
-    code = ("import sys; before = set(sys.modules); import cpscausal.cli; "
-            "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))")
-    run = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
-    assert set(run.stdout.split()) - set(sys.stdlib_module_names) == {"cpscausal", "numpy"}
+def _src_env(repo_root) -> dict:
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(repo_root / "src"), os.environ.get("PYTHONPATH")]))}
+
+
+def _new_modules(repo_root, code: str) -> set[str]:
+    """The modules that running ``code`` in a fresh interpreter imports."""
+    probe = f"import sys; before = set(sys.modules); {code}; print(*sorted(set(sys.modules) - before))"
+    run = subprocess.run([sys.executable, "-c", probe], env=_src_env(repo_root), check=True,
+                         capture_output=True, text=True)
+    return set(run.stdout.split())
+
+
+def test_package_imports_numpy_as_its_only_dependency(repo_root):
+    code = ("import pkgutil, importlib, cpscausal; "
+            "[importlib.import_module('cpscausal.' + m.name) for m in pkgutil.iter_modules(cpscausal.__path__)]")
+    loaded = _new_modules(repo_root, code)
+    assert {"cpscausal.cli", "cpscausal.fixtures", "cpscausal.learning"} <= loaded
+    assert {m.partition(".")[0] for m in loaded} - set(sys.stdlib_module_names) == {"cpscausal", "numpy"}
+
+
+def test_package_and_cli_import_no_numpy(repo_root):
+    loaded = _new_modules(repo_root, "import cpscausal, cpscausal.cli")
+    assert "numpy" not in loaded
+    assert {m for m in loaded if m.startswith("cpscausal")} == \
+        {"cpscausal", "cpscausal.cli", "cpscausal.errors", "cpscausal.jsontext"}
+
+
+# runs main(argv) in a fresh interpreter, then writes the names in sys.modules to the file argv[1]
+_COMMAND_PROBE = """
+import sys
+from cpscausal.cli import main
+try:
+    code = main(sys.argv[2:])
+except SystemExit as exc:
+    code = exc.code
+with open(sys.argv[1], "w") as fh:
+    fh.write(" ".join(sys.modules))
+sys.exit(code)
+"""
+_LEARNING_AND_AFTER = {"cpscausal.learning", "cpscausal.impact", "cpscausal.inference", "cpscausal.simgen",
+                       "cpscausal.fixtures"}
+
+
+@pytest.mark.parametrize("argv, code, absent", [
+    (["--version"], 0, {"numpy"}),
+    (["--help"], 0, {"numpy"}),
+    (["learn"], 2, {"numpy"}),  # argparse: the required arguments are missing
+    (["sample", "--fixture", "stage9", "--n", "1", "--out", "x.csv"], 2, {"numpy", "cpscausal.fixtures"}),
+    (["compare", "--left", "{golden}/graph.json", "--right", "{golden}/graph.json"], 0, {"numpy"}),
+    (["export", "--graph", "{golden}/graph.json"], 0, {"numpy"}),
+    (["export", "--graph", "{golden}/graph.json", "--format", "json"], 0, {"numpy"}),
+    (["discretize", "--input", "{golden}/sample.csv", "--spec", "{golden}/stage1.vspec", "--out", "{tmp}/d.json"],
+     0, _LEARNING_AND_AFTER),
+    (["fit", "--dataset", "{golden}/dataset.json", "--graph", "{tmp}/dag.json", "--out", "{tmp}/net.json"],
+     0, _LEARNING_AND_AFTER),
+], ids=["version", "help", "usage_error", "unknown_fixture", "compare", "export_dot", "export_json",
+        "discretize", "fit_dag"])
+def test_each_command_loads_only_the_modules_it_runs(repo_root, tmp_path, argv, code, absent):
+    golden = repo_root / "tests/golden/stage1"
+    # a DAG, which fit needs no learning module to extend
+    (tmp_path / "dag.json").write_text(json.dumps(json.loads((golden / "net.json").read_text())["graph"]))
+    argv = [a.format(golden=golden, tmp=tmp_path) for a in argv]
+    modules = tmp_path / "modules.txt"
+    run = subprocess.run([sys.executable, "-c", _COMMAND_PROBE, str(modules), *argv], env=_src_env(repo_root),
+                         capture_output=True, text=True)
+    assert run.returncode == code, run.stderr
+    loaded = set(modules.read_text().split())
+    assert "cpscausal.cli" in loaded
+    assert not absent & loaded
+
+
+def test_fit_loads_learning_only_to_extend_a_partially_directed_graph(repo_root, tmp_path):
+    golden = repo_root / "tests/golden/stage1"
+    argv = ["fit", "--dataset", str(golden / "dataset.json"), "--graph", str(golden / "graph.json"),
+            "--out", str(tmp_path / "net.json")]
+    modules = tmp_path / "modules.txt"
+    subprocess.run([sys.executable, "-c", _COMMAND_PROBE, str(modules), *argv], env=_src_env(repo_root),
+                   check=True, capture_output=True)
+    assert "cpscausal.learning" in modules.read_text().split()
+    assert (tmp_path / "net.json").read_bytes() == (golden / "net.json").read_bytes()
+
+
+def test_every_public_name_is_its_modules_own():
+    import cpscausal
+
+    namespace = {}
+    exec("from cpscausal import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(cpscausal.__all__)
+    for name in cpscausal.__all__:
+        value = getattr(cpscausal, name)
+        assert value is namespace[name]
+        assert getattr(importlib.import_module(value.__module__), name) is value
+    assert set(cpscausal.__all__) <= set(dir(cpscausal))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cpscausal.no_such_name
+
+
+def test_cli_names_resolve_to_the_library_objects():
+    import cpscausal.ingest as ingest
+
+    assert cli.parse_log is ingest.parse_log
+    for home, names in cli._HOMES.items():
+        module = importlib.import_module(f"cpscausal.{home}")
+        for name in names:
+            assert getattr(cli, name) is getattr(module, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
+
+
+def test_sample_offers_every_fixture(capsys):
+    from cpscausal.fixtures import FIXTURE_NAMES
+
+    sample = cli.build_parser()._subparsers._group_actions[0].choices["sample"]
+    fixture = next(a for a in sample._actions if a.dest == "fixture")
+    assert tuple(fixture.choices) == cli.FIXTURE_NAMES == FIXTURE_NAMES
+    assert "{" + ",".join(FIXTURE_NAMES) + "}" in sample.format_help()
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--fixture", "stage9", "--n", "1", "--out", "x.csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'stage9'" in capsys.readouterr().err
 
 
 def test_artifacts_are_utf8_whatever_the_locale(repo_root, tmp_path):
@@ -468,8 +635,27 @@ def test_dump_json_writes_datasets_that_load_back(cardinality, n_vars):
     assert read_as_one_array(text)
 
 
-def test_bench_hooks_write_and_read_what_discretize_does(tmp_path, stage1):
-    # bench/tracing.py times the dataset write and read through these names of cli
+def _names_tracing_reads_off_cli(repo_root) -> set[str]:
+    """Every ``cli.<name>`` in bench/tracing.py, and every name its
+    ``for attr, name in ((...), ...)`` loops hand to ``self._wrap(cli, attr, ...)``."""
+    tree = ast.parse((repo_root / "bench" / "tracing.py").read_text())
+    names = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "cli"}
+    for loop in ast.walk(tree):
+        if isinstance(loop, ast.For) and isinstance(loop.iter, ast.Tuple) and any(
+                isinstance(call, ast.Call) and call.args and isinstance(call.args[0], ast.Name)
+                and call.args[0].id == "cli" for call in ast.walk(loop)):
+            names |= {pair.elts[0].value for pair in loop.iter.elts}
+    return names
+
+
+def test_bench_hooks_write_and_read_what_discretize_does(repo_root, tmp_path, stage1):
+    # bench/tracing.py reads these names off cli, and wraps some of them by setattr
+    names = _names_tracing_reads_off_cli(repo_root)
+    assert {"parse_log", "learn_pc", "fit_mle", "compare", "discover_impact", "_dump_json"} <= names
+    for name in names:
+        assert callable(getattr(cli, name)), name
+    # it times the dataset write and read through these names of cli
     ds = stage1.sample(300, seed=2)
     log_path, spec_path, out = tmp_path / "log.csv", tmp_path / "stage1.vspec", tmp_path / "dataset.json"
     log_path.write_text(write_historian_csv(ds))
@@ -489,3 +675,91 @@ def test_bench_hooks_write_and_read_what_discretize_does(tmp_path, stage1):
 ])
 def test_dump_json_is_indented_json_for_everything_else(obj):
     assert cli._dump_json(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+# --- any JSON value as a graph or net file ---------------------------------------
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["FIT101", "LIT101", "MV101", "P101", "P102", "learnt", "control", 0.5, 10 ** 400]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["nodes", "edges", "src", "dst", "kind", "directed", "graph", "cpts", "child", "parents",
+                         "parent_cards", "states", "table", "uniform_rows"]) | st.text(max_size=3),
+        inner, max_size=4),
+    max_leaves=12)
+
+
+def _paths(obj, path=()):
+    """The path of every value inside ``obj``, ``obj`` itself first."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, (*path, key))
+
+
+@st.composite
+def _json_files(draw, golden: dict):
+    """Any JSON value, or ``golden`` with up to three of its values replaced
+    by any JSON value or dropped from their object."""
+    if draw(st.booleans()):
+        return draw(_JSON_VALUES)
+    doc = copy.deepcopy(golden)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            return draw(_JSON_VALUES)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_JSON_VALUES)
+    return doc
+
+
+def _exit_and_error(argv: list[str]) -> tuple[int, str]:
+    """main's exit code, and the first line it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue().partition("\n")[0]
+
+
+def _assert_read_or_refused(argv: list[str]) -> None:
+    code, error = _exit_and_error(argv)
+    assert code in (0, 3, 4), (argv, code, error)
+    assert (code == 0) == (error == ""), (argv, code, error)
+    if code:
+        assert re.match(r"error \[[A-Za-z]+\]: ", error), error
+
+
+_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "stage1")
+with open(os.path.join(_GOLDEN, "graph.json")) as _fh:
+    _GOLDEN_GRAPH = json.load(_fh)
+with open(os.path.join(_GOLDEN, "net.json")) as _fh:
+    _GOLDEN_NET = json.load(_fh)
+
+
+@given(doc=_json_files(_GOLDEN_GRAPH))
+@settings(deadline=None)
+def test_any_graph_file_is_read_or_refused_with_its_error_class(tmp_path_factory, doc):
+    d = tmp_path_factory.mktemp("graph")
+    path = d / "graph.json"
+    path.write_text(json.dumps(doc))
+    golden = os.path.join(_GOLDEN, "graph.json")
+    for argv in (["export", "--graph", str(path)],
+                 ["export", "--graph", str(path), "--format", "json"],
+                 ["compare", "--left", golden, "--right", str(path)],
+                 ["fit", "--dataset", os.path.join(_GOLDEN, "dataset.json"), "--graph", str(path),
+                  "--out", str(d / "net.json")]):
+        _assert_read_or_refused(argv)
+
+
+@given(doc=_json_files(_GOLDEN_NET))
+@settings(deadline=None)
+def test_any_net_file_is_read_or_refused_with_its_error_class(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("net") / "net.json"
+    path.write_text(json.dumps(doc))
+    for target in ("FIT101", "P101"):
+        _assert_read_or_refused(["infer", "--net", str(path), "--target", target])
