@@ -127,6 +127,9 @@ class BayesNet:
                 raise InvalidCpt(f"missing CPT for node {n}")
             if self.cpts[n].parents != tuple(sorted(self.graph.parents(n))):
                 raise InvalidCpt(f"CPT parents for {n} do not match the graph")
+        extra = sorted(set(self.cpts) - set(self.graph.nodes))
+        if extra:
+            raise InvalidCpt(f"CPT for a node not in the graph: {', '.join(extra)}")
         for n in self.graph.nodes:
             cpt = self.cpts[n]
             cards = tuple(self.cpts[p].cardinality for p in cpt.parents)

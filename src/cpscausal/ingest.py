@@ -15,7 +15,10 @@ This module also holds the one layout of the dataset JSON file: the CLI
 writes every JSON artifact with :func:`jsontext.json_text`, which lays out
 a dataset's records with :func:`records_json`, and :func:`dataset_from_text`
 reads a dataset file exactly as that writes it with its records as one
-array, and any other text through :mod:`json`.
+array, and any other text through :mod:`json`. It tells the two apart
+without writing the whole text back: the specs are written back and
+compared, and the records are checked byte by byte against the writer's
+layout, whose row width the specs fix when every cell is one digit.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ import numpy as np
 
 from .errors import (
     CpsCausalError,
-    DegenerateColumn,
     EmptyDataset,
     EmptyInput,
     MissingColumn,
@@ -45,7 +47,6 @@ from .errors import (
     RaggedRow,
     UnknownColumn,
     UnmappedActuatorValue,
-    UsageError,
 )
 from .jsontext import json_text
 
@@ -347,33 +348,6 @@ def _raise_first_fault(text: str, header: list[str], value_idx: list[int]) -> No
     raise AssertionError("parse_log found a fault that the line scan does not")
 
 
-def suggest_bins(log: RawLog, column: str, n_bins: int, method: str = "equal_width") -> tuple[float, ...]:
-    """Propose ``n_bins - 1`` strictly increasing cut points for a column.
-
-    ``equal_width`` splits ``[min, max]`` evenly; ``quantile`` places edges
-    at the empirical ``k/n_bins`` quantiles (linear interpolation). Constant
-    columns, and edges that float64 cannot hold apart, raise
-    :class:`DegenerateColumn`; an ``n_bins`` below 2 or an unknown method
-    raises :class:`UsageError`.
-    """
-    if n_bins < 2:
-        raise UsageError(f"n_bins must be >= 2, got {n_bins}")
-    if method not in ("equal_width", "quantile"):
-        raise UsageError(f"unknown binning method {method!r}")
-    x = log.column(column)
-    lo, hi = float(x.min()), float(x.max())
-    if lo == hi:
-        raise DegenerateColumn(f"{column}: constant column")
-    if method == "equal_width":
-        edges = np.linspace(lo, hi, n_bins + 1)[1:-1]
-    else:
-        edges = np.quantile(x, [k / n_bins for k in range(1, n_bins)])
-    edges = tuple(float(e) for e in edges)
-    if any(a >= b for a, b in zip(edges, edges[1:])):
-        raise DegenerateColumn(f"{column}: {method} edges collapsed ({edges})")
-    return edges
-
-
 def discretize(log: RawLog, specs: list[VariableSpec] | tuple[VariableSpec, ...]) -> DiscreteDataset:
     """Map raw readings to state indices, one column per spec, in spec order."""
     specs = tuple(specs)
@@ -523,16 +497,7 @@ def dataset_from_json(obj: dict) -> DiscreteDataset:
     integer: a bool, a float, a string or an integer outside int64 raises
     :class:`ParseError`. ``data`` may also be an integer array."""
     try:
-        specs = tuple(
-            VariableSpec(
-                name=s["name"],
-                kind=s["kind"],
-                states=tuple(s["states"]),
-                bin_edges=tuple(s["bin_edges"]) if s.get("bin_edges") is not None else None,
-                codes=tuple(s["codes"]) if s.get("codes") is not None else None,
-            )
-            for s in obj["specs"]
-        )
+        specs = _specs_from_json(obj["specs"])
         data = np.asarray(obj["data"], dtype=np.int64)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed dataset JSON: {exc}") from None
@@ -543,6 +508,19 @@ def dataset_from_json(obj: dict) -> DiscreteDataset:
     if not _integer_cells(obj["data"]):
         raise ParseError("malformed dataset JSON: every data cell must be an integer")
     return ds
+
+
+def _specs_from_json(specs) -> tuple[VariableSpec, ...]:
+    return tuple(
+        VariableSpec(
+            name=s["name"],
+            kind=s["kind"],
+            states=tuple(s["states"]),
+            bin_edges=tuple(s["bin_edges"]) if s.get("bin_edges") is not None else None,
+            codes=tuple(s["codes"]) if s.get("codes") is not None else None,
+        )
+        for s in specs
+    )
 
 
 def _integer_cells(data) -> bool:
@@ -557,14 +535,21 @@ def _integer_cells(data) -> bool:
 # The writer's text of every dataset holds this once, between its specs and
 # its records: a raw newline cannot sit inside a JSON string
 _DATA_KEY = ',\n  "data": [\n    '
+# the bytes from a record's last cell to the next record's first, and from
+# the last record's last cell to the end of the text: as long as each other,
+# so that every record of a given width takes as many bytes
+_ROW_END = b"],\n    ["
+_LAST_ROW_END = b"]\n  ]\n}\n"
 
 
 def dataset_from_text(text: str) -> DiscreteDataset:
     """Read dataset JSON text: the same dataset, or the same error, as
     ``dataset_from_json(json.loads(text))``. The text of a file exactly as
     ``discretize`` writes it has its records read as one array instead of a
-    list per record. Text that is not JSON raises
-    :class:`json.JSONDecodeError`, with json's own message."""
+    list per record: its specs are written back and compared with the text,
+    and its records are checked byte by byte against the writer's layout.
+    Text that is not JSON raises :class:`json.JSONDecodeError`, with json's
+    own message."""
     ds = _dataset_as_written(text)
     return ds if ds is not None else dataset_from_json(json.loads(text))
 
@@ -572,25 +557,80 @@ def dataset_from_text(text: str) -> DiscreteDataset:
 def _dataset_as_written(text: str) -> DiscreteDataset | None:
     """The dataset whose text, as the writer lays it out, is ``text``; None
     when no dataset's text is that, and json then reads it."""
-    head, key, records = text.partition(_DATA_KEY)
-    if not key:
+    at = text.find(_DATA_KEY)
+    if at < 0:
+        return None
+    head = text[:at]
+    try:
+        specs = _specs_from_json(json.loads(head + "}")["specs"])
+        # from the first record's "[" to the end of the text
+        framed = np.frombuffer(text[at + len(_DATA_KEY):].encode(), dtype=np.uint8)
+    except (KeyError, TypeError, ValueError, OverflowError, CpsCausalError):
+        return None
+    if not specs or framed.size < 2 or framed[0] != ord("["):  # a "[" and something after it
+        return None
+    # when every DP has at most 10 states, every cell the writer writes is one digit
+    read = _one_digit_records if max(s.cardinality for s in specs) <= 10 else _records_of_runs
+    data = read(framed[1:], len(specs))
+    if data is None:
         return None
     try:
-        obj = json.loads(head + "}")
-        cells = np.fromstring(records.encode().translate(None, b"[] \n}"), dtype=np.int64, sep=",")
-    except (ValueError, DeprecationWarning):  # older numpy warns instead, and may be told to raise
-        return None
-    n_records = records.count("[")
-    if not n_records or cells.size % n_records:
-        return None
-    try:
-        ds = dataset_from_json({**obj, "data": cells.reshape(n_records, cells.size // n_records)})
+        ds = DiscreteDataset(specs=specs, data=data)
     except CpsCausalError:
         return None
-    # checks every cell's form and range, the specs, the brackets and the row width at once
-    if json_text(dataset_to_json(ds), "\n") + "\n" != text:
+    # the records are the writer's; so is the text, if its specs are
+    if json_text({**dataset_to_json(ds), "data": []}, "\n") != head + ',\n  "data": []\n}':
         return None
     return ds
+
+
+def _one_digit_records(framed: np.ndarray, w: int) -> np.ndarray | None:
+    """The ``(n, w)`` records of ``framed`` when it is ``n`` rows of ``w``
+    one-digit cells, each row as ``0,2,1],\\n    [`` and the last as
+    ``0,2,1]\\n  ]\\n}\\n``; else None."""
+    row = np.frombuffer(",".join("0" * w).encode() + _ROW_END, dtype=np.uint8)
+    if framed.size % row.size:
+        return None
+    rows = framed.reshape(-1, row.size)
+    # the lowest and highest byte the writer puts at each place of a row and
+    # of the last row: a digit in a cell, else the one byte of its layout
+    low = np.stack([row, row])
+    low[1, -len(_LAST_ROW_END):] = np.frombuffer(_LAST_ROW_END, dtype=np.uint8)
+    high = low.copy()
+    high[:, 0:2 * w:2] = ord("9")
+    column_low, column_high = rows[:-1].min(axis=0, initial=255), rows[:-1].max(axis=0, initial=0)
+    if (np.stack([column_low, rows[-1]]) < low).any() or (np.stack([column_high, rows[-1]]) > high).any():
+        return None
+    return np.subtract(rows[:, 0:2 * w:2], ord("0"), dtype=np.int64)
+
+
+def _records_of_runs(framed: np.ndarray, w: int) -> np.ndarray | None:
+    """The ``(n, w)`` records of ``framed`` when it is ``n`` rows of ``w``
+    non-negative decimal cells of at most 18 digits without leading zeros,
+    each row as ``0,12,1],\\n    [`` and the last as ``0,12,1]\\n  ]\\n}\\n``;
+    else None."""
+    digit = framed - ord("0")
+    is_digit = digit <= 9  # a byte below "0" wraps round to above 9
+    after = np.append(is_digit[1:], False)  # whether the next byte is a digit
+    before = np.append(False, is_digit[:-1])
+    if ((digit == 0) & ~before & after).any():  # a leading zero
+        return None
+    last = is_digit & ~after
+    # with each run of digits cut to its last digit, every cell is one digit
+    cells = _one_digit_records(framed[~is_digit | last], w)
+    if cells is None:
+        return None
+    # add each cell's digit in the tens, hundreds, ... place; 18 digits
+    # always fit int64, and a run of more is left to json
+    reach = last
+    for k in range(1, 19):
+        reach = reach[1:] & is_digit[:-k]  # a digit k places before the last of its run
+        if not reach.any():
+            return cells
+        place = np.zeros(framed.size, dtype=np.uint8)
+        place[k:] = np.where(reach, digit[:-k], 0)
+        cells += place[last].reshape(cells.shape) * np.int64(10**k)
+    return None
 
 
 def records_json(data: np.ndarray, sep: bytes) -> bytes:

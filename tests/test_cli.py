@@ -277,6 +277,18 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "InvalidCpt" in err and "P101" in err
 
+    @pytest.mark.parametrize("command", ["infer", "impact"])
+    def test_cpt_for_a_node_not_in_the_graph_is_model_error(self, repo_root, tmp_path, capsys, command):
+        obj = json.loads((repo_root / "tests/golden/stage1/net.json").read_text())
+        fit101 = next(c for c in obj["cpts"] if c["child"] == "FIT101")
+        obj["cpts"].append(dict(fit101, child="GHOST"))  # once loaded, and dropped on the next write
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(obj))
+        argv = (["infer", "--net", str(net), "--target", "FIT101"] if command == "infer" else
+                ["impact", "--net", str(net), "--attacks", attacks_path("stage1.json")])
+        assert main(argv) == 4
+        assert capsys.readouterr().err.startswith("error [InvalidCpt]: ")
+
     def test_cpt_contract_violation_is_model_error(self, repo_root, tmp_path, capsys):
         obj = json.loads((repo_root / "tests/golden/stage1/net.json").read_text())
         obj["cpts"][0]["table"][0] = [0.5, 0.6]

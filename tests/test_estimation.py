@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import sys
 from collections import Counter
@@ -14,6 +15,7 @@ from cpscausal import learning
 from cpscausal.errors import (
     DuplicateParent,
     InsufficientData,
+    InvalidCpt,
     NonPositiveEss,
     UnknownColumn,
     UsageError,
@@ -430,6 +432,16 @@ class TestFamilyScoresMatchReference:
         with pytest.raises(UnknownColumn):
             family_scores(ds, "A", [("Z",)])
         assert family_scores(ds, "A", []) == []
+
+
+def test_net_json_rejects_a_cpt_for_a_node_not_in_the_graph(repo_root, tmp_path):
+    obj = json.loads((repo_root / "tests/golden/stage1/net.json").read_text())
+    fit101 = next(c for c in obj["cpts"] if c["child"] == "FIT101")
+    obj["cpts"].append(dict(fit101, child="GHOST"))  # once loaded, and dropped on the next write
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(InvalidCpt, match="not in the graph: GHOST$"):
+        net_from_json(json.loads(path.read_text()))
 
 
 def test_net_json_round_trip(stage1):

@@ -38,7 +38,6 @@ from cpscausal.ingest import (
     parse_spec_file,
     project,
     records_json,
-    suggest_bins,
 )
 from oracles import (
     read_as_one_array,
@@ -121,6 +120,34 @@ class TestParseLog:
             assert gc.isenabled() is collecting
         finally:
             (gc.enable if was_collecting else gc.disable)()
+
+
+def suggest_bins(log: RawLog, column: str, n_bins: int, method: str = "equal_width") -> tuple[float, ...]:
+    """Propose ``n_bins - 1`` strictly increasing cut points for a column:
+    a binning helper with no command of its own, kept with its tests.
+
+    ``equal_width`` splits ``[min, max]`` evenly; ``quantile`` places edges
+    at the empirical ``k/n_bins`` quantiles (linear interpolation). Constant
+    columns, and edges that float64 cannot hold apart, raise
+    :class:`DegenerateColumn`; an ``n_bins`` below 2 or an unknown method
+    raises :class:`UsageError`.
+    """
+    if n_bins < 2:
+        raise UsageError(f"n_bins must be >= 2, got {n_bins}")
+    if method not in ("equal_width", "quantile"):
+        raise UsageError(f"unknown binning method {method!r}")
+    x = log.column(column)
+    lo, hi = float(x.min()), float(x.max())
+    if lo == hi:
+        raise DegenerateColumn(f"{column}: constant column")
+    if method == "equal_width":
+        edges = np.linspace(lo, hi, n_bins + 1)[1:-1]
+    else:
+        edges = np.quantile(x, [k / n_bins for k in range(1, n_bins)])
+    edges = tuple(float(e) for e in edges)
+    if any(a >= b for a, b in zip(edges, edges[1:])):
+        raise DegenerateColumn(f"{column}: {method} edges collapsed ({edges})")
+    return edges
 
 
 class TestSuggestBins:
@@ -518,6 +545,15 @@ DATASET_TEXT_CORPUS = {
     "layout-two-rows-a-line": ("[\n    [0,1],[2,0]\n  ]", False),
     "layout-crlf": ("[\r\n    [0,1]\r\n  ]", False),
     "layout-string": ('[\n    ["1",0]\n  ]', False),
+    # every cell of these specs is written as one digit: edits that keep the
+    # writer's row width, or break it only by a cell too wide for the specs
+    "layout-digit-and-comma-swapped": ("[\n    [01,]\n  ]", False),
+    "layout-digit-and-comma-swapped-in-last-row": ("[\n    [0,1],\n    [2,0],\n    [1,,]\n  ]", False),
+    "layout-comma-moved-across-row-break": ("[\n    [0,1]\n    ,[2,0]\n  ]", False),
+    "layout-comma-moved-into-row": ("[\n    [0,1,\n    ][2,0]\n  ]", False),
+    "layout-two-digit-cell": ("[\n    [10,1]\n  ]", False),
+    "layout-three-digit-cell-in-a-row-as-wide": ("[\n    [0,1],\n    [101],\n    [2,0]\n  ]", False),
+    "layout-two-digit-cells-in-rows-as-wide": ("[\n    [0,1],\n    [12],\n    [20]\n  ]", False),
     # well-formed, in other layouts, left to json
     "compact": ("[[0,1],[2,0]]", False),
     "one-cell-per-line": ("[\n  [\n    0,\n    1\n  ],\n  [\n    2,\n    0\n  ]\n]", False),
@@ -561,6 +597,8 @@ DATASET_DOCUMENT_CORPUS = {
     "top-level-array": "[[0,1]]",
     "empty-object": "{}",
     "no-text": "",
+    "ends-after-the-data-key": f"{_WRITTEN_SPECS}{ingest._DATA_KEY}",
+    "ends-after-the-first-bracket": f"{_WRITTEN_SPECS}{ingest._DATA_KEY}[",
 }
 
 
@@ -569,6 +607,59 @@ def test_dataset_records_read_as_the_reference_reads_them(records, one_array):
     text = f'{_WRITTEN_SPECS},\n  "data": {records}\n}}\n'
     assert _read_outcome(dataset_from_text, text) == _read_outcome(reference_dataset_from_text, text)
     assert read_as_one_array(text) == one_array
+
+
+def _written_dataset(cards, n_records, seed=0):
+    """The writer's text of a dataset of actuators with ``cards`` states, and the dataset."""
+    rng = np.random.default_rng(seed)
+    specs = tuple(VariableSpec(f"D{k}", ACTUATOR, tuple(f"s{i}" for i in range(card))) for k, card in enumerate(cards))
+    data = np.stack([rng.integers(0, card, n_records) for card in cards], axis=1)
+    data[0] = np.array(cards) - 1  # every column's widest cell at least once
+    ds = DiscreteDataset(specs=specs, data=data)
+    return cli._dump_json(dataset_to_json(ds)), ds
+
+
+@pytest.mark.parametrize("cards", [(12, 3, 2), (150, 12, 10, 2)], ids=["12-states", "150-states"])
+def test_written_dataset_with_more_than_ten_states_is_read_as_one_array(cards):
+    text, ds = _written_dataset(cards, 50)
+    assert f"[{cards[0] - 1}," in text  # cells of more than one digit
+    assert read_as_one_array(text)
+    back = dataset_from_text(text)
+    assert back.specs == ds.specs and back.data.dtype == np.int64
+    assert np.array_equal(back.data, ds.data)
+
+
+def _in_record(k, pattern, repl):
+    """An edit that substitutes ``repl`` for the first match of the regular
+    expression ``pattern`` from the ``[`` of record ``k`` (a list index) on."""
+    def edit(t):
+        i = [m.end() - 1 for m in re.finditer(r"\n    \[", t)][k]
+        return t[:i] + re.sub(pattern, repl, t[i:], count=1)
+    return edit
+
+
+# length-preserving edits of a written dataset of 320 records, at its start,
+# in its middle and at its end
+_LONG_DATASET_EDITS = {
+    "first-record-space-for-comma": _in_record(0, ",", " "),
+    "middle-record-comma-and-digit-swapped": _in_record(160, r",(\d)", r"\1,"),
+    "last-record-comma-and-digit-swapped": _in_record(-1, r",(\d)", r"\1,"),
+    "last-record-space-for-comma": _in_record(-1, ",", " "),
+    "last-separator-tab": _in_record(-2, "\n    ", "\n   \t"),
+    "last-separator-comma-moved": _in_record(-2, r"\],\n    ", "]\n    ,"),
+    "last-separator-cr": _in_record(-2, ",\n", ",\r"),
+}
+
+
+@pytest.mark.parametrize("edit", _LONG_DATASET_EDITS.values(), ids=_LONG_DATASET_EDITS.keys())
+@pytest.mark.parametrize("cards", [(3, 2, 10), (12, 3, 2)], ids=["one-digit", "12-states"])
+def test_edit_anywhere_in_a_long_dataset_is_not_read_as_one_array(cards, edit):
+    written, _ = _written_dataset(cards, 320)
+    text = edit(written)
+    assert len(text) == len(written) and text != written
+    assert _read_outcome(dataset_from_text, text) == _read_outcome(reference_dataset_from_text, text)
+    assert not read_as_one_array(text)
+    assert _written_text(text) != text
 
 
 @pytest.mark.parametrize("text", DATASET_DOCUMENT_CORPUS.values(), ids=DATASET_DOCUMENT_CORPUS.keys())
