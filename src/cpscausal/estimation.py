@@ -415,22 +415,9 @@ def _bic(n: np.ndarray, n_records: int, ess: float) -> list[float]:
     return (ll - (log(n_records) / 2.0) * (r - 1) * q).tolist()
 
 
-def _k2(n: np.ndarray, n_records: int, ess: float) -> list[float]:
-    r = n.shape[2]
-    scores = []
-    for table, rows in zip(n.tolist(), n.sum(axis=2).tolist()):
-        out = 0.0
-        for cells, row in zip(table, rows):
-            out += lgamma(r) - lgamma(row + r)
-            out += sum(lgamma(v + 1) for v in cells)
-        scores.append(out)
-    return scores
-
-
-def _bdeu(n: np.ndarray, n_records: int, ess: float) -> list[float]:
-    q, r = n.shape[1:]
-    a_row = ess / q
-    a_cell = ess / (q * r)
+def _dirichlet(n: np.ndarray, a_row: float, a_cell: float) -> list[float]:
+    """Log marginal likelihood of each (q, r) table under a Dirichlet prior
+    with ``a_cell`` per cell and ``a_row`` = r * a_cell per row."""
     scores = []
     for table, rows in zip(n.tolist(), n.sum(axis=2).tolist()):
         out = 0.0
@@ -441,8 +428,13 @@ def _bdeu(n: np.ndarray, n_records: int, ess: float) -> list[float]:
     return scores
 
 
-# each maps a batch of (m, q, r) count tables to m family scores
-_SCORES = {"bic": _bic, "k2": _k2, "bdeu": _bdeu}
+# each maps a batch of (m, q, r) count tables to m family scores; K2 is the
+# Dirichlet score with one pseudo-count per cell, BDeu spreads ess over the q * r cells
+_SCORES = {
+    "bic": _bic,
+    "k2": lambda n, n_records, ess: _dirichlet(n, n.shape[2], 1),
+    "bdeu": lambda n, n_records, ess: _dirichlet(n, ess / n.shape[1], ess / (n.shape[1] * n.shape[2])),
+}
 
 
 def score(ds: DiscreteDataset, graph: CausalGraph, method: str = "bic", ess: float = 1.0) -> float:

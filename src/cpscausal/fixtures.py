@@ -180,18 +180,16 @@ def build_collider3() -> FixtureNet:
 
 def build_twostage() -> FixtureNet:
     """Twelve DPs across two plant stages, chained by one physical edge
-    (the stage-1 pump feeds the stage-2 flow meter).
+    (the stage-1 pump feeds the stage-2 flow meter). Stage 1 is
+    :func:`build_stage1`'s five DPs, in its order.
 
     The conditional strengths are deliberately spread out so that impact
     posteriors land in distinct confidence bands (above 0.95, between 0.9
     and 0.95, between 0.5 and 0.9, below 0.5).
     """
-    states = {
-        "LIT101": ("Low", "Medium", "High"),
-        "MV101": ("Close", "Open"),
-        "P101": ("Off", "On"),
-        "P102": ("Off", "On"),
-        "FIT101": ("Low", "High"),
+    stage1 = build_stage1()
+    cpts1 = stage1.net.cpts
+    states = {n: cpt.states for n, cpt in cpts1.items()} | {
         "FIT201": ("Low", "High"),
         "AIT201": ("Low", "High"),
         "AIT202": ("Low", "High"),
@@ -201,15 +199,8 @@ def build_twostage() -> FixtureNet:
         "P205": ("Off", "On"),
     }
     net = _net(
-        nodes=(
-            "P101", "P102", "LIT101", "MV101", "FIT101",
-            "FIT201", "AIT201", "AIT202", "AIT203", "P201", "P203", "P205",
-        ),
-        edges=[
-            ("LIT101", "MV101", CONTROL),
-            ("LIT101", "P101", CONTROL),
-            ("LIT101", "P102", CONTROL),
-            ("MV101", "FIT101", PHYSICAL),
+        nodes=stage1.net.graph.nodes + ("FIT201", "AIT201", "AIT202", "AIT203", "P201", "P203", "P205"),
+        edges=[(e.src, e.dst, e.kind) for e in stage1.net.graph.edges] + [
             ("P101", "FIT201", PHYSICAL),
             ("FIT201", "AIT201", PHYSICAL),
             ("FIT201", "AIT202", PHYSICAL),
@@ -218,12 +209,7 @@ def build_twostage() -> FixtureNet:
             ("AIT202", "P203", CONTROL),
             ("AIT203", "P205", CONTROL),
         ],
-        tables={
-            "LIT101": [[0.05, 0.75, 0.20]],
-            "MV101": [[0.85, 0.15], [0.15, 0.85], [0.70, 0.30]],
-            "P101": [[0.98, 0.02], [0.15, 0.85], [0.68, 0.32]],
-            "P102": [[0.99, 0.01], [0.75, 0.25], [0.90, 0.10]],
-            "FIT101": [[0.99, 0.01], [0.02, 0.98]],
+        tables={n: cpt.table for n, cpt in cpts1.items()} | {
             "FIT201": [[0.97, 0.03], [0.03, 0.97]],
             "AIT201": [[0.90, 0.10], [0.20, 0.80]],
             "AIT202": [[0.85, 0.15], [0.15, 0.85]],
@@ -234,12 +220,7 @@ def build_twostage() -> FixtureNet:
         },
         states=states,
     )
-    specs = (
-        VariableSpec("P101", ACTUATOR, states["P101"], codes=(1, 2)),
-        VariableSpec("P102", ACTUATOR, states["P102"], codes=(1, 2)),
-        VariableSpec("LIT101", SENSOR, states["LIT101"], bin_edges=(210.0, 750.0)),
-        VariableSpec("MV101", ACTUATOR, states["MV101"], codes=(1, 2)),
-        VariableSpec("FIT101", SENSOR, states["FIT101"], bin_edges=(1.0,)),
+    specs = stage1.specs + (
         VariableSpec("FIT201", SENSOR, states["FIT201"], bin_edges=(0.5,)),
         VariableSpec("AIT201", SENSOR, states["AIT201"], bin_edges=(260.0,)),
         VariableSpec("AIT202", SENSOR, states["AIT202"], bin_edges=(8.0,)),

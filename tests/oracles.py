@@ -9,7 +9,8 @@ counts and chi-square statistics are tallied record by record, the latter
 stratum by stratum; a family score is computed from one family's table;
 hill-climbing rescores every candidate move from scratch each iteration;
 PC runs one chi-square test each time it visits a pair and a conditioning
-set; a historian log is parsed, discretized and written cell by cell;
+set, and its orientation and the PDAG extension scan every name for each
+rule; a historian log is parsed, discretized and written cell by cell;
 dataset JSON is read by ``json`` into one list per record.
 Slow and simple on purpose.
 """
@@ -34,6 +35,7 @@ from cpscausal.errors import (
     CpsCausalError,
     EmptyInput,
     MissingColumn,
+    NoConsistentExtension,
     ModelError,
     NonNumericCell,
     ParseError,
@@ -43,7 +45,7 @@ from cpscausal.errors import (
     ZeroProbabilityEvidence,
 )
 from cpscausal.estimation import BayesNet, chi_square_ci, counts
-from cpscausal.graph import LEARNT, CausalGraph, Edge, topological_order
+from cpscausal.graph import LEARNT, CausalGraph, Edge, is_dag, topological_order
 from cpscausal.inference import Query, _validate_query
 from cpscausal.ingest import SENSOR, DiscreteDataset, RawLog, VariableSpec, dataset_from_json, dataset_from_text
 from cpscausal.learning import (
@@ -51,7 +53,6 @@ from cpscausal.learning import (
     HcResult,
     PcConfig,
     PcResult,
-    _pc_orient,
     _pc_skeleton_start,
     _require_learnable,
 )
@@ -339,7 +340,7 @@ def reference_chi_square(ds: DiscreteDataset, i: str, j: str, s: tuple[str, ...]
 def reference_learn_pc(ds: DiscreteDataset, cfg: PcConfig = PcConfig()) -> PcResult:
     """PC's skeleton with one ``chi_square_ci(ds, i, j, s)`` call per test,
     in the order the walk visits the ordered pair (i, j), repeats included;
-    then ``learn_pc``'s own orientation phase."""
+    then ``reference_pc_orient``."""
     names, adj, sepsets = _pc_skeleton_start(ds)
     max_cond = cfg.max_cond_size if cfg.max_cond_size is not None else len(names) - 2
     level = 0
@@ -357,7 +358,136 @@ def reference_learn_pc(ds: DiscreteDataset, cfg: PcConfig = PcConfig()) -> PcRes
                         sepsets[(i, j)] = sepsets[(j, i)] = s
                         break
         level += 1
-    return _pc_orient(ds, names, adj, sepsets)
+    return reference_pc_orient(ds, names, adj, sepsets)
+
+
+def reference_pc_orient(ds: DiscreteDataset, names: list[str], adj: dict[str, set[str]],
+                        sepsets: dict[tuple[str, str], tuple[str, ...]]) -> PcResult:
+    """PC's second phase on a learnt skeleton: v-structures, then Meek
+    rules R1-R4 until none applies, each rule a scan of every name over a
+    dict of directed pairs and a set of undirected ones."""
+    directed: dict[tuple[str, str], bool] = {}  # (src, dst) -> True once oriented
+    undirected: set[frozenset[str]] = {frozenset((i, j)) for i in names for j in adj[i]}
+
+    def is_oriented(a: str, b: str) -> bool:
+        return (a, b) in directed or (b, a) in directed
+
+    # v-structures: i -> k <- j for non-adjacent i, j with k outside sepset(i, j)
+    for i, j in itertools.combinations(names, 2):
+        if j in adj[i]:
+            continue
+        for k in sorted(adj[i] & adj[j]):
+            if k in sepsets.get((i, j), ()):
+                continue
+            for a in (i, j):
+                # earlier orientations win on conflict, keeping output deterministic
+                if not is_oriented(a, k):
+                    directed[(a, k)] = True
+                    undirected.discard(frozenset((a, k)))
+
+    def adjacent(a: str, b: str) -> bool:
+        return b in adj[a]
+
+    def has_directed(a: str, b: str) -> bool:
+        return (a, b) in directed
+
+    def meek_pass() -> bool:
+        changed = False
+        for pair in sorted(undirected, key=sorted):
+            a, b = sorted(pair)
+            for x, y in ((a, b), (b, a)):
+                if frozenset((x, y)) not in undirected:
+                    break
+                if _meek_applies(x, y):
+                    directed[(x, y)] = True
+                    undirected.discard(frozenset((x, y)))
+                    changed = True
+                    break
+        return changed
+
+    def _meek_applies(x: str, y: str) -> bool:
+        # R1: z -> x, x - y, z and y non-adjacent  =>  x -> y
+        for z in names:
+            if has_directed(z, x) and not adjacent(z, y) and z != y:
+                return True
+        # R2: x -> z -> y with x - y  =>  x -> y
+        for z in names:
+            if has_directed(x, z) and has_directed(z, y):
+                return True
+        # R3: x - z, x - w, z -> y, w -> y, z and w non-adjacent  =>  x -> y
+        half = [z for z in names
+                if frozenset((x, z)) in undirected and has_directed(z, y)]
+        for z, w in itertools.combinations(half, 2):
+            if not adjacent(z, w):
+                return True
+        # R4: x - z, z -> w, w -> y, z and y non-adjacent  =>  x -> y
+        for z in names:
+            if frozenset((x, z)) not in undirected or adjacent(z, y) or z == y:
+                continue
+            for w in names:
+                if has_directed(z, w) and has_directed(w, y):
+                    return True
+        return False
+
+    while meek_pass():
+        pass
+
+    edges = [Edge(s, d, LEARNT, True) for (s, d) in sorted(directed)]
+    edges += [Edge(a, b, LEARNT, False) for a, b in sorted(tuple(sorted(p)) for p in undirected)]
+    return PcResult(CausalGraph(nodes=ds.names, edges=tuple(edges)), sepsets)
+
+
+def reference_extend_to_dag(pdag: CausalGraph) -> CausalGraph:
+    """Orient the undirected edges of a PDAG into a consistent DAG.
+
+    Dor-Tarsi style: repeatedly pick a node x that is a sink w.r.t.
+    directed edges and whose undirected neighbours are adjacent to all of
+    x's other neighbours; orient x's undirected edges toward x and retire
+    x. Ties pick the lexicographically greatest eligible node, which
+    orients free edges away from smaller names.
+    """
+    if pdag.fully_directed:
+        if not is_dag(pdag):
+            raise NoConsistentExtension("input has a directed cycle")
+        return pdag
+
+    alive = set(pdag.nodes)
+    children = {n: {c for c in pdag._children[n]} for n in pdag.nodes}
+    parents = {n: {p for p in pdag._parents[n]} for n in pdag.nodes}
+    und = {n: set(pdag._undirected_neighbors[n]) for n in pdag.nodes}
+    oriented: list[tuple[str, str]] = []
+
+    def eligible(x: str) -> bool:
+        if children[x] & alive:
+            return False
+        nb = (parents[x] | und[x]) & alive
+        for y in und[x] & alive:
+            others = nb - {y}
+            y_adj = (parents[y] | children[y] | und[y]) & alive
+            if not others <= y_adj:
+                return False
+        return True
+
+    while alive:
+        x = next((n for n in sorted(alive, reverse=True) if eligible(n)), None)
+        if x is None:
+            raise NoConsistentExtension("PDAG admits no consistent extension")
+        for y in sorted(und[x] & alive):
+            oriented.append((y, x))
+        alive.discard(x)
+
+    new_edges = []
+    for e in pdag.edges:
+        if e.directed:
+            new_edges.append(e)
+        elif (e.src, e.dst) in oriented:
+            new_edges.append(Edge(e.src, e.dst, e.kind, True))
+        else:
+            new_edges.append(Edge(e.dst, e.src, e.kind, True))
+    out = CausalGraph(nodes=pdag.nodes, edges=tuple(new_edges))
+    if not is_dag(out):
+        raise NoConsistentExtension("extension left a directed cycle")
+    return out
 
 
 def reference_family_score(ds: DiscreteDataset, child: str, parents: tuple[str, ...],

@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpscausal import learning
-from cpscausal.errors import InsufficientData, NoConsistentExtension, UsageError
+from cpscausal.errors import CpsCausalError, InsufficientData, NoConsistentExtension, UsageError
 from cpscausal.estimation import chi_square_ci, mutual_information, score
 from cpscausal.fixtures import FIXTURE_NAMES, get_fixture
 from cpscausal.graph import (
@@ -20,13 +22,21 @@ from cpscausal.learning import (
     HcConfig,
     PcConfig,
     _best_move,
+    _pc_orient,
     extend_to_dag,
     learn_cl,
     learn_hc,
     learn_pc,
 )
 from cpscausal.simgen import forward_sample
-from oracles import all_spanning_trees, random_net, reference_learn_hc, reference_learn_pc
+from oracles import (
+    all_spanning_trees,
+    random_net,
+    reference_extend_to_dag,
+    reference_learn_hc,
+    reference_learn_pc,
+    reference_pc_orient,
+)
 
 from test_estimation import make_ds
 
@@ -140,6 +150,60 @@ class TestExtendToDag:
             extend_to_dag(g)
 
 
+@st.composite
+def pc_skeletons(draw):
+    """3-9 sorted names, a random skeleton as adjacency sets, and for each
+    non-adjacent pair a random separating set, so that v-structures
+    conflict: PC's orientation phase as ``learn_pc`` calls it."""
+    names = [f"V{k}" for k in range(draw(st.integers(3, 9)))]
+    adj: dict[str, set[str]] = {v: set() for v in names}
+    sepsets = {}
+    for i, j in itertools.combinations(names, 2):
+        if draw(st.booleans()):
+            adj[i].add(j)
+            adj[j].add(i)
+        else:
+            s = draw(st.sets(st.sampled_from([v for v in names if v not in (i, j)])))
+            sepsets[(i, j)] = sepsets[(j, i)] = tuple(sorted(s))
+    return names, adj, sepsets
+
+
+def extension(extend, pdag):
+    """The DAG an extension returns, or the class and message it raises."""
+    try:
+        return extend(pdag)
+    except CpsCausalError as e:
+        return type(e), str(e)
+
+
+class TestOrientationMatchesReference:
+    """_pc_orient and extend_to_dag on per-node sets against the scans of
+    every name in oracles.reference_pc_orient and reference_extend_to_dag."""
+
+    @given(pc_skeletons())
+    @settings(deadline=None)
+    def test_random_skeletons(self, skeleton):
+        names, adj, sepsets = skeleton
+        ds = make_ds({v: [0, 1] for v in names})
+        got = _pc_orient(ds, names, {v: set(a) for v, a in adj.items()}, dict(sepsets))
+        want = reference_pc_orient(ds, names, {v: set(a) for v, a in adj.items()}, dict(sepsets))
+        assert got == want
+        assert extension(extend_to_dag, got.graph) == extension(reference_extend_to_dag, want.graph)
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_random_pdags(self, data):
+        # any mix of directed and undirected edges, directed cycles included
+        nodes = tuple(f"V{k}" for k in range(data.draw(st.integers(2, 7))))
+        edges = []
+        for a, b in itertools.combinations(nodes, 2):
+            kind = data.draw(st.sampled_from(("none", "forward", "back", "undirected")))
+            if kind != "none":
+                edges.append(Edge(*((b, a) if kind == "back" else (a, b)), directed=kind != "undirected"))
+        pdag = CausalGraph(nodes=nodes, edges=tuple(edges))
+        assert extension(extend_to_dag, pdag) == extension(reference_extend_to_dag, pdag)
+
+
 class TestHc:
     def test_independent_columns_empty_graph(self):
         rng = np.random.default_rng(22)
@@ -185,6 +249,17 @@ class TestHc:
         fx = get_fixture("stage1")
         ds = fx.sample(5000, seed=107)
         assert learn_hc(ds).graph == learn_hc(ds).graph
+
+    @pytest.mark.parametrize("fixture", ["twostage", "stage1", "collider3"])
+    def test_plateau_k_only_repeats_the_final_score(self, fixture):
+        # a stale iteration changes nothing, so the next one is stale too
+        ds = get_fixture(fixture).sample(3000, seed=112)
+        for method in ("bic", "k2", "bdeu"):
+            base = learn_hc(ds, HcConfig(score_method=method))
+            for k in (2, 5):
+                got = learn_hc(ds, HcConfig(score_method=method, plateau_k=k))
+                assert got.graph == base.graph
+                assert got.trace == base.trace + (base.trace[-1],) * (k - 1)
 
 
 class TestHcMatchesReference:
