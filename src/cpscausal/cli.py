@@ -46,7 +46,7 @@ _HOMES = {
     "ingest": ("dataset_from_json", "dataset_from_text", "dataset_to_json", "discretize", "format_spec_file",
                "parse_log", "parse_spec_file"),
     "learning": ("ClConfig", "HcConfig", "PcConfig", "extend_to_dag", "learn_cl", "learn_hc", "learn_pc"),
-    "simgen": ("forward_sample", "sample_with_clamp", "write_historian_csv"),
+    "simgen": ("sample_with_clamp", "write_historian_csv"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
 
@@ -128,10 +128,24 @@ def _parse_assignments(text: str) -> dict[str, str]:
     return out
 
 
+def _state_indices(net, labels: dict[str, str]) -> dict[str, int]:
+    """The state index of each ``NAME=STATE`` label in the net; an unknown
+    DP or state is a usage error."""
+    out = {}
+    for name, label in labels.items():
+        if name not in net.graph.node_set:
+            raise UsageError(f"no node named {name!r}")
+        states = net.states(name)
+        if label not in states:
+            raise UsageError(f"{name} has no state {label!r}; choices: {', '.join(states)}")
+        out[name] = states.index(label)
+    return out
+
+
 def cmd_sample(args) -> int:
     from .estimation import net_from_json
     from .ingest import format_spec_file
-    from .simgen import forward_sample, sample_with_clamp, write_historian_csv
+    from .simgen import sample_with_clamp, write_historian_csv
 
     if bool(args.fixture) == bool(args.net):
         raise UsageError("give exactly one of --fixture or --net")
@@ -148,15 +162,7 @@ def cmd_sample(args) -> int:
         net = net_from_json(_load_json(args.net))
         specs = None
 
-    clamp = {}
-    for name, label in clamp_labels.items():
-        states = net.states(name)
-        if label not in states:
-            raise UsageError(f"{name} has no state {label!r}; choices: {', '.join(states)}")
-        clamp[name] = states.index(label)
-
-    ds = sample_with_clamp(net, args.n, args.seed, clamp=clamp, specs=specs) if clamp \
-        else forward_sample(net, args.n, args.seed, specs=specs)
+    ds = sample_with_clamp(net, args.n, args.seed, clamp=_state_indices(net, clamp_labels), specs=specs)
     csv_text = write_historian_csv(ds)
     config = {
         "fixture": args.fixture,
@@ -247,17 +253,14 @@ def cmd_fit(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from .graph import compare, graph_from_json
+    from dataclasses import fields
+
+    from .graph import EdgeDiff, compare, graph_from_json
 
     left = graph_from_json(_load_json(args.left))
     right = graph_from_json(_load_json(args.right))
     diff = compare(left, right)
-    obj = {
-        "common": [list(e) for e in diff.common],
-        "reversed": [list(e) for e in diff.reversed],
-        "only_left": [list(e) for e in diff.only_left],
-        "only_right": [list(e) for e in diff.only_right],
-    }
+    obj = {f.name: [list(e) for e in getattr(diff, f.name)] for f in fields(EdgeDiff)}
     print(_dump_json(obj), end="")
     for label, edges in obj.items():
         print(f"{label:>10}: {len(edges):3d}  " + "  ".join(f"{s}->{d}" for s, d in edges))
@@ -272,18 +275,11 @@ def cmd_infer(args) -> int:
     from .inference import Query, posterior
 
     net = net_from_json(_load_json(args.net))
-    evidence = {}
-    for name, label in (_parse_assignments(args.evidence) if args.evidence else {}).items():
-        if name not in net.graph.node_set:
-            raise UsageError(f"no node named {name!r}")
-        states = net.states(name)
-        if label not in states:
-            raise UsageError(f"{name} has no state {label!r}; choices: {', '.join(states)}")
-        evidence[name] = states.index(label)
-    dist = posterior(net, Query(target=args.target, evidence=evidence))
+    labels = _parse_assignments(args.evidence) if args.evidence else {}
+    dist = posterior(net, Query(target=args.target, evidence=_state_indices(net, labels)))
     print(_dump_json({
         "target": args.target,
-        "evidence": _parse_assignments(args.evidence) if args.evidence else {},
+        "evidence": labels,
         "distribution": {s: float(p) for s, p in zip(net.states(args.target), dist)},
     }), end="")
     return EXIT_OK

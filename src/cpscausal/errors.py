@@ -41,10 +41,6 @@ class UnknownColumn(DataError):
     pass
 
 
-class DegenerateColumn(DataError):
-    pass
-
-
 class MissingColumn(DataError):
     pass
 

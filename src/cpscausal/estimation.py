@@ -106,12 +106,6 @@ class Cpt:
     def cardinality(self) -> int:
         return len(self.states)
 
-    def row_index(self, parent_states: Mapping[str, int]) -> int:
-        idx = tuple(parent_states[p] for p in self.parents)
-        if not idx:
-            return 0
-        return int(np.ravel_multi_index(idx, self.parent_cards))
-
 
 @dataclass(frozen=True)
 class BayesNet:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -268,17 +268,7 @@ def report_to_json(report: ImpactReport) -> dict:
     return {
         "attack_id": report.attack_id,
         "theta": report.theta,
-        "findings": [
-            {
-                "candidate": f.candidate,
-                "target": f.target,
-                "target_state": f.target_state,
-                "candidate_state": f.candidate_state,
-                "probability": f.probability,
-                "included": f.included,
-            }
-            for f in report.findings
-        ],
+        "findings": [asdict(f) for f in report.findings],  # the fields in the JSON key order
         "impacted": list(report.impacted),
         "category": report.category,
     }

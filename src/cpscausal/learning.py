@@ -12,7 +12,9 @@ PC's orientation keeps the PDAG as per-node parent, child and undirected
 sets, so each Meek rule is a set expression; ``extend_to_dag`` reads the
 graph's own per-node maps. The test suite's oracles keep the earlier scans
 of every name (``reference_pc_orient``, ``reference_extend_to_dag``) apart
-from the library, and check both against them.
+from the library, and check both against them; ``reference_learn_pc``
+also builds its own starting skeleton, without the edges of constant DPs,
+which ``learn_pc`` leaves to its level-0 tests.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InsufficientData, NoConsistentExtension, UnknownColumn, UsageError
-from .estimation import _chi2_sf, _chi_square_stats, _family_scores, counts, mutual_information
+from .estimation import _chi2_sf, _chi_square_stats, _family_scores, mutual_information
 # no longer called here; bench/tracing.py wraps them under these names
 from .estimation import chi_square_ci, family_score  # noqa: F401
 from .graph import LEARNT, CausalGraph, Edge, is_dag
@@ -90,13 +92,20 @@ def learn_pc(ds: DiscreteDataset, cfg: PcConfig = PcConfig()) -> PcResult:
     independence and the separating set recorded. Edges the rules cannot
     orient are returned with their undirected flag set.
 
+    A DP constant in the data needs no special case: each of its expected
+    counts is exact, so its level-0 statistic is 0, p = 1, and every one of
+    its edges goes at level 0 with the separating set ``()``.
+
     Each test of an unordered pair runs once, computed as
     ``chi_square_ci(ds, min(i, j), max(i, j), s)`` computes it, and is
     memoized: level 0 in one batch, and at later levels each pair's untested
     sets in one batch when the walk reaches the pair. A p-value is computed
     only for the tests the walk reads.
     """
-    names, adj, sepsets = _pc_skeleton_start(ds)
+    _require_learnable(ds)
+    names = sorted(ds.names)
+    adj: dict[str, set[str]] = {n: set(names) - {n} for n in names}
+    sepsets: dict[tuple[str, str], tuple[str, ...]] = {}
     max_cond = cfg.max_cond_size if cfg.max_cond_size is not None else len(names) - 2
 
     # statistics and decisions under the key (min(i, j), max(i, j), s)
@@ -115,15 +124,12 @@ def learn_pc(ds: DiscreteDataset, cfg: PcConfig = PcConfig()) -> PcResult:
             independent[key] = _chi2_sf(*stats[key]) > cfg.alpha
         return independent[key]
 
-    run([(i, j, ()) for i in names for j in sorted(adj[i]) if i < j])  # all of level 0 at once
-    level = 0
-    while level <= max_cond:
-        if not any(len(adj[i] - {j}) >= level for i in names for j in adj[i]):
+    run([(i, j, ()) for i, j in itertools.combinations(names, 2)])  # all of level 0 at once
+    for level in range(max_cond + 1):
+        if all(len(adj[i]) <= level for i in names):  # no pair has a set of this size left
             break
         for i in names:
             for j in sorted(adj[i]):
-                if j not in adj[i]:  # removed while iterating
-                    continue
                 a, b = min(i, j), max(i, j)
                 keys = [(a, b, s) for s in itertools.combinations(sorted(adj[i] - {j}), level)]
                 run(keys)  # the pair's untested sets in one batch, then read in order
@@ -133,28 +139,7 @@ def learn_pc(ds: DiscreteDataset, cfg: PcConfig = PcConfig()) -> PcResult:
                         adj[j].discard(i)
                         sepsets[(i, j)] = sepsets[(j, i)] = key[2]
                         break
-        level += 1
     return _pc_orient(ds, names, adj, sepsets)
-
-
-def _pc_skeleton_start(ds: DiscreteDataset) -> tuple[list[str], dict[str, set[str]], dict[tuple[str, str], tuple[str, ...]]]:
-    """PC's starting skeleton: the sorted names, and the complete undirected
-    graph as adjacency sets, less the edges of every DP that is constant in
-    the data, with the separating sets of those edges."""
-    _require_learnable(ds)
-    names = sorted(ds.names)
-    adj: dict[str, set[str]] = {n: set(names) - {n} for n in names}
-    sepsets: dict[tuple[str, str], tuple[str, ...]] = {}
-
-    # A DP constant in the data is independent of every other DP; level 0
-    # drops its edges with an empty separating set, without a test.
-    for i in names:
-        if (counts(ds, i) > 0).sum() == 1:
-            for j in adj[i]:
-                adj[j].discard(i)
-                sepsets[(i, j)] = sepsets[(j, i)] = ()
-            adj[i] = set()
-    return names, adj, sepsets
 
 
 def _pc_orient(ds: DiscreteDataset, names: list[str], adj: dict[str, set[str]],

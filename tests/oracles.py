@@ -8,10 +8,11 @@ assignments; posteriors come from the full joint tensor; contingency
 counts and chi-square statistics are tallied record by record, the latter
 stratum by stratum; a family score is computed from one family's table;
 hill-climbing rescores every candidate move from scratch each iteration;
-PC runs one chi-square test each time it visits a pair and a conditioning
-set, and its orientation and the PDAG extension scan every name for each
-rule; a historian log is parsed, discretized and written cell by cell;
-dataset JSON is read by ``json`` into one list per record.
+PC drops the edges of constant DPs before any test, then runs one
+chi-square test each time it visits a pair and a conditioning set, and its
+orientation and the PDAG extension scan every name for each rule; a
+historian log is parsed, discretized and written cell by cell; dataset JSON
+is read by ``json`` into one list per record.
 Slow and simple on purpose.
 """
 
@@ -44,7 +45,7 @@ from cpscausal.errors import (
     UnmappedActuatorValue,
     ZeroProbabilityEvidence,
 )
-from cpscausal.estimation import BayesNet, chi_square_ci, counts
+from cpscausal.estimation import BayesNet, Cpt, chi_square_ci, counts
 from cpscausal.graph import LEARNT, CausalGraph, Edge, is_dag, topological_order
 from cpscausal.inference import Query, _validate_query
 from cpscausal.ingest import SENSOR, DiscreteDataset, RawLog, VariableSpec, dataset_from_json, dataset_from_text
@@ -53,7 +54,6 @@ from cpscausal.learning import (
     HcResult,
     PcConfig,
     PcResult,
-    _pc_skeleton_start,
     _require_learnable,
 )
 
@@ -223,8 +223,6 @@ def all_spanning_trees(names: tuple[str, ...]) -> Iterator[tuple[tuple[str, str]
 def random_net(names: tuple[str, ...], max_card: int, rng: np.random.Generator,
                edge_p: float = 0.4):
     """Random DAG plus random strictly positive CPTs."""
-    from cpscausal.estimation import BayesNet, Cpt
-
     graph = random_dag(names, rng, p=edge_p)
     cards = {n: int(rng.integers(2, max_card + 1)) for n in names}
     cpts = {}
@@ -243,6 +241,14 @@ def random_net(names: tuple[str, ...], max_card: int, rng: np.random.Generator,
     return BayesNet(graph=graph, cpts=cpts)
 
 
+def row_index(cpt: Cpt, parent_states: Mapping[str, int]) -> int:
+    """The CPT row of the parents' states, in the table's C order."""
+    idx = tuple(parent_states[p] for p in cpt.parents)
+    if not idx:
+        return 0
+    return int(np.ravel_multi_index(idx, cpt.parent_cards))
+
+
 def joint_prob(net: BayesNet, assignment: Mapping[str, int]) -> float:
     """Probability of one full assignment: the product of CPT entries,
     accumulated in log space."""
@@ -258,7 +264,7 @@ def joint_prob(net: BayesNet, assignment: Mapping[str, int]) -> float:
         state = assignment[node]
         if not 0 <= state < cpt.cardinality:
             raise UnknownState(f"{node} has no state index {state}")
-        p = cpt.table[cpt.row_index(assignment), state]
+        p = cpt.table[row_index(cpt, assignment), state]
         if p == 0.0:
             return 0.0
         lp += np.log(p)
@@ -337,11 +343,33 @@ def reference_chi_square(ds: DiscreteDataset, i: str, j: str, s: tuple[str, ...]
     return stat, dof
 
 
+def reference_pc_skeleton_start(ds: DiscreteDataset) -> tuple[list[str], dict[str, set[str]],
+                                                               dict[tuple[str, str], tuple[str, ...]]]:
+    """PC's starting skeleton: the sorted names, and the complete undirected
+    graph as adjacency sets, less the edges of every DP that is constant in
+    the data, with the separating sets of those edges."""
+    _require_learnable(ds)
+    names = sorted(ds.names)
+    adj: dict[str, set[str]] = {n: set(names) - {n} for n in names}
+    sepsets: dict[tuple[str, str], tuple[str, ...]] = {}
+
+    # A DP constant in the data is independent of every other DP; level 0
+    # drops its edges with an empty separating set, without a test
+    # (chi_square_ci rejects a constant DP).
+    for i in names:
+        if (counts(ds, i) > 0).sum() == 1:
+            for j in adj[i]:
+                adj[j].discard(i)
+                sepsets[(i, j)] = sepsets[(j, i)] = ()
+            adj[i] = set()
+    return names, adj, sepsets
+
+
 def reference_learn_pc(ds: DiscreteDataset, cfg: PcConfig = PcConfig()) -> PcResult:
     """PC's skeleton with one ``chi_square_ci(ds, i, j, s)`` call per test,
     in the order the walk visits the ordered pair (i, j), repeats included;
     then ``reference_pc_orient``."""
-    names, adj, sepsets = _pc_skeleton_start(ds)
+    names, adj, sepsets = reference_pc_skeleton_start(ds)
     max_cond = cfg.max_cond_size if cfg.max_cond_size is not None else len(names) - 2
     level = 0
     while level <= max_cond:

@@ -230,6 +230,19 @@ class TestErrors:
                      "--target", "MV101", "--evidence", "LIT101=Bogus"])
         assert code == 2
 
+    def test_unknown_evidence_dp_is_usage_error(self, pipeline, capsys):
+        code = main(["infer", "--net", str(pipeline / "net.json"),
+                     "--target", "MV101", "--evidence", "NOPE=Low"])
+        assert code == 2
+        assert capsys.readouterr().err == "error [usage]: no node named 'NOPE'\n"
+
+    def test_unknown_clamp_dp_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "clamped.csv"
+        code = main(["sample", "--fixture", "stage1", "--n", "5", "--clamp", "NOPE=Open", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error [usage]: no node named 'NOPE'\n"
+        assert not out.exists()
+
     def test_pc_with_bic_rejected(self, pipeline, tmp_path):
         code = main(["learn", "--dataset", str(pipeline / "dataset.json"),
                      "--algo", "pc", "--score", "bic", "--out", str(tmp_path / "x.json")])

@@ -7,13 +7,12 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpscausal import cli, ingest
 from cpscausal.errors import (
     CpsCausalError,
-    DegenerateColumn,
     EmptyInput,
     MissingColumn,
     NonNumericCell,
@@ -21,7 +20,6 @@ from cpscausal.errors import (
     RaggedRow,
     UnknownColumn,
     UnmappedActuatorValue,
-    UsageError,
 )
 from cpscausal.ingest import (
     ACTUATOR,
@@ -57,6 +55,9 @@ class TestParseLog:
         assert log.columns == ("LIT101", "MV101")
         assert log.n_records == 2
         assert log.values[1, 0] == 800.25
+        assert log.column("MV101").tolist() == [1.0, 2.0]
+        with pytest.raises(UnknownColumn, match="no column named 'LIT102'"):
+            log.column("LIT102")
 
     def test_header_only_is_empty_input(self):
         with pytest.raises(EmptyInput):
@@ -120,94 +121,6 @@ class TestParseLog:
             assert gc.isenabled() is collecting
         finally:
             (gc.enable if was_collecting else gc.disable)()
-
-
-def suggest_bins(log: RawLog, column: str, n_bins: int, method: str = "equal_width") -> tuple[float, ...]:
-    """Propose ``n_bins - 1`` strictly increasing cut points for a column:
-    a binning helper with no command of its own, kept with its tests.
-
-    ``equal_width`` splits ``[min, max]`` evenly; ``quantile`` places edges
-    at the empirical ``k/n_bins`` quantiles (linear interpolation). Constant
-    columns, and edges that float64 cannot hold apart, raise
-    :class:`DegenerateColumn`; an ``n_bins`` below 2 or an unknown method
-    raises :class:`UsageError`.
-    """
-    if n_bins < 2:
-        raise UsageError(f"n_bins must be >= 2, got {n_bins}")
-    if method not in ("equal_width", "quantile"):
-        raise UsageError(f"unknown binning method {method!r}")
-    x = log.column(column)
-    lo, hi = float(x.min()), float(x.max())
-    if lo == hi:
-        raise DegenerateColumn(f"{column}: constant column")
-    if method == "equal_width":
-        edges = np.linspace(lo, hi, n_bins + 1)[1:-1]
-    else:
-        edges = np.quantile(x, [k / n_bins for k in range(1, n_bins)])
-    edges = tuple(float(e) for e in edges)
-    if any(a >= b for a, b in zip(edges, edges[1:])):
-        raise DegenerateColumn(f"{column}: {method} edges collapsed ({edges})")
-    return edges
-
-
-class TestSuggestBins:
-    def test_equal_width_midpoint(self):
-        log = parse_log("X\n" + "\n".join(str(v) for v in range(10)))
-        assert suggest_bins(log, "X", 2, "equal_width") == (4.5,)
-
-    def test_quantile_median(self):
-        # oracle: the empirical median of 0..9 by sorting
-        values = list(range(10))
-        median = float(np.quantile(values, 0.5))
-        log = parse_log("X\n" + "\n".join(str(v) for v in values))
-        assert suggest_bins(log, "X", 2, "quantile") == (median,)
-
-    def test_constant_column_degenerate(self):
-        log = parse_log("X\n3\n3\n3\n")
-        with pytest.raises(DegenerateColumn):
-            suggest_bins(log, "X", 2, "equal_width")
-
-    def test_collapsed_quantile_edges_degenerate(self):
-        log = parse_log("X\n1\n1\n1\n1\n9\n")
-        with pytest.raises(DegenerateColumn, match="quantile edges collapsed"):
-            suggest_bins(log, "X", 4, "quantile")
-
-    def test_collapsed_equal_width_edges_name_the_method(self):
-        # no float lies strictly between 0 and 5e-324, so three cut points collapse
-        log = parse_log("X\n0.0\n5e-324\n")
-        with pytest.raises(DegenerateColumn, match="X: equal_width edges collapsed"):
-            suggest_bins(log, "X", 4, "equal_width")
-
-    @pytest.mark.parametrize("n_bins, method", [(1, "equal_width"), (0, "quantile"), (-3, "equal_width"),
-                                                (2, "kmeans"), (2, "")])
-    def test_argument_errors_are_usage_errors(self, n_bins, method):
-        log = parse_log("X\n1\n2\n3\n")
-        with pytest.raises(UsageError):
-            suggest_bins(log, "X", n_bins, method)
-
-    def test_unknown_column(self):
-        log = parse_log("X\n1\n2\n")
-        with pytest.raises(UnknownColumn):
-            suggest_bins(log, "Y", 2)
-
-    @given(values=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=60),
-           n_bins=st.integers(2, 6))
-    @example(values=[0.0, 5e-324], n_bins=4)
-    @settings(max_examples=60, deadline=None)
-    def test_equal_width_partitions_evenly(self, values, n_bins):
-        log = parse_log("X\n" + "\n".join(repr(v) for v in values))
-        lo, hi = min(values), max(values)
-        if lo == hi:
-            return
-        # a range too narrow for n_bins - 1 distinct float64 cut points cannot split
-        if np.any(np.diff(np.linspace(lo, hi, n_bins + 1)[1:-1]) <= 0):
-            with pytest.raises(DegenerateColumn, match="equal_width edges collapsed"):
-                suggest_bins(log, "X", n_bins, "equal_width")
-            return
-        edges = suggest_bins(log, "X", n_bins, "equal_width")
-        assert len(edges) == n_bins - 1
-        widths = np.diff([lo, *edges, hi])
-        assert np.all(np.abs(widths - (hi - lo) / n_bins) <= 1e-12 * max(1.0, abs(hi), abs(lo)))
 
 
 class TestDiscretize:

@@ -352,6 +352,36 @@ class TestPcMatchesReference:
     def test_random_data(self, n_dps):
         self.assert_same(TestHcMatchesReference.random_ds(n_dps, 500 + n_dps))
 
+    @pytest.mark.parametrize("all_but_two", [False, True], ids=["one", "all_but_two"])
+    @pytest.mark.parametrize("fixture, kept", [("stage1", ("LIT101", "P101")), ("twostage", ("AIT201", "FIT201")),
+                                               ("collider3", ("A", "C"))],
+                             ids=["stage1", "twostage", "collider3"])
+    def test_constant_dps(self, fixture, kept, all_but_two, monkeypatch):
+        # learn_pc tests a constant DP like any other: its statistic is
+        # exactly 0, so level 0 drops each of its edges with the set ()
+        ds = get_fixture(fixture).sample(300, seed=31)
+        constant = [v for v in ds.names if v not in kept] if all_but_two else [kept[0]]
+        data = ds.data.copy()
+        for v in constant:
+            data[:, ds.index(v)] = ds.cardinality(v) - 1  # a state other than 0
+        ds = DiscreteDataset(specs=ds.specs, data=data)
+        seen = []
+        batched = learning._chi_square_stats
+
+        def recording(ds, tests):
+            stats, dofs = batched(ds, tests)
+            seen.extend(zip(tests, stats.tolist()))
+            return stats, dofs
+
+        monkeypatch.setattr(learning, "_chi_square_stats", recording)
+        self.assert_same(ds)
+        assert all(stat == 0.0 for (*s, i, j), stat in seen if {ds.names[i], ds.names[j]} & set(constant))
+        for cfg in self.CONFIGS:
+            got = learn_pc(ds, cfg)
+            for c in constant:
+                assert not any(c in (e.src, e.dst) for e in got.graph.edges), cfg
+                assert all(got.sepsets[(c, v)] == () for v in ds.names if v != c), cfg
+
     @pytest.mark.parametrize("fixture, n", [("twostage", 60), ("twostage", 2000), ("stage1", 20_000)])
     def test_statistics_are_chi_square_ci_s(self, fixture, n, monkeypatch):
         # each statistic and dof learn_pc computes is, bit for bit, the one
