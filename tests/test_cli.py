@@ -31,7 +31,9 @@ from cpscausal.ingest import (
     dataset_to_json,
     format_spec_file,
 )
-from cpscausal.simgen import write_historian_csv
+from cpscausal.fixtures import get_fixture
+from cpscausal.graph import CausalGraph, Edge, graph_to_json
+from cpscausal.simgen import forward_sample, write_historian_csv
 from oracles import read_as_one_array, reference_parse_log
 
 
@@ -126,6 +128,21 @@ class TestCommands:
         assert obj["only_left"] == obj["only_right"] == []
         assert "common" in capsys.readouterr().out
 
+    def test_compare_writes_the_four_edge_lists_in_order(self, tmp_path, capsys):
+        left, right = tmp_path / "left.json", tmp_path / "right.json"
+        left.write_text(json.dumps(graph_to_json(CausalGraph(
+            nodes=("A", "B", "C", "D"), edges=(Edge("A", "B"), Edge("B", "C"), Edge("C", "D"))))))
+        right.write_text(json.dumps(graph_to_json(CausalGraph(
+            nodes=("A", "B", "C", "D"), edges=(Edge("A", "B"), Edge("C", "B"), Edge("A", "D"))))))
+        out = tmp_path / "diff.json"
+        assert main(["compare", "--left", str(left), "--right", str(right), "--out", str(out)]) == 0
+        obj = json.loads(out.read_text())
+        assert list(obj) == ["common", "reversed", "only_left", "only_right"]
+        assert obj == {"common": [["A", "B"]], "reversed": [["B", "C"]],
+                       "only_left": [["C", "D"]], "only_right": [["A", "D"]]}
+        assert capsys.readouterr().out.endswith("\n}\n    common:   1  A->B\n  reversed:   1  B->C\n"
+                                                " only_left:   1  C->D\nonly_right:   1  A->D\n")
+
     def test_infer_prints_distribution(self, pipeline, capsys):
         assert main(["infer", "--net", str(pipeline / "net.json"),
                      "--target", "MV101", "--evidence", "LIT101=Low"]) == 0
@@ -152,6 +169,14 @@ class TestCommands:
         rows = out.read_text().strip().splitlines()[1:]
         mv_col = [r.split(",")[4] for r in rows]
         assert set(mv_col) == {"2"}  # Open's declared code
+
+
+    def test_sample_without_clamp_is_forward_sample(self, tmp_path):
+        out = tmp_path / "sample.csv"
+        assert main(["sample", "--fixture", "stage1", "--n", "50", "--seed", "2", "--out", str(out)]) == 0
+        fixture = get_fixture("stage1")
+        want = write_historian_csv(forward_sample(fixture.net, 50, 2, specs=fixture.specs))
+        assert out.read_text() == want
 
 
 class TestErrors:
@@ -241,6 +266,13 @@ class TestErrors:
         code = main(["sample", "--fixture", "stage1", "--n", "5", "--clamp", "NOPE=Open", "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == "error [usage]: no node named 'NOPE'\n"
+        assert not out.exists()
+
+    def test_unknown_clamp_state_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "clamped.csv"
+        code = main(["sample", "--fixture", "stage1", "--n", "5", "--clamp", "MV101=Bogus", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error [usage]: MV101 has no state 'Bogus'; choices: Close, Open\n"
         assert not out.exists()
 
     def test_pc_with_bic_rejected(self, pipeline, tmp_path):

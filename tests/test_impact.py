@@ -266,6 +266,19 @@ class TestDiscoverImpact:
         assert obj["attack_id"] == "f"
         assert json.dumps(obj)  # serializable
 
+    def test_report_json_finding_keys(self, twostage):
+        rep = discover_impact(twostage.net, AttackSpec(id="f", targeted=("FIT201",)),
+                              ImpactConfig(), stage_of=twostage.stage_of)
+        obj = report_to_json(rep)
+        assert list(obj) == ["attack_id", "theta", "findings", "impacted", "category"]
+        assert obj["findings"]
+        for f, finding in zip(obj["findings"], rep.findings, strict=True):
+            assert list(f) == ["candidate", "target", "target_state", "candidate_state", "probability",
+                               "included"]
+            assert (f["candidate"], f["target"], f["target_state"], f["candidate_state"], f["probability"],
+                    f["included"]) == (finding.candidate, finding.target, finding.target_state,
+                                       finding.candidate_state, finding.probability, finding.included)
+
 
 class TestAttackFile:
     def test_nine_attacks_parse(self):

@@ -87,6 +87,22 @@ class TestPc:
         assert skeleton(res.graph) == {frozenset("AB"), frozenset("BC")}
         assert all(not e.directed for e in res.graph.edges)
 
+    @pytest.mark.parametrize("n_cond", [0, 1, 2])
+    def test_constant_dp_statistic_is_exactly_zero(self, n_cond):
+        # why learn_pc needs no constant-DP pre-pass: the expected counts of
+        # a constant DP's tables are exact, so each of its tests gives p = 1
+        ds = get_fixture("stage1").sample(300, seed=31)
+        data = ds.data.copy()
+        c = ds.index("P102")
+        data[:, c] = ds.cardinality("P102") - 1
+        ds = DiscreteDataset(specs=ds.specs, data=data)
+        tests = [(*s, min(c, j), max(c, j))
+                 for j in range(len(ds.names)) if j != c
+                 for s in itertools.combinations([k for k in range(len(ds.names)) if k not in (c, j)], n_cond)]
+        stats, dofs = learning._chi_square_stats(ds, tests)
+        assert stats.tolist() == [0.0] * len(tests)
+        assert all(learning._chi2_sf(0.0, dof) == 1.0 for dof in dofs.tolist())
+
     def test_single_variable_insufficient(self):
         ds = make_ds({"A": [0, 1]})
         with pytest.raises(InsufficientData):
