@@ -25,7 +25,8 @@ _HOMES = {
     "impact": ("AttackSpec", "ImpactConfig", "ImpactReport", "classify_attack", "discover_impact",
                "load_domain_graph"),
     "inference": ("Query", "posterior"),
-    "ingest": ("DiscreteDataset", "RawLog", "VariableSpec", "discretize", "parse_log", "project"),
+    "ingest": ("DiscreteDataset", "RawLog", "VariableSpec", "discretize", "discretize_text", "parse_log",
+               "project"),
     "learning": ("ClConfig", "HcConfig", "PcConfig", "extend_to_dag", "learn_cl", "learn_hc", "learn_pc"),
     "simgen": ("FixtureNet", "forward_sample", "sample_with_clamp"),
 }

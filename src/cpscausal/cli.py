@@ -43,8 +43,8 @@ _HOMES = {
     "graph": ("compare", "graph_from_json", "graph_to_dot", "graph_to_json"),
     "impact": ("ImpactConfig", "discover_impact", "load_attacks", "report_to_json"),
     "inference": ("Query", "posterior"),
-    "ingest": ("dataset_from_json", "dataset_from_text", "dataset_to_json", "discretize", "format_spec_file",
-               "parse_log", "parse_spec_file"),
+    "ingest": ("dataset_from_json", "dataset_from_text", "dataset_to_json", "discretize", "discretize_text",
+               "format_spec_file", "parse_log", "parse_spec_file"),
     "learning": ("ClConfig", "HcConfig", "PcConfig", "extend_to_dag", "learn_cl", "learn_hc", "learn_pc"),
     "simgen": ("sample_with_clamp", "write_historian_csv"),
 }
@@ -124,8 +124,16 @@ def _parse_assignments(text: str) -> dict[str, str]:
         key, sep, val = item.partition("=")
         if not sep or not key.strip() or not val.strip():
             raise UsageError(f"bad assignment {item!r}; expected NAME=STATE[,NAME=STATE...]")
+        if key.strip() in out:
+            raise UsageError(f"{key.strip()} is assigned more than once")
         out[key.strip()] = val.strip()
     return out
+
+
+def _require_node(net, name: str) -> None:
+    """An unknown DP is a usage error."""
+    if name not in net.graph.node_set:
+        raise UsageError(f"no node named {name!r}")
 
 
 def _state_indices(net, labels: dict[str, str]) -> dict[str, int]:
@@ -133,8 +141,7 @@ def _state_indices(net, labels: dict[str, str]) -> dict[str, int]:
     DP or state is a usage error."""
     out = {}
     for name, label in labels.items():
-        if name not in net.graph.node_set:
-            raise UsageError(f"no node named {name!r}")
+        _require_node(net, name)
         states = net.states(name)
         if label not in states:
             raise UsageError(f"{name} has no state {label!r}; choices: {', '.join(states)}")
@@ -179,11 +186,16 @@ def cmd_sample(args) -> int:
 
 
 def cmd_discretize(args) -> int:
-    from .ingest import dataset_to_json, discretize, parse_log, parse_spec_file
+    from .ingest import dataset_to_json, discretize_text, parse_log, parse_spec_file
 
-    log = parse_log(_read(args.input))
-    specs = parse_spec_file(_read(args.spec))
-    ds = discretize(log, specs)
+    text = _read(args.input)
+    try:
+        specs = parse_spec_file(_read(args.spec))
+    except CpsCausalError:
+        parse_log(text)  # a fault in the log is named before one in the spec file
+        raise
+    ds = discretize_text(text, specs)
+    del text  # the log text is not needed while the dataset is written
     _write_with_manifest(
         Path(args.out), _dump_json(dataset_to_json(ds)), "discretize",
         {"input": Path(args.input).name, "spec": Path(args.spec).name}, {})
@@ -276,7 +288,9 @@ def cmd_infer(args) -> int:
 
     net = net_from_json(_load_json(args.net))
     labels = _parse_assignments(args.evidence) if args.evidence else {}
-    dist = posterior(net, Query(target=args.target, evidence=_state_indices(net, labels)))
+    evidence = _state_indices(net, labels)
+    _require_node(net, args.target)
+    dist = posterior(net, Query(target=args.target, evidence=evidence))
     print(_dump_json({
         "target": args.target,
         "evidence": labels,

@@ -219,6 +219,22 @@ class TestErrors:
         assert capsys.readouterr().err == f"error [{type(raised.value).__name__}]: {raised.value}\n"
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("spec_text, spec_error", [
+        (None, "DataError"), ("A bogus Off,On\n", "ParseError"), ("# nothing\n", "EmptyInput"),
+        ("C actuator Off,On\n", "MissingColumn"), ("A actuator Off,On\n", "UnmappedActuatorValue"),
+    ], ids=["missing", "bad-kind", "no-variables", "missing-column", "unmapped-code"])
+    def test_log_fault_is_named_before_any_spec_fault(self, tmp_path, capsys, spec_text, spec_error):
+        spec = tmp_path / "s.vspec"
+        if spec_text is not None:
+            spec.write_text(spec_text)
+        for text, error in [("A,B\n7,2\n3,x\n", "NonNumericCell"), ("A,B\n7,2\n3,4\n", spec_error)]:
+            log = tmp_path / "log.csv"
+            log.write_text(text)
+            code = main(["discretize", "--input", str(log), "--spec", str(spec), "--out", str(tmp_path / "x.json")])
+            assert code == 3
+            assert capsys.readouterr().err.startswith(f"error [{error}]: ")
+            assert not (tmp_path / "x.json").exists()
+
     def test_log_that_is_not_utf8_is_data_error_naming_the_file(self, tmp_path, capsys):
         log = tmp_path / "log.csv"
         log.write_bytes(b"A,B\n1,\xff2\n")
@@ -273,6 +289,25 @@ class TestErrors:
         code = main(["sample", "--fixture", "stage1", "--n", "5", "--clamp", "MV101=Bogus", "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == "error [usage]: MV101 has no state 'Bogus'; choices: Close, Open\n"
+        assert not out.exists()
+
+    def test_unknown_target_is_usage_error(self, pipeline, capsys):
+        code = main(["infer", "--net", str(pipeline / "net.json"), "--target", "NOPE"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error [usage]: no node named 'NOPE'\n")
+
+    def test_repeated_evidence_dp_is_usage_error(self, pipeline, capsys):
+        code = main(["infer", "--net", str(pipeline / "net.json"),
+                     "--target", "MV101", "--evidence", "LIT101=Low,LIT101=High"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error [usage]: LIT101 is assigned more than once\n")
+
+    def test_repeated_clamp_dp_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "clamped.csv"
+        code = main(["sample", "--fixture", "stage1", "--n", "5", "--clamp", "MV101=Open, MV101 =Open",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error [usage]: MV101 is assigned more than once\n"
         assert not out.exists()
 
     def test_pc_with_bic_rejected(self, pipeline, tmp_path):

@@ -3,7 +3,9 @@ import gc
 import json
 import random
 import re
+import tracemalloc
 from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,12 +33,14 @@ from cpscausal.ingest import (
     dataset_from_text,
     dataset_to_json,
     discretize,
+    discretize_text,
     format_spec_file,
     parse_log,
     parse_spec_file,
     project,
     records_json,
 )
+from cpscausal.simgen import write_historian_csv
 from oracles import (
     read_as_one_array,
     reference_dataset_from_text,
@@ -833,3 +837,124 @@ def test_discretize_matches_reference(text, specs):
         assert got.specs == want.specs
         assert got.data.dtype == want.data.dtype
         assert np.array_equal(got.data, want.data)
+
+
+# --- block by block -------------------------------------------------------------
+#
+# The plain path reads a log in blocks of at least ingest._BLOCK_CHARS
+# characters; blocks of a character or a few put a block boundary after
+# every line, or after every few lines.
+
+def _assert_discretizes_as_reference(text, specs) -> None:
+    """Check that ``discretize_text`` gives the dataset or the error that the
+    reference parse and discretize give for ``text``."""
+    got = _outcome(discretize_text, text, specs)
+    want = _outcome(lambda: reference_discretize(reference_parse_log(text), specs))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.specs == want.specs
+        assert got.data.dtype == want.data.dtype
+        assert np.array_equal(got.data, want.data)
+
+
+def _sensors(text) -> list[VariableSpec]:
+    """A sensor for each value column of the log ``text`` as the reference
+    reads it, or for a column ``A`` when it refuses the log."""
+    try:
+        columns = reference_parse_log(text).columns
+    except CpsCausalError:
+        columns = ("A",)
+    return [VariableSpec(name, SENSOR, ("Low", "Mid", "High"), bin_edges=(1.0, 2.5)) for name in columns]
+
+
+@pytest.mark.parametrize("chars", [1, 2, 7])
+@pytest.mark.parametrize("text", PARSE_CORPUS.values(), ids=PARSE_CORPUS.keys())
+def test_small_blocks_parse_and_discretize_as_the_reference(text, chars):
+    with mock.patch.object(ingest, "_BLOCK_CHARS", chars):
+        _assert_parses_as_reference(text)
+        _assert_discretizes_as_reference(text, _sensors(text))
+
+
+@pytest.mark.parametrize("chars", [1, 2, 7])
+@pytest.mark.parametrize("text, specs", DISCRETIZE_CORPUS.values(), ids=DISCRETIZE_CORPUS.keys())
+def test_small_blocks_discretize_the_corpus_as_the_reference(text, specs, chars):
+    with mock.patch.object(ingest, "_BLOCK_CHARS", chars):
+        _assert_discretizes_as_reference(text, specs)
+
+
+def _codes(name):
+    return VariableSpec(name, ACTUATOR, ("Off", "On"), codes=(0, 1))
+
+
+def _sensor(name):
+    return VariableSpec(name, SENSOR, ("Low", "High"), bin_edges=(2.0,))
+
+
+# faults and odd lines past the first record, so that a block boundary
+# falls before them; "earlier" and "later" speak of spec columns and records
+STRADDLE_CORPUS = {
+    "bad-cell": ("A,B\n1,2\n3,4\n5,x\n", [_sensor("A"), _sensor("B")]),
+    "ragged-row": ("A,B\n1,2\n3,4\n5,6,7\n", [_sensor("A"), _sensor("B")]),
+    "field-above-csv-limit": ("Timestamp,A\nt0,1\n" + "t" * (csv.field_size_limit() + 1) + ",1\n", [_sensor("A")]),
+    "crlf-bad-cell": ("A,B\r\n1,2\r\n3,x\r\n", [_sensor("A"), _sensor("B")]),
+    "blank-line": ("A,B\n1,2\n\n3,4\n", [_sensor("A"), _sensor("B")]),
+    "blank-line-in-one-column": ("A\n1\n2\n\n3\n", [_sensor("A")]),
+    "trailing-blank-lines": ("A,B\n1,2\n3,4\n\n\n", [_sensor("B")]),
+    "quoted-cell": ('A,B\n1,2\n"3",4\n', [_sensor("A"), _sensor("B")]),
+    "line-longer-than-a-block": ("Timestamp,A\nt0,1\n" + "t" * 40 + ",2\nt2,3\n", [_sensor("A")]),
+    "no-line-end-after-the-last-record": ("A,B\n1,2\n3,4", [_sensor("B"), _sensor("A")]),
+    "unmapped-code-in-an-earlier-column-and-a-later-record":
+        ("A,B\n0,0\n0,7\n9,0\n", [_codes("A"), _codes("B")]),
+    "non-integer-in-an-earlier-column-and-a-later-record":
+        ("A,B\n0,0\n0,1.5\n0.5,0\n", [_codes("A"), _codes("B")]),
+    "unmapped-code-before-a-bad-cell": ("A,B\n7,0\n0,0\n0,x\n", [_codes("A"), _codes("B")]),
+    "unmapped-code-before-a-ragged-row": ("A,B\n7,0\n0,0\n0,0,0\n", [_codes("A")]),
+    "unmapped-code-before-a-missing-column": ("A\n0\n7\n", [_codes("A"), _sensor("B")]),
+    "repeated-spec-after-an-unmapped-code": ("A\n0\n1\n7\n", [_sensor("A"), _sensor("A")]),
+}
+
+
+@pytest.mark.parametrize("text, specs", STRADDLE_CORPUS.values(), ids=STRADDLE_CORPUS.keys())
+def test_block_boundary_anywhere_before_a_fault(text, specs):
+    for chars in [*range(1, min(len(text), 40) + 1), len(text)]:
+        with mock.patch.object(ingest, "_BLOCK_CHARS", chars):
+            _assert_parses_as_reference(text)
+            _assert_discretizes_as_reference(text, specs)
+
+
+@given(log=_historian_logs(), chars=st.integers(1, 64),
+       specs=st.lists(st.tuples(st.sampled_from(["P101", "LIT101", "FIT101", "MV101", "AIT201"]),
+                                st.sampled_from([_sensor, _codes])),
+                      min_size=1, max_size=3, unique_by=lambda spec: spec[0]))
+@settings(deadline=None)
+def test_small_blocks_match_the_reference_on_generated_logs(log, chars, specs):
+    text, _ = log
+    with mock.patch.object(ingest, "_BLOCK_CHARS", chars):
+        _assert_parses_as_reference(text)
+        _assert_discretizes_as_reference(text, [make(name) for name, make in specs])
+
+
+def _traced_peak_beyond_dataset(read, text, specs) -> int:
+    """The peak of the memory that ``read(text, specs)`` allocates, less its
+    dataset's records."""
+    tracemalloc.start()
+    try:
+        ds = read(text, specs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - ds.data.nbytes
+
+
+def test_memory_beyond_the_dataset_does_not_grow_with_the_log(twostage):
+    ds = twostage.sample(10_000, seed=5)
+    small = write_historian_csv(ds)
+    large = small + small.partition("\n")[2] * 3  # 40k records
+
+    def grows(read) -> bool:
+        extra = [_traced_peak_beyond_dataset(read, text, ds.specs) for text in (small, large)]
+        return extra[1] > 1.25 * extra[0]
+
+    assert not grows(discretize_text)
+    assert grows(lambda text, specs: discretize(parse_log(text), specs))
