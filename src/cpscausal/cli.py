@@ -130,9 +130,9 @@ def _parse_assignments(text: str) -> dict[str, str]:
     return out
 
 
-def _require_node(net, name: str) -> None:
+def _require_node(names, name: str) -> None:
     """An unknown DP is a usage error."""
-    if name not in net.graph.node_set:
+    if name not in names:
         raise UsageError(f"no node named {name!r}")
 
 
@@ -141,7 +141,7 @@ def _state_indices(net, labels: dict[str, str]) -> dict[str, int]:
     DP or state is a usage error."""
     out = {}
     for name, label in labels.items():
-        _require_node(net, name)
+        _require_node(net.graph.node_set, name)
         states = net.states(name)
         if label not in states:
             raise UsageError(f"{name} has no state {label!r}; choices: {', '.join(states)}")
@@ -228,6 +228,7 @@ def cmd_learn(args) -> int:
             raise UsageError("cl is scored by mutual information; drop --score")
         if not args.root:
             raise UsageError("cl needs --root")
+        _require_node(ds.names, args.root)
         graph = learn_cl(ds, ClConfig(root=args.root))
     config = {
         "algo": args.algo, "score": score, "alpha": args.alpha, "root": args.root,
@@ -289,7 +290,7 @@ def cmd_infer(args) -> int:
     net = net_from_json(_load_json(args.net))
     labels = _parse_assignments(args.evidence) if args.evidence else {}
     evidence = _state_indices(net, labels)
-    _require_node(net, args.target)
+    _require_node(net.graph.node_set, args.target)
     dist = posterior(net, Query(target=args.target, evidence=evidence))
     print(_dump_json({
         "target": args.target,

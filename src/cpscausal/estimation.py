@@ -57,7 +57,7 @@ under the modified Lentz method.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, lgamma, log, prod
+from math import exp, inf, lgamma, log, prod
 from typing import Mapping
 
 import numpy as np
@@ -256,8 +256,8 @@ def fit_mle(ds: DiscreteDataset, graph: CausalGraph) -> BayesNet:
 
 def fit_bayes(ds: DiscreteDataset, graph: CausalGraph, ess: float = 1.0) -> BayesNet:
     """Dirichlet-smoothed posterior-mean CPTs under a BDeu-uniform prior."""
-    if ess <= 0:
-        raise NonPositiveEss(f"ess must be > 0, got {ess}")
+    if not 0 < ess < inf:
+        raise NonPositiveEss(f"ess must be a finite number > 0, got {ess}")
 
     def smooth(n: np.ndarray):
         q, r = n.shape
@@ -381,8 +381,8 @@ def family_scores(ds: DiscreteDataset, child: str, parent_sets: list[tuple[str, 
 def _family_scores(ds: DiscreteDataset, families: list[tuple[int, ...]], method: str, ess: float) -> list[float]:
     """Scores of families given as column indices, parents first and child
     last; the child may differ from family to family."""
-    if method == "bdeu" and ess <= 0:
-        raise NonPositiveEss(f"ess must be > 0, got {ess}")
+    if method == "bdeu" and not 0 < ess < inf:
+        raise NonPositiveEss(f"ess must be a finite number > 0, got {ess}")
     out = [0.0] * len(families)
     for cards, which, cols in _by_cards(ds, families):
         n = _tally(ds, cols, cards).reshape(len(which), -1, cards[-1])

@@ -11,11 +11,13 @@ Bin edges are half-open ``[lo, hi)``: a value equal to an edge belongs to
 the upper interval. Timestamp columns are carried as opaque text and never
 enter the discrete data. Missing values are rejected at parse time.
 
-Plain numeric log text is read in blocks of ``_BLOCK_CHARS`` characters,
-each cut at a line end and checked as it is read. :func:`parse_log` fills
-one float array from the blocks; :func:`discretize_text` maps each block
-to states as soon as it is read, so that it holds the dataset and one
-block, and never the whole log as numbers.
+Every log is read by one block reader: plain numeric text in blocks of
+``_BLOCK_CHARS`` characters cut at line ends, and any other text, or a
+block that numpy's reader refuses, in batches of :mod:`csv` rows; one scan
+of the whole text names any fault. :func:`parse_log` fills one float array
+from the blocks; :func:`discretize_text` maps each block to states as soon
+as it is read, so that it holds the dataset and one block, and never the
+whole log as numbers.
 
 This module also holds the one layout of the dataset JSON file: the CLI
 writes every JSON artifact with :func:`jsontext.json_text`, which lays out
@@ -34,13 +36,14 @@ import io
 import json
 import re
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import isfinite, nan
 from numbers import Real
-from typing import NamedTuple, NoReturn
+from typing import NoReturn
 
 import numpy as np
 
@@ -62,13 +65,13 @@ ACTUATOR = "actuator"
 
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
 
-# The plain path reads a log's records in blocks of at least this many
-# characters, each cut at a line end. 64 KiB is about 250 records of the
-# benchmark's 51-DP log, or 1,350 of its 12-DP one. discretize_text then
-# holds 0.9 MB beyond the dataset (3.6 MB with 256 KiB blocks), and takes
-# as long as parse_log plus discretize on the 51-DP log and a quarter less
-# on the 12-DP one: more, smaller blocks pay numpy's per-call cost once
-# per block and DP
+# The log reader reads plain records in blocks of at least this many
+# characters, each cut at a line end, and csv rows in batches of the lines
+# of a quarter block. 64 KiB is about 250 records of the benchmark's 51-DP
+# log, or 1,350 of its 12-DP one. discretize_text then holds 0.9 MB beyond
+# the dataset (3.6 MB with 256 KiB blocks), and takes as long as parse_log
+# plus discretize on the 51-DP log and a quarter less on the 12-DP one:
+# more, smaller blocks pay numpy's per-call cost once per block and DP
 _BLOCK_CHARS = 1 << 16
 
 # The largest contingency table that estimation._tally counts from the
@@ -233,44 +236,18 @@ def parse_log(text: str) -> RawLog:
     length mismatches, and :class:`NonNumericCell` when a value cell is not
     a finite number (``nan``, ``inf``, ``1_0`` and ``\\u0661`` included).
     The first faulty record decides which error is raised, and the message
-    names the line of the text on which that record starts.
-
-    numpy's C reader reads every number. Plain numeric text (no quotes, NUL
-    or ``\\r`` outside a CRLF line end, the header on the first line, the
-    same number of commas on every line) goes to it as it is, block by
-    block; :mod:`csv` splits any other text into rows first, and names
-    every fault. Both give the same log, or the same error, for the same
-    text.
+    names the line of the text on which that record starts. The records
+    are read a block at a time (:func:`_read_log`) into one float array.
     """
-    log = _parse_plain(text)
-    if log is not None:
-        return log
-    reader = csv.reader(io.StringIO(text))
-    try:
-        rows = [row for row in reader if any(map(str.strip, row))]
-    except csv.Error as exc:  # a carriage return inside a field, or a field above csv's limit
-        raise ParseError(f"line {reader.line_num}: {exc}") from None
-    if not rows:
-        raise EmptyInput("log has no header row")
-    header = [cell.strip() for cell in rows[0]]
-    if len(rows) == 1:
-        raise EmptyInput("log has a header but no records")
-
-    ts_idx, value_idx, columns = _header_columns(header)
-    if not _unique_names(columns):
-        raise ParseError("column names must be unique and non-empty")
-
-    body = rows[1:]
-    values = None
-    if set(map(len, body)) == {len(header)}:
-        cells = "\n".join([",".join([row[k].strip() for k in value_idx]) for row in body])
-        # a cell that holds a line end would read as a record of its own
-        if "\r" not in cells and cells.count("\n") == len(body) - 1:
-            values = _read_numbers(cells, (len(body), len(columns)))
-    if values is None:
-        _raise_first_fault(text, header, value_idx)
-    timestamps = tuple(row[ts_idx[0]].strip() for row in body) if ts_idx else None
-    return RawLog(columns=columns, values=values, timestamps=timestamps)
+    columns, n_records, blocks = _read_log(text, stamps=True)
+    values = np.empty((n_records, len(columns)))
+    stamps, row = [], 0
+    for numbers, block_stamps in blocks:
+        values[row:row + len(numbers)] = numbers
+        row += len(numbers)
+        stamps.append(block_stamps)
+    timestamps = None if stamps[0] is None else tuple(chain.from_iterable(stamps))
+    return RawLog(columns=columns, values=values[:row], timestamps=timestamps)
 
 
 def _header_columns(header: list[str]) -> tuple[list[int], list[int], tuple[str, ...]]:
@@ -285,80 +262,97 @@ def _unique_names(columns: tuple[str, ...]) -> bool:
     return len(set(columns)) == len(columns) and all(columns)
 
 
-class _PlainHead(NamedTuple):
-    """The header of plain numeric log text, and where its records lie."""
-
-    header: list[str]
-    ts_idx: list[int]
-    value_idx: list[int]
-    columns: tuple[str, ...]
-    start: int  # where the first record starts in the text
-    n_records: int  # the lines from there on, blank ones included
-
-
-def _plain_head(text: str) -> _PlainHead | None:
-    """The header of ``text`` and the extent of its records; None when the
-    text is not plain numeric CSV by its characters or its header, or has no
-    line after the header."""
-    # csv.reader gives these a meaning of its own: quoting, a line end, and
-    # on Python 3.10 an error
-    if '"' in text or "\0" in text or ("\r" in text and text.count("\r") != text.count("\r\n")):
-        return None
-    start = text.find("\n") + 1
-    if start in (0, len(text)):
-        return None
-    header = [cell.strip() for cell in text[:start - 1].split(",")]
-    ts_idx, value_idx, columns = _header_columns(header)
-    # csv skips a blank first line; with no value column, loadtxt cannot
-    # tell a blank line, which csv skips, from a record
-    if not columns or not _unique_names(columns):
-        return None
-    n_records = text.count("\n", start) + (not text.endswith("\n"))
-    return _PlainHead(header, ts_idx, value_idx, columns, start, n_records)
-
-
-def _plain_blocks(text: str, head: _PlainHead) -> Iterator[tuple[list[str], np.ndarray | None]]:
-    """The records of plain ``text`` in blocks of about ``_BLOCK_CHARS``
-    characters, each cut at a line end: each block's lines, and its value
-    cells as a float array; None in place of the array for a block that is
-    not plain numeric CSV or holds a fault, which the csv path then names.
-    The caller stops at the first None."""
-    n_commas, n_columns, limit = len(head.header) - 1, len(head.columns), csv.field_size_limit()
-    at = head.start
+def _cuts(text: str, at: int) -> Iterator[str]:
+    """``text[at:]`` in blocks of at least ``_BLOCK_CHARS`` characters, each
+    cut at a line end."""
     while at < len(text):
         end = text.find("\n", at + _BLOCK_CHARS - 1) + 1 or len(text)
-        block = text[at:end]
+        yield text[at:end]
         at = end
-        lines = block.split("\n")
-        if not lines[-1]:
-            lines.pop()
-        # usecols would drop the extra cells of a long row without a word, and
-        # only the csv path names a field longer than csv's limit
-        if set(map(str.count, lines, repeat(","))) != {n_commas} or max(map(len, lines)) > limit:
-            yield lines, None
-            return
-        yield lines, _read_numbers(block, (len(lines), n_columns), head.value_idx)
 
 
-def _parse_plain(text: str) -> RawLog | None:
-    """The log of ``text`` read without :mod:`csv`, block by block into one
-    float array, or None when the text is not plain numeric CSV or holds a
-    fault, which the csv path then names."""
-    head = _plain_head(text)
-    if head is None:
-        return None
-    values = np.empty((head.n_records, len(head.columns)))
-    timestamps: list[str] = []
-    row = 0
-    for lines, numbers in _plain_blocks(text, head):
-        if numbers is None:
-            return None
-        values[row:row + len(lines)] = numbers
-        row += len(lines)
-        if head.ts_idx:
-            k = head.ts_idx[0]
-            timestamps += [line.split(",", k + 1)[k].strip() for line in lines]
-    return RawLog(columns=head.columns, values=values, timestamps=tuple(timestamps) if head.ts_idx else None)
+def _read_log(text: str, stamps: bool = False) -> tuple[tuple[str, ...], int,
+                                                       Iterator[tuple[np.ndarray, list[str] | None]]]:
+    """The value columns of the log ``text``, a bound on its record count,
+    exact when no line is blank and no cell spans lines, and its records a
+    block at a time: their readings as a float array, and their timestamps
+    when ``stamps`` is true and the log has a timestamp column, else None.
+
+    Plain numeric text (no quotes, NUL or ``\\r`` outside a CRLF line end,
+    the header on the first line, a value column) goes to numpy's C reader
+    a block at a time, as it is. :mod:`csv` splits into rows any block that
+    the C reader refuses and any other text, and the C reader reads the
+    value cells of a batch of rows at a time. Any fault is raised through
+    :func:`_raise_first_fault`: the header's at once, a record's when its
+    block is read."""
+    # the first line on its own, so that the header of plain text, which is
+    # all that csv reads of it, costs no block
+    first = text.find("\n") + 1 or len(text)
+    reader = csv.reader(chain.from_iterable(map(io.StringIO, chain([text[:first]], _cuts(text, first)))))
+    header = None
+    with suppress(StopIteration, csv.Error):
+        header = [cell.strip() for cell in next(row for row in reader if any(map(str.strip, row)))]
+    if header is None:
+        _raise_first_fault(text)
+    ts_idx, value_idx, columns = _header_columns(header)
+    if not _unique_names(columns):
+        _raise_first_fault(text)
+    n_lines = text.count("\n") + (not text.endswith("\n"))
+    # csv.reader gives these a meaning of its own: quoting, a line end, and
+    # on Python 3.10 an error; with no value column, loadtxt cannot tell a
+    # blank line, which csv skips, from a record
+    plain = (reader.line_num == 1 and bool(columns) and '"' not in text and "\0" not in text
+             and ("\r" not in text or text.count("\r") == text.count("\r\n")))
+    ts = ts_idx[0] if stamps and ts_idx else None
+
+    # csv's rows take some four times the memory of their text, so a batch
+    # holds as many rows as a quarter of a block holds lines, on average
+    size = max(1, _BLOCK_CHARS * n_lines // len(text) // 4)
+
+    def rows_read(source: Iterator[list[str]]) -> Iterator[tuple[np.ndarray, list[str] | None]]:
+        """The readings and timestamps of the csv rows of ``source`` that
+        are not blank, a batch of rows at a time."""
+        for batch in iter(lambda: list(islice(source, size)), []):
+            rows = [row for row in batch if any(map(str.strip, row))]
+            if not rows:
+                continue
+            values = None
+            if all(len(row) == len(header) for row in rows):
+                cells = "\n".join([",".join([row[k].strip() for k in value_idx]) for row in rows])
+                # a cell that holds a line end would read as a record of its own
+                if "\r" not in cells and cells.count("\n") == len(rows) - 1:
+                    values = _read_numbers(cells, (len(rows), len(columns)))
+            if values is None:
+                _raise_first_fault(text)
+            yield values, None if ts is None else [row[ts].strip() for row in rows]
+
+    def plain_batches() -> Iterator[tuple[np.ndarray, list[str] | None]]:
+        n_commas, limit = len(header) - 1, csv.field_size_limit()
+        for block in _cuts(text, first):
+            lines = block.split("\n")
+            if not lines[-1]:
+                lines.pop()
+            # usecols would drop the extra cells of a long row without a word,
+            # and only csv names a field longer than its limit
+            values = None
+            if set(map(str.count, lines, repeat(","))) == {n_commas} and max(map(len, lines)) <= limit:
+                values = _read_numbers(block, (len(lines), len(columns)), value_idx)
+            if values is None:
+                yield from rows_read(csv.reader(io.StringIO(block)))
+            else:
+                yield values, None if ts is None else [line.split(",", ts + 1)[ts].strip() for line in lines]
+
+    def blocks(batches: Iterator[tuple[np.ndarray, list[str] | None]]) -> Iterator[tuple[np.ndarray, list[str] | None]]:
+        read = 0
+        with suppress(csv.Error):  # a carriage return inside a field, or a field above csv's limit
+            for batch in batches:
+                read += len(batch[0])
+                yield batch
+            if read:
+                return
+        _raise_first_fault(text)
+
+    return columns, n_lines - reader.line_num, blocks(plain_batches() if plain else rows_read(reader))
 
 
 def _read_numbers(body: str, shape: tuple[int, int], usecols: list[int] | None = None) -> np.ndarray | None:
@@ -382,20 +376,32 @@ def _read_numbers(body: str, shape: tuple[int, int], usecols: list[int] | None =
     return values
 
 
-def _raise_first_fault(text: str, header: list[str], value_idx: list[int]) -> NoReturn:
-    """Raise the error for the first faulty record of the log ``text``,
-    naming the line it starts on and its bad cell. Blank lines and quoted
-    cells that span lines count, as in the text."""
+def _raise_first_fault(text: str) -> NoReturn:
+    """Raise the error of the log ``text``, the one place that names it: a
+    :mod:`csv` error anywhere, then a missing header or records, then the
+    column names, then the first faulty record, naming the line it starts
+    on and its bad cell. Blank lines and quoted cells that span lines count,
+    as in the text."""
     reader = csv.reader(io.StringIO(text))
     records, line = [], 1  # line: where the next record starts
-    for row in reader:
-        if any(map(str.strip, row)):
-            records.append((line, row))
-        line = reader.line_num + 1
-    n_cols = len(header)
-    for r, row in records[1:]:  # records[0] is the header
-        if len(row) != n_cols:
-            raise RaggedRow(f"line {r}: expected {n_cols} cells, got {len(row)}")
+    try:
+        for row in reader:
+            if any(map(str.strip, row)):
+                records.append((line, row))
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+    if not records:
+        raise EmptyInput("log has no header row")
+    if len(records) == 1:
+        raise EmptyInput("log has a header but no records")
+    header = [cell.strip() for cell in records[0][1]]
+    _, value_idx, columns = _header_columns(header)
+    if not _unique_names(columns):
+        raise ParseError("column names must be unique and non-empty")
+    for r, row in records[1:]:
+        if len(row) != len(header):
+            raise RaggedRow(f"line {r}: expected {len(header)} cells, got {len(row)}")
         for k in value_idx:
             cell = row[k].strip()
             try:
@@ -410,50 +416,42 @@ def _raise_first_fault(text: str, header: list[str], value_idx: list[int]) -> No
 
 def discretize(log: RawLog, specs: list[VariableSpec] | tuple[VariableSpec, ...]) -> DiscreteDataset:
     """Map raw readings to state indices, one column per spec, in spec order."""
-    specs = tuple(specs)
-    for spec in specs:
-        if spec.name not in log.columns:
-            raise MissingColumn(f"log has no column {spec.name!r}")
-    data = np.empty((log.n_records, len(specs)), dtype=np.int64)
-    for k, spec in enumerate(specs):
-        data[:, k] = _state_map(spec)(log.column(spec.name))
-    return DiscreteDataset(specs=specs, data=data)
+    return _discretize_blocks(log.columns, log.n_records, [log.values], specs)
 
 
 def discretize_text(text: str, specs: list[VariableSpec] | tuple[VariableSpec, ...]) -> DiscreteDataset:
     """The dataset of historian log ``text``: the same dataset, or the same
-    error, as ``discretize(parse_log(text), specs)``. Plain numeric text is
-    read block by block, and each block's records are mapped to states as
-    they are read, so that no more than the dataset and one block are held;
-    any other text, a spec whose column the log lacks and any fault in any
-    block go to ``discretize(parse_log(text), specs)``, which names the
-    error."""
+    error, as ``discretize(parse_log(text), specs)``. Each block of records
+    is mapped to states as it is read, so that no more than the dataset and
+    one block are held."""
+    columns, n_records, blocks = _read_log(text)
+    return _discretize_blocks(columns, n_records, (values for values, _ in blocks), specs)
+
+
+def _discretize_blocks(columns: tuple[str, ...], n_records: int, blocks: Iterable[np.ndarray],
+                       specs: list[VariableSpec] | tuple[VariableSpec, ...]) -> DiscreteDataset:
+    """The dataset of the readings ``blocks`` of the log ``columns``, which
+    hold at most ``n_records`` records. Every block is read before an error
+    is raised: :class:`MissingColumn` for the first spec whose column the
+    log lacks, then the first unmapped reading of the first spec that has
+    one."""
     specs = tuple(specs)
-    ds = _discretize_plain(text, specs)
-    return ds if ds is not None else discretize(parse_log(text), specs)
-
-
-def _discretize_plain(text: str, specs: tuple[VariableSpec, ...]) -> DiscreteDataset | None:
-    """The dataset of plain ``text`` mapped block by block; None when the
-    text is not plain, lacks a spec's column or holds a fault."""
-    head = _plain_head(text)
-    if head is None or not all(spec.name in head.columns for spec in specs):
-        return None
-    maps = [(k, head.columns.index(spec.name), _state_map(spec)) for k, spec in enumerate(specs)]
-    data = np.empty((head.n_records, len(specs)), dtype=np.int64)
-    row = 0
-    for _, numbers in _plain_blocks(text, head):
-        if numbers is None:
-            return None
-        try:
-            for k, at, states in maps:
-                data[row:row + len(numbers), k] = states(numbers[:, at])
-        except UnmappedActuatorValue:
-            # a later block may hold a fault of the log, or one in an earlier
-            # spec's column, which comes first
-            return None
-        row += len(numbers)
-    return DiscreteDataset(specs=specs, data=data)
+    maps = [(k, columns.index(spec.name), _state_map(spec)) for k, spec in enumerate(specs) if spec.name in columns]
+    data = np.empty((n_records, len(specs)), dtype=np.int64)
+    unmapped, row = {}, 0  # unmapped: the first error of each spec that has one
+    for values in blocks:
+        for k, at, states in maps:
+            try:
+                data[row:row + len(values), k] = states(values[:, at])
+            except UnmappedActuatorValue as exc:
+                unmapped.setdefault(k, exc)
+        row += len(values)
+    for spec in specs:
+        if spec.name not in columns:
+            raise MissingColumn(f"log has no column {spec.name!r}")
+    if unmapped:
+        raise unmapped[min(unmapped)]
+    return DiscreteDataset(specs=specs, data=data[:row])
 
 
 def _state_map(spec: VariableSpec) -> Callable[[np.ndarray], np.ndarray]:

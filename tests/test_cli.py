@@ -448,6 +448,26 @@ class TestErrors:
         assert "must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("ess", ["nan", "inf", "-inf", "0"])
+    @pytest.mark.parametrize("command", ["learn", "fit"])
+    def test_ess_that_is_not_a_finite_positive_number_is_refused(self, repo_root, tmp_path, capsys, command, ess):
+        golden, out = repo_root / "tests/golden/stage1", tmp_path / "x.json"
+        argv = (["learn", "--algo", "hc", "--score", "bdeu"] if command == "learn" else
+                ["fit", "--estimator", "bayes", "--graph", str(golden / "graph.json")])
+        code = main([*argv, "--dataset", str(golden / "dataset.json"), f"--ess={ess}", "--out", str(out)])
+        assert code == 4
+        assert capsys.readouterr() == (
+            "", f"error [NonPositiveEss]: ess must be a finite number > 0, got {float(ess)}\n")
+        assert not out.exists()
+
+    def test_unknown_cl_root_is_usage_error(self, repo_root, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = main(["learn", "--dataset", str(repo_root / "tests/golden/stage1/dataset.json"),
+                     "--algo", "cl", "--root", "NOPE", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error [usage]: no node named 'NOPE'\n")
+        assert not out.exists()
+
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
         def broken(args):
             raise ValueError("internal fault")

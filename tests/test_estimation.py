@@ -200,6 +200,14 @@ class TestFitBayes:
         with pytest.raises(NonPositiveEss):
             fit_bayes(ds, CausalGraph(nodes=("A",)), ess=0.0)
 
+    @pytest.mark.parametrize("ess", [float("nan"), float("inf"), -float("inf")])
+    def test_ess_that_is_not_finite_is_refused(self, ess):
+        ds = make_ds({"A": [0, 1], "B": [1, 0]})
+        with pytest.raises(NonPositiveEss, match="ess must be a finite number > 0"):
+            fit_bayes(ds, CausalGraph(nodes=("A",)), ess=ess)
+        with pytest.raises(NonPositiveEss, match="ess must be a finite number > 0"):
+            family_scores(ds, "A", [("B",)], method="bdeu", ess=ess)
+
 
 class TestChiSquare:
     def test_independent_fair_coins(self):

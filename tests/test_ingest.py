@@ -777,21 +777,39 @@ def test_parse_log_matches_reference_on_generated_logs(log):
     text, plain = log
     parsed = _assert_parses_as_reference(text)
     if plain and parsed is not None:
-        assert ingest._parse_plain(text) is not None
+        assert len(_lines_read_by_csv(parse_log, text)) == 1
 
 
-def test_plain_numeric_log_never_reaches_csv_reader(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("csv.reader called")
+def _lines_read_by_csv(read, *args) -> list[str]:
+    """The lines that every ``csv.reader`` takes in while ``read(*args)``
+    runs, whatever it returns or raises."""
+    seen, reader = [], csv.reader
 
-    monkeypatch.setattr(csv, "reader", refuse)
-    log = parse_log("LIT101,Timestamp,MV101\n100.5, 2015-12-28 10:00:00 ,1\n800.25,t1,2\n")
+    def spy(lines, *rest, **kwargs):
+        return reader((seen.append(line) or line for line in lines), *rest, **kwargs)
+
+    with mock.patch.object(csv, "reader", spy):
+        try:
+            read(*args)
+        except CpsCausalError:
+            pass
+    return seen
+
+
+def test_no_record_of_a_plain_numeric_log_reaches_csv_reader():
+    text = "LIT101,Timestamp,MV101\n100.5, 2015-12-28 10:00:00 ,1\n800.25,t1,2\n"
+    log = parse_log(text)
     assert log.columns == ("LIT101", "MV101")
     assert log.values.tolist() == [[100.5, 1.0], [800.25, 2.0]]
     assert log.timestamps == ("2015-12-28 10:00:00", "t1")
-    # a fault is named by the csv path
-    with pytest.raises(AssertionError, match="csv.reader called"):
-        parse_log("A,B\n1,x\n")
+    # csv reads the header, and no line after it
+    header = ["LIT101,Timestamp,MV101\n"]
+    assert _lines_read_by_csv(parse_log, text) == header
+    assert _lines_read_by_csv(discretize_text, text, [_sensor("LIT101")]) == header
+    with mock.patch.object(ingest, "_BLOCK_CHARS", 1):
+        assert _lines_read_by_csv(parse_log, text) == header
+    # a block the C reader refuses goes to csv, and a fault is named from all of the text
+    assert "1,x\n" in _lines_read_by_csv(parse_log, "A,B\n1,x\n")
 
 
 def test_field_longer_than_csv_allows_is_a_parse_error():
@@ -841,9 +859,10 @@ def test_discretize_matches_reference(text, specs):
 
 # --- block by block -------------------------------------------------------------
 #
-# The plain path reads a log in blocks of at least ingest._BLOCK_CHARS
-# characters; blocks of a character or a few put a block boundary after
-# every line, or after every few lines.
+# The log reader reads plain text in blocks of at least ingest._BLOCK_CHARS
+# characters, and csv rows in batches sized from it; blocks of a character
+# or a few put a block or batch boundary after every line, or after every
+# few lines.
 
 def _assert_discretizes_as_reference(text, specs) -> None:
     """Check that ``discretize_text`` gives the dataset or the error that the
@@ -947,10 +966,22 @@ def _traced_peak_beyond_dataset(read, text, specs) -> int:
     return peak - ds.data.nbytes
 
 
-def test_memory_beyond_the_dataset_does_not_grow_with_the_log(twostage):
+def _quote_timestamps(text: str) -> str:
+    """``text`` with the first cell of each record quoted, as csv reads it."""
+    header, _, body = text.partition("\n")
+    return header + "\n" + re.sub(r"(?m)^([^,\n]+),", r'"\1",', body)
+
+
+@pytest.mark.parametrize("form", [
+    lambda text: text,
+    _quote_timestamps,
+    lambda text: text + "\n",  # a blank line at the end
+], ids=["plain", "quoted-timestamps", "trailing-blank-line"])
+def test_memory_beyond_the_dataset_does_not_grow_with_the_log(twostage, form):
     ds = twostage.sample(10_000, seed=5)
     small = write_historian_csv(ds)
     large = small + small.partition("\n")[2] * 3  # 40k records
+    small, large = form(small), form(large)
 
     def grows(read) -> bool:
         extra = [_traced_peak_beyond_dataset(read, text, ds.specs) for text in (small, large)]
