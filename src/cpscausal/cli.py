@@ -136,6 +136,14 @@ def _require_node(names, name: str) -> None:
         raise UsageError(f"no node named {name!r}")
 
 
+def _require_ess(ess: float) -> None:
+    """Refuse an ``--ess`` that is not a finite number above 0 as a usage
+    error, as ``--alpha`` and ``--theta`` are; the library raises
+    ``NonPositiveEss`` for it."""
+    if not 0 < ess < float("inf"):
+        raise UsageError(f"ess must be a finite number > 0, got {ess}")
+
+
 def _state_indices(net, labels: dict[str, str]) -> dict[str, int]:
     """The state index of each ``NAME=STATE`` label in the net; an unknown
     DP or state is a usage error."""
@@ -220,6 +228,8 @@ def cmd_learn(args) -> int:
             score = "bic"
         if score == "chi2":
             raise UsageError("hc needs a decomposable score: bic, k2, or bdeu")
+        if score == "bdeu":
+            _require_ess(args.ess)
         cfg = HcConfig(score_method=score, plateau_k=args.plateau_k, max_iter=args.max_iter,
                        max_parents=args.max_parents, ess=args.ess)
         graph = learn_hc(ds, cfg).graph
@@ -247,6 +257,8 @@ def cmd_fit(args) -> int:
     from .graph import graph_from_json
     from .ingest import dataset_from_text
 
+    if args.estimator == "bayes":
+        _require_ess(args.ess)
     ds = _load_json(args.dataset, dataset_from_text)
     graph = graph_from_json(_load_json(args.graph))
     if not graph.fully_directed:

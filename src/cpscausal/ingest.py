@@ -148,12 +148,24 @@ class VariableSpec:
         return len(self.states)
 
 
+def state_dtype(cards: Iterable[int]) -> np.dtype:
+    """The dtype of the state indices of DPs with ``cards`` states: the
+    smallest unsigned integer that holds the largest index, so uint8 up to
+    256 states and uint16 up to 65,536, and int64 beyond that."""
+    most = max(cards, default=1)
+    return np.dtype(np.uint8 if most <= 1 << 8 else np.uint16 if most <= 1 << 16 else np.int64)
+
+
 @dataclass(frozen=True)
 class DiscreteDataset:
-    """Records-by-variables matrix of state indices with per-variable specs."""
+    """Records-by-variables matrix of state indices with per-variable specs.
+
+    ``data`` may be given as any integer array; once its indices are checked
+    against the specs it is held as ``state_dtype(cards)``, uint8 when every
+    DP has at most 256 states, and kept as given when it has that dtype."""
 
     specs: tuple[VariableSpec, ...]
-    data: np.ndarray = field(repr=False)  # shape (n_records, n_vars), int64
+    data: np.ndarray = field(repr=False)  # shape (n_records, n_vars), state_dtype(cards)
 
     def __post_init__(self):
         if self.data.ndim != 2 or self.data.shape[1] != len(self.specs):
@@ -163,9 +175,15 @@ class DiscreteDataset:
         if len(self._column_of) != len(self.specs):
             repeated = sorted({name for name in self.names if self.names.count(name) > 1})
             raise ParseError(f"variable names must be unique; repeated: {', '.join(map(repr, repeated))}")
-        for spec, low, high in zip(self.specs, self.data.min(axis=0), self.data.max(axis=0)):
+        if self.data.dtype.kind not in "iu":
+            raise TypeError(f"state indices must be integers, got {self.data.dtype}")
+        lows = self.data.min(axis=0) if self.data.dtype.kind == "i" else repeat(0)
+        for spec, low, high in zip(self.specs, lows, self.data.max(axis=0)):
             if low < 0 or high >= spec.cardinality:
                 raise UnmappedActuatorValue(f"{spec.name}: state index out of range")
+        dtype = state_dtype(self.cards)
+        if self.data.dtype != dtype:
+            object.__setattr__(self, "data", self.data.astype(dtype))
 
     @cached_property
     def names(self) -> tuple[str, ...]:
@@ -197,7 +215,7 @@ class DiscreteDataset:
         bits = np.empty((int(kept.sum()), width // 64), dtype=np.uint64)
         for k in np.flatnonzero(kept).tolist():
             member = np.zeros((kept[k], width), dtype=bool)
-            np.equal(self.data[:, k], np.arange(kept[k])[:, None], out=member[:, :n])
+            np.equal(self.data[:, k], np.arange(kept[k], dtype=self.data.dtype)[:, None], out=member[:, :n])
             # popcounts and ANDs do not depend on the byte order inside a word
             bits[first[k]:first[k] + kept[k]] = np.packbits(member, axis=1, bitorder="little").view(np.uint64)
         return bits, first
@@ -437,7 +455,7 @@ def _discretize_blocks(columns: tuple[str, ...], n_records: int, blocks: Iterabl
     one."""
     specs = tuple(specs)
     maps = [(k, columns.index(spec.name), _state_map(spec)) for k, spec in enumerate(specs) if spec.name in columns]
-    data = np.empty((n_records, len(specs)), dtype=np.int64)
+    data = np.empty((n_records, len(specs)), dtype=state_dtype(spec.cardinality for spec in specs))
     unmapped, row = {}, 0  # unmapped: the first error of each spec that has one
     for values in blocks:
         for k, at, states in maps:
@@ -491,7 +509,10 @@ def _state_map(spec: VariableSpec) -> Callable[[np.ndarray], np.ndarray]:
 def project(ds: DiscreteDataset, names: list[str] | tuple[str, ...]) -> DiscreteDataset:
     """Column-subset dataset preserving record order."""
     idx = [ds.index(n) for n in names]
-    return DiscreteDataset(specs=tuple(ds.specs[i] for i in idx), data=ds.data[:, idx].copy())
+    specs = tuple(ds.specs[i] for i in idx)
+    # the subset's dtype may be narrower than the dataset's
+    data = ds.data[:, idx].astype(state_dtype(spec.cardinality for spec in specs), order="C")
+    return DiscreteDataset(specs=specs, data=data)
 
 
 # --- variable-spec file -------------------------------------------------------
@@ -575,8 +596,9 @@ def format_spec_file(specs: tuple[VariableSpec, ...] | list[VariableSpec]) -> st
 #   }
 
 def dataset_to_json(ds: DiscreteDataset) -> dict:
-    """The dataset as a dict for the CLI's JSON writer; ``data`` is the int64
-    records array itself, which the writer lays out with :func:`records_json`."""
+    """The dataset as a dict for the CLI's JSON writer; ``data`` is the
+    records array itself (its dtype is ``state_dtype`` of the specs), which
+    the writer lays out with :func:`records_json`."""
     return {
         "specs": [
             {
@@ -595,7 +617,9 @@ def dataset_to_json(ds: DiscreteDataset) -> dict:
 def dataset_from_json(obj: dict) -> DiscreteDataset:
     """Validate a parsed dataset JSON object. Every ``data`` cell must be an
     integer: a bool, a float, a string or an integer outside int64 raises
-    :class:`ParseError`. ``data`` may also be an integer array."""
+    :class:`ParseError`. ``data`` may also be an integer array. The cells
+    are read as int64 and narrowed by :class:`DiscreteDataset` once their
+    range is checked."""
     try:
         specs = _specs_from_json(obj["specs"])
         data = np.asarray(obj["data"], dtype=np.int64)
@@ -701,7 +725,7 @@ def _one_digit_records(framed: np.ndarray, w: int) -> np.ndarray | None:
     column_low, column_high = rows[:-1].min(axis=0, initial=255), rows[:-1].max(axis=0, initial=0)
     if (np.stack([column_low, rows[-1]]) < low).any() or (np.stack([column_high, rows[-1]]) > high).any():
         return None
-    return np.subtract(rows[:, 0:2 * w:2], ord("0"), dtype=np.int64)
+    return np.subtract(rows[:, 0:2 * w:2], ord("0"), dtype=np.uint8)
 
 
 def _records_of_runs(framed: np.ndarray, w: int) -> np.ndarray | None:
@@ -720,8 +744,10 @@ def _records_of_runs(framed: np.ndarray, w: int) -> np.ndarray | None:
     cells = _one_digit_records(framed[~is_digit | last], w)
     if cells is None:
         return None
-    # add each cell's digit in the tens, hundreds, ... place; 18 digits
+    # add each cell's digit in the tens, hundreds, ... place, in int64, which
+    # DiscreteDataset narrows once it has checked the range; 18 digits
     # always fit int64, and a run of more is left to json
+    cells = cells.astype(np.int64)
     reach = last
     for k in range(1, 19):
         reach = reach[1:] & is_digit[:-k]  # a digit k places before the last of its run

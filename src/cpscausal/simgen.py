@@ -27,7 +27,7 @@ import numpy as np
 from .errors import UnknownVariable
 from .estimation import BayesNet
 from .graph import topological_order
-from .ingest import ACTUATOR, SENSOR, DiscreteDataset, VariableSpec
+from .ingest import ACTUATOR, SENSOR, DiscreteDataset, VariableSpec, state_dtype
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -73,9 +73,11 @@ def sample_with_clamp(net: BayesNet, n: int, seed: int,
     free = [v for v in order if v not in clamp]
     u = uniforms(seed, n * len(free)).reshape(n, len(free)) if free else np.empty((n, 0))
 
+    # the net's state indices, which the specs' dtype may be too narrow to hold
+    dtype = state_dtype(net.cardinality(v) for v in order)
     columns: dict[str, np.ndarray] = {}
     for name, state in clamp.items():
-        columns[name] = np.full(n, state, dtype=np.int64)
+        columns[name] = np.full(n, state, dtype=dtype)
     for k, node in enumerate(free):
         cpt = net.cpts[node]
         cum = np.cumsum(cpt.table, axis=1)
@@ -84,7 +86,7 @@ def sample_with_clamp(net: BayesNet, n: int, seed: int,
         else:
             cfg = np.zeros(n, dtype=np.int64)
         states = (u[:, k, None] >= cum[cfg]).sum(axis=1)
-        columns[node] = np.minimum(states, cpt.cardinality - 1).astype(np.int64)
+        columns[node] = np.minimum(states, cpt.cardinality - 1).astype(dtype)
 
     specs = specs if specs is not None else _identity_specs(net)
     data = np.column_stack([columns[s.name] for s in specs])

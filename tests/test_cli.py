@@ -448,6 +448,20 @@ class TestErrors:
         assert "must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["learn", "--algo", "pc", "--alpha", "nan"], "alpha must be in (0, 1), got nan"),
+        (["learn", "--algo", "pc", "--alpha", "1"], "alpha must be in (0, 1), got 1.0"),
+        (["learn", "--algo", "hc", "--max-iter", "0"], "need 1 <= plateau_k <= max_iter"),
+        (["learn", "--algo", "hc", "--plateau-k", "0"], "need 1 <= plateau_k <= max_iter"),
+        (["sample", "--fixture", "stage1", "--n", "0"], "--n must be >= 1"),
+    ], ids=["alpha-nan", "alpha-one", "max-iter-zero", "plateau-k-zero", "n-zero"])
+    def test_numeric_argument_out_of_range_is_usage_error(self, repo_root, tmp_path, capsys, argv, message):
+        out = tmp_path / "x.json"
+        dataset = [] if argv[0] == "sample" else ["--dataset", str(repo_root / "tests/golden/stage1/dataset.json")]
+        assert main([*argv, *dataset, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error [usage]: {message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("ess", ["nan", "inf", "-inf", "0"])
     @pytest.mark.parametrize("command", ["learn", "fit"])
     def test_ess_that_is_not_a_finite_positive_number_is_refused(self, repo_root, tmp_path, capsys, command, ess):
@@ -455,9 +469,8 @@ class TestErrors:
         argv = (["learn", "--algo", "hc", "--score", "bdeu"] if command == "learn" else
                 ["fit", "--estimator", "bayes", "--graph", str(golden / "graph.json")])
         code = main([*argv, "--dataset", str(golden / "dataset.json"), f"--ess={ess}", "--out", str(out)])
-        assert code == 4
-        assert capsys.readouterr() == (
-            "", f"error [NonPositiveEss]: ess must be a finite number > 0, got {float(ess)}\n")
+        assert code == 2  # a usage error, as a bad --alpha or --theta is
+        assert capsys.readouterr() == ("", f"error [usage]: ess must be a finite number > 0, got {float(ess)}\n")
         assert not out.exists()
 
     def test_unknown_cl_root_is_usage_error(self, repo_root, tmp_path, capsys):

@@ -40,7 +40,8 @@ from cpscausal.ingest import (
     project,
     records_json,
 )
-from cpscausal.simgen import write_historian_csv
+from cpscausal.fixtures import get_fixture
+from cpscausal.simgen import sample_with_clamp, write_historian_csv
 from oracles import (
     read_as_one_array,
     reference_dataset_from_text,
@@ -536,14 +537,80 @@ def _written_dataset(cards, n_records, seed=0):
     return cli._dump_json(dataset_to_json(ds)), ds
 
 
-@pytest.mark.parametrize("cards", [(12, 3, 2), (150, 12, 10, 2)], ids=["12-states", "150-states"])
-def test_written_dataset_with_more_than_ten_states_is_read_as_one_array(cards):
+@pytest.mark.parametrize("cards, dtype", [((12, 3, 2), np.uint8), ((150, 12, 10, 2), np.uint8),
+                                          ((300, 12, 2), np.uint16)],
+                         ids=["12-states", "150-states", "300-states"])
+def test_written_dataset_with_more_than_ten_states_is_read_as_one_array(cards, dtype):
     text, ds = _written_dataset(cards, 50)
     assert f"[{cards[0] - 1}," in text  # cells of more than one digit
     assert read_as_one_array(text)
     back = dataset_from_text(text)
-    assert back.specs == ds.specs and back.data.dtype == np.int64
+    # the narrowest dtype that holds the largest state index
+    assert back.specs == ds.specs and back.data.dtype == ds.data.dtype == dtype
     assert np.array_equal(back.data, ds.data)
+
+
+def test_every_constructor_gives_the_same_uint8_dataset():
+    fixture = get_fixture("twostage")
+    ds = sample_with_clamp(fixture.net, 300, 7, specs=fixture.specs)
+    log, text = write_historian_csv(ds), cli._dump_json(dataset_to_json(ds))
+    assert read_as_one_array(text) and not read_as_one_array(text[:-1])  # no final newline: json reads it
+    built = {
+        "discretize_text": discretize_text(log, fixture.specs),
+        "discretize": discretize(parse_log(log), fixture.specs),
+        "dataset_from_text": dataset_from_text(text),
+        "dataset_from_text-json": dataset_from_text(text[:-1]),
+        "dataset_from_json": dataset_from_json(json.loads(text)),
+        "project": project(ds, ds.names),
+    }
+    assert ds.data.dtype == np.uint8
+    assert sample_with_clamp(fixture.net, 50, 1, clamp={"MV101": 1}, specs=fixture.specs).data.dtype == np.uint8
+    for path, other in built.items():
+        assert other.specs == ds.specs, path
+        assert other.data.dtype == np.uint8 and np.array_equal(other.data, ds.data), path
+
+
+def test_dataset_holds_the_narrowest_dtype_of_its_own_columns():
+    _, ds = _written_dataset((300, 12, 2), 40)
+    assert ds.data.dtype == np.uint16
+    assert project(ds, ["D2", "D0"]).data.dtype == np.uint16
+    narrow = project(ds, ["D2", "D1"])
+    assert narrow.data.dtype == np.uint8 and narrow.data.flags.c_contiguous
+    assert np.array_equal(narrow.data, ds.data[:, [2, 1]])
+    # data of the dtype already is kept as given; any other integer array is copied
+    assert DiscreteDataset(specs=narrow.specs, data=narrow.data).data is narrow.data
+    assert DiscreteDataset(specs=ds.specs, data=ds.data.astype(np.int32)).data.dtype == np.uint16
+    assert ingest.state_dtype([2, 256]) == np.uint8
+    assert ingest.state_dtype([257]) == ingest.state_dtype([65_536]) == np.uint16
+    assert ingest.state_dtype([65_537]) == np.int64
+    with pytest.raises(TypeError, match="integers"):
+        DiscreteDataset(specs=ds.specs, data=ds.data.astype(np.float64))
+
+
+@pytest.mark.parametrize("card, dtype", [(256, np.uint8), (1000, np.uint16)])
+def test_multi_digit_cells_are_read_without_wraparound(card, dtype):
+    specs = (VariableSpec("WIDE", ACTUATOR, tuple(f"s{i}" for i in range(card))),
+             VariableSpec("D", ACTUATOR, ("a", "b")))
+    cells = [c for c in (0, 9, 10, 99, 100, 199, 200, 201, 254, 255, 256, 257, 300, 511, 512, 999) if c < card]
+    data = np.array([[c, c % 2] for c in cells])
+    text = cli._dump_json(dataset_to_json(DiscreteDataset(specs=specs, data=data)))
+    assert read_as_one_array(text)
+    back = dataset_from_text(text)
+    assert back.data.dtype == dtype and back.data.tolist() == data.tolist()
+    # the reader itself sums each cell's digits without wrapping round
+    framed = np.frombuffer(text[text.index(ingest._DATA_KEY) + len(ingest._DATA_KEY) + 1:].encode(), dtype=np.uint8)
+    assert ingest._records_of_runs(framed, 2).tolist() == data.tolist()
+
+
+@pytest.mark.parametrize("cell", [256, 300, 511])
+def test_cell_past_a_uint8_dataset_is_refused_not_wrapped(cell):
+    # each of these cells, cut to 8 bits, is a state of a 256-state DP
+    specs = (VariableSpec("WIDE", ACTUATOR, tuple(f"s{i}" for i in range(256))),)
+    text = cli._dump_json(dataset_to_json(DiscreteDataset(specs=specs, data=np.array([[0], [255]]))))
+    text = text.replace("[255]", f"[{cell}]")
+    for read in dataset_from_text, reference_dataset_from_text:
+        with pytest.raises(UnmappedActuatorValue, match="state index out of range"):
+            read(text)
 
 
 def _in_record(k, pattern, repl):
@@ -641,6 +708,13 @@ def test_records_json_writes_each_row_as_compact_json(data):
     text = records_json(np.array(data, dtype=np.int64), b",\n    ")
     assert text == ",\n    ".join(json.dumps(row, separators=(",", ":")) for row in data).encode()
     assert json.loads(b"[" + text + b"]") == data
+
+
+def test_records_json_writes_the_same_bytes_for_every_integer_dtype():
+    data = np.array([[0, 255, 9], [10, 99, 100], [200, 1, 0], [255, 254, 7]])
+    written = {dtype: records_json(data.astype(dtype), b",\n    ") for dtype in (np.int64, np.uint8, np.uint16)}
+    rows = [json.dumps(row, separators=(",", ":")) for row in data.tolist()]
+    assert set(written.values()) == {",\n    ".join(rows).encode()}
 
 
 def _outcome(fn, *args):
@@ -989,3 +1063,16 @@ def test_memory_beyond_the_dataset_does_not_grow_with_the_log(twostage, form):
 
     assert not grows(discretize_text)
     assert grows(lambda text, specs: discretize(parse_log(text), specs))
+
+
+@pytest.mark.parametrize("reader", ["discretize_text", "dataset_from_text"])
+def test_readers_hold_no_wider_copy_of_the_records(twostage, reader):
+    ds = twostage.sample(40_000, seed=5)
+    if reader == "discretize_text":
+        extra = _traced_peak_beyond_dataset(discretize_text, write_historian_csv(ds), ds.specs)
+    else:
+        text = cli._dump_json(dataset_to_json(ds))
+        extra = _traced_peak_beyond_dataset(lambda text, specs: dataset_from_text(text), text, ds.specs)
+    # the states are written straight into the uint8 records: an int64 copy
+    # of them would take 8 bytes a cell on top
+    assert ds.data.dtype == np.uint8 and extra < 8 * ds.data.size
