@@ -194,13 +194,13 @@ def cmd_sample(args) -> int:
 
 
 def cmd_discretize(args) -> int:
-    from .ingest import dataset_to_json, discretize_text, parse_log, parse_spec_file
+    from .ingest import dataset_to_json, discretize_text, parse_spec_file
 
     text = _read(args.input)
     try:
         specs = parse_spec_file(_read(args.spec))
     except CpsCausalError:
-        parse_log(text)  # a fault in the log is named before one in the spec file
+        discretize_text(text, ())  # a fault in the log is named before one in the spec file
         raise
     ds = discretize_text(text, specs)
     del text  # the log text is not needed while the dataset is written

@@ -15,6 +15,7 @@ run of every operation is reproducible.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -364,35 +365,30 @@ def break_cycles(g: CausalGraph, removals: Iterable[tuple[str, str]] | None = No
     :class:`StillCyclic` if cycles remain. Heuristic mode repeatedly
     removes the learnt edge that sits on the most remaining cycles (ties
     by lexicographic (src, dst)); control and physical edges are only
-    removed when no learnt edge lies on any cycle.
+    removed when no learnt edge lies on any cycle. It enumerates the simple
+    cycles once: removing an edge makes no new cycle, so the cycles left
+    after a removal are those that do not pass through the removed edge.
     """
     if not g.fully_directed:
         raise CyclicGraph("break_cycles expects a fully directed graph")
-    if removals is not None:
-        out = g
-        removed = []
-        for src, dst in removals:
-            out = remove_edge(out, src, dst)
-            removed.append((src, dst))
-        if not is_dag(out):
-            raise StillCyclic(f"graph still cyclic after removing {sorted(removed)}")
-        return CycleBreakResult(out, tuple(removed))
+    if removals is None:
+        removals = []
+        cycles = _simple_cycles(g)
+        while cycles:
+            hits = Counter(edge for cyc in cycles for edge in cyc)
+            learnt = {e: c for e, c in hits.items() if g.edge(*e).kind == LEARNT}
+            pool = learnt if learnt else hits
+            best = min(pool, key=lambda e: (-pool[e], e))
+            removals.append(best)
+            cycles = [cyc for cyc in cycles if best not in cyc]
 
     out = g
     removed = []
-    while True:
-        cycles = _simple_cycles(out)
-        if not cycles:
-            break
-        hits: dict[tuple[str, str], int] = {}
-        for cyc in cycles:
-            for edge in cyc:
-                hits[edge] = hits.get(edge, 0) + 1
-        learnt = {e: c for e, c in hits.items() if out.edge(*e).kind == LEARNT}
-        pool = learnt if learnt else hits
-        best = min(pool, key=lambda e: (-pool[e], e))
-        out = remove_edge(out, *best)
-        removed.append(best)
+    for src, dst in removals:
+        out = remove_edge(out, src, dst)
+        removed.append((src, dst))
+    if not is_dag(out):
+        raise StillCyclic(f"graph still cyclic after removing {sorted(removed)}")
     return CycleBreakResult(out, tuple(removed))
 
 

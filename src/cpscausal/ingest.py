@@ -687,8 +687,8 @@ def _dataset_as_written(text: str) -> DiscreteDataset | None:
     head = text[:at]
     try:
         specs = _specs_from_json(json.loads(head + "}")["specs"])
-        # from the first record's "[" to the end of the text
-        framed = np.frombuffer(text[at + len(_DATA_KEY):].encode(), dtype=np.uint8)
+        # from the first record's "[" to the end of the text, a view of its one UTF-8 copy
+        framed = np.frombuffer(text.encode(), dtype=np.uint8, offset=len(head.encode()) + len(_DATA_KEY))
     except (KeyError, TypeError, ValueError, OverflowError, CpsCausalError):
         return None
     if not specs or framed.size < 2 or framed[0] != ord("["):  # a "[" and something after it

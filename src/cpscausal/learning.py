@@ -100,7 +100,8 @@ def learn_pc(ds: DiscreteDataset, cfg: PcConfig = PcConfig()) -> PcResult:
     ``chi_square_ci(ds, min(i, j), max(i, j), s)`` computes it, and is
     memoized: level 0 in one batch, and at later levels each pair's untested
     sets in one batch when the walk reaches the pair. A p-value is computed
-    only for the tests the walk reads.
+    from the memoized statistic each time the walk reads a test, and only
+    then.
     """
     _require_learnable(ds)
     names = sorted(ds.names)
@@ -108,21 +109,15 @@ def learn_pc(ds: DiscreteDataset, cfg: PcConfig = PcConfig()) -> PcResult:
     sepsets: dict[tuple[str, str], tuple[str, ...]] = {}
     max_cond = cfg.max_cond_size if cfg.max_cond_size is not None else len(names) - 2
 
-    # statistics and decisions under the key (min(i, j), max(i, j), s)
+    # statistics under the key (min(i, j), max(i, j), s)
     col = {v: ds.index(v) for v in names}
     stats: dict[tuple[str, str, tuple[str, ...]], tuple[float, int]] = {}
-    independent: dict[tuple[str, str, tuple[str, ...]], bool] = {}
 
     def run(keys: list[tuple[str, str, tuple[str, ...]]]) -> None:
         keys = [key for key in keys if key not in stats]
         if keys:
             stat, dof = _chi_square_stats(ds, [(*(col[v] for v in s), col[a], col[b]) for a, b, s in keys])
             stats.update(zip(keys, zip(stat.tolist(), dof.tolist())))
-
-    def decide(key: tuple[str, str, tuple[str, ...]]) -> bool:
-        if key not in independent:
-            independent[key] = _chi2_sf(*stats[key]) > cfg.alpha
-        return independent[key]
 
     run([(i, j, ()) for i, j in itertools.combinations(names, 2)])  # all of level 0 at once
     for level in range(max_cond + 1):
@@ -134,7 +129,7 @@ def learn_pc(ds: DiscreteDataset, cfg: PcConfig = PcConfig()) -> PcResult:
                 keys = [(a, b, s) for s in itertools.combinations(sorted(adj[i] - {j}), level)]
                 run(keys)  # the pair's untested sets in one batch, then read in order
                 for key in keys:
-                    if decide(key):
+                    if _chi2_sf(*stats[key]) > cfg.alpha:
                         adj[i].discard(j)
                         adj[j].discard(i)
                         sepsets[(i, j)] = sepsets[(j, i)] = key[2]
@@ -239,11 +234,12 @@ def learn_hc(ds: DiscreteDataset, cfg: HcConfig = HcConfig()) -> HcResult:
 
     Each iteration applies the single strictly score-improving move with
     the largest gain (ties: add < remove < reverse, then (src, dst)).
-    Stops after ``plateau_k`` iterations without improvement or at
-    ``max_iter``. Returns the DAG and the per-iteration score trace. An
-    iteration without an improving move changes nothing, so the next one
-    finds none either: ``plateau_k > 1`` gives the same graph and only
-    repeats the final score in the trace, up to ``max_iter``.
+    Returns the DAG and the per-iteration score trace. The search stops at
+    ``max_iter``, or at the first iteration without an improving move: that
+    iteration changes nothing, so each later one would find none either.
+    The trace then ends in ``plateau_k`` copies of the final score, up to
+    ``max_iter`` entries in all, as ``plateau_k`` stale iterations would
+    give; ``plateau_k > 1`` changes no graph.
 
     The search keeps a delta cache (Chickering 2002; bnlearn's ``hc``):
     each node's family score, and its score with every other node toggled
@@ -292,10 +288,7 @@ def learn_hc(ds: DiscreteDataset, cfg: HcConfig = HcConfig()) -> HcResult:
     rescore(*range(n))  # the empty graph's n x n families in one batch
     total = sum(own.tolist())
     trace: list[float] = []
-    stale = 0
     for _ in range(cfg.max_iter):
-        if stale >= cfg.plateau_k:
-            break
         reach = _descendants(adj)
         gain = toggled - own  # gain[s, d] of adding or removing s -> d
         best = _best_move(np.stack((
@@ -304,17 +297,17 @@ def learn_hc(ds: DiscreteDataset, cfg: HcConfig = HcConfig()) -> HcResult:
             np.where(adj & ~_links(adj, reach), gain + toggled.T - own[:, None], -np.inf),  # reverse
         )))
         if best is None:
-            stale += 1
+            # a stale iteration changes nothing: plateau_k of them only repeat the score
+            trace += [total] * min(cfg.plateau_k, cfg.max_iter - len(trace))
+            break
+        delta, kind, s, d = best
+        adj[s, d] = kind == 0
+        if kind == 2:
+            adj[d, s] = True
+            rescore(s, d)
         else:
-            delta, kind, s, d = best
-            adj[s, d] = kind == 0
-            if kind == 2:
-                adj[d, s] = True
-                rescore(s, d)
-            else:
-                rescore(d)
-            total += delta
-            stale = 0
+            rescore(d)
+        total += delta
         trace.append(total)
 
     edges = tuple(Edge(names[s], names[d], LEARNT, True) for s, d in zip(*np.nonzero(adj)))
@@ -350,7 +343,10 @@ def _links(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def learn_cl(ds: DiscreteDataset, cfg: ClConfig) -> CausalGraph:
     """Chow-Liu: maximum-weight spanning tree on pairwise mutual
-    information, oriented away from the configured root."""
+    information, grown from the configured root by Prim's algorithm, so that
+    each edge points away from the root. Links rank by the larger mutual
+    information, then by the sorted node pair: under that strict order the
+    tree is unique."""
     _require_learnable(ds)
     if cfg.root not in ds.names:
         raise UnknownColumn(f"root {cfg.root!r} is not a dataset variable")
@@ -358,38 +354,15 @@ def learn_cl(ds: DiscreteDataset, cfg: ClConfig) -> CausalGraph:
 
     weights = {(u, v): mutual_information(ds, u, v)
                for u, v in itertools.combinations(names, 2)}
-    ranked = sorted(weights, key=lambda p: (-weights[p], p))
-
-    parent = {n: n for n in names}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree: dict[str, set[str]] = {n: set() for n in names}
-    picked = 0
-    for u, v in ranked:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            tree[u].add(v)
-            tree[v].add(u)
-            picked += 1
-            if picked == len(names) - 1:
-                break
-
+    link: dict[str, tuple[float, tuple[str, str], str]] = {}  # each DP off the tree -> its best link to it
     edges: list[Edge] = []
-    seen = {cfg.root}
-    frontier = [cfg.root]
-    while frontier:
-        nxt: list[str] = []
-        for u in frontier:
-            for v in sorted(tree[u]):
-                if v not in seen:
-                    seen.add(v)
-                    edges.append(Edge(u, v, LEARNT, True))
-                    nxt.append(v)
-        frontier = nxt
+    u, rest = cfg.root, set(names) - {cfg.root}
+    while rest:
+        for v in rest:  # u has just joined the tree
+            pair = (min(u, v), max(u, v))
+            via = (-weights[pair], pair, u)
+            link[v] = min(link[v], via) if v in link else via
+        u = min(rest, key=link.__getitem__)
+        rest.remove(u)
+        edges.append(Edge(link[u][2], u, LEARNT, True))
     return CausalGraph(nodes=ds.names, edges=tuple(edges))

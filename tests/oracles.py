@@ -7,7 +7,10 @@ spanning trees come from Prufer sequences; DAG enumeration tries all edge
 assignments; posteriors come from the full joint tensor; contingency
 counts and chi-square statistics are tallied record by record, the latter
 stratum by stratum; a family score is computed from one family's table;
-hill-climbing rescores every candidate move from scratch each iteration;
+hill-climbing rescores every candidate move from scratch each iteration,
+and runs its stale iterations one by one; Chow-Liu joins pairs by Kruskal
+and orients the tree by breadth-first search from its root; the cycle
+breaker enumerates the remaining cycles after each edge it removes;
 PC drops the edges of constant DPs before any test, then runs one
 chi-square test each time it visits a pair and a conditioning set, and its
 orientation and the PDAG extension scan every name for each rule; a
@@ -34,6 +37,7 @@ import numpy as np
 
 from cpscausal.errors import (
     CpsCausalError,
+    CyclicGraph,
     EmptyInput,
     MissingColumn,
     NoConsistentExtension,
@@ -41,15 +45,27 @@ from cpscausal.errors import (
     NonNumericCell,
     ParseError,
     RaggedRow,
+    StillCyclic,
+    UnknownColumn,
     UnknownState,
     UnmappedActuatorValue,
     ZeroProbabilityEvidence,
 )
-from cpscausal.estimation import BayesNet, Cpt, chi_square_ci, counts
-from cpscausal.graph import LEARNT, CausalGraph, Edge, is_dag, topological_order
+from cpscausal.estimation import BayesNet, Cpt, chi_square_ci, counts, mutual_information
+from cpscausal.graph import (
+    LEARNT,
+    CausalGraph,
+    CycleBreakResult,
+    Edge,
+    _simple_cycles,
+    is_dag,
+    remove_edge,
+    topological_order,
+)
 from cpscausal.inference import Query, _validate_query
 from cpscausal.ingest import SENSOR, DiscreteDataset, RawLog, VariableSpec, dataset_from_json, dataset_from_text
 from cpscausal.learning import (
+    ClConfig,
     HcConfig,
     HcResult,
     PcConfig,
@@ -641,6 +657,88 @@ def reference_learn_hc(ds: DiscreteDataset, cfg: HcConfig = HcConfig()) -> HcRes
 
     edges = tuple(Edge(p, n, LEARNT, True) for n in names for p in sorted(parents[n]))
     return HcResult(CausalGraph(nodes=ds.names, edges=edges), tuple(trace))
+
+
+def reference_learn_cl(ds: DiscreteDataset, cfg: ClConfig) -> CausalGraph:
+    """Chow-Liu: maximum-weight spanning tree on pairwise mutual
+    information by Kruskal's algorithm with a union-find, the pairs ranked
+    by the larger weight and then the sorted pair; then a breadth-first
+    pass from the configured root orients the tree away from it."""
+    _require_learnable(ds)
+    if cfg.root not in ds.names:
+        raise UnknownColumn(f"root {cfg.root!r} is not a dataset variable")
+    names = sorted(ds.names)
+
+    weights = {(u, v): mutual_information(ds, u, v)
+               for u, v in itertools.combinations(names, 2)}
+    ranked = sorted(weights, key=lambda p: (-weights[p], p))
+
+    parent = {n: n for n in names}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tree: dict[str, set[str]] = {n: set() for n in names}
+    picked = 0
+    for u, v in ranked:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            tree[u].add(v)
+            tree[v].add(u)
+            picked += 1
+            if picked == len(names) - 1:
+                break
+
+    edges: list[Edge] = []
+    seen = {cfg.root}
+    frontier = [cfg.root]
+    while frontier:
+        nxt: list[str] = []
+        for u in frontier:
+            for v in sorted(tree[u]):
+                if v not in seen:
+                    seen.add(v)
+                    edges.append(Edge(u, v, LEARNT, True))
+                    nxt.append(v)
+        frontier = nxt
+    return CausalGraph(nodes=ds.names, edges=tuple(edges))
+
+
+def reference_break_cycles(g: CausalGraph, removals: Iterable[tuple[str, str]] | None = None) -> CycleBreakResult:
+    """``break_cycles`` with the simple cycles enumerated again after each
+    removal in heuristic mode, and a removal loop of its own in each mode."""
+    if not g.fully_directed:
+        raise CyclicGraph("break_cycles expects a fully directed graph")
+    if removals is not None:
+        out = g
+        removed = []
+        for src, dst in removals:
+            out = remove_edge(out, src, dst)
+            removed.append((src, dst))
+        if not is_dag(out):
+            raise StillCyclic(f"graph still cyclic after removing {sorted(removed)}")
+        return CycleBreakResult(out, tuple(removed))
+
+    out = g
+    removed = []
+    while True:
+        cycles = _simple_cycles(out)
+        if not cycles:
+            break
+        hits: dict[tuple[str, str], int] = {}
+        for cyc in cycles:
+            for edge in cyc:
+                hits[edge] = hits.get(edge, 0) + 1
+        learnt = {e: c for e, c in hits.items() if out.edge(*e).kind == LEARNT}
+        pool = learnt if learnt else hits
+        best = min(pool, key=lambda e: (-pool[e], e))
+        out = remove_edge(out, *best)
+        removed.append(best)
+    return CycleBreakResult(out, tuple(removed))
 
 
 def reference_parse_log(text: str) -> RawLog:

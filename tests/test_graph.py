@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpscausal.errors import (
+    CpsCausalError,
     CyclicGraph,
     DuplicateEdge,
     NodeSetMismatch,
@@ -30,7 +33,7 @@ from cpscausal.graph import (
     structures,
     topological_order,
 )
-from oracles import all_dags, dsep_oracle, random_dag, reference_d_separated
+from oracles import all_dags, dsep_oracle, random_dag, reference_break_cycles, reference_d_separated
 
 
 def g_of(nodes, *edges, kind=LEARNT):
@@ -327,6 +330,35 @@ class TestBreakCycles:
                     for e in combo:
                         out = remove_edge(out, *e)
                     assert not is_dag(out), f"{combo} beats heuristic {res.removed}"
+
+
+def cycle_break(fn, g, removals):
+    try:
+        return fn(g, removals)
+    except CpsCausalError as e:
+        return type(e), str(e)
+
+
+class TestBreakCyclesMatchesReference:
+    """break_cycles, which enumerates the cycles once, against
+    oracles.reference_break_cycles, which enumerates them again after each
+    removal."""
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_random_graphs(self, data):
+        nodes = tuple("ABCDEFG"[:data.draw(st.integers(2, 7))])
+        kinds = st.sampled_from((None, LEARNT, CONTROL, PHYSICAL))
+        g = CausalGraph(nodes=nodes, edges=tuple(
+            Edge(s, d, kind) for s, d in itertools.permutations(nodes, 2) if (kind := data.draw(kinds))))
+        assert cycle_break(break_cycles, g, None) == cycle_break(reference_break_cycles, g, None)
+        pairs = list(itertools.permutations(nodes, 2))
+        removals = data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
+        unknown = [p for p in pairs if not g.has_edge(*p)][:1]
+        # as drawn, with the first removal repeated, and with an edge g lacks
+        for explicit in (removals, removals + removals[:1], removals + unknown):
+            assert (cycle_break(break_cycles, g, explicit)
+                    == cycle_break(reference_break_cycles, g, explicit))
 
 
 class TestSerialization:

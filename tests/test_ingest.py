@@ -1076,3 +1076,11 @@ def test_readers_hold_no_wider_copy_of_the_records(twostage, reader):
     # the states are written straight into the uint8 records: an int64 copy
     # of them would take 8 bytes a cell on top
     assert ds.data.dtype == np.uint8 and extra < 8 * ds.data.size
+
+
+def test_dataset_reader_holds_one_copy_of_the_text(twostage):
+    ds = twostage.sample(40_000, seed=5)
+    text = cli._dump_json(dataset_to_json(ds))
+    extra = _traced_peak_beyond_dataset(lambda text, specs: dataset_from_text(text), text, ds.specs)
+    # the text's UTF-8 bytes, viewed in place: no str slice of the records besides
+    assert text.isascii() and extra < 1.5 * len(text)

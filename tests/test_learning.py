@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from oracles import (
     all_spanning_trees,
     random_net,
     reference_extend_to_dag,
+    reference_learn_cl,
     reference_learn_hc,
     reference_learn_pc,
     reference_pc_orient,
@@ -277,6 +279,14 @@ class TestHc:
                 assert got.graph == base.graph
                 assert got.trace == base.trace + (base.trace[-1],) * (k - 1)
 
+    def test_search_stops_at_the_first_stale_iteration(self):
+        ds = get_fixture("twostage").sample(3000, seed=112)
+        with mock.patch.object(learning, "_best_move", wraps=learning._best_move) as best_move:
+            res = learn_hc(ds, HcConfig(plateau_k=5))
+        moves = len(res.trace) - 5
+        assert moves > 0 and res.trace[moves - 1:] == (res.trace[-1],) * 6
+        assert best_move.call_count == moves + 1
+
 
 class TestHcMatchesReference:
     """learn_hc's delta cache against the move-by-move rescoring in
@@ -309,6 +319,7 @@ class TestHcMatchesReference:
         for method, max_parents, plateau_k in itertools.product(("bic", "k2", "bdeu"), (None, 1, 2), (1, 3)):
             self.assert_same(ds, HcConfig(score_method=method, plateau_k=plateau_k, max_parents=max_parents))
         self.assert_same(ds, HcConfig(plateau_k=2, max_iter=3))
+        self.assert_same(ds, HcConfig(plateau_k=5, max_iter=12))
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_data(self, seed):
@@ -458,6 +469,38 @@ class TestCl:
         ds = fx.sample(3000, seed=110)
         cfg = ClConfig(root="MV101")
         assert learn_cl(ds, cfg) == learn_cl(ds, cfg)
+
+
+class TestClMatchesReference:
+    """learn_cl's Prim tree grown from the root against the Kruskal tree
+    oriented by breadth-first search in oracles.reference_learn_cl."""
+
+    @pytest.mark.parametrize("n", [20, 60, 500, 5000])
+    @pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+    def test_fixtures_every_root(self, fixture, n):
+        ds = get_fixture(fixture).sample(n, seed=113)
+        for root in ds.names:
+            assert learn_cl(ds, ClConfig(root)) == reference_learn_cl(ds, ClConfig(root)), root
+
+    @pytest.mark.parametrize("n", [20, 500])
+    def test_duplicated_and_constant_columns(self, n):
+        # B copies A and D copies C, so their links tie on mutual information;
+        # K is constant, so each of its links has mutual information 0
+        x, y, z, w = (get_fixture("twostage").sample(n, seed=114).data[:, k].tolist() for k in range(4))
+        ds = make_ds({"A": x, "B": x, "C": y, "D": y, "E": z, "F": w, "K": [0] * n}, dict.fromkeys("ABCDEFK", 3))
+        for root in ds.names:
+            assert learn_cl(ds, ClConfig(root)) == reference_learn_cl(ds, ClConfig(root)), root
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_random_small_datasets(self, data):
+        # few records and few states, so mutual-information ties are common
+        n_dps = data.draw(st.integers(2, 6))
+        n = data.draw(st.integers(1, 12))
+        cols = {f"V{k}": data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)) for k in range(n_dps)}
+        ds = make_ds(cols, dict.fromkeys(cols, 3))
+        root = data.draw(st.sampled_from(ds.names))
+        assert learn_cl(ds, ClConfig(root)) == reference_learn_cl(ds, ClConfig(root))
 
 
 def test_structure_recovery_on_stage1(stage1):
