@@ -8,7 +8,13 @@ output digests. Exit codes: 0 success, 2 usage error, 3 data error,
 
 JSON artifacts are laid out by :func:`jsontext.json_text`, where the
 dataset reader also finds the layout it reads fast; ``_dump_json`` adds the
-final newline.
+final newline. Every artifact is written in pieces through one hashing
+``_atomic_write``. ``discretize`` reads the historian log a block at a time,
+once to check it and once to map it to states, and writes the dataset a
+block of records at a time; ``learn`` and ``fit`` read a dataset file that
+is exactly the writer's a block of records at a time. No command holds the
+text of a log or a dataset file as a whole, except to name a fault in it,
+or to read a dataset file that is not the writer's.
 
 This module imports only the standard library and the package's errors;
 each command imports the modules it runs, so ``--version``, ``--help``,
@@ -25,6 +31,7 @@ import json
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import __version__
@@ -43,8 +50,9 @@ _HOMES = {
     "graph": ("compare", "graph_from_json", "graph_to_dot", "graph_to_json"),
     "impact": ("ImpactConfig", "discover_impact", "load_attacks", "report_to_json"),
     "inference": ("Query", "posterior"),
-    "ingest": ("dataset_from_json", "dataset_from_text", "dataset_to_json", "discretize", "discretize_text",
-               "format_spec_file", "parse_log", "parse_spec_file"),
+    "ingest": ("LogText", "dataset_from_json", "dataset_from_text", "dataset_json_chunks", "dataset_to_json",
+               "discretize", "discretize_text", "format_spec_file", "parse_log", "parse_spec_file",
+               "read_dataset_file"),
     "learning": ("ClConfig", "HcConfig", "PcConfig", "extend_to_dag", "learn_cl", "learn_hc", "learn_pc"),
     "simgen": ("sample_with_clamp", "write_historian_csv"),
 }
@@ -70,26 +78,28 @@ def _dump_json(obj) -> str:
     return json_text(obj, "\n") + "\n"
 
 
-def _atomic_write(path: Path, text: str) -> str:
-    """Write text as UTF-8 via temp file + rename; returns the sha256 of the
-    bytes written."""
+def _atomic_write(path: Path, chunks: str | Iterable[bytes]) -> str:
+    """Write a text as UTF-8, or the bytes ``chunks`` one after the other,
+    via temp file + rename; returns the sha256 of the bytes written."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    data = text.encode()
+    digest = hashlib.sha256()
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in [chunks.encode()] if isinstance(chunks, str) else chunks:
+                digest.update(chunk)
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return hashlib.sha256(data).hexdigest()
+    return digest.hexdigest()
 
 
-def _write_with_manifest(path: Path, text: str, command: str, inputs: dict, config: dict,
+def _write_with_manifest(path: Path, chunks: str | Iterable[bytes], command: str, inputs: dict, config: dict,
                          seed: int | None = None) -> None:
-    digest = _atomic_write(path, text)
+    digest = _atomic_write(path, chunks)
     manifest = {
         "command": command,
         "version": __version__,
@@ -111,11 +121,35 @@ def _read(path: str) -> str:
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
+def _log_text(path: str):
+    """The historian log file at ``path`` as the ``LogText`` that its block
+    reader reads; a file that ``_read`` refuses raises ``_read``'s error."""
+    from .ingest import LogText
+
+    try:
+        return LogText.of_file(path)
+    except (OSError, UnicodeDecodeError):
+        return LogText.of_str(_read(path))
+
+
 def _load_json(path: str, decode=json.loads):
     try:
         return decode(_read(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from None
+
+
+def _load_dataset(path: str):
+    """The dataset file at ``path``, read a block of records at a time when
+    it is exactly as ``discretize`` writes it, and else as a whole text by
+    ``dataset_from_text``, which names its error."""
+    from .ingest import dataset_from_text, read_dataset_file
+
+    try:
+        ds = read_dataset_file(path)
+    except OSError:
+        ds = None
+    return ds if ds is not None else _load_json(path, dataset_from_text)
 
 
 def _parse_assignments(text: str) -> dict[str, str]:
@@ -194,18 +228,17 @@ def cmd_sample(args) -> int:
 
 
 def cmd_discretize(args) -> int:
-    from .ingest import dataset_to_json, discretize_text, parse_spec_file
+    from .ingest import dataset_json_chunks, discretize_text, parse_spec_file
 
-    text = _read(args.input)
+    log = _log_text(args.input)
     try:
         specs = parse_spec_file(_read(args.spec))
     except CpsCausalError:
-        discretize_text(text, ())  # a fault in the log is named before one in the spec file
+        discretize_text(log, ())  # a fault in the log is named before one in the spec file
         raise
-    ds = discretize_text(text, specs)
-    del text  # the log text is not needed while the dataset is written
+    ds = discretize_text(log, specs)
     _write_with_manifest(
-        Path(args.out), _dump_json(dataset_to_json(ds)), "discretize",
+        Path(args.out), dataset_json_chunks(ds), "discretize",
         {"input": Path(args.input).name, "spec": Path(args.spec).name}, {})
     print(f"discretized {ds.n_records} records x {len(ds.specs)} variables to {args.out}")
     return EXIT_OK
@@ -213,10 +246,9 @@ def cmd_discretize(args) -> int:
 
 def cmd_learn(args) -> int:
     from .graph import graph_to_json
-    from .ingest import dataset_from_text
     from .learning import ClConfig, HcConfig, PcConfig, learn_cl, learn_hc, learn_pc
 
-    ds = _load_json(args.dataset, dataset_from_text)
+    ds = _load_dataset(args.dataset)
     score = args.score
     if args.algo == "pc":
         if score not in (None, "chi2"):
@@ -255,11 +287,10 @@ def cmd_learn(args) -> int:
 def cmd_fit(args) -> int:
     from .estimation import fit_bayes, fit_mle, net_to_json
     from .graph import graph_from_json
-    from .ingest import dataset_from_text
 
     if args.estimator == "bayes":
         _require_ess(args.ess)
-    ds = _load_json(args.dataset, dataset_from_text)
+    ds = _load_dataset(args.dataset)
     graph = graph_from_json(_load_json(args.graph))
     if not graph.fully_directed:
         from .learning import extend_to_dag

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import asdict, dataclass, field
+from numbers import Real
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -33,6 +34,8 @@ CHILDREN = "children"
 UNDIRECTED = "undirected_neighbors"
 
 _STAGE_RE = re.compile(r"^[A-Za-z]+(\d+)$")
+# JSON can escape a lone surrogate into a string, which no UTF-8 output can write
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 # Probabilities this close are one value computed along two float paths;
 # exact ties in hand-written CPTs (0.85 vs 0.8500000000000002) differ by ulps.
@@ -50,6 +53,13 @@ class AttackSpec:
     def __post_init__(self):
         if not self.targeted:
             raise ParseError(f"attack {self.id!r}: targeted set must be non-empty")
+        repeated = sorted({dp for dp in self.targeted if self.targeted.count(dp) > 1})
+        if repeated:
+            raise ParseError(f"attack {self.id!r}: targeted names {', '.join(map(repr, repeated))} more than once")
+        if not isinstance(self.description, str):
+            raise ParseError(f"attack {self.id!r}: description must be a string, got {self.description!r}")
+        if self.theta is not None and (isinstance(self.theta, bool) or not isinstance(self.theta, Real)):
+            raise ParseError(f"attack {self.id!r}: theta must be a number, got {self.theta!r}")
         if self.theta is not None and not 0 < self.theta <= 1:
             raise ParseError(f"attack {self.id!r}: theta must be in (0, 1]")
 
@@ -236,12 +246,25 @@ def load_domain_graph(text: str) -> CausalGraph:
 # --- attack file ----------------------------------------------------------------
 
 def attacks_from_json(obj: list) -> tuple[AttackSpec, ...]:
+    """The attacks of a parsed attack file: an array of objects, each with
+    an ``id``, a string or an integer that no other attack has, and the
+    fields :class:`AttackSpec` checks. Raises :class:`ParseError` naming
+    the attack, or its place in the file when its id is bad, and the field."""
     if not isinstance(obj, list):
         raise ParseError("attack file must be a JSON array of attack objects")
-    out = []
-    for rec in obj:
+    out, ids = [], set()
+    for k, rec in enumerate(obj, start=1):
         try:
-            attack_id, targeted = str(rec["id"]), rec["targeted"]
+            attack_id, targeted = rec["id"], rec["targeted"]
+            if isinstance(attack_id, bool) or not isinstance(attack_id, (str, int)):
+                raise ParseError(f"attack {k} of the file: id must be a string or an integer, "
+                                 f"got {json.dumps(attack_id)}")
+            attack_id = str(attack_id)
+            if _SURROGATE_RE.search(attack_id):
+                raise ParseError(f"attack {k} of the file: id {json.dumps(attack_id)} holds a lone surrogate")
+            if attack_id in ids:
+                raise ParseError(f"attack {attack_id!r}: id is used by an earlier attack")
+            ids.add(attack_id)
             if not (isinstance(targeted, list) and all(isinstance(t, str) for t in targeted)):
                 raise ParseError(f"attack {attack_id!r}: targeted must be a list of DP names")
             out.append(AttackSpec(

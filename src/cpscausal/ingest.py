@@ -11,26 +11,33 @@ Bin edges are half-open ``[lo, hi)``: a value equal to an edge belongs to
 the upper interval. Timestamp columns are carried as opaque text and never
 enter the discrete data. Missing values are rejected at parse time.
 
-Every log is read by one block reader: plain numeric text in blocks of
-``_BLOCK_CHARS`` characters cut at line ends, and any other text, or a
-block that numpy's reader refuses, in batches of :mod:`csv` rows; one scan
-of the whole text names any fault. :func:`parse_log` fills one float array
-from the blocks; :func:`discretize_text` maps each block to states as soon
-as it is read, so that it holds the dataset and one block, and never the
-whole log as numbers.
+Every log is read by one block reader from a :class:`LogText`, a source
+that gives the text a block at a time as often as the reader asks: plain
+numeric text in blocks of at least ``_BLOCK_CHARS`` characters cut at line
+ends, and any other text, or a block that numpy's reader refuses, in
+batches of :mod:`csv` rows; one scan of the whole text names any fault.
+:func:`parse_log` fills one float array from the blocks;
+:func:`discretize_text` maps each block to states as soon as it is read,
+so that it holds the dataset and one block, and never the whole log as
+numbers. A :class:`LogText` of a file (:meth:`LogText.of_file`) reads the
+file twice, a block at a time, and holds its whole text only to name a
+fault.
 
 This module also holds the one layout of the dataset JSON file: the CLI
-writes every JSON artifact with :func:`jsontext.json_text`, which lays out
-a dataset's records with :func:`records_json`, and :func:`dataset_from_text`
-reads a dataset file exactly as that writes it with its records as one
-array, and any other text through :mod:`json`. It tells the two apart
-without writing the whole text back: the specs are written back and
-compared, and the records are checked byte by byte against the writer's
-layout, whose row width the specs fix when every cell is one digit.
+writes it a block of records at a time with :func:`dataset_json_chunks`,
+the same bytes as :func:`jsontext.json_text`, which lays out a dataset's
+records with :func:`records_json`, writes for it. :func:`read_dataset_file`
+and :func:`dataset_from_text` read a dataset exactly as the writer lays it
+out with its records as one array, a block of records at a time, and any
+other text through :mod:`json`. They tell the two apart without writing
+the whole text back: the specs are written back and compared, and the
+records are checked byte by byte against the writer's layout, whose row
+width the specs fix when every cell is one digit.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -43,7 +50,8 @@ from functools import cached_property
 from itertools import chain, islice, repeat
 from math import isfinite, nan
 from numbers import Real
-from typing import NoReturn
+from pathlib import Path
+from typing import BinaryIO, NoReturn
 
 import numpy as np
 
@@ -67,11 +75,13 @@ _LABEL_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
 
 # The log reader reads plain records in blocks of at least this many
 # characters, each cut at a line end, and csv rows in batches of the lines
-# of a quarter block. 64 KiB is about 250 records of the benchmark's 51-DP
-# log, or 1,350 of its 12-DP one. discretize_text then holds 0.9 MB beyond
-# the dataset (3.6 MB with 256 KiB blocks), and takes as long as parse_log
-# plus discretize on the 51-DP log and a quarter less on the 12-DP one:
-# more, smaller blocks pay numpy's per-call cost once per block and DP
+# of a quarter block; a log file is read in blocks of this many bytes, and a
+# dataset file is written and read in blocks of records of about this many
+# bytes. 64 KiB is about 250 records of the benchmark's 51-DP log, or 1,350
+# of its 12-DP one. discretize_text then holds 0.9 MB beyond the dataset
+# (3.6 MB with 256 KiB blocks), and takes as long as parse_log plus
+# discretize on the 51-DP log and a quarter less on the 12-DP one: more,
+# smaller blocks pay numpy's per-call cost once per block and DP
 _BLOCK_CHARS = 1 << 16
 
 # The largest contingency table that estimation._tally counts from the
@@ -240,6 +250,61 @@ class DiscreteDataset:
         return self.spec(name).cardinality
 
 
+@dataclass(frozen=True)
+class LogText:
+    """The text of a historian log as its block reader reads it, and what
+    one pass over the whole text tells of it.
+
+    ``blocks()`` gives the text from its start, as often as it is called:
+    its first line, then blocks of at least ``_BLOCK_CHARS`` characters, or
+    of a file's bytes, each cut at a line end. ``text()`` gives the whole
+    text, which the reader asks for only to name a fault."""
+
+    blocks: Callable[[], Iterator[str]]
+    text: Callable[[], str]
+    n_lines: int  # the line ends, plus one when the text does not end in one
+    size: int  # the length of the text in the unit its blocks are cut in
+    plain: bool  # no quote or NUL, and no carriage return outside a CRLF line end
+
+    @classmethod
+    def of_str(cls, text: str) -> LogText:
+        first = text.find("\n") + 1 or len(text)
+        return cls(blocks=lambda: chain([text[:first]], _cuts(text, first)), text=lambda: text,
+                   n_lines=text.count("\n") + (not text.endswith("\n")), size=len(text),
+                   plain='"' not in text and "\0" not in text and text.count("\r") == text.count("\r\n"))
+
+    @classmethod
+    def of_file(cls, path: str) -> LogText:
+        """The UTF-8 text of the file at ``path`` without a leading byte-order
+        mark, as ``open(path, encoding="utf-8-sig", newline="")`` reads it.
+        One pass over the file's blocks counts its lines and makes the
+        whole-text checks; each later call of ``blocks()`` reads it again.
+        Raises :class:`OSError` when the file cannot be read and
+        :class:`UnicodeDecodeError` when it is not UTF-8."""
+        n_lines, size, ends, plain = 0, 0, False, True
+        for block in _file_blocks(path):
+            if not block.isascii():
+                block.decode()  # cut at a line end, so a block of UTF-8 is UTF-8 on its own
+            n_lines += block.count(b"\n")
+            size += len(block)
+            ends = block.endswith(b"\n") if block else ends
+            plain = plain and b'"' not in block and b"\0" not in block and \
+                block.count(b"\r") == block.count(b"\r\n")
+        return cls(blocks=lambda: map(bytes.decode, _file_blocks(path)),
+                   text=lambda: Path(path).read_bytes().removeprefix(codecs.BOM_UTF8).decode(),
+                   n_lines=n_lines + (not ends), size=size, plain=plain)
+
+
+def _file_blocks(path: str) -> Iterator[bytes]:
+    """The bytes of the file at ``path`` after a leading UTF-8 byte-order
+    mark: its first line, then blocks of at least ``_BLOCK_CHARS`` bytes,
+    each cut at a line end."""
+    with open(path, "rb") as fh:
+        yield fh.readline().removeprefix(codecs.BOM_UTF8)
+        while block := fh.read(_BLOCK_CHARS):
+            yield block if block.endswith(b"\n") else block + fh.readline()
+
+
 def parse_log(text: str) -> RawLog:
     """Parse historian log text into a :class:`RawLog`.
 
@@ -257,7 +322,7 @@ def parse_log(text: str) -> RawLog:
     names the line of the text on which that record starts. The records
     are read a block at a time (:func:`_read_log`) into one float array.
     """
-    columns, n_records, blocks = _read_log(text, stamps=True)
+    columns, n_records, blocks = _read_log(LogText.of_str(text), stamps=True)
     values = np.empty((n_records, len(columns)))
     stamps, row = [], 0
     for numbers, block_stamps in blocks:
@@ -289,12 +354,12 @@ def _cuts(text: str, at: int) -> Iterator[str]:
         at = end
 
 
-def _read_log(text: str, stamps: bool = False) -> tuple[tuple[str, ...], int,
+def _read_log(log: LogText, stamps: bool = False) -> tuple[tuple[str, ...], int,
                                                        Iterator[tuple[np.ndarray, list[str] | None]]]:
-    """The value columns of the log ``text``, a bound on its record count,
-    exact when no line is blank and no cell spans lines, and its records a
-    block at a time: their readings as a float array, and their timestamps
-    when ``stamps`` is true and the log has a timestamp column, else None.
+    """The value columns of the log, a bound on its record count, exact
+    when no line is blank and no cell spans lines, and its records a block
+    at a time: their readings as a float array, and their timestamps when
+    ``stamps`` is true and the log has a timestamp column, else None.
 
     Plain numeric text (no quotes, NUL or ``\\r`` outside a CRLF line end,
     the header on the first line, a value column) goes to numpy's C reader
@@ -303,29 +368,27 @@ def _read_log(text: str, stamps: bool = False) -> tuple[tuple[str, ...], int,
     value cells of a batch of rows at a time. Any fault is raised through
     :func:`_raise_first_fault`: the header's at once, a record's when its
     block is read."""
-    # the first line on its own, so that the header of plain text, which is
-    # all that csv reads of it, costs no block
-    first = text.find("\n") + 1 or len(text)
-    reader = csv.reader(chain.from_iterable(map(io.StringIO, chain([text[:first]], _cuts(text, first)))))
+    # the first line is a block of its own, so that the header of plain
+    # text, which is all that csv reads of it, costs no block
+    chunks = log.blocks()
+    reader = csv.reader(chain.from_iterable(map(io.StringIO, chunks)))
     header = None
     with suppress(StopIteration, csv.Error):
         header = [cell.strip() for cell in next(row for row in reader if any(map(str.strip, row)))]
     if header is None:
-        _raise_first_fault(text)
+        _raise_first_fault(log.text())
     ts_idx, value_idx, columns = _header_columns(header)
     if not _unique_names(columns):
-        _raise_first_fault(text)
-    n_lines = text.count("\n") + (not text.endswith("\n"))
+        _raise_first_fault(log.text())
     # csv.reader gives these a meaning of its own: quoting, a line end, and
     # on Python 3.10 an error; with no value column, loadtxt cannot tell a
     # blank line, which csv skips, from a record
-    plain = (reader.line_num == 1 and bool(columns) and '"' not in text and "\0" not in text
-             and ("\r" not in text or text.count("\r") == text.count("\r\n")))
+    plain = reader.line_num == 1 and bool(columns) and log.plain
     ts = ts_idx[0] if stamps and ts_idx else None
 
     # csv's rows take some four times the memory of their text, so a batch
     # holds as many rows as a quarter of a block holds lines, on average
-    size = max(1, _BLOCK_CHARS * n_lines // len(text) // 4)
+    size = max(1, _BLOCK_CHARS * log.n_lines // log.size // 4)
 
     def rows_read(source: Iterator[list[str]]) -> Iterator[tuple[np.ndarray, list[str] | None]]:
         """The readings and timestamps of the csv rows of ``source`` that
@@ -341,12 +404,12 @@ def _read_log(text: str, stamps: bool = False) -> tuple[tuple[str, ...], int,
                 if "\r" not in cells and cells.count("\n") == len(rows) - 1:
                     values = _read_numbers(cells, (len(rows), len(columns)))
             if values is None:
-                _raise_first_fault(text)
+                _raise_first_fault(log.text())
             yield values, None if ts is None else [row[ts].strip() for row in rows]
 
     def plain_batches() -> Iterator[tuple[np.ndarray, list[str] | None]]:
         n_commas, limit = len(header) - 1, csv.field_size_limit()
-        for block in _cuts(text, first):
+        for block in chunks:  # after the first line, which csv has read
             lines = block.split("\n")
             if not lines[-1]:
                 lines.pop()
@@ -368,9 +431,9 @@ def _read_log(text: str, stamps: bool = False) -> tuple[tuple[str, ...], int,
                 yield batch
             if read:
                 return
-        _raise_first_fault(text)
+        _raise_first_fault(log.text())
 
-    return columns, n_lines - reader.line_num, blocks(plain_batches() if plain else rows_read(reader))
+    return columns, log.n_lines - reader.line_num, blocks(plain_batches() if plain else rows_read(reader))
 
 
 def _read_numbers(body: str, shape: tuple[int, int], usecols: list[int] | None = None) -> np.ndarray | None:
@@ -437,12 +500,12 @@ def discretize(log: RawLog, specs: list[VariableSpec] | tuple[VariableSpec, ...]
     return _discretize_blocks(log.columns, log.n_records, [log.values], specs)
 
 
-def discretize_text(text: str, specs: list[VariableSpec] | tuple[VariableSpec, ...]) -> DiscreteDataset:
-    """The dataset of historian log ``text``: the same dataset, or the same
-    error, as ``discretize(parse_log(text), specs)``. Each block of records
-    is mapped to states as it is read, so that no more than the dataset and
-    one block are held."""
-    columns, n_records, blocks = _read_log(text)
+def discretize_text(text: str | LogText, specs: list[VariableSpec] | tuple[VariableSpec, ...]) -> DiscreteDataset:
+    """The dataset of historian log ``text``, a str or a :class:`LogText`:
+    the same dataset, or the same error, as ``discretize(parse_log(text),
+    specs)``. Each block of records is mapped to states as it is read, so
+    that no more than the dataset and one block are held."""
+    columns, n_records, blocks = _read_log(text if isinstance(text, LogText) else LogText.of_str(text))
     return _discretize_blocks(columns, n_records, (values for values, _ in blocks), specs)
 
 
@@ -533,6 +596,10 @@ def split_lines(text: str) -> list[str]:
 
 
 def parse_spec_file(text: str) -> tuple[VariableSpec, ...]:
+    """The specs of a variable-spec file. Edges and codes are read as
+    ``float`` and ``int`` read them, but only in ASCII and without
+    digit-group underscores, as a log cell is; a line that breaks the
+    format raises :class:`ParseError` naming it."""
     specs = []
     for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -546,13 +613,16 @@ def parse_spec_file(text: str) -> tuple[VariableSpec, ...]:
         edges = codes = None
         if len(parts) == 4:
             key, _, val = parts[3].partition("=")
+            if key not in ("edges", "codes"):
+                raise ParseError(f"line {lineno}: unknown attribute {key!r}")
             try:
+                # float() and int() also read "1_0" and "\u0661", which no log reading may hold
+                if "_" in val or not val.isascii():
+                    raise ValueError(val)
                 if key == "edges":
                     edges = tuple(float(v) for v in val.split(","))
-                elif key == "codes":
-                    codes = tuple(int(v) for v in val.split(","))
                 else:
-                    raise ParseError(f"line {lineno}: unknown attribute {key!r}")
+                    codes = tuple(int(v) for v in val.split(","))
             except ValueError:
                 raise ParseError(f"line {lineno}: bad {key} list {val!r}") from None
         try:
@@ -599,19 +669,20 @@ def dataset_to_json(ds: DiscreteDataset) -> dict:
     """The dataset as a dict for the CLI's JSON writer; ``data`` is the
     records array itself (its dtype is ``state_dtype`` of the specs), which
     the writer lays out with :func:`records_json`."""
-    return {
-        "specs": [
-            {
-                "name": s.name,
-                "kind": s.kind,
-                "states": list(s.states),
-                "bin_edges": list(s.bin_edges) if s.bin_edges is not None else None,
-                "codes": list(s.codes) if s.codes is not None else None,
-            }
-            for s in ds.specs
-        ],
-        "data": ds.data,
-    }
+    return {"specs": _specs_to_json(ds.specs), "data": ds.data}
+
+
+def _specs_to_json(specs: tuple[VariableSpec, ...]) -> list[dict]:
+    return [
+        {
+            "name": s.name,
+            "kind": s.kind,
+            "states": list(s.states),
+            "bin_edges": list(s.bin_edges) if s.bin_edges is not None else None,
+            "codes": list(s.codes) if s.codes is not None else None,
+        }
+        for s in specs
+    ]
 
 
 def dataset_from_json(obj: dict) -> DiscreteDataset:
@@ -659,11 +730,40 @@ def _integer_cells(data) -> bool:
 # The writer's text of every dataset holds this once, between its specs and
 # its records: a raw newline cannot sit inside a JSON string
 _DATA_KEY = ',\n  "data": [\n    '
+# what the writer puts between two records, and after the last one
+_RECORD_SEP = b",\n    "
+_DATA_END = b"\n  ]\n}\n"
 # the bytes from a record's last cell to the next record's first, and from
 # the last record's last cell to the end of the text: as long as each other,
 # so that every record of a given width takes as many bytes
-_ROW_END = b"],\n    ["
-_LAST_ROW_END = b"]\n  ]\n}\n"
+_ROW_END = b"]" + _RECORD_SEP + b"["
+_LAST_ROW_END = b"]" + _DATA_END
+
+
+def _written_head(specs: tuple[VariableSpec, ...]) -> str:
+    """The writer's text of a dataset with ``specs`` up to ``_DATA_KEY``."""
+    return json_text({"specs": _specs_to_json(specs), "data": []}, "\n").removesuffix(',\n  "data": []\n}')
+
+
+def dataset_json_chunks(ds: DiscreteDataset) -> Iterator[bytes]:
+    """The bytes of ``json_text(dataset_to_json(ds), "\\n") + "\\n"``, the
+    dataset's file as the CLI writes it, in pieces: its specs, its records a
+    block of about ``_BLOCK_CHARS`` bytes at a time, and its end."""
+    yield (_written_head(ds.specs) + _DATA_KEY).encode()
+    step = max(1, _BLOCK_CHARS // (2 * len(ds.specs) + len(_ROW_END)))
+    for at in range(0, ds.n_records, step):
+        yield records_json(ds.data[at:at + step], _RECORD_SEP) + (_RECORD_SEP if at + step < ds.n_records else b"")
+    yield _DATA_END
+
+
+def read_dataset_file(path: str) -> DiscreteDataset | None:
+    """The dataset in the file at ``path`` when its bytes are exactly the
+    writer's (:func:`dataset_json_chunks`), read a block of records at a
+    time into one array; None when they are not, and the text then goes to
+    :func:`dataset_from_text`, which reads it or names its error. Raises
+    :class:`OSError` when the file cannot be read."""
+    with open(path, "rb") as fh:
+        return _dataset_as_written(fh)
 
 
 def dataset_from_text(text: str) -> DiscreteDataset:
@@ -674,58 +774,74 @@ def dataset_from_text(text: str) -> DiscreteDataset:
     and its records are checked byte by byte against the writer's layout.
     Text that is not JSON raises :class:`json.JSONDecodeError`, with json's
     own message."""
-    ds = _dataset_as_written(text)
+    ds = _dataset_as_written(io.BytesIO(text.encode()))
     return ds if ds is not None else dataset_from_json(json.loads(text))
 
 
-def _dataset_as_written(text: str) -> DiscreteDataset | None:
-    """The dataset whose text, as the writer lays it out, is ``text``; None
-    when no dataset's text is that, and json then reads it."""
-    at = text.find(_DATA_KEY)
-    if at < 0:
-        return None
-    head = text[:at]
+def _dataset_as_written(fh: BinaryIO) -> DiscreteDataset | None:
+    """The dataset whose UTF-8 text, as the writer lays it out, is what
+    ``fh`` holds; None when no dataset's text is that, and json then reads
+    it. Only the text up to the records is held as a whole."""
+    key, head = _DATA_KEY.encode(), bytearray()
+    # from before the last block, in case the key straddles two blocks
+    while (at := head.find(key, max(0, len(head) - _BLOCK_CHARS - len(key)))) < 0:
+        block = fh.read(_BLOCK_CHARS)
+        if not block:
+            return None
+        head += block
+    size = fh.seek(0, io.SEEK_END) - at - len(key)  # from the first record's "[" to the end
+    fh.seek(at + len(key))
     try:
-        specs = _specs_from_json(json.loads(head + "}")["specs"])
-        # from the first record's "[" to the end of the text, a view of its one UTF-8 copy
-        framed = np.frombuffer(text.encode(), dtype=np.uint8, offset=len(head.encode()) + len(_DATA_KEY))
+        text = head[:at].decode()
+        specs = _specs_from_json(json.loads(text + "}")["specs"])
     except (KeyError, TypeError, ValueError, OverflowError, CpsCausalError):
         return None
-    if not specs or framed.size < 2 or framed[0] != ord("["):  # a "[" and something after it
+    # the writer's text of the specs, then a "[" and the records, which are
+    # read below only if they are in the writer's layout
+    if not specs or _written_head(specs) != text or size < 2 or fh.read(1) != b"[":
         return None
     # when every DP has at most 10 states, every cell the writer writes is one digit
-    read = _one_digit_records if max(s.cardinality for s in specs) <= 10 else _records_of_runs
-    data = read(framed[1:], len(specs))
+    if max(s.cardinality for s in specs) <= 10:
+        data = _one_digit_records(fh, size - 1, len(specs))
+    else:
+        data = _records_of_runs(np.frombuffer(fh.read(), dtype=np.uint8), len(specs))
     if data is None:
         return None
     try:
-        ds = DiscreteDataset(specs=specs, data=data)
+        return DiscreteDataset(specs=specs, data=data)
     except CpsCausalError:
         return None
-    # the records are the writer's; so is the text, if its specs are
-    if json_text({**dataset_to_json(ds), "data": []}, "\n") != head + ',\n  "data": []\n}':
-        return None
-    return ds
 
 
-def _one_digit_records(framed: np.ndarray, w: int) -> np.ndarray | None:
-    """The ``(n, w)`` records of ``framed`` when it is ``n`` rows of ``w``
-    one-digit cells, each row as ``0,2,1],\\n    [`` and the last as
-    ``0,2,1]\\n  ]\\n}\\n``; else None."""
-    row = np.frombuffer(",".join("0" * w).encode() + _ROW_END, dtype=np.uint8)
-    if framed.size % row.size:
+def _one_digit_records(framed: BinaryIO, size: int, w: int) -> np.ndarray | None:
+    """The ``(n, w)`` records of the next ``size`` bytes of ``framed`` when
+    they are ``n`` rows of ``w`` one-digit cells, each row as
+    ``0,2,1],\\n    [`` and the last as ``0,2,1]\\n  ]\\n}\\n``; else None.
+    They are read and checked a block of rows at a time."""
+    cells = ",".join("0" * w).encode()
+    row, last_row = (np.frombuffer(cells + end, dtype=np.uint8) for end in (_ROW_END, _LAST_ROW_END))
+    if not size or size % row.size:
         return None
-    rows = framed.reshape(-1, row.size)
-    # the lowest and highest byte the writer puts at each place of a row and
-    # of the last row: a digit in a cell, else the one byte of its layout
-    low = np.stack([row, row])
-    low[1, -len(_LAST_ROW_END):] = np.frombuffer(_LAST_ROW_END, dtype=np.uint8)
-    high = low.copy()
-    high[:, 0:2 * w:2] = ord("9")
-    column_low, column_high = rows[:-1].min(axis=0, initial=255), rows[:-1].max(axis=0, initial=0)
-    if (np.stack([column_low, rows[-1]]) < low).any() or (np.stack([column_high, rows[-1]]) > high).any():
+    n = size // row.size
+    # how far above the lowest byte the writer puts at each place of a row,
+    # a digit in a cell or else the one byte of its layout, each may be; a
+    # byte below its lowest wraps round to above every span
+    span = np.zeros(row.size, dtype=np.uint8)
+    span[0:2 * w:2] = 9
+    data = np.empty((n, w), dtype=np.uint8)
+    step = max(1, _BLOCK_CHARS // row.size)
+    buffer = np.empty(step * row.size, dtype=np.uint8)
+    for at in range(0, n, step):
+        k = min(step, n - at)
+        if framed.readinto(buffer[:k * row.size]) != k * row.size:
+            return None
+        rows = buffer[:k * row.size].reshape(k, row.size)
+        if (np.subtract(rows[:n - 1 - at], row, dtype=np.uint8) > span).any():
+            return None
+        np.subtract(rows[:, 0:2 * w:2], ord("0"), out=data[at:at + k], dtype=np.uint8)
+    if (np.subtract(rows[-1], last_row, dtype=np.uint8) > span).any():
         return None
-    return np.subtract(rows[:, 0:2 * w:2], ord("0"), dtype=np.uint8)
+    return data
 
 
 def _records_of_runs(framed: np.ndarray, w: int) -> np.ndarray | None:
@@ -741,7 +857,8 @@ def _records_of_runs(framed: np.ndarray, w: int) -> np.ndarray | None:
         return None
     last = is_digit & ~after
     # with each run of digits cut to its last digit, every cell is one digit
-    cells = _one_digit_records(framed[~is_digit | last], w)
+    cut = framed[~is_digit | last]
+    cells = _one_digit_records(io.BytesIO(cut.tobytes()), cut.size, w)
     if cells is None:
         return None
     # add each cell's digit in the tens, hundreds, ... place, in int64, which

@@ -246,6 +246,49 @@ class TestErrors:
         assert err.startswith(f"error [DataError]: cannot read {log}: ")
         assert "can't decode byte 0xff" in err
 
+    @pytest.mark.parametrize("data", [b"A,B\n1,\xff2\n", b"\xef\xbb\n1\n", b"\xef\xbbA\n1\n",
+                                      b"\xef\xbb\xbf\xef\xbb\xbfA\n1\n\xed\xa0\x80\n",
+                                      b"A\n" + b"1\n" * 40_000 + b"\xc3\n"],
+                             ids=["bad-byte", "cut-byte-order-mark", "bad-start", "surrogate-after-two-marks",
+                                  "cut-sequence-in-a-later-block"])
+    def test_log_that_is_not_utf8_is_named_as_read_names_it(self, tmp_path, capsys, data):
+        log = tmp_path / "log.csv"
+        log.write_bytes(data)
+        spec = tmp_path / "s.vspec"
+        spec.write_text("A actuator Off,On\n")
+        with pytest.raises(DataError) as raised:
+            cli._read(str(log))
+        code = main(["discretize", "--input", str(log), "--spec", str(spec), "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        assert capsys.readouterr().err == f"error [DataError]: {raised.value}\n"
+
+    @pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb"])
+    def test_log_of_a_cut_byte_order_mark_is_read_as_no_text(self, tmp_path, capsys, data):
+        # Python's utf-8-sig decoder reads a file that holds no more than the
+        # start of a byte-order mark as no text, not as an error
+        log = tmp_path / "log.csv"
+        log.write_bytes(data)
+        spec = tmp_path / "s.vspec"
+        spec.write_text("A actuator Off,On\n")
+        assert cli._read(str(log)) == ""
+        code = main(["discretize", "--input", str(log), "--spec", str(spec), "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        assert capsys.readouterr().err == "error [EmptyInput]: log has no header row\n"
+
+    @pytest.mark.parametrize("form", [
+        lambda text: text.replace("\n", "\n\n"),
+        lambda text: "\n \n" + text + "\n\n",
+        lambda text: re.sub(r"(?m)^([^,\n]+),", r'"\1",', text),
+        lambda text: text.replace("\n", "\r\n"),
+    ], ids=["blank-lines", "blank-lines-around", "quoted", "crlf"])
+    def test_log_in_any_form_gives_the_plain_logs_dataset(self, repo_root, tmp_path, form):
+        golden = repo_root / "tests/golden/stage1"
+        log = tmp_path / "log.csv"
+        log.write_bytes(form((golden / "sample.csv").read_text()).encode())
+        out = tmp_path / "dataset.json"
+        assert main(["discretize", "--input", str(log), "--spec", str(golden / "stage1.vspec"), "--out", str(out)]) == 0
+        assert out.read_bytes() == (golden / "dataset.json").read_bytes()
+
     def test_byte_order_mark_before_the_header_is_dropped(self, tmp_path):
         text = "Timestamp,MV101\nt0,1\nt1,2\n"
         spec = tmp_path / "s.vspec"
@@ -556,6 +599,49 @@ class TestErrors:
         assert capsys.readouterr().err.startswith(f"error [{error}]: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["learn", "fit"])
+    @pytest.mark.parametrize("edit", [
+        lambda data: data.replace(b"[0,", b"[\xff,", 1),
+        lambda data: data.replace(b"LIT101", b"LIT\xc3", 1),
+        lambda data: data[:-5] + b"\xe2\x82",
+    ], ids=["in-records", "in-specs", "cut-at-the-end"])
+    def test_dataset_that_is_not_utf8_is_named_as_read_names_it(self, repo_root, tmp_path, capsys, command, edit):
+        golden = repo_root / "tests/golden/stage1"
+        dataset = tmp_path / "dataset.json"
+        dataset.write_bytes(edit((golden / "dataset.json").read_bytes()))
+        with pytest.raises(DataError) as raised:
+            cli._read(str(dataset))
+        out = tmp_path / "out.json"
+        argv = (["learn", "--dataset", str(dataset), "--algo", "cl", "--root", "LIT101"] if command == "learn" else
+                ["fit", "--dataset", str(dataset), "--graph", str(golden / "graph.json")])
+        assert main([*argv, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error [DataError]: {raised.value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["learn", "fit"])
+    def test_byte_order_mark_before_a_dataset_is_dropped(self, repo_root, tmp_path, command):
+        golden = repo_root / "tests/golden/stage1"
+        argv = (["learn", "--algo", "hc"] if command == "learn" else ["fit", "--graph", str(golden / "graph.json")])
+        for name, mark in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            (tmp_path / f"{name}.json").write_bytes(mark + (golden / "dataset.json").read_bytes())
+            assert main([*argv, "--dataset", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "bom").read_bytes() == (tmp_path / "plain").read_bytes()
+
+    @pytest.mark.parametrize("tail", ["[x", "[0,1,2,3,4]]", "", "nope"], ids=["word", "extra-bracket", "no-records",
+                                                                          "no-data-key"])
+    def test_dataset_that_is_not_json_is_named_as_json_names_it(self, repo_root, tmp_path, capsys, tail):
+        golden = repo_root / "tests/golden/stage1"
+        text = (golden / "dataset.json").read_text()
+        head = text[:text.index(',\n  "data": [')]
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(tail if tail == "nope" else head + ',\n  "data": [\n    ' + tail)
+        with pytest.raises(json.JSONDecodeError) as raised:
+            json.loads(dataset.read_text())
+        code = main(["learn", "--dataset", str(dataset), "--algo", "cl", "--root", "LIT101",
+                     "--out", str(tmp_path / "graph.json")])
+        assert code == 3
+        assert capsys.readouterr().err == f"error [DataError]: {dataset} is not valid JSON: {raised.value}\n"
+
     def test_truncated_dataset_is_invalid_json(self, repo_root, tmp_path, capsys):
         dataset = tmp_path / "dataset.json"
         dataset.write_text((repo_root / "tests/golden/stage1/dataset.json").read_text()[:-20])
@@ -806,10 +892,12 @@ def test_dump_json_is_indented_json_for_everything_else(obj):
 
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
-    | st.sampled_from(["FIT101", "LIT101", "MV101", "P101", "P102", "learnt", "control", 0.5, 10 ** 400]),
+    | st.sampled_from(["FIT101", "LIT101", "MV101", "P101", "P102", "learnt", "control", "High", "Open", 0.5, 1,
+                       10 ** 400]),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
         st.sampled_from(["nodes", "edges", "src", "dst", "kind", "directed", "graph", "cpts", "child", "parents",
-                         "parent_cards", "states", "table", "uniform_rows"]) | st.text(max_size=3),
+                         "parent_cards", "states", "table", "uniform_rows", "id", "targeted", "preconditions",
+                         "description", "theta"]) | st.text(max_size=3),
         inner, max_size=4),
     max_leaves=12)
 
@@ -864,6 +952,8 @@ with open(os.path.join(_GOLDEN, "graph.json")) as _fh:
     _GOLDEN_GRAPH = json.load(_fh)
 with open(os.path.join(_GOLDEN, "net.json")) as _fh:
     _GOLDEN_NET = json.load(_fh)
+with open(attacks_path("stage1.json")) as _fh:
+    _STAGE1_ATTACKS = json.load(_fh)
 
 
 @given(doc=_json_files(_GOLDEN_GRAPH))
@@ -888,3 +978,52 @@ def test_any_net_file_is_read_or_refused_with_its_error_class(tmp_path_factory, 
     path.write_text(json.dumps(doc))
     for target in ("FIT101", "P101"):
         _assert_read_or_refused(["infer", "--net", str(path), "--target", target])
+
+
+@given(doc=_json_files(_STAGE1_ATTACKS))
+@settings(deadline=None)
+def test_any_attack_file_is_read_or_refused_with_its_error_class(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("attacks") / "attacks.json"
+    path.write_text(json.dumps(doc))
+    _assert_read_or_refused(["impact", "--net", os.path.join(_GOLDEN, "net.json"), "--attacks", str(path)])
+
+
+# --- any variable-spec file -------------------------------------------------------
+
+_SPEC_NUMBERS = (st.sampled_from(["1_0", "\u0661", "\uff11", "1e400", "nan", "-inf", "0x10", "1.5", "2", "-1", "", "+3",
+                                  "210.0", "750.0", str(2**64), "9" * 5000])
+                 | st.integers(-3, 3).map(str) | st.floats().map(repr) | st.text(max_size=3))
+
+
+@st.composite
+def _spec_files(draw):
+    """Text that is, or is close to, a variable-spec file for the stage1 log."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 4)):
+            name = draw(st.sampled_from(["P101", "P102", "LIT101", "MV101", "FIT101", "NOPE"]) | st.text(max_size=3))
+            kind = draw(st.sampled_from(["sensor", "actuator"]) | st.text(max_size=3))
+            states = ",".join(draw(st.lists(st.sampled_from(["Low", "Medium", "High", "Off", "On", "Close", "Open"])
+                                            | st.text(max_size=2), max_size=4)))
+            attribute = draw(st.sampled_from(["", "edges=", "codes=", "steps="]))
+            if attribute:
+                attribute += ",".join(draw(st.lists(_SPEC_NUMBERS, min_size=1, max_size=3)))
+            line = " ".join([name, kind, states, attribute])
+        else:
+            line = draw(st.text(max_size=20))
+        lines.append(line + draw(st.sampled_from(["", " # note"])))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+
+
+with open(os.path.join(_GOLDEN, "sample.csv"), newline="") as _fh:
+    _GOLDEN_LOG_HEAD = "".join(_fh.readlines()[:41])  # the header and 40 records
+
+
+@given(text=_spec_files())
+@settings(deadline=None)
+def test_any_spec_file_is_read_or_refused_with_its_error_class(tmp_path_factory, text):
+    d = tmp_path_factory.mktemp("spec")
+    (d / "log.csv").write_text(_GOLDEN_LOG_HEAD)
+    (d / "log.vspec").write_bytes(text.encode())
+    _assert_read_or_refused(["discretize", "--input", str(d / "log.csv"), "--spec", str(d / "log.vspec"),
+                             "--out", str(d / "dataset.json")])

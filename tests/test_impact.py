@@ -311,6 +311,33 @@ class TestAttackFile:
             load_attacks(f'[{{"id": "x", "targeted": ["MV101"], "preconditions": {pre}}}]')
 
 
+    @pytest.mark.parametrize("record, message", [
+        ('{"id": null, "targeted": ["MV101"]}', "attack 3 of the file: id must be a string or an integer, got null"),
+        ('{"id": {"n": 1}, "targeted": ["MV101"]}',
+         'attack 3 of the file: id must be a string or an integer, got {"n": 1}'),
+        ('{"id": true, "targeted": ["MV101"]}', "attack 3 of the file: id must be a string or an integer, got true"),
+        ('{"id": 1.5, "targeted": ["MV101"]}', "attack 3 of the file: id must be a string or an integer, got 1.5"),
+        ('{"id": "a\\ud800", "targeted": ["MV101"]}',
+         r'attack 3 of the file: id "a\\ud800" holds a lone surrogate'),
+        ('{"id": "x", "targeted": ["LIT101", "LIT101"]}', "attack 'x': targeted names 'LIT101' more than once"),
+        ('{"id": "first", "targeted": ["MV101"]}', "attack 'first': id is used by an earlier attack"),
+        ('{"id": 1, "targeted": ["MV101"]}', "attack '1': id is used by an earlier attack"),
+        ('{"id": "x", "targeted": ["MV101"], "description": 7}', "attack 'x': description must be a string, got 7"),
+        ('{"id": "x", "targeted": ["MV101"], "theta": true}', "attack 'x': theta must be a number, got True"),
+        ('{"id": "x", "targeted": ["MV101"], "theta": "high"}', "attack 'x': theta must be a number, got 'high'"),
+        ('{"id": "x", "targeted": ["MV101"], "theta": NaN}', r"attack 'x': theta must be in \(0, 1\]"),
+    ], ids=["null-id", "object-id", "bool-id", "float-id", "lone-surrogate-id", "repeated-target", "repeated-id",
+            "repeated-id-as-integer", "description", "bool-theta", "text-theta", "nan-theta"])
+    def test_bad_field_is_named_with_its_attack(self, record, message):
+        # the third attack of the file, after two that are read
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            load_attacks(f'[{{"id": "first", "targeted": ["P101"]}}, {{"id": "1", "targeted": ["P101"]}}, {record}]')
+
+    def test_integer_id_and_integer_theta_are_read(self):
+        (attack,) = load_attacks('[{"id": 7, "targeted": ["MV101"], "theta": 1}]')
+        assert (attack.id, attack.theta) == ("7", 1)
+
+
 def test_impact_config_range_errors_are_usage_errors():
     with pytest.raises(UsageError, match="theta"):
         ImpactConfig(theta=0)

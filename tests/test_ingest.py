@@ -1,3 +1,4 @@
+import codecs
 import csv
 import gc
 import json
@@ -27,10 +28,12 @@ from cpscausal.ingest import (
     ACTUATOR,
     SENSOR,
     DiscreteDataset,
+    LogText,
     RawLog,
     VariableSpec,
     dataset_from_json,
     dataset_from_text,
+    dataset_json_chunks,
     dataset_to_json,
     discretize,
     discretize_text,
@@ -38,9 +41,10 @@ from cpscausal.ingest import (
     parse_log,
     parse_spec_file,
     project,
+    read_dataset_file,
     records_json,
 )
-from cpscausal.fixtures import get_fixture
+from cpscausal.fixtures import FIXTURE_NAMES, get_fixture
 from cpscausal.simgen import sample_with_clamp, write_historian_csv
 from oracles import (
     read_as_one_array,
@@ -251,6 +255,18 @@ P101 actuator Off,On
         # NaN compares False both ways, so the increasing check alone lets it through
         with pytest.raises(ParseError, match="line 1: LIT101: bin edges must be finite"):
             parse_spec_file(f"LIT101 sensor Low,Medium,High edges={edges}\n")
+
+    @pytest.mark.parametrize("attribute", ["edges=1_0", "edges=\u0661", "edges=2,1_000", "codes=1_0,2",
+                                           "codes=\u0661,2", "edges=\uff11"])
+    def test_number_the_log_reader_refuses_is_refused(self, attribute):
+        # float() and int() read each of these; a log cell holding one is refused too
+        kind = "sensor" if attribute.startswith("edges") else "actuator"
+        with pytest.raises(ParseError, match=f"^line 2: bad {attribute[:5]} list "):
+            parse_spec_file(f"# note\nLIT101 {kind} Low,High {attribute}\n")
+
+    def test_attribute_is_named_before_its_numbers(self):
+        with pytest.raises(ParseError, match="^line 1: unknown attribute 'steps'$"):
+            parse_spec_file("LIT101 sensor Low,High steps=1_0\n")
 
     # str.splitlines breaks at each of these too; only \r\n, \r and \n end a line
     @pytest.mark.parametrize("mark", ["\x85", "\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
@@ -1084,3 +1100,140 @@ def test_dataset_reader_holds_one_copy_of_the_text(twostage):
     extra = _traced_peak_beyond_dataset(lambda text, specs: dataset_from_text(text), text, ds.specs)
     # the text's UTF-8 bytes, viewed in place: no str slice of the records besides
     assert text.isascii() and extra < 1.5 * len(text)
+
+
+# --- log and dataset files, a block at a time --------------------------------------
+#
+# The CLI reads a historian log file through LogText.of_file and a dataset
+# file through read_dataset_file, a block of bytes at a time; each must give
+# what the text of the file gives.
+
+_LOG_FILE_CORPUS = {**{name: (text, None) for name, text in PARSE_CORPUS.items()}, **STRADDLE_CORPUS,
+                    "non-ascii-names": ("Zeit,F\u00fcll\u00b0,\u0394p\n1,2\n3,4\n", None),
+                    "byte-order-mark-inside": ("A,B\n1,\ufeff2\n", None)}
+
+
+@pytest.mark.parametrize("chars", [1, 7, ingest._BLOCK_CHARS])
+@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["no-bom", "bom"])
+@pytest.mark.parametrize("text, specs", _LOG_FILE_CORPUS.values(), ids=_LOG_FILE_CORPUS.keys())
+def test_log_file_discretizes_as_its_text(tmp_path, text, specs, bom, chars):
+    path = tmp_path / "log.csv"
+    path.write_bytes(bom + text.encode())
+    specs = specs or _sensors(text)
+    with mock.patch.object(ingest, "_BLOCK_CHARS", chars):
+        log = LogText.of_file(str(path))
+        got = _outcome(discretize_text, log, specs)
+        want = _outcome(discretize_text, text, specs)
+        assert "".join(log.blocks()) == log.text() == text
+    assert (log.n_lines, log.plain) == (LogText.of_str(text).n_lines, LogText.of_str(text).plain)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.specs == want.specs and np.array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("data", [b"A,B\n1,\xff2\n", b"\xef\xbb", b"\xef\xbbA\n1\n", b"A\n1\n\xed\xa0\x80\n",
+                                  b"A\n" + b"1\n" * 40 + b"\xc3\n", codecs.BOM_UTF8 + b"A\n\x80\n"],
+                         ids=["bad-byte", "cut-byte-order-mark", "bad-start", "surrogate", "cut-sequence-late",
+                              "after-byte-order-mark"])
+def test_log_file_that_is_not_utf8_is_refused(tmp_path, data):
+    path = tmp_path / "log.csv"
+    path.write_bytes(data)
+    with mock.patch.object(ingest, "_BLOCK_CHARS", 8), pytest.raises(UnicodeDecodeError):
+        LogText.of_file(str(path))
+
+
+def _datasets_at_block_boundaries():
+    """Datasets of every fixture, and of DPs of 12 and 300 states, with a
+    record count for every place a block of records can end."""
+    for name in FIXTURE_NAMES:
+        ds = get_fixture(name).sample(300, seed=3)
+        for n in (1, 2, 3, 5, 8, 300):
+            yield name, DiscreteDataset(specs=ds.specs, data=ds.data[:n])
+    for cards in ((12, 3), (300, 2, 12)):
+        _, ds = _written_dataset(cards, 300)
+        for n in (1, 2, 3, 5, 300):
+            yield f"{cards[0]}-states", DiscreteDataset(specs=ds.specs, data=ds.data[:n])
+
+
+@pytest.mark.parametrize("chars", [1, 17, 40, ingest._BLOCK_CHARS])
+def test_streamed_dataset_is_the_dumped_text(chars):
+    with mock.patch.object(ingest, "_BLOCK_CHARS", chars):
+        for name, ds in _datasets_at_block_boundaries():
+            assert b"".join(dataset_json_chunks(ds)) == cli._dump_json(dataset_to_json(ds)).encode(), \
+                (name, ds.n_records)
+
+
+def test_streamed_dataset_is_the_dumped_text_across_full_size_blocks(twostage):
+    ds = twostage.sample(5_000, seed=4)
+    step = ingest._BLOCK_CHARS // len(b"0," * len(ds.specs) + b"],\n    [")
+    for n in (step - 1, step, step + 1, 2 * step):
+        part = DiscreteDataset(specs=ds.specs, data=ds.data[:n])
+        chunks = list(dataset_json_chunks(part))
+        assert len(chunks) == 2 + -(-n // step)
+        assert b"".join(chunks) == cli._dump_json(dataset_to_json(part)).encode()
+
+
+def _dataset_file_texts():
+    """Dataset texts in and out of the writer's layout."""
+    for records, _ in DATASET_TEXT_CORPUS.values():
+        yield f'{_WRITTEN_SPECS},\n  "data": {records}\n}}\n'
+    yield from DATASET_DOCUMENT_CORPUS.values()
+    written = cli._dump_json(dataset_to_json(_SMALL))
+    for edit, _ in _NEAR_MISSES.values():
+        yield edit(written)
+    for cards in ((3, 2, 10), (12, 3, 2)):
+        long, _ = _written_dataset(cards, 320)
+        yield long
+        for edit in _LONG_DATASET_EDITS.values():
+            yield edit(long)
+
+
+@pytest.mark.parametrize("chars", [1, 7, 64, ingest._BLOCK_CHARS])
+def test_dataset_file_reads_as_its_text(tmp_path, chars):
+    path = tmp_path / "dataset.json"
+    with mock.patch.object(ingest, "_BLOCK_CHARS", chars):
+        for text in _dataset_file_texts():
+            path.write_bytes(text.encode())
+            ds = read_dataset_file(str(path))
+            assert (ds is not None) == (read_as_one_array(text) and not text.startswith("\ufeff")), text
+            if ds is not None:
+                assert _read_outcome(lambda _: ds, None) == _read_outcome(dataset_from_text, text)
+
+
+def _traced_peak(read):
+    """The peak of the memory that ``read()`` allocates, and its result."""
+    tracemalloc.start()
+    try:
+        result = read()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+@pytest.mark.parametrize("form", [
+    lambda text: text,
+    _quote_timestamps,
+    lambda text: text + "\n",  # a blank line at the end
+], ids=["plain", "quoted-timestamps", "trailing-blank-line"])
+def test_cli_file_readers_hold_no_more_as_the_file_grows(tmp_path, twostage, form):
+    ds = twostage.sample(10_000, seed=5)
+    small = write_historian_csv(ds)
+    large = small + small.partition("\n")[2] * 3  # 40k records
+    extra = {}
+    for name, text in (("10k", form(small)), ("40k", form(large))):
+        log = tmp_path / f"{name}.csv"
+        log.write_bytes(text.encode())
+        peak, read = _traced_peak(lambda: discretize_text(cli._log_text(str(log)), ds.specs))
+        extra["log", name] = peak - read.data.nbytes
+        dataset = tmp_path / f"{name}.json"
+        extra["write", name], _ = _traced_peak(lambda: cli._atomic_write(dataset, dataset_json_chunks(read)))
+        assert dataset.read_bytes() == cli._dump_json(dataset_to_json(read)).encode()
+        peak, back = _traced_peak(lambda: cli._load_dataset(str(dataset)))
+        extra["dataset", name] = peak - back.data.nbytes
+        assert np.array_equal(back.data, read.data)
+    for reader in ("log", "write", "dataset"):
+        # a block at a time: four times the file, and the same memory beyond the dataset
+        assert extra[reader, "40k"] <= 1.25 * extra[reader, "10k"], (reader, extra)
+        assert extra[reader, "40k"] < len(large) / 2, (reader, extra)

@@ -491,6 +491,30 @@ class TestClMatchesReference:
         for root in ds.names:
             assert learn_cl(ds, ClConfig(root)) == reference_learn_cl(ds, ClConfig(root)), root
 
+    def test_tied_links_of_nested_pairs(self):
+        # records of four +-1 spins whose couplings A-B and C-D are strong and
+        # A-D and B-C weaker (an Ising cycle), each configuration repeated as
+        # often as its rounded probability in 1000 records: the counts do not
+        # change when A is swapped with B and C with D, so the links A-D and
+        # B-C tie exactly, and A-C and B-D are weaker still. The tied links
+        # compete for the cut that joins {A, B} to {C, D}, where the sorted
+        # pair ("A", "D") comes before ("B", "C") but the reversed pair
+        # ("C", "B") before ("D", "A")
+        configs = np.array(list(itertools.product((0, 1), repeat=4)))
+        spin = 2 * configs - 1
+        energy = 1.5 * (spin[:, 0] * spin[:, 1] + spin[:, 2] * spin[:, 3]) \
+            + 0.7 * (spin[:, 0] * spin[:, 3] + spin[:, 1] * spin[:, 2])
+        weight = np.exp(energy)
+        data = np.repeat(configs, np.rint(1000 * weight / weight.sum()).astype(int), axis=0)
+        ds = make_ds(dict(zip("ABCD", data.T)), dict.fromkeys("ABCD", 2))
+        mi = {pair: mutual_information(ds, *pair) for pair in itertools.combinations("ABCD", 2)}
+        assert mi["A", "D"] == mi["B", "C"]
+        assert min(mi["A", "B"], mi["C", "D"]) > mi["A", "D"] > max(mi["A", "C"], mi["B", "D"])
+        learnt = learn_cl(ds, ClConfig("A"))
+        assert {(e.src, e.dst) for e in learnt.edges} == {("A", "B"), ("A", "D"), ("D", "C")}
+        for root in ds.names:
+            assert learn_cl(ds, ClConfig(root)) == reference_learn_cl(ds, ClConfig(root)), root
+
     @given(st.data())
     @settings(deadline=None)
     def test_random_small_datasets(self, data):
