@@ -12,9 +12,9 @@ final newline. Every artifact is written in pieces through one hashing
 ``_atomic_write``. ``discretize`` reads the historian log a block at a time,
 once to check it and once to map it to states, and writes the dataset a
 block of records at a time; ``learn`` and ``fit`` read a dataset file that
-is exactly the writer's a block of records at a time. No command holds the
-text of a log or a dataset file as a whole, except to name a fault in it,
-or to read a dataset file that is not the writer's.
+is exactly the writer's, of DPs of at most 10 states, a block of records
+at a time, and any other once, whole, through ``json``. No command holds
+the text of a log as a whole, except to name a fault in it.
 
 This module imports only the standard library and the package's errors;
 each command imports the modules it runs, so ``--version``, ``--help``,
@@ -50,9 +50,8 @@ _HOMES = {
     "graph": ("compare", "graph_from_json", "graph_to_dot", "graph_to_json"),
     "impact": ("ImpactConfig", "discover_impact", "load_attacks", "report_to_json"),
     "inference": ("Query", "posterior"),
-    "ingest": ("LogText", "dataset_from_json", "dataset_from_text", "dataset_json_chunks", "dataset_to_json",
-               "discretize", "discretize_text", "format_spec_file", "parse_log", "parse_spec_file",
-               "read_dataset_file"),
+    "ingest": ("LogText", "dataset_from_json", "dataset_json_chunks", "dataset_to_json", "discretize",
+               "discretize_text", "format_spec_file", "parse_log", "parse_spec_file", "read_dataset_file"),
     "learning": ("ClConfig", "HcConfig", "PcConfig", "extend_to_dag", "learn_cl", "learn_hc", "learn_pc"),
     "simgen": ("sample_with_clamp", "write_historian_csv"),
 }
@@ -132,24 +131,21 @@ def _log_text(path: str):
         return LogText.of_str(_read(path))
 
 
-def _load_json(path: str, decode=json.loads):
+def _load_json(path: str):
     try:
-        return decode(_read(path))
+        return json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _load_dataset(path: str):
     """The dataset file at ``path``, read a block of records at a time when
-    it is exactly as ``discretize`` writes it, and else as a whole text by
-    ``dataset_from_text``, which names its error."""
-    from .ingest import dataset_from_text, read_dataset_file
+    it is exactly what ``discretize`` writes for DPs of at most 10 states,
+    else whole by ``json``; ``dataset_from_json`` then names any fault."""
+    from .ingest import dataset_from_json, read_dataset_file
 
-    try:
-        ds = read_dataset_file(path)
-    except OSError:
-        ds = None
-    return ds if ds is not None else _load_json(path, dataset_from_text)
+    ds = read_dataset_file(path)
+    return ds if ds is not None else dataset_from_json(_load_json(path))
 
 
 def _parse_assignments(text: str) -> dict[str, str]:
@@ -332,6 +328,8 @@ def cmd_infer(args) -> int:
 
     net = net_from_json(_load_json(args.net))
     labels = _parse_assignments(args.evidence) if args.evidence else {}
+    if args.target in labels:
+        raise UsageError(f"{args.target} is both the target and in --evidence")
     evidence = _state_indices(net, labels)
     _require_node(net.graph.node_set, args.target)
     dist = posterior(net, Query(target=args.target, evidence=evidence))

@@ -73,6 +73,7 @@ from .errors import (
 )
 from .graph import CausalGraph, _is_list_of, topological_order
 from .ingest import BITSET_CELLS, DiscreteDataset
+from .jsontext import refuse_lone_surrogate
 
 
 @dataclass(frozen=True)
@@ -465,11 +466,11 @@ def net_from_json(obj: dict) -> BayesNet:
     """Validate a parsed net JSON object: ``graph`` as
     :func:`graph.graph_from_json` reads it, and ``cpts`` a list with one
     record per child, whose ``child`` is a name, ``parents`` and ``states``
-    lists of names, ``parent_cards`` a list of integers, ``table`` a list of
-    rows of numbers, and ``uniform_rows``, empty when absent, a list of
-    indices of those rows. Any other form raises :class:`ParseError`; a
-    record of that form that breaks a CPT's own contract raises
-    :class:`InvalidCpt`."""
+    lists of names, no state holding a lone surrogate, ``parent_cards`` a
+    list of integers, ``table`` a list of rows of numbers, and
+    ``uniform_rows``, empty when absent, a list of indices of those rows.
+    Any other form raises :class:`ParseError`; a record of that form that
+    breaks a CPT's own contract raises :class:`InvalidCpt`."""
     from .graph import graph_from_json
 
     try:
@@ -487,6 +488,7 @@ def net_from_json(obj: dict) -> BayesNet:
             for key in ("parents", "states"):
                 if not _is_list_of(c[key], str):
                     raise ParseError(f"malformed net JSON: {child}: {key} must be a list of names, got {c[key]!r}")
+            refuse_lone_surrogate(f"malformed net JSON: {child}: state", *c["states"])
             if not _is_list_of(c["parent_cards"], int):
                 raise ParseError(f"malformed net JSON: {child}: parent_cards must be a list of integers")
             if not (isinstance(table, list) and all(_is_list_of(row, int, float) for row in table)):

@@ -30,6 +30,7 @@ from .errors import (
     UnknownNode,
     UsageError,
 )
+from .jsontext import refuse_lone_surrogate
 
 CONTROL = "control"
 PHYSICAL = "physical"
@@ -74,27 +75,21 @@ class CausalGraph:
 
     @cached_property
     def _children(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for e in self.edges:
-            if e.directed:
-                out[e.src].append(e.dst)
-        return {n: tuple(sorted(v)) for n, v in out.items()}
+        return self._ends((e.src, e.dst) for e in self.edges if e.directed)
 
     @cached_property
     def _parents(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for e in self.edges:
-            if e.directed:
-                out[e.dst].append(e.src)
-        return {n: tuple(sorted(v)) for n, v in out.items()}
+        return self._ends((e.dst, e.src) for e in self.edges if e.directed)
 
     @cached_property
     def _undirected_neighbors(self) -> dict[str, tuple[str, ...]]:
+        return self._ends(pair for e in self.edges if not e.directed for pair in ((e.src, e.dst), (e.dst, e.src)))
+
+    def _ends(self, pairs: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
+        """Each node's other ends of the ``(node, end)`` pairs, sorted, each once."""
         out: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for e in self.edges:
-            if not e.directed:
-                out[e.src].add(e.dst)
-                out[e.dst].add(e.src)
+        for node, end in pairs:
+            out[node].add(end)
         return {n: tuple(sorted(v)) for n, v in out.items()}
 
     def _require(self, *names: str) -> None:
@@ -405,14 +400,16 @@ def graph_to_json(g: CausalGraph) -> dict:
 
 
 def graph_from_json(obj: dict) -> CausalGraph:
-    """Validate a parsed graph JSON object: ``nodes`` a list of names and
-    ``edges`` a list of ``{"src", "dst", "kind", "directed"}`` records whose
-    ``src`` and ``dst`` are names and whose ``directed``, true when absent,
-    is a JSON bool. Any other form raises :class:`ParseError`."""
+    """Validate a parsed graph JSON object: ``nodes`` a list of names, none
+    holding a lone surrogate, and ``edges`` a list of ``{"src", "dst",
+    "kind", "directed"}`` records whose ``src`` and ``dst`` are names and
+    whose ``directed``, true when absent, is a JSON bool. Any other form
+    raises :class:`ParseError`."""
     try:
         nodes, records = obj["nodes"], obj["edges"]
         if not _is_list_of(nodes, str):
             raise ParseError("malformed graph JSON: nodes must be a list of names")
+        refuse_lone_surrogate("malformed graph JSON: node", *nodes)
         if not isinstance(records, list):
             raise ParseError("malformed graph JSON: edges must be a list")
         edges = tuple(_edge_from_json(e) for e in records)

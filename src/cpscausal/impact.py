@@ -29,13 +29,12 @@ from .estimation import BayesNet
 from .graph import CONTROL, PHYSICAL, CausalGraph, Edge
 from .inference import Query, posterior
 from .ingest import split_lines
+from .jsontext import refuse_lone_surrogate
 
 CHILDREN = "children"
 UNDIRECTED = "undirected_neighbors"
 
 _STAGE_RE = re.compile(r"^[A-Za-z]+(\d+)$")
-# JSON can escape a lone surrogate into a string, which no UTF-8 output can write
-_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 # Probabilities this close are one value computed along two float paths;
 # exact ties in hand-written CPTs (0.85 vs 0.8500000000000002) differ by ulps.
@@ -260,8 +259,7 @@ def attacks_from_json(obj: list) -> tuple[AttackSpec, ...]:
                 raise ParseError(f"attack {k} of the file: id must be a string or an integer, "
                                  f"got {json.dumps(attack_id)}")
             attack_id = str(attack_id)
-            if _SURROGATE_RE.search(attack_id):
-                raise ParseError(f"attack {k} of the file: id {json.dumps(attack_id)} holds a lone surrogate")
+            refuse_lone_surrogate(f"attack {k} of the file: id", attack_id)
             if attack_id in ids:
                 raise ParseError(f"attack {attack_id!r}: id is used by an earlier attack")
             ids.add(attack_id)

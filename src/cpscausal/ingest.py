@@ -27,12 +27,12 @@ This module also holds the one layout of the dataset JSON file: the CLI
 writes it a block of records at a time with :func:`dataset_json_chunks`,
 the same bytes as :func:`jsontext.json_text`, which lays out a dataset's
 records with :func:`records_json`, writes for it. :func:`read_dataset_file`
-and :func:`dataset_from_text` read a dataset exactly as the writer lays it
-out with its records as one array, a block of records at a time, and any
-other text through :mod:`json`. They tell the two apart without writing
-the whole text back: the specs are written back and compared, and the
-records are checked byte by byte against the writer's layout, whose row
-width the specs fix when every cell is one digit.
+and :func:`dataset_from_text` read the writer's text of a dataset whose DPs
+have at most 10 states, and so one digit per cell, with its records as one
+array, a block of records at a time, and any other text through
+:mod:`json`. They tell the two apart without writing the whole text back:
+the specs are written back and compared, and the records are checked byte
+by byte against the writer's layout, whose row width the specs fix.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .errors import (
     UnknownColumn,
     UnmappedActuatorValue,
 )
-from .jsontext import json_text
+from .jsontext import json_text, refuse_lone_surrogate
 
 SENSOR = "sensor"
 ACTUATOR = "actuator"
@@ -126,6 +126,7 @@ class VariableSpec:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise ParseError(f"variable name must be text, got {self.name!r}")
+        refuse_lone_surrogate("variable name", self.name)
         if self.kind not in (SENSOR, ACTUATOR):
             raise ParseError(f"{self.name}: kind must be sensor or actuator, got {self.kind!r}")
         if len(self.states) < 2:
@@ -758,30 +759,33 @@ def dataset_json_chunks(ds: DiscreteDataset) -> Iterator[bytes]:
 
 def read_dataset_file(path: str) -> DiscreteDataset | None:
     """The dataset in the file at ``path`` when its bytes are exactly the
-    writer's (:func:`dataset_json_chunks`), read a block of records at a
-    time into one array; None when they are not, and the text then goes to
-    :func:`dataset_from_text`, which reads it or names its error. Raises
-    :class:`OSError` when the file cannot be read."""
-    with open(path, "rb") as fh:
-        return _dataset_as_written(fh)
+    writer's (:func:`dataset_json_chunks`) and each DP has at most 10
+    states, read a block of records at a time into one array; else None,
+    also when the file cannot be read, and the caller reads the file whole
+    through :mod:`json`, which reads it or names its error."""
+    try:
+        with open(path, "rb") as fh:
+            return _dataset_as_written(fh)
+    except OSError:
+        return None
 
 
 def dataset_from_text(text: str) -> DiscreteDataset:
     """Read dataset JSON text: the same dataset, or the same error, as
     ``dataset_from_json(json.loads(text))``. The text of a file exactly as
-    ``discretize`` writes it has its records read as one array instead of a
-    list per record: its specs are written back and compared with the text,
-    and its records are checked byte by byte against the writer's layout.
-    Text that is not JSON raises :class:`json.JSONDecodeError`, with json's
-    own message."""
+    ``discretize`` writes it, for DPs of at most 10 states each, has its
+    records read as one array instead of a list per record: its specs are
+    written back and compared with the text, and its records are checked
+    byte by byte against the writer's layout. Text that is not JSON raises
+    :class:`json.JSONDecodeError`, with json's own message."""
     ds = _dataset_as_written(io.BytesIO(text.encode()))
     return ds if ds is not None else dataset_from_json(json.loads(text))
 
 
 def _dataset_as_written(fh: BinaryIO) -> DiscreteDataset | None:
-    """The dataset whose UTF-8 text, as the writer lays it out, is what
-    ``fh`` holds; None when no dataset's text is that, and json then reads
-    it. Only the text up to the records is held as a whole."""
+    """The dataset of DPs of at most 10 states whose UTF-8 text, as the
+    writer lays it out, is what ``fh`` holds; None when there is none, and
+    json then reads it. Only the text up to the records is held whole."""
     key, head = _DATA_KEY.encode(), bytearray()
     # from before the last block, in case the key straddles two blocks
     while (at := head.find(key, max(0, len(head) - _BLOCK_CHARS - len(key)))) < 0:
@@ -797,14 +801,11 @@ def _dataset_as_written(fh: BinaryIO) -> DiscreteDataset | None:
     except (KeyError, TypeError, ValueError, OverflowError, CpsCausalError):
         return None
     # the writer's text of the specs, then a "[" and the records, which are
-    # read below only if they are in the writer's layout
-    if not specs or _written_head(specs) != text or size < 2 or fh.read(1) != b"[":
+    # read below only if they are in the writer's layout, in which every
+    # cell is one digit when every DP has at most 10 states
+    if not specs or max(s.cardinality for s in specs) > 10 or _written_head(specs) != text or fh.read(1) != b"[":
         return None
-    # when every DP has at most 10 states, every cell the writer writes is one digit
-    if max(s.cardinality for s in specs) <= 10:
-        data = _one_digit_records(fh, size - 1, len(specs))
-    else:
-        data = _records_of_runs(np.frombuffer(fh.read(), dtype=np.uint8), len(specs))
+    data = _one_digit_records(fh, size - 1, len(specs))
     if data is None:
         return None
     try:
@@ -842,38 +843,6 @@ def _one_digit_records(framed: BinaryIO, size: int, w: int) -> np.ndarray | None
     if (np.subtract(rows[-1], last_row, dtype=np.uint8) > span).any():
         return None
     return data
-
-
-def _records_of_runs(framed: np.ndarray, w: int) -> np.ndarray | None:
-    """The ``(n, w)`` records of ``framed`` when it is ``n`` rows of ``w``
-    non-negative decimal cells of at most 18 digits without leading zeros,
-    each row as ``0,12,1],\\n    [`` and the last as ``0,12,1]\\n  ]\\n}\\n``;
-    else None."""
-    digit = framed - ord("0")
-    is_digit = digit <= 9  # a byte below "0" wraps round to above 9
-    after = np.append(is_digit[1:], False)  # whether the next byte is a digit
-    before = np.append(False, is_digit[:-1])
-    if ((digit == 0) & ~before & after).any():  # a leading zero
-        return None
-    last = is_digit & ~after
-    # with each run of digits cut to its last digit, every cell is one digit
-    cut = framed[~is_digit | last]
-    cells = _one_digit_records(io.BytesIO(cut.tobytes()), cut.size, w)
-    if cells is None:
-        return None
-    # add each cell's digit in the tens, hundreds, ... place, in int64, which
-    # DiscreteDataset narrows once it has checked the range; 18 digits
-    # always fit int64, and a run of more is left to json
-    cells = cells.astype(np.int64)
-    reach = last
-    for k in range(1, 19):
-        reach = reach[1:] & is_digit[:-k]  # a digit k places before the last of its run
-        if not reach.any():
-            return cells
-        place = np.zeros(framed.size, dtype=np.uint8)
-        place[k:] = np.where(reach, digit[:-k], 0)
-        cells += place[last].reshape(cells.shape) * np.int64(10**k)
-    return None
 
 
 def records_json(data: np.ndarray, sep: bytes) -> bytes:

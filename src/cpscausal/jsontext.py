@@ -2,15 +2,29 @@
 
 :func:`json_text` lays a value out as ``json.dumps(obj, indent=2)`` does,
 except that a 2-D integer array, such as a dataset's records, gets one row
-per line. Standard library only: an array can only exist once numpy is
-loaded, so a value that holds none is written without importing it, and
-the rows of one that does are written by :func:`ingest.records_json`.
+per line. Standard library and the package's errors only: an array can
+only exist once numpy is loaded, so a value that holds none is written
+without importing it, and the rows of one that does are written by
+:func:`ingest.records_json`.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sys
+
+from .errors import ParseError
+
+# JSON can escape a lone surrogate into a string, which no UTF-8 output can write
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
+def refuse_lone_surrogate(field: str, *texts: str) -> None:
+    """Raise :class:`ParseError` naming ``field`` and the first of ``texts`` that holds a lone surrogate."""
+    for text in texts:
+        if _SURROGATE_RE.search(text):
+            raise ParseError(f"{field} {json.dumps(text)} holds a lone surrogate")
 
 
 def json_text(obj, newline: str) -> str:

@@ -6,9 +6,9 @@ from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-# ten times hypothesis' default examples, for the CI step that selects it
-# with --hypothesis-profile=ci; tests that set max_examples keep their own,
-# unless they take the larger of theirs and the profile's
+# ten times hypothesis' default examples, for CI's one test step, which runs
+# the whole suite with --hypothesis-profile=ci; tests that set max_examples
+# keep their own, unless they take the larger of theirs and the profile's
 settings.register_profile("ci", max_examples=1000)
 
 from cpscausal.fixtures import get_fixture

@@ -339,6 +339,12 @@ class TestErrors:
         assert code == 2
         assert capsys.readouterr() == ("", "error [usage]: no node named 'NOPE'\n")
 
+    def test_target_in_the_evidence_is_usage_error(self, repo_root, capsys):
+        code = main(["infer", "--net", str(repo_root / "tests/golden/stage1/net.json"),
+                     "--target", "MV101", "--evidence", "LIT101=Low,MV101=Open"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error [usage]: MV101 is both the target and in --evidence\n")
+
     def test_repeated_evidence_dp_is_usage_error(self, pipeline, capsys):
         code = main(["infer", "--net", str(pipeline / "net.json"),
                      "--target", "MV101", "--evidence", "LIT101=Low,LIT101=High"])
@@ -456,6 +462,45 @@ class TestErrors:
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("error [ParseError]: malformed graph JSON: ")
         assert not (tmp_path / "net.json").exists()
+
+    @pytest.mark.parametrize("command", ["export", "export-out", "compare"])
+    def test_graph_node_with_a_lone_surrogate_is_a_parse_error(self, tmp_path, command):
+        path, out = tmp_path / "graph.json", tmp_path / "out.dot"
+        path.write_text(json.dumps({"nodes": ["a\ud800", "b"], "edges": [{"src": "a\ud800", "dst": "b"}]}))
+        argv = {"export": ["export", "--graph", str(path)],
+                "export-out": ["export", "--graph", str(path), "--out", str(out)],
+                "compare": ["compare", "--left", str(path), "--right", str(path)]}[command]
+        assert _exit_and_error(argv) == (
+            3, 'error [ParseError]: malformed graph JSON: node "a\\ud800" holds a lone surrogate')
+        assert not out.exists()
+
+    @pytest.mark.parametrize("names, error", [
+        ({"FIT101": "FIT\\ud800"}, 'malformed graph JSON: node "FIT\\ud800" holds a lone surrogate'),
+        ({'"Close"': '"Cl\\ud800"', '"Open"': '"Op\\ud800"'},
+         'malformed net JSON: MV101: state "Cl\\ud800" holds a lone surrogate'),
+    ], ids=["node", "state"])
+    def test_net_name_with_a_lone_surrogate_is_a_parse_error(self, repo_root, tmp_path, names, error):
+        text = (repo_root / "tests/golden/stage1/net.json").read_text()
+        for old, new in names.items():
+            text = text.replace(old, new)
+        net, out = tmp_path / "net.json", tmp_path / "impact.json"
+        net.write_text(text)
+        # FIT101 is MV101's parent in this net, and a candidate of an attack on MV101 only by this rule
+        argv = ["impact", "--net", str(net), "--attacks", attacks_path("stage1.json"),
+                "--candidate-rule", "undirected_neighbors", "--out", str(out)]
+        assert _exit_and_error(argv) == (3, f"error [ParseError]: {error}")
+        assert not out.exists()
+
+    def test_dataset_name_with_a_lone_surrogate_is_a_parse_error(self, repo_root, tmp_path):
+        # JSON artifacts would escape it, but no DOT export or printed line could hold it
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text((repo_root / "tests/golden/stage1/dataset.json").read_text().replace(
+            '"name": "FIT101"', '"name": "FIT\\ud800"'))
+        out = tmp_path / "graph.json"
+        argv = ["learn", "--dataset", str(dataset), "--algo", "pc", "--out", str(out)]
+        assert _exit_and_error(argv) == (
+            3, 'error [ParseError]: variable name "FIT\\ud800" holds a lone surrogate')
+        assert not out.exists()
 
     @pytest.mark.parametrize("mutate", [
         lambda obj: obj["graph"].update(nodes="FIT101"),  # once UnknownNode, exit 4
@@ -843,7 +888,7 @@ def test_dump_json_writes_datasets_that_load_back(cardinality, n_vars):
     rows = ",\n    ".join(json.dumps(row, separators=(",", ":")) for row in data.tolist())
     assert text.endswith(f'"data": [\n    {rows}\n  ]\n}}\n')
     assert np.array_equal(dataset_from_text(text).data, data)
-    assert read_as_one_array(text)
+    assert read_as_one_array(text) == (cardinality <= 10)
 
 
 def _names_tracing_reads_off_cli(repo_root) -> set[str]:
@@ -932,9 +977,11 @@ def _json_files(draw, golden: dict):
 
 
 def _exit_and_error(argv: list[str]) -> tuple[int, str]:
-    """main's exit code, and the first line it wrote to stderr."""
+    """main's exit code, and the first line it wrote to stderr. stdout is a
+    UTF-8 byte stream, as a file or a pipe is, so that text UTF-8 cannot
+    write ends in the error it ends in there."""
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO(), "utf-8")), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, err.getvalue().partition("\n")[0]
 
