@@ -25,7 +25,6 @@ commands use still resolve as attributes of this module, on first access.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import importlib
 import json
 import os
@@ -37,6 +36,27 @@ from pathlib import Path
 from . import __version__
 from .errors import CpsCausalError, DataError, ParseError, UsageError
 from .jsontext import json_text
+
+
+def _sha256_type():
+    """CPython's builtin SHA-256 (``_sha2`` from Python 3.12, ``_sha256``
+    before); hashlib's on a CPython built without one, and on any other
+    interpreter, whose ``_sha256`` may be pure Python."""
+    if sys.implementation.name == "cpython":
+        for name in ("_sha2", "_sha256"):
+            try:
+                return importlib.import_module(name).sha256
+            except ImportError:
+                pass
+    from hashlib import sha256
+    return sha256
+
+
+# hashlib's SHA-256 comes from OpenSSL's libcrypto, 3.7 MB resident in every command
+_new_sha256 = _sha256_type()
+
+# a str artifact is encoded and written this many characters at a time
+_BLOCK_CHARS = 1 << 16
 
 # the fixtures.FIXTURE_NAMES that ``sample --fixture`` offers, kept here so
 # that building the parser imports no fixture
@@ -78,14 +98,18 @@ def _dump_json(obj) -> str:
 
 
 def _atomic_write(path: Path, chunks: str | Iterable[bytes]) -> str:
-    """Write a text as UTF-8, or the bytes ``chunks`` one after the other,
-    via temp file + rename; returns the sha256 of the bytes written."""
+    """Write a text as UTF-8, ``_BLOCK_CHARS`` characters at a time, or the
+    bytes ``chunks`` one after the other, via temp file + rename; returns
+    the sha256 of the bytes written."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    digest = hashlib.sha256()
+    if isinstance(chunks, str):
+        text = chunks
+        chunks = (text[at:at + _BLOCK_CHARS].encode() for at in range(0, len(text), _BLOCK_CHARS))
+    digest = _new_sha256()
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            for chunk in [chunks.encode()] if isinstance(chunks, str) else chunks:
+            for chunk in chunks:
                 digest.update(chunk)
                 fh.write(chunk)
         os.replace(tmp, path)

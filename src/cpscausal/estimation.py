@@ -19,8 +19,11 @@ up (at 20k records: 0.035 against 0.095 ms for 16 cells, 0.74 against
 
 ``_tally`` counts a batch of families whose DPs have the same
 cardinalities at once; with bitsets, by stacked ANDs, one popcount and one
-sum, in blocks of at most ``_BLOCK_BYTES``, and a DP that every family in
-the batch shares is ANDed in once. ``family_scores`` and ``_chi_square_stats`` (which
+sum, and a DP that every family in the batch shares is ANDed in once. Its
+scratch stays within ``_BLOCK_BYTES`` (256 KiB) at any record count: the
+families are tiled, and when one family's cells over all the 64-record
+words outgrow the budget, so are the words, each tile's popcounts added
+into the family's counts. ``family_scores`` and ``_chi_square_stats`` (which
 PC calls) group their families by cardinalities and call it per group;
 ``counts``, ``family_score`` and ``chi_square_ci`` are the one-family case
 of the same code, so each formula exists once and a batched score or
@@ -154,8 +157,9 @@ class CiResult:
 
 
 # the bitset block that one step of _tally ANDs together, families x cells x
-# 64-record words, stays under this many bytes
-_BLOCK_BYTES = 1 << 20
+# 64-record words, stays under this many bytes (256 KiB), unless one word
+# of one family's cells exceeds it; past one family, the words are tiled too
+_BLOCK_BYTES = 1 << 18
 
 
 def _family(ds: DiscreteDataset, child: str, parents: tuple[str, ...] | list[str]) -> tuple[int, ...]:
@@ -186,7 +190,7 @@ def _tally(ds: DiscreteDataset, cols: np.ndarray, cards: tuple[int, ...]) -> np.
     order. See the module docstring for the two kernels.
     """
     cells = prod(cards)
-    out = np.empty((len(cols), cells), dtype=np.intp)
+    out = np.zeros((len(cols), cells), dtype=np.intp)
     if cells > BITSET_CELLS:
         for row, family in zip(out, cols.tolist()):
             # row-major cell index ((p1 * c2 + p2) * c3 + ...) * r + child, by Horner's rule in place
@@ -198,21 +202,28 @@ def _tally(ds: DiscreteDataset, cols: np.ndarray, cards: tuple[int, ...]) -> np.
         return out
     bits, first = ds._state_bits
     words = bits.shape[1]
-    # each column's state bitsets: a view when all the families share the
-    # column, which is then ANDed in once and broadcast, else its rows per family
-    parts = [(True, bits[first[c[0]]:first[c[0]] + card][None]) if len(c) == 1 or (c == c[0]).all()
-             else (False, first[c][:, None] + np.arange(card)) for c, card in zip(cols.T, cards)]
-    step = max(1, _BLOCK_BYTES // (8 * cells * words))
-    for lo in range(0, len(cols), step):
-        block = [part if shared else bits[part[lo:lo + step]] for shared, part in parts]
-        # one row per cell in row-major order: the child's state bitsets,
-        # then each parent's ANDed in from the last to the first, as the
-        # outer index; each cell's count is the popcount of its row
-        acc = block[-1]
-        for b in reversed(block[:-1]):
-            acc = (b[:, :, None, :] & acc[:, None, :, :]).reshape(max(len(b), len(acc)), -1, words)
-        # a uint32 sum holds any count under 2**32 records and is faster than intp
-        out[lo:lo + step] = np.bitwise_count(acc).sum(axis=2, dtype=np.uint32)
+    # each column's state-bitset rows: one range when all the families share
+    # the column, which is then ANDed in once and broadcast, else a range per family
+    rows = [slice(first[c[0]], first[c[0]] + card) if len(c) == 1 or (c == c[0]).all()
+            else first[c][:, None] + np.arange(card) for c, card in zip(cols.T, cards)]
+    # tiles of families x cells x words within the budget: all the words and
+    # as many families as fit, or, when one family's words outgrow it, one
+    # family and as many words as fit
+    span = min(words, max(1, _BLOCK_BYTES // (8 * cells)))
+    step = max(1, _BLOCK_BYTES // (8 * cells * span))
+    for at in range(0, words, span):
+        tile = bits[:, at:at + span]
+        for lo in range(0, len(cols), step):
+            block = [tile[r][None] if isinstance(r, slice) else tile[r[lo:lo + step]] for r in rows]
+            # one row per cell in row-major order: the child's state bitsets,
+            # then each parent's ANDed in from the last to the first, as the
+            # outer index; each cell's count is the popcount of its row
+            acc = block[-1]
+            for b in reversed(block[:-1]):
+                acc = (b[:, :, None, :] & acc[:, None, :, :]).reshape(max(len(b), len(acc)), -1, tile.shape[1])
+            # a uint32 sum holds any count under 2**32 records and is faster
+            # than intp; the counts of a family's tiles add up exactly
+            out[lo:lo + step] += np.bitwise_count(acc).sum(axis=2, dtype=np.uint32)
     return out
 
 

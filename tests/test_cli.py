@@ -4,6 +4,7 @@ import copy
 import csv
 import hashlib
 import importlib
+import importlib.util
 import io
 import json
 import os
@@ -770,23 +771,34 @@ sys.exit(code)
 """
 _LEARNING_AND_AFTER = {"cpscausal.learning", "cpscausal.impact", "cpscausal.inference", "cpscausal.simgen",
                        "cpscausal.fixtures"}
+# OpenSSL's hashlib backend, which the artifact digests load only where
+# CPython's builtin SHA-256 is missing
+_OPENSSL = {"_hashlib"}
+_BUILTIN_SHA256 = sys.implementation.name == "cpython" and any(
+    importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
 
 
 @pytest.mark.parametrize("argv, code, absent", [
-    (["--version"], 0, {"numpy"}),
-    (["--help"], 0, {"numpy"}),
-    (["learn"], 2, {"numpy"}),  # argparse: the required arguments are missing
-    (["sample", "--fixture", "stage9", "--n", "1", "--out", "x.csv"], 2, {"numpy", "cpscausal.fixtures"}),
-    (["compare", "--left", "{golden}/graph.json", "--right", "{golden}/graph.json"], 0, {"numpy"}),
-    (["export", "--graph", "{golden}/graph.json"], 0, {"numpy"}),
-    (["export", "--graph", "{golden}/graph.json", "--format", "json"], 0, {"numpy"}),
+    (["--version"], 0, {"numpy", *_OPENSSL}),
+    (["--help"], 0, {"numpy", *_OPENSSL}),
+    (["learn"], 2, {"numpy", *_OPENSSL}),  # argparse: the required arguments are missing
+    (["sample", "--fixture", "stage9", "--n", "1", "--out", "x.csv"], 2, {"numpy", "cpscausal.fixtures", *_OPENSSL}),
+    (["compare", "--left", "{golden}/graph.json", "--right", "{golden}/graph.json"], 0, {"numpy", *_OPENSSL}),
+    (["export", "--graph", "{golden}/graph.json"], 0, {"numpy", *_OPENSSL}),
+    (["export", "--graph", "{golden}/graph.json", "--format", "json"], 0, {"numpy", *_OPENSSL}),
     (["discretize", "--input", "{golden}/sample.csv", "--spec", "{golden}/stage1.vspec", "--out", "{tmp}/d.json"],
-     0, _LEARNING_AND_AFTER),
+     0, _LEARNING_AND_AFTER | _OPENSSL),
     (["fit", "--dataset", "{golden}/dataset.json", "--graph", "{tmp}/dag.json", "--out", "{tmp}/net.json"],
-     0, _LEARNING_AND_AFTER),
+     0, _LEARNING_AND_AFTER | _OPENSSL),
+    (["learn", "--dataset", "{golden}/dataset.json", "--algo", "hc", "--out", "{tmp}/graph.json"],
+     0, _LEARNING_AND_AFTER - {"cpscausal.learning"} | _OPENSSL),
+    (["impact", "--net", "{golden}/net.json", "--attacks", attacks_path("stage1.json"), "--out", "{tmp}/impact.json"],
+     0, {"cpscausal.learning", "cpscausal.simgen", "cpscausal.fixtures", *_OPENSSL}),
 ], ids=["version", "help", "usage_error", "unknown_fixture", "compare", "export_dot", "export_json",
-        "discretize", "fit_dag"])
+        "discretize", "fit_dag", "learn", "impact"])
 def test_each_command_loads_only_the_modules_it_runs(repo_root, tmp_path, argv, code, absent):
+    if not _BUILTIN_SHA256:
+        absent = absent - _OPENSSL
     golden = repo_root / "tests/golden/stage1"
     # a DAG, which fit needs no learning module to extend
     (tmp_path / "dag.json").write_text(json.dumps(json.loads((golden / "net.json").read_text())["graph"]))
@@ -798,6 +810,68 @@ def test_each_command_loads_only_the_modules_it_runs(repo_root, tmp_path, argv, 
     loaded = set(modules.read_text().split())
     assert "cpscausal.cli" in loaded
     assert not absent & loaded
+
+
+# artifacts as _atomic_write takes them, a text or UTF-8 byte chunks (given
+# here as their str): empty, ASCII, and characters of two to four UTF-8
+# bytes, over more than one _BLOCK_CHARS block
+_DIGEST_CASES = {
+    "empty-text": "",
+    "ascii-text": '{"a": 1}\n',
+    "non-ascii-text": "na\u00efve \u2192 \U0001f600\n" * 6000,
+    "no-chunks": [],
+    "chunks": ["", "ab", "\u00e9\u2192", "\U0001f600" * 70000],
+}
+
+
+def _digest_case_bytes(case) -> bytes:
+    return case.encode() if isinstance(case, str) else b"".join(c.encode() for c in case)
+
+
+@pytest.mark.parametrize("chars", [1, 7, cli._BLOCK_CHARS])
+def test_atomic_write_digest_is_the_sha256_of_the_bytes_written(tmp_path, monkeypatch, chars):
+    monkeypatch.setattr(cli, "_BLOCK_CHARS", chars)
+    for name, case in _DIGEST_CASES.items():
+        digest = cli._atomic_write(tmp_path / name, case if isinstance(case, str) else [c.encode() for c in case])
+        data = _digest_case_bytes(case)
+        assert (tmp_path / name).read_bytes() == data, name
+        assert digest == hashlib.sha256(data).hexdigest(), name
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(_DIGEST_CASES)  # no temp file is left
+
+
+# writes the cases in the JSON file argv[1] to the directory argv[2] with
+# hashlib's SHA-256, once the line ``{hide}`` has hidden the builtin one or
+# CPython, and prints their digests
+_HASHLIB_FALLBACK_PROBE = """
+import json, sys, types
+from pathlib import Path
+{hide}
+import hashlib
+from cpscausal import cli
+assert cli._new_sha256 is hashlib.sha256, cli._new_sha256
+cases, out = json.loads(Path(sys.argv[1]).read_text(encoding="utf-8")), Path(sys.argv[2])
+print(json.dumps({name: cli._atomic_write(out / name, case if isinstance(case, str) else [c.encode() for c in case])
+                  for name, case in cases.items()}))
+"""
+
+
+@pytest.mark.parametrize("hide", [
+    'sys.modules["_sha2"] = sys.modules["_sha256"] = None',
+    'sys.implementation = types.SimpleNamespace(**{**vars(sys.implementation), "name": "pypy"})',
+], ids=["no_builtin", "not_cpython"])
+def test_atomic_write_falls_back_to_hashlib_without_a_builtin_sha256(repo_root, tmp_path, hide):
+    cases = tmp_path / "cases.json"
+    cases.write_text(json.dumps(_DIGEST_CASES), encoding="utf-8")
+    out = tmp_path / "out"
+    probe = _HASHLIB_FALLBACK_PROBE.replace("{hide}", hide)
+    run = subprocess.run([sys.executable, "-c", probe, str(cases), str(out)],
+                         env=_src_env(repo_root), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    digests = json.loads(run.stdout)
+    for name, case in _DIGEST_CASES.items():
+        data = _digest_case_bytes(case)
+        assert (out / name).read_bytes() == data, name
+        assert digests[name] == hashlib.sha256(data).hexdigest(), name
 
 
 def test_fit_loads_learning_only_to_extend_a_partially_directed_graph(repo_root, tmp_path):

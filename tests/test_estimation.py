@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpscausal import learning
+from cpscausal import estimation, learning
 from cpscausal.errors import (
     DuplicateParent,
     InsufficientData,
@@ -143,6 +143,57 @@ class TestCountsOracle:
             assert expected[-1, -1] >= 1  # the last cell, 1,727, is counted
             assert np.array_equal(counts(ds, child, parents), expected), (child, parents)
         assert np.array_equal(ds.data, before)  # and the columns are left as they were
+
+
+# batches of families of the same cardinalities, as DP names with the child
+# last, for _tally under a patched budget: binary families that all share one
+# DP and families that share none, and families on both sides of BITSET_CELLS
+_BUDGET_BATCHES = [
+    [("B0",), ("B3",)],
+    [("B1", "B0"), ("B2", "B0"), ("B3", "B0"), ("B6", "B0")],
+    [("B4", "B5", "B1"), ("B0", "B2", "B3"), ("B6", "B1", "B5")],
+    [("B5", "B0", "B3", "B2", "B1", "B4"), ("B0", "B1", "B2", "B3", "B4", "B6"), ("B6", "B5", "B4", "B3", "B2", "B1")],
+    [("B5", "B0", "B3", "B2", "B1", "C4")],     # 128 cells, the largest bitset table
+    [("C43", "C3")],                            # 129 cells, the smallest bincount table
+    [("C12", "C7", "B2")],                      # 168 cells
+]
+
+
+class TestTallyBudget:
+    """``_tally`` tiles families, and the 64-record words of a family that
+    outgrows ``_BLOCK_BYTES``; its counts, and the scores and statistics
+    made of them, must not depend on the budget."""
+
+    def test_batches_cover_both_sides_of_bitset_cells(self):
+        cells = {math.prod(_ORACLE_CARDS[v] for v in batch[0]) for batch in _BUDGET_BATCHES}
+        assert min(cells) <= BITSET_CELLS < max(cells) and BITSET_CELLS in cells
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 1000])
+    def test_counts_scores_and_statistics_are_exact_under_any_budget(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        ds = make_ds({v: rng.integers(0, c, n).tolist() for v, c in _ORACLE_CARDS.items()}, cards=_ORACLE_CARDS)
+        words = -(-n // 64)
+        for batch in _BUDGET_BATCHES:
+            cols = [tuple(map(ds.index, family)) for family in batch]
+            cards = tuple(_ORACLE_CARDS[v] for v in batch[0])
+            tests = [c for c in cols if len(c) >= 2]
+
+            def results():
+                return ([estimation._family_scores(ds, cols, method, 1.0) for method in ("bic", "k2", "bdeu")],
+                        [a.tolist() for a in estimation._chi_square_stats(ds, tests)] if tests else None)
+
+            expected = [reference_counts(ds, f[-1], f[:-1]) for f in batch]
+            default = results()
+            one_family = 8 * math.prod(cards) * words
+            for budget in (1, one_family - 1, one_family, one_family + 1, 2 * one_family, estimation._BLOCK_BYTES):
+                with monkeypatch.context() as patch:
+                    patch.setattr(estimation, "_BLOCK_BYTES", budget)
+                    for family, want in zip(batch, expected):
+                        assert np.array_equal(counts(ds, family[-1], family[:-1]), want), (budget, family)
+                    tally = estimation._tally(ds, np.array(cols), cards)
+                    assert tally.dtype == np.intp, budget
+                    assert tally.tolist() == [want.ravel().tolist() for want in expected], (budget, batch)
+                    assert results() == default, (budget, batch)
 
 
 class TestFitMle:
