@@ -18,13 +18,12 @@ __version__ = "0.1.0"
 from .errors import CpsCausalError, DataError, ModelError, UsageError
 
 _HOMES = {
-    "estimation": ("BayesNet", "CiResult", "Cpt", "chi_square_ci", "counts", "fit_bayes", "fit_mle",
-                   "mutual_information", "score"),
+    "estimation": ("CiResult", "chi_square_ci", "counts", "fit_bayes", "fit_mle", "mutual_information", "score"),
     "graph": ("CausalGraph", "Edge", "EdgeDiff", "add_edge", "break_cycles", "compare", "d_separated",
               "is_dag", "markov_equivalent", "structures", "topological_order"),
     "impact": ("AttackSpec", "ImpactConfig", "ImpactReport", "classify_attack", "discover_impact",
                "load_domain_graph"),
-    "inference": ("Query", "posterior"),
+    "inference": ("BayesNet", "Cpt", "Query", "posterior"),
     "ingest": ("DiscreteDataset", "RawLog", "VariableSpec", "discretize", "discretize_text", "parse_log",
                "project"),
     "learning": ("ClConfig", "HcConfig", "PcConfig", "extend_to_dag", "learn_cl", "learn_hc", "learn_pc"),

@@ -18,8 +18,9 @@ the text of a log as a whole, except to name a fault in it.
 
 This module imports only the standard library and the package's errors;
 each command imports the modules it runs, so ``--version``, ``--help``,
-``compare`` and ``export`` start without numpy. The library names the
-commands use still resolve as attributes of this module, on first access.
+``compare``, ``export``, ``infer`` and ``impact`` start without numpy. The
+library names the commands use still resolve as attributes of this module,
+on first access.
 """
 
 from __future__ import annotations
@@ -65,11 +66,11 @@ FIXTURE_NAMES = ("chain3", "collider3", "fork3", "stage1", "stage1_learnt", "sta
 # the library names the commands run, by module; in-process callers, such as
 # the benchmark's traced pass, read and wrap them as attributes of this module
 _HOMES = {
-    "estimation": ("fit_bayes", "fit_mle", "net_from_json", "net_to_json"),
+    "estimation": ("fit_bayes", "fit_mle"),
     "fixtures": ("get_fixture",),
     "graph": ("compare", "graph_from_json", "graph_to_dot", "graph_to_json"),
     "impact": ("ImpactConfig", "discover_impact", "load_attacks", "report_to_json"),
-    "inference": ("Query", "posterior"),
+    "inference": ("Query", "net_from_json", "net_to_json", "posterior"),
     "ingest": ("LogText", "dataset_from_json", "dataset_json_chunks", "dataset_to_json", "discretize",
                "discretize_text", "format_spec_file", "parse_log", "parse_spec_file", "read_dataset_file"),
     "learning": ("ClConfig", "HcConfig", "PcConfig", "extend_to_dag", "learn_cl", "learn_hc", "learn_pc"),
@@ -212,7 +213,7 @@ def _state_indices(net, labels: dict[str, str]) -> dict[str, int]:
 
 
 def cmd_sample(args) -> int:
-    from .estimation import net_from_json
+    from .inference import net_from_json
     from .ingest import format_spec_file
     from .simgen import sample_with_clamp, write_historian_csv
 
@@ -305,8 +306,9 @@ def cmd_learn(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    from .estimation import fit_bayes, fit_mle, net_to_json
+    from .estimation import fit_bayes, fit_mle
     from .graph import graph_from_json
+    from .inference import net_to_json
 
     if args.estimator == "bayes":
         _require_ess(args.ess)
@@ -347,8 +349,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    from .estimation import net_from_json
-    from .inference import Query, posterior
+    from .inference import Query, net_from_json, posterior
 
     net = net_from_json(_load_json(args.net))
     labels = _parse_assignments(args.evidence) if args.evidence else {}
@@ -366,17 +367,20 @@ def cmd_infer(args) -> int:
 
 
 def cmd_impact(args) -> int:
-    from .estimation import net_from_json
     from .impact import ImpactConfig, discover_impact, load_attacks, report_to_json
+    from .inference import net_from_json
 
     net = net_from_json(_load_json(args.net))
     attacks = load_attacks(_read(args.attacks))
     cfg = ImpactConfig(theta=args.theta, candidate_rule=args.candidate_rule,
                        condition_preconditions=args.condition_preconditions)
     stage_of = _load_json(args.stages) if args.stages else None
-    if stage_of is not None and not (isinstance(stage_of, dict)
-                                     and all(isinstance(v, (str, int)) for v in stage_of.values())):
-        raise ParseError(f"{args.stages} must be a JSON object mapping DP names to stage ids")
+    if stage_of is not None:
+        # an integer stage id is its decimal text, as an attack id is, so 1 and "1" are one stage
+        if not (isinstance(stage_of, dict) and all(isinstance(v, (str, int)) and not isinstance(v, bool)
+                                                   for v in stage_of.values())):
+            raise ParseError(f"{args.stages} must be a JSON object mapping DP names to stage ids")
+        stage_of = {dp: str(stage) for dp, stage in stage_of.items()}
     reports = [discover_impact(net, a, cfg, stage_of=stage_of) for a in attacks]
 
     for rep in reports:

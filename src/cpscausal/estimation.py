@@ -59,93 +59,15 @@ under the modified Lentz method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import exp, inf, lgamma, log, prod
-from typing import Mapping
 
 import numpy as np
 
-from .errors import (
-    DuplicateParent,
-    InsufficientData,
-    InvalidCpt,
-    NonPositiveEss,
-    ParseError,
-    UnknownColumn,
-    UsageError,
-)
-from .graph import CausalGraph, _is_list_of, topological_order
+from .errors import DuplicateParent, InsufficientData, NonPositiveEss, UsageError
+from .graph import CausalGraph, topological_order
+from .inference import BayesNet, Cpt
 from .ingest import BITSET_CELLS, DiscreteDataset
-from .jsontext import refuse_lone_surrogate
-
-
-@dataclass(frozen=True)
-class Cpt:
-    """Conditional probability table P(child | parents).
-
-    ``table[r, c]`` is the probability of child state ``c`` under parent
-    configuration ``r`` (row-major over ``parent_cards``). Rows flagged in
-    ``uniform_rows`` had zero observations and fell back to uniform.
-    """
-
-    child: str
-    parents: tuple[str, ...]
-    parent_cards: tuple[int, ...]
-    states: tuple[str, ...]
-    table: np.ndarray = field(repr=False)
-    uniform_rows: frozenset[int] = frozenset()
-
-    def __post_init__(self):
-        if len(set(self.states)) != len(self.states):
-            raise InvalidCpt(f"{self.child}: state labels must be unique, got {list(self.states)!r}")
-        q = int(np.prod(self.parent_cards)) if self.parents else 1
-        if self.table.shape != (q, len(self.states)):
-            raise InvalidCpt(f"{self.child}: CPT shape {self.table.shape} != ({q}, {len(self.states)})")
-        if not np.all((self.table >= -1e-12) & (self.table <= 1 + 1e-12)):  # NaN fails too
-            raise InvalidCpt(f"{self.child}: CPT entries outside [0, 1]")
-        if np.any(np.abs(self.table.sum(axis=1) - 1.0) > 1e-9):
-            raise InvalidCpt(f"{self.child}: CPT rows must sum to 1")
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.states)
-
-
-@dataclass(frozen=True)
-class BayesNet:
-    """A DAG plus one CPT per node; the joint factorizes over the families."""
-
-    graph: CausalGraph
-    cpts: Mapping[str, Cpt]
-
-    def __post_init__(self):
-        topological_order(self.graph)
-        for n in self.graph.nodes:
-            if n not in self.cpts:
-                raise InvalidCpt(f"missing CPT for node {n}")
-            if self.cpts[n].parents != tuple(sorted(self.graph.parents(n))):
-                raise InvalidCpt(f"CPT parents for {n} do not match the graph")
-        extra = sorted(set(self.cpts) - set(self.graph.nodes))
-        if extra:
-            raise InvalidCpt(f"CPT for a node not in the graph: {', '.join(extra)}")
-        for n in self.graph.nodes:
-            cpt = self.cpts[n]
-            cards = tuple(self.cpts[p].cardinality for p in cpt.parents)
-            if cpt.parent_cards != cards:
-                raise InvalidCpt(f"CPT parent_cards for {n} are {list(cpt.parent_cards)}, "
-                                 f"but its parents {list(cpt.parents)} have {list(cards)} states")
-
-    @property
-    def nodes(self) -> tuple[str, ...]:
-        return self.graph.nodes
-
-    def states(self, node: str) -> tuple[str, ...]:
-        if node not in self.cpts:
-            raise UnknownColumn(f"no node named {node!r}")
-        return self.cpts[node].states
-
-    def cardinality(self, node: str) -> int:
-        return len(self.states(node))
 
 
 @dataclass(frozen=True)
@@ -450,73 +372,3 @@ def score(ds: DiscreteDataset, graph: CausalGraph, method: str = "bic", ess: flo
         family_score(ds, node, tuple(sorted(graph.parents(node))), method=method, ess=ess)
         for node in graph.nodes
     )
-
-
-# --- BayesNet JSON ------------------------------------------------------------
-
-def net_to_json(net: BayesNet) -> dict:
-    from .graph import graph_to_json
-
-    return {
-        "graph": graph_to_json(net.graph),
-        "cpts": [
-            {
-                "child": c.child,
-                "parents": list(c.parents),
-                "parent_cards": list(c.parent_cards),
-                "states": list(c.states),
-                "table": c.table.tolist(),
-                "uniform_rows": sorted(c.uniform_rows),
-            }
-            for c in (net.cpts[n] for n in sorted(net.graph.nodes))
-        ],
-    }
-
-
-def net_from_json(obj: dict) -> BayesNet:
-    """Validate a parsed net JSON object: ``graph`` as
-    :func:`graph.graph_from_json` reads it, and ``cpts`` a list with one
-    record per child, whose ``child`` is a name, ``parents`` and ``states``
-    lists of names, no state holding a lone surrogate, ``parent_cards`` a
-    list of integers, ``table`` a list of rows of numbers, and
-    ``uniform_rows``, empty when absent, a list of indices of those rows.
-    Any other form raises :class:`ParseError`; a record of that form that
-    breaks a CPT's own contract raises :class:`InvalidCpt`."""
-    from .graph import graph_from_json
-
-    try:
-        graph = graph_from_json(obj["graph"])
-        records = obj["cpts"]
-        if not isinstance(records, list):
-            raise ParseError("malformed net JSON: cpts must be a list")
-        cpts: dict[str, Cpt] = {}
-        for c in records:
-            child, table, uniform_rows = c["child"], c["table"], c.get("uniform_rows", [])
-            if not isinstance(child, str):
-                raise ParseError(f"malformed net JSON: a CPT's child must be a name, got {child!r}")
-            if child in cpts:
-                raise ParseError(f"malformed net JSON: two CPT records for {child!r}")
-            for key in ("parents", "states"):
-                if not _is_list_of(c[key], str):
-                    raise ParseError(f"malformed net JSON: {child}: {key} must be a list of names, got {c[key]!r}")
-            refuse_lone_surrogate(f"malformed net JSON: {child}: state", *c["states"])
-            if not _is_list_of(c["parent_cards"], int):
-                raise ParseError(f"malformed net JSON: {child}: parent_cards must be a list of integers")
-            if not (isinstance(table, list) and all(_is_list_of(row, int, float) for row in table)):
-                raise ParseError(f"malformed net JSON: {child}: table must be a list of rows of numbers")
-            if not (_is_list_of(uniform_rows, int) and all(0 <= r < len(table) for r in uniform_rows)):
-                raise ParseError(f"malformed net JSON: {child}: uniform_rows must be a list of indices "
-                                 f"of the table's {len(table)} rows, got {uniform_rows!r}")
-            cpts[child] = Cpt(
-                child=child,
-                parents=tuple(c["parents"]),
-                parent_cards=tuple(c["parent_cards"]),
-                states=tuple(c["states"]),
-                table=np.asarray(table, dtype=np.float64),
-                uniform_rows=frozenset(uniform_rows),
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed net JSON: {exc}") from None
-    except OverflowError:
-        raise ParseError("malformed net JSON: a table cell is too large for a float") from None
-    return BayesNet(graph=graph, cpts=cpts)

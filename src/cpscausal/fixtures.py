@@ -9,11 +9,9 @@ computed from these tables.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import UnknownVariable
-from .estimation import BayesNet, Cpt
 from .graph import CONTROL, LEARNT, PHYSICAL, CausalGraph, Edge
+from .inference import BayesNet, Cpt
 from .ingest import ACTUATOR, SENSOR, VariableSpec
 from .simgen import FixtureNet
 
@@ -29,7 +27,7 @@ def _net(nodes: tuple[str, ...], edges: list[tuple[str, str, str]],
             parents=parents,
             parent_cards=tuple(len(states[p]) for p in parents),
             states=states[node],
-            table=np.asarray(tables[node], dtype=np.float64),
+            table=tables[node],
         )
     return BayesNet(graph=graph, cpts=cpts)
 

@@ -18,18 +18,15 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import asdict, dataclass, field
+from math import exp, inf, log
 from numbers import Real
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .errors import ParseError, TargetNotInNet, UnknownNode, UnknownStage, UnknownState, UnknownVariable, \
     UsageError, ZeroProbabilityEvidence
-from .estimation import BayesNet
 from .graph import CONTROL, PHYSICAL, CausalGraph, Edge
-from .inference import Query, posterior
-from .ingest import split_lines
-from .jsontext import refuse_lone_surrogate
+from .inference import BayesNet, Query, logsumexp, posterior
+from .jsontext import refuse_lone_surrogate, split_lines
 
 CHILDREN = "children"
 UNDIRECTED = "undirected_neighbors"
@@ -170,13 +167,12 @@ def discover_impact(net: BayesNet, a: AttackSpec, cfg: ImpactConfig = ImpactConf
             except ZeroProbabilityEvidence:
                 continue
             # each row is normalized in log space, as posterior normalizes one target
-            with np.errstate(divide="ignore"):
-                log_joint = np.log(joint)
-            for s_l, row in enumerate(log_joint):
-                z = np.logaddexp.reduce(row)
-                if z == -np.inf:  # cand = s_l is unreachable under the evidence
+            for s_l, row in enumerate(joint):
+                logs = [log(p) if p > 0 else -inf for p in row]
+                z = logsumexp(logs)
+                if z == -inf:  # cand = s_l is unreachable under the evidence
                     continue
-                scored.extend((float(p), target, s_k, s_l) for s_k, p in enumerate(np.exp(row - z)))
+                scored.extend((exp(x - z), target, s_k, s_l) for s_k, x in enumerate(logs))
         if not scored:
             continue
         # maximizing pair: probabilities within _TIE of the maximum are equal,
@@ -246,9 +242,11 @@ def load_domain_graph(text: str) -> CausalGraph:
 
 def attacks_from_json(obj: list) -> tuple[AttackSpec, ...]:
     """The attacks of a parsed attack file: an array of objects, each with
-    an ``id``, a string or an integer that no other attack has, and the
-    fields :class:`AttackSpec` checks. Raises :class:`ParseError` naming
-    the attack, or its place in the file when its id is bad, and the field."""
+    an ``id``, a string or an integer that no other attack has, a
+    ``targeted`` list of DP names, optional ``preconditions``, an object of
+    DP names to state labels, and the fields :class:`AttackSpec` checks.
+    Raises :class:`ParseError` naming the attack, or its place in the file
+    when its id is bad, and the field."""
     if not isinstance(obj, list):
         raise ParseError("attack file must be a JSON array of attack objects")
     out, ids = [], set()
@@ -265,14 +263,18 @@ def attacks_from_json(obj: list) -> tuple[AttackSpec, ...]:
             ids.add(attack_id)
             if not (isinstance(targeted, list) and all(isinstance(t, str) for t in targeted)):
                 raise ParseError(f"attack {attack_id!r}: targeted must be a list of DP names")
+            preconditions = rec.get("preconditions", {})
+            if not (isinstance(preconditions, dict) and all(isinstance(v, str) for v in preconditions.values())):
+                raise ParseError(f"attack {attack_id!r}: preconditions must be an object of DP names to "
+                                 f"state labels, got {json.dumps(preconditions)}")
             out.append(AttackSpec(
                 id=attack_id,
                 targeted=tuple(targeted),
-                preconditions=dict(rec.get("preconditions", {})),
+                preconditions=preconditions,
                 description=rec.get("description", ""),
                 theta=rec.get("theta"),
             ))
-        except (KeyError, TypeError, ValueError) as exc:  # ValueError: preconditions not a mapping
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed attack record: {exc}") from None
     return tuple(out)
 

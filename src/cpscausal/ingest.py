@@ -66,7 +66,7 @@ from .errors import (
     UnknownColumn,
     UnmappedActuatorValue,
 )
-from .jsontext import json_text, refuse_lone_surrogate
+from .jsontext import json_text, refuse_lone_surrogate, split_lines
 
 SENSOR = "sensor"
 ACTUATOR = "actuator"
@@ -588,13 +588,6 @@ def project(ds: DiscreteDataset, names: list[str] | tuple[str, ...]) -> Discrete
 #   P101 actuator Off,On
 #
 # Round-trips losslessly through parse_spec_file / format_spec_file.
-
-def split_lines(text: str) -> list[str]:
-    """The lines of ``text``, split at ``\\r\\n``, ``\\r`` and ``\\n`` only;
-    ``str.splitlines`` also splits at form feeds, U+0085, U+2028 and other
-    characters that may sit in a comment."""
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-
 
 def parse_spec_file(text: str) -> tuple[VariableSpec, ...]:
     """The specs of a variable-spec file. Edges and codes are read as

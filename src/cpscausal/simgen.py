@@ -25,8 +25,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import UnknownVariable
-from .estimation import BayesNet
 from .graph import topological_order
+from .inference import BayesNet
 from .ingest import ACTUATOR, SENSOR, DiscreteDataset, VariableSpec, state_dtype
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)

@@ -51,7 +51,7 @@ from cpscausal.errors import (
     UnmappedActuatorValue,
     ZeroProbabilityEvidence,
 )
-from cpscausal.estimation import BayesNet, Cpt, chi_square_ci, counts, mutual_information
+from cpscausal.estimation import chi_square_ci, counts, mutual_information
 from cpscausal.graph import (
     LEARNT,
     CausalGraph,
@@ -62,7 +62,7 @@ from cpscausal.graph import (
     remove_edge,
     topological_order,
 )
-from cpscausal.inference import Query, _validate_query
+from cpscausal.inference import BayesNet, Cpt, Query, _validate_query
 from cpscausal.ingest import SENSOR, DiscreteDataset, RawLog, VariableSpec, dataset_from_json, dataset_from_text
 from cpscausal.learning import (
     ClConfig,
@@ -280,7 +280,7 @@ def joint_prob(net: BayesNet, assignment: Mapping[str, int]) -> float:
         state = assignment[node]
         if not 0 <= state < cpt.cardinality:
             raise UnknownState(f"{node} has no state index {state}")
-        p = cpt.table[row_index(cpt, assignment), state]
+        p = cpt.table[row_index(cpt, assignment)][state]
         if p == 0.0:
             return 0.0
         lp += np.log(p)

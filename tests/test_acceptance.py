@@ -190,7 +190,7 @@ def test_c06_mle_exactness():
             n_pa = sum(v for (x, _), v in tally.items() if x == pa)
             for c in (0, 1):
                 exact = Fraction(tally.get((pa, c), 0), n_pa) if n_pa else Fraction(1, 2)
-                assert net.cpts["B"].table[pa, c] == float(exact)
+                assert net.cpts["B"].table[pa][c] == float(exact)
         prior = net.cpts["A"].table[0]
         for s in range(specs[0].cardinality):
             assert prior[s] == float(Fraction(sum(1 for a in cols["A"] if a == s), len(cols["A"])))
@@ -279,7 +279,7 @@ def test_c11_bayes_convergence():
     ds = fx.sample(10_000, seed=2026)
     g = fx.net.graph
     mle, bayes = fit_mle(ds, g), fit_bayes(ds, g, ess=1.0)
-    worst = max(float(np.max(np.abs(mle.cpts[n].table - bayes.cpts[n].table)))
+    worst = max(float(np.max(np.abs(np.subtract(mle.cpts[n].table, bayes.cpts[n].table))))
                 for n in g.nodes)
     assert worst < 0.01
     ok(11, f"max |MLE - Bayes(ess=1)| = {worst:.4f} over all CPTs at N = 10,000")

@@ -392,6 +392,21 @@ class TestErrors:
         assert "UnknownState" in err and "LIT101" in err and "'Hgh'" in err
         assert "Low, Medium, High" in err
 
+    @pytest.mark.parametrize("preconditions, shown", [
+        ([["LIT101", "Low"]], '[["LIT101", "Low"]]'),  # once read as a list of pairs
+        (5, "5"),
+        (None, "null"),
+        ({"LIT101": 5}, '{"LIT101": 5}'),  # once refused only under --condition-preconditions
+    ], ids=["list_of_pairs", "number", "null", "label_number"])
+    @pytest.mark.parametrize("condition", [False, True], ids=["plain", "conditioned"])
+    def test_malformed_preconditions_are_data_error(self, repo_root, tmp_path, preconditions, shown, condition):
+        attacks = tmp_path / "a.json"
+        attacks.write_text(json.dumps([{"id": "x", "targeted": ["MV101"], "preconditions": preconditions}]))
+        argv = ["impact", "--net", str(repo_root / "tests/golden/stage1/net.json"), "--attacks", str(attacks)]
+        assert _exit_and_error(argv + ["--condition-preconditions"] * condition) == (
+            3, f"error [ParseError]: attack 'x': preconditions must be an object of DP names to state labels, "
+               f"got {shown}")
+
     @pytest.mark.parametrize("command", ["infer", "impact"])
     def test_parent_cards_mismatch_is_model_error(self, repo_root, tmp_path, capsys, command):
         obj = json.loads((repo_root / "tests/golden/stage1/net.json").read_text())
@@ -432,7 +447,8 @@ class TestErrors:
         (lambda cpts: cpts.append(dict(cpts[0], table=[[0.5, 0.5]])), 3, "ParseError"),
         (lambda cpts: cpts[0].update(states=[1, 2]), 3, "ParseError"),
         (lambda cpts: cpts[0].update(states=["a", "a"]), 4, "InvalidCpt"),
-    ], ids=["repeated_child", "label_not_text", "repeated_label"])
+        (lambda cpts: cpts[0].update(table=[[0.5, 0.5], [1.0]]), 3, "ParseError"),
+    ], ids=["repeated_child", "label_not_text", "repeated_label", "ragged_table"])
     def test_malformed_cpt_record_is_rejected(self, repo_root, tmp_path, capsys, mutate, code, error):
         obj = json.loads((repo_root / "tests/golden/stage1/net.json").read_text())
         assert obj["cpts"][0]["child"] == "FIT101"
@@ -618,7 +634,7 @@ class TestErrors:
         assert code == 3
         assert "ParseError" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("stages", ['"P1"', '[["LIT101"]]', '{"LIT101": [1]}'])
+    @pytest.mark.parametrize("stages", ['"P1"', '[["LIT101"]]', '{"LIT101": [1]}', '{"LIT101": true}'])
     def test_malformed_stage_file_is_data_error(self, repo_root, tmp_path, capsys, stages):
         path = tmp_path / "stages.json"
         path.write_text(stages)
@@ -626,6 +642,18 @@ class TestErrors:
                      "--attacks", attacks_path("stage1.json"), "--stages", str(path)])
         assert code == 3
         assert "ParseError" in capsys.readouterr().err
+
+    def test_an_integer_stage_id_is_its_decimal_text(self, repo_root, tmp_path, capsys):
+        # P101, impacted by lit101-spoof, gives its stage as text and every other DP as a number
+        path, out = tmp_path / "stages.json", tmp_path / "impact.json"
+        path.write_text(json.dumps({"FIT101": 1, "LIT101": 1, "MV101": 1, "P101": "1", "P102": 1}))
+        code = main(["impact", "--net", str(repo_root / "tests/golden/stage1/net.json"),
+                     "--attacks", attacks_path("stage1.json"), "--stages", str(path), "--out", str(out)])
+        assert code == 0
+        report = {r["attack_id"]: r for r in json.loads(out.read_text())}
+        assert report["lit101-spoof"]["impacted"] == ["P101", "P102"]
+        assert report["lit101-spoof"]["category"] == "TSIS"
+        assert "category=TSIS" in capsys.readouterr().out
 
     @pytest.mark.parametrize("cell, error", [
         ("1.5", "ParseError"), ("true", "ParseError"), ('"1"', "ParseError"), ("1e30", "ParseError"),
@@ -788,20 +816,27 @@ _BUILTIN_SHA256 = sys.implementation.name == "cpython" and any(
     (["export", "--graph", "{golden}/graph.json", "--format", "json"], 0, {"numpy", *_OPENSSL}),
     (["discretize", "--input", "{golden}/sample.csv", "--spec", "{golden}/stage1.vspec", "--out", "{tmp}/d.json"],
      0, _LEARNING_AND_AFTER | _OPENSSL),
+    # the net's model classes live in inference, which fit and learn load for them
     (["fit", "--dataset", "{golden}/dataset.json", "--graph", "{tmp}/dag.json", "--out", "{tmp}/net.json"],
-     0, _LEARNING_AND_AFTER | _OPENSSL),
+     0, _LEARNING_AND_AFTER - {"cpscausal.inference"} | _OPENSSL),
     (["learn", "--dataset", "{golden}/dataset.json", "--algo", "hc", "--out", "{tmp}/graph.json"],
-     0, _LEARNING_AND_AFTER - {"cpscausal.learning"} | _OPENSSL),
+     0, _LEARNING_AND_AFTER - {"cpscausal.learning", "cpscausal.inference"} | _OPENSSL),
     (["impact", "--net", "{golden}/net.json", "--attacks", attacks_path("stage1.json"), "--out", "{tmp}/impact.json"],
-     0, {"cpscausal.learning", "cpscausal.simgen", "cpscausal.fixtures", *_OPENSSL}),
+     0, {"numpy", "cpscausal.learning", "cpscausal.simgen", "cpscausal.fixtures", *_OPENSSL}),
+    (["impact", "--net", "{golden}/net.json", "--attacks", attacks_path("stage1.json"), "--condition-preconditions",
+      "--stages", "{tmp}/stages.json"],
+     0, {"numpy", "cpscausal.learning", "cpscausal.simgen", "cpscausal.fixtures", *_OPENSSL}),
+    (["infer", "--net", "{golden}/net.json", "--target", "P101", "--evidence", "LIT101=Low,FIT101=High"],
+     0, {"numpy", "cpscausal.learning", "cpscausal.simgen", "cpscausal.fixtures", *_OPENSSL}),
 ], ids=["version", "help", "usage_error", "unknown_fixture", "compare", "export_dot", "export_json",
-        "discretize", "fit_dag", "learn", "impact"])
+        "discretize", "fit_dag", "learn", "impact", "impact_conditioned_staged", "infer_evidence"])
 def test_each_command_loads_only_the_modules_it_runs(repo_root, tmp_path, argv, code, absent):
     if not _BUILTIN_SHA256:
         absent = absent - _OPENSSL
     golden = repo_root / "tests/golden/stage1"
     # a DAG, which fit needs no learning module to extend
     (tmp_path / "dag.json").write_text(json.dumps(json.loads((golden / "net.json").read_text())["graph"]))
+    (tmp_path / "stages.json").write_text(json.dumps({"FIT101": 1, "LIT101": "1", "MV101": 1, "P101": 1, "P102": 1}))
     argv = [a.format(golden=golden, tmp=tmp_path) for a in argv]
     modules = tmp_path / "modules.txt"
     run = subprocess.run([sys.executable, "-c", _COMMAND_PROBE, str(modules), *argv], env=_src_env(repo_root),
@@ -910,6 +945,25 @@ def test_cli_names_resolve_to_the_library_objects():
             assert getattr(cli, name) is getattr(module, name)
     with pytest.raises(AttributeError, match="no_such_name"):
         cli.no_such_name
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps(repo_root, monkeypatch):
+    # the traced benchmark pass wraps library names under the module its
+    # callers look them up in, so a name that moves out of one fails here
+    import cpscausal.impact as impact
+    from cpscausal.inference import posterior
+
+    monkeypatch.syspath_prepend(str(repo_root / "bench"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert impact.posterior is not posterior
+    finally:
+        tracer.remove()
+    assert impact.posterior is posterior
+    assert cli.discover_impact is impact.discover_impact
 
 
 def test_sample_offers_every_fixture(capsys):
@@ -1060,12 +1114,13 @@ def _exit_and_error(argv: list[str]) -> tuple[int, str]:
     return code, err.getvalue().partition("\n")[0]
 
 
-def _assert_read_or_refused(argv: list[str]) -> None:
+def _assert_read_or_refused(argv: list[str]) -> tuple[int, str]:
     code, error = _exit_and_error(argv)
     assert code in (0, 3, 4), (argv, code, error)
     assert (code == 0) == (error == ""), (argv, code, error)
     if code:
         assert re.match(r"error \[[A-Za-z]+\]: ", error), error
+    return code, error
 
 
 _GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "stage1")
@@ -1101,12 +1156,28 @@ def test_any_net_file_is_read_or_refused_with_its_error_class(tmp_path_factory, 
         _assert_read_or_refused(["infer", "--net", str(path), "--target", target])
 
 
+def _well_formed_preconditions(doc) -> bool:
+    """Whether every attack record that gives preconditions gives an object of state labels."""
+    records = [rec for rec in doc if isinstance(rec, dict) and "preconditions" in rec] if isinstance(doc, list) else []
+    return all(isinstance(rec["preconditions"], dict) and all(isinstance(label, str)
+                                                              for label in rec["preconditions"].values())
+               for rec in records)
+
+
 @given(doc=_json_files(_STAGE1_ATTACKS))
 @settings(deadline=None)
 def test_any_attack_file_is_read_or_refused_with_its_error_class(tmp_path_factory, doc):
     path = tmp_path_factory.mktemp("attacks") / "attacks.json"
     path.write_text(json.dumps(doc))
-    _assert_read_or_refused(["impact", "--net", os.path.join(_GOLDEN, "net.json"), "--attacks", str(path)])
+    argv = ["impact", "--net", os.path.join(_GOLDEN, "net.json"), "--attacks", str(path)]
+    plain = _assert_read_or_refused(argv)
+    conditioned = _assert_read_or_refused(argv + ["--condition-preconditions"])
+    # the file is checked when it loads, so a parse error does not depend on the flag
+    assert (plain[0] == 3) == (conditioned[0] == 3)
+    if plain[0] == 3:
+        assert plain == conditioned
+    if plain[0] == 0:
+        assert _well_formed_preconditions(doc)
 
 
 # --- any variable-spec file -------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 
 from cpscausal.errors import ParseError, TargetNotInNet, UnknownNode, UnknownStage, UsageError, \
     ZeroProbabilityEvidence
-from cpscausal.estimation import BayesNet, Cpt
 from cpscausal.fixtures import get_fixture
 from cpscausal.graph import CausalGraph, Edge
 from cpscausal.impact import (
@@ -19,7 +18,7 @@ from cpscausal.impact import (
     report_to_json,
     stage_from_name,
 )
-from cpscausal.inference import Query, posterior
+from cpscausal.inference import BayesNet, Cpt, Query, posterior
 
 
 def data_text(rel: str) -> str:
@@ -305,10 +304,13 @@ class TestAttackFile:
         with pytest.raises(ParseError, match="attack 'x': targeted must be a list of DP names"):
             load_attacks(f'[{{"id": "x", "targeted": {targeted}}}]')
 
-    @pytest.mark.parametrize("pre", ['"ab"', '[["LIT101"]]'])
+    @pytest.mark.parametrize("pre", ['"ab"', '[["LIT101"]]', '[["LIT101", "Low"]]', '5', 'null', '{"LIT101": 5}',
+                                     '{"LIT101": ["Low"]}'])
     def test_preconditions_must_be_a_mapping(self, pre):
-        with pytest.raises(ParseError, match="malformed attack record"):
+        with pytest.raises(ParseError) as err:
             load_attacks(f'[{{"id": "x", "targeted": ["MV101"], "preconditions": {pre}}}]')
+        assert str(err.value) == ("attack 'x': preconditions must be an object of DP names to state labels, "
+                                  f"got {json.dumps(json.loads(pre))}")
 
 
     @pytest.mark.parametrize("record, message", [

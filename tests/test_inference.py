@@ -1,17 +1,21 @@
 import itertools
+import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpscausal.errors import (
+    InvalidCpt,
     UnknownState,
     UnknownVariable,
     ZeroProbabilityEvidence,
 )
-from cpscausal.estimation import BayesNet, Cpt
 from cpscausal.fixtures import get_fixture
 from cpscausal.graph import CausalGraph, Edge, d_separated
-from cpscausal.inference import Query, posterior
+from cpscausal.inference import BayesNet, Cpt, Query, posterior
 from oracles import IncompleteAssignment, StateSpaceTooLarge, brute_force_posterior, joint_prob, random_net
 
 FIXTURES = ("stage1", "stage1_learnt", "stage6", "chain3", "fork3", "collider3", "twostage")
@@ -39,6 +43,30 @@ def deterministic_chain() -> BayesNet:
         "B": Cpt("B", ("A",), (2,), ("s0", "s1"), copy),
         "C": Cpt("C", ("B",), (2,), ("s0", "s1"), copy),
     })
+
+
+class TestCpt:
+    def test_table_is_rows_of_floats_from_any_2d_sequence(self):
+        rows = [[0.9, 0.1], [0.25, 0.75]]
+        for table in (rows, np.array(rows), tuple(map(tuple, rows)), [np.array(r) for r in rows]):
+            cpt = Cpt("B", ("A",), (2,), ("b0", "b1"), table)
+            assert cpt.table == ((0.9, 0.1), (0.25, 0.75))
+            assert all(type(p) is float for row in cpt.table for p in row)
+        assert Cpt("B", ("A",), (2,), ("b0", "b1"), [[1, 0], [0, 1]]).table == ((1.0, 0.0), (0.0, 1.0))
+
+    @pytest.mark.parametrize("table, message", [
+        ([0.5, 0.5], "B: a CPT table must be a sequence of rows"),
+        ([["0.5", "0.5"], [0.5, 0.5]], "B: CPT entries must be numbers"),
+        ([[0.5, 0.5], [1.0]], "B: CPT rows have 1 to 2 entries"),
+        ([[0.5, 0.5]], r"B: CPT shape \(1, 2\) != \(2, 2\)"),
+        ([], r"B: CPT shape \(0,\) != \(2, 2\)"),
+        ([[1.5, -0.5], [0.5, 0.5]], r"B: CPT entries outside \[0, 1\]"),
+        ([[float("nan"), 1.0], [0.5, 0.5]], r"B: CPT entries outside \[0, 1\]"),
+        ([[0.5, 0.6], [0.5, 0.5]], "B: CPT rows must sum to 1"),
+    ], ids=["flat", "text", "ragged", "rows", "empty", "range", "nan", "sum"])
+    def test_malformed_table_is_refused(self, table, message):
+        with pytest.raises(InvalidCpt, match=f"^{message}$"):
+            Cpt("B", ("A",), (2,), ("b0", "b1"), table)
 
 
 class TestJointProb:
@@ -116,7 +144,7 @@ class TestPosterior:
     def test_normalized(self):
         fx = get_fixture("twostage")
         dist = posterior(fx.net, Query("LIT101", {"P205": 1, "FIT101": 0}))
-        assert float(dist.sum()) == pytest.approx(1.0, abs=1e-9)
+        assert sum(dist) == pytest.approx(1.0, abs=1e-9)
 
     def test_tiny_evidence_survives_in_log_space(self):
         # a 70-node copy chain with flip probability 1e-6 and alternating
@@ -225,6 +253,7 @@ class TestJointTargets:
                 with pytest.raises(ZeroProbabilityEvidence):
                     brute_force_posterior(net, Query(targets[0], evidence))
                 continue
+            joint = np.array(joint)
             assert joint.shape == tuple(net.cardinality(t) for t in targets)
             assert np.max(np.abs(joint - brute_force_joint(net, targets, evidence))) < 1e-9
             marginal = joint.sum(axis=tuple(range(1, size)))
@@ -266,7 +295,56 @@ class TestDSeparationConsistency:
                                 cond = posterior(net, Query(i, {**base_ev, j: js}))
                             except ZeroProbabilityEvidence:
                                 continue
-                            assert np.max(np.abs(base - cond)) < 1e-9
+                            assert np.max(np.abs(np.subtract(base, cond))) < 1e-9
                             checked += 1
         # every fixture beyond the 2-node one has d-separations to exercise
         assert checked > 0 or len(nodes) == 2
+
+
+# CPT cells: exact zeros, entries near 1e-300, and ordinary probabilities
+_CELLS = st.sampled_from([0.0, 1e-300, 3e-299]) | st.floats(0.01, 1.0)
+# below the smallest normal float a result has no relative precision left to compare
+_ABS_TOL = sys.float_info.min * 1e-12
+
+
+@st.composite
+def _nets_and_queries(draw):
+    """A net of 2 to 5 DPs of 2 or 3 states and up to two parents each,
+    whose CPT rows mix exact zeros, entries near 1e-300 and ordinary
+    probabilities, with one or two targets and any evidence on the rest."""
+    names = tuple(f"V{k}" for k in range(draw(st.integers(2, 5))))
+    card = {v: draw(st.integers(2, 3)) for v in names}
+    edges = tuple(Edge(p, child) for k, child in enumerate(names)
+                  for p in draw(st.lists(st.sampled_from(names[:k]), unique=True, max_size=2) if k else st.just([])))
+    graph = CausalGraph(nodes=names, edges=edges)
+    cpts = {}
+    for v in names:
+        parents = tuple(sorted(graph.parents(v)))
+        parent_cards = tuple(card[p] for p in parents)
+        rows = []
+        for _ in range(math.prod(parent_cards)):
+            row = draw(st.lists(_CELLS, min_size=card[v] - 1, max_size=card[v] - 1))
+            row.insert(draw(st.integers(0, card[v] - 1)), draw(st.floats(0.01, 1.0)))
+            rows.append([p / sum(row) for p in row])
+        cpts[v] = Cpt(v, parents, parent_cards, tuple(f"s{s}" for s in range(card[v])), rows)
+    targets = tuple(draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True)))
+    evidence = {v: draw(st.integers(0, card[v] - 1)) for v in names if v not in targets and draw(st.booleans())}
+    return BayesNet(graph=graph, cpts=cpts), targets, evidence
+
+
+@given(case=_nets_and_queries())
+@settings(deadline=None)
+def test_posterior_matches_brute_force_with_zeros_and_tiny_entries(case):
+    net, targets, evidence = case
+    q = Query(targets[0] if len(targets) == 1 else targets, evidence)
+    try:
+        expected = brute_force_joint(net, targets, evidence)
+    except ZeroProbabilityEvidence:
+        # never a ValueError from the log of a zero
+        with pytest.raises(ZeroProbabilityEvidence):
+            posterior(net, q)
+        return
+    got = np.array(posterior(net, q))
+    assert got.shape == expected.shape
+    for a, b in zip(got.ravel().tolist(), expected.ravel().tolist()):
+        assert math.isclose(a, b, rel_tol=1e-12, abs_tol=_ABS_TOL), (a, b)

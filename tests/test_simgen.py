@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from cpscausal.errors import UnknownVariable
-from cpscausal.estimation import BayesNet, Cpt, fit_mle
+from cpscausal.estimation import fit_mle
 from cpscausal.fixtures import FIXTURE_NAMES, get_fixture
 from cpscausal.graph import CausalGraph
+from cpscausal.inference import BayesNet, Cpt
 from cpscausal.ingest import ACTUATOR, SENSOR, DiscreteDataset, VariableSpec, discretize, parse_log
 from cpscausal.simgen import forward_sample, sample_with_clamp, uniforms, write_historian_csv
 from oracles import reference_write_historian_csv
@@ -48,7 +49,7 @@ def test_fit_mle_recovers_cpts(name):
     ds = fx.sample(100_000, seed=13)
     net = fit_mle(ds, fx.net.graph)
     for node in fx.net.graph.nodes:
-        err = np.max(np.abs(net.cpts[node].table - fx.net.cpts[node].table))
+        err = np.max(np.abs(np.subtract(net.cpts[node].table, fx.net.cpts[node].table)))
         assert err < 0.02, f"{name}.{node}: max abs error {err}"
 
 
