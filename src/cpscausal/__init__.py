@@ -18,15 +18,15 @@ __version__ = "0.1.0"
 from .errors import CpsCausalError, DataError, ModelError, UsageError
 
 _HOMES = {
-    "estimation": ("CiResult", "chi_square_ci", "counts", "fit_bayes", "fit_mle", "mutual_information", "score"),
+    "datafile": ("VariableSpec",),
+    "estimation": ("CiResult", "chi_square_ci", "counts", "mutual_information", "score"),
     "graph": ("CausalGraph", "Edge", "EdgeDiff", "add_edge", "break_cycles", "compare", "d_separated",
-              "is_dag", "markov_equivalent", "structures", "topological_order"),
+              "extend_to_dag", "is_dag", "markov_equivalent", "structures", "topological_order"),
     "impact": ("AttackSpec", "ImpactConfig", "ImpactReport", "classify_attack", "discover_impact",
                "load_domain_graph"),
-    "inference": ("BayesNet", "Cpt", "Query", "posterior"),
-    "ingest": ("DiscreteDataset", "RawLog", "VariableSpec", "discretize", "discretize_text", "parse_log",
-               "project"),
-    "learning": ("ClConfig", "HcConfig", "PcConfig", "extend_to_dag", "learn_cl", "learn_hc", "learn_pc"),
+    "inference": ("BayesNet", "Cpt", "Query", "fit_bayes", "fit_mle", "posterior"),
+    "ingest": ("DiscreteDataset", "RawLog", "discretize", "discretize_text", "parse_log", "project"),
+    "learning": ("ClConfig", "HcConfig", "PcConfig", "learn_cl", "learn_hc", "learn_pc"),
     "simgen": ("FixtureNet", "forward_sample", "sample_with_clamp"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}

@@ -13,14 +13,16 @@ final newline. Every artifact is written in pieces through one hashing
 once to check it and once to map it to states, and writes the dataset a
 block of records at a time; ``learn`` and ``fit`` read a dataset file that
 is exactly the writer's, of DPs of at most 10 states, a block of records
-at a time, and any other once, whole, through ``json``. No command holds
-the text of a log as a whole, except to name a fault in it.
+at a time, ``learn`` into an array and ``fit`` into one ``bytes`` per DP,
+and any other once, whole, through ``json``. No command holds the text of
+a log as a whole, except to name a fault in it.
 
 This module imports only the standard library and the package's errors;
 each command imports the modules it runs, so ``--version``, ``--help``,
-``compare``, ``export``, ``infer`` and ``impact`` start without numpy. The
-library names the commands use still resolve as attributes of this module,
-on first access.
+``compare``, ``export``, ``infer`` and ``impact`` start without numpy, and
+so does ``fit`` on a dataset file in the writer's layout. The library
+names the commands use still resolve as attributes of this module, on
+first access.
 """
 
 from __future__ import annotations
@@ -66,14 +68,14 @@ FIXTURE_NAMES = ("chain3", "collider3", "fork3", "stage1", "stage1_learnt", "sta
 # the library names the commands run, by module; in-process callers, such as
 # the benchmark's traced pass, read and wrap them as attributes of this module
 _HOMES = {
-    "estimation": ("fit_bayes", "fit_mle"),
+    "datafile": ("read_columns",),
     "fixtures": ("get_fixture",),
-    "graph": ("compare", "graph_from_json", "graph_to_dot", "graph_to_json"),
+    "graph": ("compare", "extend_to_dag", "graph_from_json", "graph_to_dot", "graph_to_json"),
     "impact": ("ImpactConfig", "discover_impact", "load_attacks", "report_to_json"),
-    "inference": ("Query", "net_from_json", "net_to_json", "posterior"),
+    "inference": ("Query", "fit_bayes", "fit_mle", "net_from_json", "net_to_json", "posterior"),
     "ingest": ("LogText", "dataset_from_json", "dataset_json_chunks", "dataset_to_json", "discretize",
                "discretize_text", "format_spec_file", "parse_log", "parse_spec_file", "read_dataset_file"),
-    "learning": ("ClConfig", "HcConfig", "PcConfig", "extend_to_dag", "learn_cl", "learn_hc", "learn_pc"),
+    "learning": ("ClConfig", "HcConfig", "PcConfig", "learn_cl", "learn_hc", "learn_pc"),
     "simgen": ("sample_with_clamp", "write_historian_csv"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
@@ -161,16 +163,34 @@ def _load_json(path: str):
         return json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from None
+    except ValueError as exc:  # an integer of more digits than Python converts
+        raise ParseError(f"{path} holds a number that cannot be read: {exc}") from None
 
 
 def _load_dataset(path: str):
     """The dataset file at ``path``, read a block of records at a time when
     it is exactly what ``discretize`` writes for DPs of at most 10 states,
     else whole by ``json``; ``dataset_from_json`` then names any fault."""
-    from .ingest import dataset_from_json, read_dataset_file
+    from .ingest import read_dataset_file
 
     ds = read_dataset_file(path)
-    return ds if ds is not None else dataset_from_json(_load_json(path))
+    return ds if ds is not None else _dataset_from_json_file(path)
+
+
+def _load_columns(path: str):
+    """The dataset file at ``path`` as ``fit`` counts it: its columns, read
+    without numpy when the file is exactly what ``discretize`` writes for
+    DPs of at most 10 states, else the dataset that ``json`` reads."""
+    from .datafile import read_columns
+
+    ds = read_columns(path)
+    return ds if ds is not None else _dataset_from_json_file(path)
+
+
+def _dataset_from_json_file(path: str):
+    from .ingest import dataset_from_json
+
+    return dataset_from_json(_load_json(path))
 
 
 def _parse_assignments(text: str) -> dict[str, str]:
@@ -306,17 +326,14 @@ def cmd_learn(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    from .estimation import fit_bayes, fit_mle
-    from .graph import graph_from_json
-    from .inference import net_to_json
+    from .graph import extend_to_dag, graph_from_json
+    from .inference import fit_bayes, fit_mle, net_to_json
 
     if args.estimator == "bayes":
         _require_ess(args.ess)
-    ds = _load_dataset(args.dataset)
+    ds = _load_columns(args.dataset)
     graph = graph_from_json(_load_json(args.graph))
     if not graph.fully_directed:
-        from .learning import extend_to_dag
-
         graph = extend_to_dag(graph)
     if args.estimator == "mle":
         net = fit_mle(ds, graph)

@@ -1,9 +1,11 @@
-"""Parameter estimation, independence testing, and network scores.
+"""Contingency counts, independence testing, and network scores.
 
 Everything here reduces to contingency counts ``N(c, r)`` of a child state
 ``c`` under a parent configuration ``r``. Parent configurations are indexed
 row-major over the parent state indices in the CPT's parent order, so a CPT
-table has shape ``(prod(parent_cards), child_card)``.
+table has shape ``(prod(parent_cards), child_card)``. The CPT estimators
+:func:`fit_mle` and :func:`fit_bayes` count in pure Python in
+:mod:`inference`, which ``fit`` runs without numpy; they are named here too.
 
 Counting has two kernels, chosen by the table's cell count alone. A table
 of at most ``BITSET_CELLS`` (128) cells is tallied from per-state bitsets
@@ -38,9 +40,6 @@ decision (see ``learning.learn_pc``).
 
 Closed forms (natural logarithms throughout):
 
-* MLE             ``P(c|r) = N(c,r) / N(r)``, uniform fallback on ``N(r)=0``
-* Bayesian (BDeu-uniform prior, equivalent sample size ``ess``)
-                  ``P(c|r) = (N(c,r) + ess/(q*r_i)) / (N(r) + ess/q)``
 * BIC             ``sum_i [ LL_i - (log N / 2) * (r_i - 1) * q_i ]``
 * K2              ``sum_i sum_r [ log (r_i-1)! - log (N(r)+r_i-1)! + sum_c log N(c,r)! ]``
 * BDeu            Dirichlet-equivalent marginal likelihood with uniform
@@ -66,7 +65,8 @@ import numpy as np
 
 from .errors import DuplicateParent, InsufficientData, NonPositiveEss, UsageError
 from .graph import CausalGraph, topological_order
-from .inference import BayesNet, Cpt
+# the net model and its fitting live in inference, which fit runs without numpy; still named here
+from .inference import BayesNet, Cpt, fit_bayes, fit_mle  # noqa: F401
 from .ingest import BITSET_CELLS, DiscreteDataset
 
 
@@ -154,52 +154,6 @@ def counts(ds: DiscreteDataset, child: str, parents: tuple[str, ...] | list[str]
     cols = _family(ds, child, parents)
     cards = tuple(ds.cards[k] for k in cols)
     return _tally(ds, np.array([cols]), cards).reshape(-1, cards[-1])
-
-
-def _fit(ds: DiscreteDataset, graph: CausalGraph, smooth) -> BayesNet:
-    topological_order(graph)
-    cpts = {}
-    for node in graph.nodes:
-        parents = tuple(sorted(graph.parents(node)))
-        n = counts(ds, node, parents)
-        table, uniform = smooth(n)
-        cpts[node] = Cpt(
-            child=node,
-            parents=parents,
-            parent_cards=tuple(ds.cardinality(p) for p in parents),
-            states=ds.spec(node).states,
-            table=table,
-            uniform_rows=uniform,
-        )
-    return BayesNet(graph=graph, cpts=cpts)
-
-
-def fit_mle(ds: DiscreteDataset, graph: CausalGraph) -> BayesNet:
-    """Maximum-likelihood CPTs: exact count ratios, uniform on unseen rows."""
-
-    def smooth(n: np.ndarray):
-        row = n.sum(axis=1)
-        empty = row == 0
-        table = np.empty(n.shape, dtype=np.float64)
-        table[~empty] = n[~empty] / row[~empty, None]
-        table[empty] = 1.0 / n.shape[1]
-        return table, frozenset(np.flatnonzero(empty).tolist())
-
-    return _fit(ds, graph, smooth)
-
-
-def fit_bayes(ds: DiscreteDataset, graph: CausalGraph, ess: float = 1.0) -> BayesNet:
-    """Dirichlet-smoothed posterior-mean CPTs under a BDeu-uniform prior."""
-    if not 0 < ess < inf:
-        raise NonPositiveEss(f"ess must be a finite number > 0, got {ess}")
-
-    def smooth(n: np.ndarray):
-        q, r = n.shape
-        alpha = ess / (q * r)
-        table = (n + alpha) / (n.sum(axis=1) + alpha * r)[:, None]
-        return table, frozenset(np.flatnonzero(n.sum(axis=1) == 0).tolist())
-
-    return _fit(ds, graph, smooth)
 
 
 def chi_square_ci(ds: DiscreteDataset, i: str, j: str, s: tuple[str, ...] | list[str] = (),

@@ -9,10 +9,10 @@ computed from these tables.
 
 from __future__ import annotations
 
+from .datafile import ACTUATOR, SENSOR, VariableSpec
 from .errors import UnknownVariable
 from .graph import CONTROL, LEARNT, PHYSICAL, CausalGraph, Edge
 from .inference import BayesNet, Cpt
-from .ingest import ACTUATOR, SENSOR, VariableSpec
 from .simgen import FixtureNet
 
 

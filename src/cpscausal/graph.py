@@ -1,5 +1,5 @@
-"""Directed-graph core: DAG queries, d-separation by Bayes-ball, equivalence,
-comparison.
+"""Directed-graph core: DAG queries, the extension of a PDAG to a DAG,
+d-separation by Bayes-ball, equivalence, comparison.
 
 A :class:`CausalGraph` is an immutable value: nodes are DP names, edges
 carry a kind (``control`` and ``physical`` for domain knowledge, ``learnt``
@@ -23,6 +23,7 @@ from typing import Iterable, NamedTuple
 from .errors import (
     CyclicGraph,
     DuplicateEdge,
+    NoConsistentExtension,
     NodeSetMismatch,
     ParseError,
     SelfLoop,
@@ -199,6 +200,46 @@ def topological_order(g: CausalGraph) -> tuple[str, ...]:
     if g._topological_order is None:
         raise CyclicGraph("graph contains a directed cycle")
     return g._topological_order
+
+
+def extend_to_dag(pdag: CausalGraph) -> CausalGraph:
+    """Orient the undirected edges of a PDAG into a consistent DAG.
+
+    Dor-Tarsi style: repeatedly pick a node x that is a sink w.r.t.
+    directed edges and whose undirected neighbours are adjacent to all of
+    x's other neighbours; orient x's undirected edges toward x and retire
+    x. Ties pick the lexicographically greatest eligible node, which
+    orients free edges away from smaller names.
+    """
+    if pdag.fully_directed:
+        if not is_dag(pdag):
+            raise NoConsistentExtension("input has a directed cycle")
+        return pdag
+
+    alive = set(pdag.nodes)
+    pa, ch, und = pdag._parents, pdag._children, pdag._undirected_neighbors
+    oriented: set[tuple[str, str]] = set()
+
+    def eligible(x: str) -> bool:
+        if alive.intersection(ch[x]):
+            return False
+        nb = alive.intersection(pa[x] + und[x])
+        return all(nb - {y} <= alive.intersection(pa[y] + ch[y] + und[y]) for y in alive.intersection(und[x]))
+
+    while alive:
+        x = next((n for n in sorted(alive, reverse=True) if eligible(n)), None)
+        if x is None:
+            raise NoConsistentExtension("PDAG admits no consistent extension")
+        oriented.update((y, x) for y in alive.intersection(und[x]))
+        alive.discard(x)
+
+    out = CausalGraph(nodes=pdag.nodes, edges=tuple(
+        Edge(e.src, e.dst, e.kind, True) if e.directed or (e.src, e.dst) in oriented
+        else Edge(e.dst, e.src, e.kind, True)
+        for e in pdag.edges))
+    if not is_dag(out):
+        raise NoConsistentExtension("extension left a directed cycle")
+    return out
 
 
 class Structures(NamedTuple):

@@ -284,6 +284,8 @@ def load_attacks(text: str) -> tuple[AttackSpec, ...]:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"attack file is not valid JSON: {exc}") from None
+    except ValueError as exc:  # an integer of more digits than Python converts
+        raise ParseError(f"attack file holds a number that cannot be read: {exc}") from None
     return attacks_from_json(obj)
 
 

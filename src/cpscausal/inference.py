@@ -1,31 +1,59 @@
-"""Fitted Bayesian networks, their JSON form, and exact queries on them.
+"""Fitted Bayesian networks: fitting, their JSON form, and exact queries.
 
 A :class:`BayesNet` is a DAG plus one :class:`Cpt` per node, and a CPT's
-table is a tuple of rows of Python floats. :func:`posterior` runs bucket
-elimination (Dechter 1999) over log-space factors with a min-degree
-elimination order, in plain Python: each bucket adds its factors' logs
-cell by cell and sums out the bucket's variable by a max-shifted
-log-sum-exp, so probabilities far below the float range survive as logs,
-within a bucket and between buckets. It raises
+table is a tuple of rows of Python floats. :func:`fit_mle` and
+:func:`fit_bayes` fit the CPTs from a dataset's contingency counts
+``N(c, r)`` of a child state ``c`` under a parent configuration ``r``,
+row-major over the parents in name order, where the child has ``r_i``
+states and its parents ``q`` configurations:
+
+* MLE             ``P(c|r) = N(c,r) / N(r)``, uniform fallback on ``N(r)=0``
+* Bayesian (BDeu-uniform prior, equivalent sample size ``ess``)
+                  ``P(c|r) = (N(c,r) + ess/(q*r_i)) / (N(r) + ess/q)``
+
+Each probability is the float that numpy computes from the same counts in
+an integer array, in the same order of operations. A family of at most 256
+cells is counted from per-state bitsets (cached sufficient statistics;
+Moore & Lee 1998, JAIR 8): each state of each DP gets the set of its
+records as the bits of one Python int, read in base 2 from the DP's
+column, and a cell's count is the popcount of the AND of one bitset per DP
+of the family. A larger family is counted with
+:class:`collections.Counter` over its records' states.
+
+:func:`posterior` runs bucket elimination (Dechter 1999) over log-space
+factors with a min-degree elimination order, in plain Python: each bucket
+adds its factors' logs cell by cell and sums out the bucket's variable by
+a max-shifted log-sum-exp, so probabilities far below the float range
+survive as logs, within a bucket and between buckets. It raises
 :class:`ZeroProbabilityEvidence` instead of returning NaNs when the
 evidence has probability zero, so callers must handle unreachable states
 explicitly. The brute-force enumeration oracle it is tested against lives
 in the test suite.
 
 This module imports only the standard library, ``graph``, ``jsontext`` and
-the package's errors, so that the commands that read a net and query it,
-``infer`` and ``impact``, start without numpy. ``estimation`` fits these
-CPTs and ``simgen`` samples them, each with numpy.
+the package's errors, so that ``fit`` on a dataset file that
+:func:`datafile.read_columns` reads, ``infer`` and ``impact`` start
+without numpy. ``simgen`` samples these CPTs with numpy.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import exp, inf, log, prod
 from numbers import Real
 from typing import Mapping
 
-from .errors import InvalidCpt, ParseError, UnknownColumn, UnknownState, UnknownVariable, ZeroProbabilityEvidence
+from .errors import (
+    InvalidCpt,
+    NonPositiveEss,
+    ParseError,
+    UnknownColumn,
+    UnknownState,
+    UnknownVariable,
+    ZeroProbabilityEvidence,
+)
 from .graph import CausalGraph, _is_list_of, graph_from_json, graph_to_json, topological_order
 from .jsontext import refuse_lone_surrogate
 
@@ -111,6 +139,119 @@ class BayesNet:
     def cardinality(self, node: str) -> int:
         return len(self.states(node))
 
+
+# --- fitting ------------------------------------------------------------------
+
+class _Tallies:
+    """Contingency counts of a dataset's families, from its DPs' columns of
+    state indices and their cardinalities ``cards``. A family of at most
+    256 cells is counted from per-state bitsets, each DP's made once, when
+    a family first needs them; a larger one with :class:`Counter`. See the
+    module docstring."""
+
+    def __init__(self, columns: Sequence[Sequence[int]], cards: Sequence[int]):
+        self.columns, self.cards = columns, cards
+        self._bits: dict[int, list[int]] = {}
+
+    def __call__(self, family: Sequence[int]) -> list[list[int]]:
+        """The counts of the family of columns ``family``, parents first and
+        child last: one row of the child's states per parent configuration,
+        row-major."""
+        cards = [self.cards[k] for k in family]
+        if prod(cards) <= 1 << 8:
+            # one bitset per cell, row-major: the first DP's, each ANDed
+            # with each state's of the next DP, and so on
+            cells = self._state_bits(family[0])
+            for k in family[1:]:
+                cells = [a & b for a in cells for b in self._state_bits(k)]
+            flat = [cell.bit_count() for cell in cells]
+        else:
+            flat = [0] * prod(cards)
+            for states, count in Counter(zip(*[self.columns[k] for k in family])).items():
+                cell = 0
+                for state, card in zip(states, cards):
+                    cell = cell * card + state
+                flat[cell] = count
+        r = cards[-1]
+        return [flat[at:at + r] for at in range(0, len(flat), r)]
+
+    def _state_bits(self, k: int) -> list[int]:
+        """For each state of DP ``k``, the records in it as the set bits of an
+        int, one bit per record, in the same order for every state and DP.
+        Each but the last state's is read in base 2 from the column, a
+        ``bytes``, translated to ``1`` where it holds the state and ``0``
+        elsewhere; the last state's holds the records left."""
+        if k not in self._bits:
+            column, card = self.columns[k], self.cards[k]
+            bits = [int(column.translate(b"0" * s + b"1" + b"0" * (255 - s)), 2) for s in range(card - 1)]
+            rest = (1 << len(column)) - 1
+            for b in bits:
+                rest ^= b
+            self._bits[k] = bits + [rest]
+        return self._bits[k]
+
+
+def _fit(ds, graph: CausalGraph, smooth) -> BayesNet:
+    topological_order(graph)
+    column_of = {spec.name: k for k, spec in enumerate(ds.specs)}
+    tally = _Tallies(ds.columns, [spec.cardinality for spec in ds.specs])
+    cpts = {}
+    for node in graph.nodes:
+        parents = tuple(sorted(graph.parents(node)))
+        for name in (*parents, node):
+            if name not in column_of:
+                raise UnknownColumn(f"no variable named {name!r}")
+        family = [column_of[name] for name in (*parents, node)]
+        table, uniform = smooth(tally(family))
+        cpts[node] = Cpt(
+            child=node,
+            parents=parents,
+            parent_cards=tuple(tally.cards[k] for k in family[:-1]),
+            states=ds.specs[family[-1]].states,
+            table=table,
+            uniform_rows=frozenset(uniform),
+        )
+    return BayesNet(graph=graph, cpts=cpts)
+
+
+def fit_mle(ds, graph: CausalGraph) -> BayesNet:
+    """Maximum-likelihood CPTs: exact count ratios, uniform on unseen rows.
+    ``ds`` is an :class:`ingest.DiscreteDataset` or a
+    :class:`datafile.Columns`: anything with ``specs`` and ``columns``."""
+
+    def smooth(n: list[list[int]]):
+        table, uniform = [], []
+        for k, row in enumerate(n):
+            total = sum(row)
+            if total:
+                table.append([c / total for c in row])
+            else:
+                table.append([1.0 / len(row)] * len(row))
+                uniform.append(k)
+        return table, uniform
+
+    return _fit(ds, graph, smooth)
+
+
+def fit_bayes(ds, graph: CausalGraph, ess: float = 1.0) -> BayesNet:
+    """Dirichlet-smoothed posterior-mean CPTs under a BDeu-uniform prior;
+    ``ds`` as :func:`fit_mle` takes it."""
+    if not 0 < ess < inf:
+        raise NonPositiveEss(f"ess must be a finite number > 0, got {ess}")
+
+    def smooth(n: list[list[int]]):
+        q, r = len(n), len(n[0])
+        alpha = ess / (q * r)
+        table = []
+        for row in n:
+            total = sum(row) + alpha * r
+            table.append([(c + alpha) / total for c in row])
+        return table, [k for k, row in enumerate(n) if not any(row)]
+
+    return _fit(ds, graph, smooth)
+
+
+# --- queries ------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Query:

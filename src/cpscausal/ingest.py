@@ -23,16 +23,15 @@ numbers. A :class:`LogText` of a file (:meth:`LogText.of_file`) reads the
 file twice, a block at a time, and holds its whole text only to name a
 fault.
 
-This module also holds the one layout of the dataset JSON file: the CLI
-writes it a block of records at a time with :func:`dataset_json_chunks`,
-the same bytes as :func:`jsontext.json_text`, which lays out a dataset's
-records with :func:`records_json`, writes for it. :func:`read_dataset_file`
-and :func:`dataset_from_text` read the writer's text of a dataset whose DPs
-have at most 10 states, and so one digit per cell, with its records as one
-array, a block of records at a time, and any other text through
-:mod:`json`. They tell the two apart without writing the whole text back:
-the specs are written back and compared, and the records are checked byte
-by byte against the writer's layout, whose row width the specs fix.
+The dataset JSON file's layout is :mod:`datafile`'s, which also holds
+:class:`VariableSpec`. The CLI writes the file a block of records at a
+time with :func:`dataset_json_chunks`, the same bytes as
+:func:`jsontext.json_text`, which lays out a dataset's records with
+:func:`records_json`, writes for it. :func:`read_dataset_file` and
+:func:`dataset_from_text` read the writer's text of a dataset whose DPs
+have at most 10 states, and so one digit per cell, into one array from the
+checked blocks of :func:`datafile.written_records`, and any other text
+through :mod:`json`.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ import codecs
 import csv
 import io
 import json
-import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import suppress
@@ -55,6 +53,21 @@ from typing import BinaryIO, NoReturn
 
 import numpy as np
 
+from .datafile import (  # noqa: F401  ACTUATOR, SENSOR: still named here
+    _BLOCK_CHARS,
+    _DATA_END,
+    _DATA_KEY,
+    _RECORD_SEP,
+    _ROW_END,
+    ACTUATOR,
+    SENSOR,
+    VariableSpec,
+    _specs_from_json,
+    _specs_to_json,
+    _written_head,
+    row_bytes,
+    written_records,
+)
 from .errors import (
     CpsCausalError,
     EmptyDataset,
@@ -66,23 +79,7 @@ from .errors import (
     UnknownColumn,
     UnmappedActuatorValue,
 )
-from .jsontext import json_text, refuse_lone_surrogate, split_lines
-
-SENSOR = "sensor"
-ACTUATOR = "actuator"
-
-_LABEL_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
-
-# The log reader reads plain records in blocks of at least this many
-# characters, each cut at a line end, and csv rows in batches of the lines
-# of a quarter block; a log file is read in blocks of this many bytes, and a
-# dataset file is written and read in blocks of records of about this many
-# bytes. 64 KiB is about 250 records of the benchmark's 51-DP log, or 1,350
-# of its 12-DP one. discretize_text then holds 0.9 MB beyond the dataset
-# (3.6 MB with 256 KiB blocks), and takes as long as parse_log plus
-# discretize on the 51-DP log and a quarter less on the 12-DP one: more,
-# smaller blocks pay numpy's per-call cost once per block and DP
-_BLOCK_CHARS = 1 << 16
+from .jsontext import split_lines
 
 # The largest contingency table that estimation._tally counts from the
 # per-state bitsets (DiscreteDataset._state_bits) rather than by bincount
@@ -105,58 +102,6 @@ class RawLog:
         if name not in self.columns:
             raise UnknownColumn(f"no column named {name!r}")
         return self.values[:, self.columns.index(name)]
-
-
-@dataclass(frozen=True)
-class VariableSpec:
-    """Discretization contract for one DP.
-
-    Sensors map real values through ``bin_edges`` (length ``len(states)-1``,
-    strictly increasing). Actuators map raw integer codes positionally
-    through ``codes``; when ``codes`` is omitted the raw values must already
-    be the state indices ``0..len(states)-1``.
-    """
-
-    name: str
-    kind: str
-    states: tuple[str, ...]
-    bin_edges: tuple[float, ...] | None = None
-    codes: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise ParseError(f"variable name must be text, got {self.name!r}")
-        refuse_lone_surrogate("variable name", self.name)
-        if self.kind not in (SENSOR, ACTUATOR):
-            raise ParseError(f"{self.name}: kind must be sensor or actuator, got {self.kind!r}")
-        if len(self.states) < 2:
-            raise ParseError(f"{self.name}: needs at least 2 states")
-        if len(set(self.states)) != len(self.states):
-            raise ParseError(f"{self.name}: state labels must be unique")
-        for lab in self.states:
-            if not _LABEL_RE.match(lab):
-                raise ParseError(f"{self.name}: bad state label {lab!r}")
-        if self.kind == SENSOR:
-            if self.bin_edges is None or len(self.bin_edges) != len(self.states) - 1:
-                raise ParseError(f"{self.name}: sensor needs len(states)-1 bin edges")
-            if self.codes is not None:
-                raise ParseError(f"{self.name}: sensors do not take codes")
-            if not all(isfinite(e) for e in self.bin_edges):
-                raise ParseError(f"{self.name}: bin edges must be finite")
-            if any(a >= b for a, b in zip(self.bin_edges, self.bin_edges[1:])):
-                raise ParseError(f"{self.name}: bin edges must be strictly increasing")
-        else:
-            if self.bin_edges is not None:
-                raise ParseError(f"{self.name}: actuators do not take bin edges")
-            if self.codes is not None:
-                if len(self.codes) != len(self.states):
-                    raise ParseError(f"{self.name}: codes must match states one-to-one")
-                if len(set(self.codes)) != len(self.codes):
-                    raise ParseError(f"{self.name}: codes must be unique")
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.states)
 
 
 def state_dtype(cards: Iterable[int]) -> np.dtype:
@@ -230,6 +175,14 @@ class DiscreteDataset:
             # popcounts and ANDs do not depend on the byte order inside a word
             bits[first[k]:first[k] + kept[k]] = np.packbits(member, axis=1, bitorder="little").view(np.uint64)
         return bits, first
+
+    @property
+    def columns(self) -> tuple[bytes | list[int], ...]:
+        """Each DP's state indices in record order, as ``fit`` counts them
+        (see :class:`datafile.Columns`): a ``bytes`` for a DP of at most 256
+        states, else a list."""
+        return tuple(col.astype(np.uint8).tobytes() if card <= 1 << 8 else col.tolist()
+                     for col, card in zip(self.data.T, self.cards))
 
     @property
     def n_records(self) -> int:
@@ -645,38 +598,13 @@ def format_spec_file(specs: tuple[VariableSpec, ...] | list[VariableSpec]) -> st
 
 # --- dataset JSON -------------------------------------------------------------
 #
-# {"specs": [{"name", "kind", "states", "bin_edges", "codes"}, ...],
-#  "data": [[state index per spec], ...]}, which the CLI writes with
-# json_text, as json.dumps(indent=2) would but for one record per line:
-#
-#   {
-#     "specs": [
-#       ...
-#     ],
-#     "data": [
-#       [0,2,1],
-#       [1,0,1]
-#     ]
-#   }
+# The layout of the file, and its reader of one-digit records, are in datafile.
 
 def dataset_to_json(ds: DiscreteDataset) -> dict:
     """The dataset as a dict for the CLI's JSON writer; ``data`` is the
     records array itself (its dtype is ``state_dtype`` of the specs), which
     the writer lays out with :func:`records_json`."""
     return {"specs": _specs_to_json(ds.specs), "data": ds.data}
-
-
-def _specs_to_json(specs: tuple[VariableSpec, ...]) -> list[dict]:
-    return [
-        {
-            "name": s.name,
-            "kind": s.kind,
-            "states": list(s.states),
-            "bin_edges": list(s.bin_edges) if s.bin_edges is not None else None,
-            "codes": list(s.codes) if s.codes is not None else None,
-        }
-        for s in specs
-    ]
 
 
 def dataset_from_json(obj: dict) -> DiscreteDataset:
@@ -699,19 +627,6 @@ def dataset_from_json(obj: dict) -> DiscreteDataset:
     return ds
 
 
-def _specs_from_json(specs) -> tuple[VariableSpec, ...]:
-    return tuple(
-        VariableSpec(
-            name=s["name"],
-            kind=s["kind"],
-            states=tuple(s["states"]),
-            bin_edges=tuple(s["bin_edges"]) if s.get("bin_edges") is not None else None,
-            codes=tuple(s["codes"]) if s.get("codes") is not None else None,
-        )
-        for s in specs
-    )
-
-
 def _integer_cells(data) -> bool:
     """Whether every cell of ``data``, an array or a sequence of rows, is an
     integer and none a bool."""
@@ -719,24 +634,6 @@ def _integer_cells(data) -> bool:
         return data.dtype.kind in "iu"
     return all(issubclass(t, (int, np.integer)) and t is not bool
                for t in set(map(type, chain.from_iterable(data))))
-
-
-# The writer's text of every dataset holds this once, between its specs and
-# its records: a raw newline cannot sit inside a JSON string
-_DATA_KEY = ',\n  "data": [\n    '
-# what the writer puts between two records, and after the last one
-_RECORD_SEP = b",\n    "
-_DATA_END = b"\n  ]\n}\n"
-# the bytes from a record's last cell to the next record's first, and from
-# the last record's last cell to the end of the text: as long as each other,
-# so that every record of a given width takes as many bytes
-_ROW_END = b"]" + _RECORD_SEP + b"["
-_LAST_ROW_END = b"]" + _DATA_END
-
-
-def _written_head(specs: tuple[VariableSpec, ...]) -> str:
-    """The writer's text of a dataset with ``specs`` up to ``_DATA_KEY``."""
-    return json_text({"specs": _specs_to_json(specs), "data": []}, "\n").removesuffix(',\n  "data": []\n}')
 
 
 def dataset_json_chunks(ds: DiscreteDataset) -> Iterator[bytes]:
@@ -777,65 +674,25 @@ def dataset_from_text(text: str) -> DiscreteDataset:
 
 def _dataset_as_written(fh: BinaryIO) -> DiscreteDataset | None:
     """The dataset of DPs of at most 10 states whose UTF-8 text, as the
-    writer lays it out, is what ``fh`` holds; None when there is none, and
-    json then reads it. Only the text up to the records is held whole."""
-    key, head = _DATA_KEY.encode(), bytearray()
-    # from before the last block, in case the key straddles two blocks
-    while (at := head.find(key, max(0, len(head) - _BLOCK_CHARS - len(key)))) < 0:
-        block = fh.read(_BLOCK_CHARS)
-        if not block:
-            return None
-        head += block
-    size = fh.seek(0, io.SEEK_END) - at - len(key)  # from the first record's "[" to the end
-    fh.seek(at + len(key))
-    try:
-        text = head[:at].decode()
-        specs = _specs_from_json(json.loads(text + "}")["specs"])
-    except (KeyError, TypeError, ValueError, OverflowError, CpsCausalError):
+    writer lays it out, is what ``fh`` holds, its records read a block at a
+    time by :func:`datafile.written_records` into one uint8 array; None
+    when there is none, and json then reads it."""
+    found = written_records(fh)
+    if found is None:
         return None
-    # the writer's text of the specs, then a "[" and the records, which are
-    # read below only if they are in the writer's layout, in which every
-    # cell is one digit when every DP has at most 10 states
-    if not specs or max(s.cardinality for s in specs) > 10 or _written_head(specs) != text or fh.read(1) != b"[":
-        return None
-    data = _one_digit_records(fh, size - 1, len(specs))
-    if data is None:
+    specs, n, blocks = found
+    w = len(specs)
+    data, at = np.empty((n, w), dtype=np.uint8), 0
+    for block in blocks:
+        rows = np.frombuffer(block, dtype=np.uint8).reshape(-1, row_bytes(w))
+        np.subtract(rows[:, 0:2 * w:2], ord("0"), out=data[at:at + len(rows)])
+        at += len(rows)
+    if at < n:
         return None
     try:
         return DiscreteDataset(specs=specs, data=data)
     except CpsCausalError:
         return None
-
-
-def _one_digit_records(framed: BinaryIO, size: int, w: int) -> np.ndarray | None:
-    """The ``(n, w)`` records of the next ``size`` bytes of ``framed`` when
-    they are ``n`` rows of ``w`` one-digit cells, each row as
-    ``0,2,1],\\n    [`` and the last as ``0,2,1]\\n  ]\\n}\\n``; else None.
-    They are read and checked a block of rows at a time."""
-    cells = ",".join("0" * w).encode()
-    row, last_row = (np.frombuffer(cells + end, dtype=np.uint8) for end in (_ROW_END, _LAST_ROW_END))
-    if not size or size % row.size:
-        return None
-    n = size // row.size
-    # how far above the lowest byte the writer puts at each place of a row,
-    # a digit in a cell or else the one byte of its layout, each may be; a
-    # byte below its lowest wraps round to above every span
-    span = np.zeros(row.size, dtype=np.uint8)
-    span[0:2 * w:2] = 9
-    data = np.empty((n, w), dtype=np.uint8)
-    step = max(1, _BLOCK_CHARS // row.size)
-    buffer = np.empty(step * row.size, dtype=np.uint8)
-    for at in range(0, n, step):
-        k = min(step, n - at)
-        if framed.readinto(buffer[:k * row.size]) != k * row.size:
-            return None
-        rows = buffer[:k * row.size].reshape(k, row.size)
-        if (np.subtract(rows[:n - 1 - at], row, dtype=np.uint8) > span).any():
-            return None
-        np.subtract(rows[:, 0:2 * w:2], ord("0"), out=data[at:at + k], dtype=np.uint8)
-    if (np.subtract(rows[-1], last_row, dtype=np.uint8) > span).any():
-        return None
-    return data
 
 
 def records_json(data: np.ndarray, sep: bytes) -> bytes:

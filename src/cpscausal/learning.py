@@ -6,7 +6,8 @@ visited in lexicographic name order, candidate moves are tie-broken
 lexicographically, and spanning-tree ties fall back to the sorted node
 pair. Learnt edges carry the ``learnt`` kind; PC output may be partially
 directed (undirected edges flagged), in which case
-:func:`extend_to_dag` produces a consistent fully directed extension.
+:func:`graph.extend_to_dag` produces a consistent fully directed
+extension.
 
 PC's orientation keeps the PDAG as per-node parent, child and undirected
 sets, so each Meek rule is a set expression; ``extend_to_dag`` reads the
@@ -25,11 +26,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InsufficientData, NoConsistentExtension, UnknownColumn, UsageError
+from .errors import InsufficientData, UnknownColumn, UsageError
 from .estimation import _chi2_sf, _chi_square_stats, _family_scores, mutual_information
 # no longer called here; bench/tracing.py wraps them under these names
 from .estimation import chi_square_ci, family_score  # noqa: F401
-from .graph import LEARNT, CausalGraph, Edge, is_dag
+from .graph import LEARNT, CausalGraph, Edge
+# in graph, so that fit extends a PDAG without numpy; still named here
+from .graph import extend_to_dag  # noqa: F401
 from .ingest import DiscreteDataset
 
 
@@ -187,46 +190,6 @@ def _pc_orient(ds: DiscreteDataset, names: list[str], adj: dict[str, set[str]],
     edges = [Edge(p, n, LEARNT, True) for n in names for p in pa[n]]
     edges += [Edge(a, b, LEARNT, False) for a in names for b in und[a] if a < b]
     return PcResult(CausalGraph(nodes=ds.names, edges=tuple(edges)), sepsets)
-
-
-def extend_to_dag(pdag: CausalGraph) -> CausalGraph:
-    """Orient the undirected edges of a PDAG into a consistent DAG.
-
-    Dor-Tarsi style: repeatedly pick a node x that is a sink w.r.t.
-    directed edges and whose undirected neighbours are adjacent to all of
-    x's other neighbours; orient x's undirected edges toward x and retire
-    x. Ties pick the lexicographically greatest eligible node, which
-    orients free edges away from smaller names.
-    """
-    if pdag.fully_directed:
-        if not is_dag(pdag):
-            raise NoConsistentExtension("input has a directed cycle")
-        return pdag
-
-    alive = set(pdag.nodes)
-    pa, ch, und = pdag._parents, pdag._children, pdag._undirected_neighbors
-    oriented: set[tuple[str, str]] = set()
-
-    def eligible(x: str) -> bool:
-        if alive.intersection(ch[x]):
-            return False
-        nb = alive.intersection(pa[x] + und[x])
-        return all(nb - {y} <= alive.intersection(pa[y] + ch[y] + und[y]) for y in alive.intersection(und[x]))
-
-    while alive:
-        x = next((n for n in sorted(alive, reverse=True) if eligible(n)), None)
-        if x is None:
-            raise NoConsistentExtension("PDAG admits no consistent extension")
-        oriented.update((y, x) for y in alive.intersection(und[x]))
-        alive.discard(x)
-
-    out = CausalGraph(nodes=pdag.nodes, edges=tuple(
-        Edge(e.src, e.dst, e.kind, True) if e.directed or (e.src, e.dst) in oriented
-        else Edge(e.dst, e.src, e.kind, True)
-        for e in pdag.edges))
-    if not is_dag(out):
-        raise NoConsistentExtension("extension left a directed cycle")
-    return out
 
 
 def learn_hc(ds: DiscreteDataset, cfg: HcConfig = HcConfig()) -> HcResult:

@@ -24,10 +24,11 @@ from typing import Mapping
 
 import numpy as np
 
+from .datafile import ACTUATOR, SENSOR, VariableSpec
 from .errors import UnknownVariable
 from .graph import topological_order
 from .inference import BayesNet
-from .ingest import ACTUATOR, SENSOR, DiscreteDataset, VariableSpec, state_dtype
+from .ingest import DiscreteDataset, state_dtype
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)

@@ -337,6 +337,26 @@ def reference_counts(ds: DiscreteDataset, child: str, parents: tuple[str, ...] =
     return table
 
 
+def reference_cpt_tables(ds: DiscreteDataset, graph: CausalGraph, ess: float | None = None) -> dict[str, np.ndarray]:
+    """The CPT table of each node that ``fit_mle`` (``ess`` None) or
+    ``fit_bayes`` fits, computed by numpy from ``counts``'s integer table."""
+    out = {}
+    for node in graph.nodes:
+        n = counts(ds, node, tuple(sorted(graph.parents(node))))
+        if ess is None:
+            row = n.sum(axis=1)
+            empty = row == 0
+            table = np.empty(n.shape, dtype=np.float64)
+            table[~empty] = n[~empty] / row[~empty, None]
+            table[empty] = 1.0 / n.shape[1]
+        else:
+            q, r = n.shape
+            alpha = ess / (q * r)
+            table = (n + alpha) / (n.sum(axis=1) + alpha * r)[:, None]
+        out[node] = table
+    return out
+
+
 def reference_chi_square(ds: DiscreteDataset, i: str, j: str, s: tuple[str, ...] = ()) -> tuple[float, int]:
     """Pearson chi-square statistic and degrees of freedom of i and j given
     s, tallied record by record and summed one non-empty stratum at a time."""

@@ -716,6 +716,28 @@ class TestErrors:
         assert code == 3
         assert capsys.readouterr().err == f"error [DataError]: {dataset} is not valid JSON: {raised.value}\n"
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on an integer's digits")
+    @pytest.mark.parametrize("place", ["fit-dataset", "fit-graph", "infer-net", "impact-attacks", "impact-stages"])
+    def test_json_integer_past_the_digit_limit_is_parse_error(self, repo_root, tmp_path, place):
+        golden = repo_root / "tests/golden/stage1"
+        bad = tmp_path / "bad.json"
+        # json reads an integer through int(), which refuses more than 4,300 decimal digits
+        bad.write_text(f"[{'1' * 5000}]")
+        with pytest.raises(ValueError) as raised:
+            json.loads(bad.read_text())
+        net, out = str(golden / "net.json"), str(tmp_path / "out.json")
+        argv = {
+            "fit-dataset": ["fit", "--dataset", str(bad), "--graph", str(golden / "graph.json"), "--out", out],
+            "fit-graph": ["fit", "--dataset", str(golden / "dataset.json"), "--graph", str(bad), "--out", out],
+            "infer-net": ["infer", "--net", str(bad), "--target", "P101"],
+            "impact-attacks": ["impact", "--net", net, "--attacks", str(bad)],
+            "impact-stages": ["impact", "--net", net, "--attacks", attacks_path("stage1.json"), "--stages", str(bad)],
+        }[place]
+        file = "attack file" if place == "impact-attacks" else str(bad)
+        assert _exit_and_error(argv) == (3, f"error [ParseError]: {file} holds a number that cannot be read: "
+                                            f"{raised.value}")
+        assert not (tmp_path / "out.json").exists()
+
     def test_truncated_dataset_is_invalid_json(self, repo_root, tmp_path, capsys):
         dataset = tmp_path / "dataset.json"
         dataset.write_text((repo_root / "tests/golden/stage1/dataset.json").read_text()[:-20])
@@ -804,6 +826,8 @@ _LEARNING_AND_AFTER = {"cpscausal.learning", "cpscausal.impact", "cpscausal.infe
 _OPENSSL = {"_hashlib"}
 _BUILTIN_SHA256 = sys.implementation.name == "cpython" and any(
     importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+_FIT_SKIPS = {"numpy", "cpscausal.ingest", "cpscausal.estimation", "cpscausal.learning", "cpscausal.impact",
+              "cpscausal.simgen", "cpscausal.fixtures", *_OPENSSL}
 
 
 @pytest.mark.parametrize("argv, code, absent", [
@@ -816,9 +840,14 @@ _BUILTIN_SHA256 = sys.implementation.name == "cpython" and any(
     (["export", "--graph", "{golden}/graph.json", "--format", "json"], 0, {"numpy", *_OPENSSL}),
     (["discretize", "--input", "{golden}/sample.csv", "--spec", "{golden}/stage1.vspec", "--out", "{tmp}/d.json"],
      0, _LEARNING_AND_AFTER | _OPENSSL),
-    # the net's model classes live in inference, which fit and learn load for them
+    # fit counts a dataset file in the writer's layout, and extends a graph
+    # with undirected edges, with neither numpy nor ingest, estimation or learning
     (["fit", "--dataset", "{golden}/dataset.json", "--graph", "{tmp}/dag.json", "--out", "{tmp}/net.json"],
-     0, _LEARNING_AND_AFTER - {"cpscausal.inference"} | _OPENSSL),
+     0, _FIT_SKIPS),
+    (["fit", "--dataset", "{golden}/dataset.json", "--graph", "{golden}/graph.json", "--out", "{tmp}/net.json"],
+     0, _FIT_SKIPS),
+    (["fit", "--dataset", "{golden}/dataset.json", "--graph", "{tmp}/dag.json", "--estimator", "bayes", "--ess", "0.37",
+      "--out", "{tmp}/net.json"], 0, _FIT_SKIPS),
     (["learn", "--dataset", "{golden}/dataset.json", "--algo", "hc", "--out", "{tmp}/graph.json"],
      0, _LEARNING_AND_AFTER - {"cpscausal.learning", "cpscausal.inference"} | _OPENSSL),
     (["impact", "--net", "{golden}/net.json", "--attacks", attacks_path("stage1.json"), "--out", "{tmp}/impact.json"],
@@ -829,7 +858,8 @@ _BUILTIN_SHA256 = sys.implementation.name == "cpython" and any(
     (["infer", "--net", "{golden}/net.json", "--target", "P101", "--evidence", "LIT101=Low,FIT101=High"],
      0, {"numpy", "cpscausal.learning", "cpscausal.simgen", "cpscausal.fixtures", *_OPENSSL}),
 ], ids=["version", "help", "usage_error", "unknown_fixture", "compare", "export_dot", "export_json",
-        "discretize", "fit_dag", "learn", "impact", "impact_conditioned_staged", "infer_evidence"])
+        "discretize", "fit_dag", "fit_pdag", "fit_bayes", "learn", "impact", "impact_conditioned_staged",
+        "infer_evidence"])
 def test_each_command_loads_only_the_modules_it_runs(repo_root, tmp_path, argv, code, absent):
     if not _BUILTIN_SHA256:
         absent = absent - _OPENSSL
@@ -907,17 +937,6 @@ def test_atomic_write_falls_back_to_hashlib_without_a_builtin_sha256(repo_root, 
         data = _digest_case_bytes(case)
         assert (out / name).read_bytes() == data, name
         assert digests[name] == hashlib.sha256(data).hexdigest(), name
-
-
-def test_fit_loads_learning_only_to_extend_a_partially_directed_graph(repo_root, tmp_path):
-    golden = repo_root / "tests/golden/stage1"
-    argv = ["fit", "--dataset", str(golden / "dataset.json"), "--graph", str(golden / "graph.json"),
-            "--out", str(tmp_path / "net.json")]
-    modules = tmp_path / "modules.txt"
-    subprocess.run([sys.executable, "-c", _COMMAND_PROBE, str(modules), *argv], env=_src_env(repo_root),
-                   check=True, capture_output=True)
-    assert "cpscausal.learning" in modules.read_text().split()
-    assert (tmp_path / "net.json").read_bytes() == (golden / "net.json").read_bytes()
 
 
 def test_every_public_name_is_its_modules_own():

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpscausal import estimation, learning
+from cpscausal import estimation, inference, learning
+from cpscausal.datafile import Columns
 from cpscausal.errors import (
     DuplicateParent,
     InsufficientData,
@@ -35,7 +36,7 @@ from cpscausal.fixtures import FIXTURE_NAMES, get_fixture
 from cpscausal.graph import CausalGraph, Edge
 from cpscausal.inference import net_from_json, net_to_json
 from cpscausal.ingest import ACTUATOR, BITSET_CELLS, DiscreteDataset, VariableSpec
-from oracles import reference_chi_square, reference_counts, reference_family_score
+from oracles import reference_chi_square, reference_counts, reference_cpt_tables, reference_family_score
 
 
 def make_ds(columns: dict[str, list[int]], cards: dict[str, int] | None = None) -> DiscreteDataset:
@@ -270,6 +271,53 @@ class TestFitBayes:
             fit_bayes(ds, CausalGraph(nodes=("A",)), ess=ess)
         with pytest.raises(NonPositiveEss, match="ess must be a finite number > 0"):
             family_scores(ds, "A", [("B",)], method="bdeu", ess=ess)
+
+
+# families of 255 and 256 cells, the largest that fit counts from bitsets,
+# and of 257, the smallest it counts with Counter
+_CELL_EDGES = [(3, 5, 17), (16, 16), (2, 2, 2, 2, 4, 4), (257,), (2, 257)]
+
+
+@given(cards=st.sampled_from(_CELL_EDGES) | st.lists(st.integers(2, 300), min_size=1, max_size=3).filter(
+           lambda cards: math.prod(cards) <= 5000),
+       n=st.sampled_from([1, 2, 64]) | st.integers(1, 400), seed=st.integers(0, 2**32 - 1), wide=st.booleans())
+@settings(deadline=None)
+def test_fit_counts_are_estimations_counts(cards, n, seed, wide):
+    rng = np.random.default_rng(seed)
+    # the family's DPs in the dataset in reverse, after one of 300 states
+    # when wide, which makes the records uint16
+    names = [f"D{k}" for k in range(len(cards))]
+    columns = {name: rng.integers(0, card, n).tolist() for name, card in zip(names, cards)}
+    extra = {"W": rng.integers(0, 300, n).tolist()} if wide else {}
+    ds = make_ds({**extra, **dict(reversed(columns.items()))},
+                 cards={"W": 300, **dict(zip(names, cards))})
+    family = [ds.index(name) for name in names]
+    tally = inference._Tallies(ds.columns, ds.cards)
+    assert tally(family) == counts(ds, names[-1], names[:-1]).tolist()
+
+
+def _fit_cases():
+    """Datasets and the graphs to fit to them: each fixture's, with and
+    without a uniform row, and one whose uniform rows have three states."""
+    for name in FIXTURE_NAMES:
+        fx = get_fixture(name)
+        for n in (30, 500):
+            yield pytest.param(fx.sample(n, seed=2), fx.net.graph, id=f"{name}-{n}")
+    ds = make_ds({"A": [0, 0, 2, 2, 0], "B": [0, 1, 2, 2, 1]}, cards={"A": 3, "B": 3})
+    yield pytest.param(ds, CausalGraph(nodes=("A", "B"), edges=(Edge("A", "B"),)), id="unseen-parent-state")
+
+
+@pytest.mark.parametrize("ess", [None, 1e-9, 0.37, 1.0, 10.0], ids=["mle", "bayes-1e-9", "bayes-0.37", "bayes-1",
+                                                                   "bayes-10"])
+@pytest.mark.parametrize("ds, graph", _fit_cases())
+def test_fitted_tables_are_numpys_to_the_bit(ds, graph, ess):
+    net = fit_mle(ds, graph) if ess is None else fit_bayes(ds, graph, ess=ess)
+    for node, table in reference_cpt_tables(ds, graph, ess).items():
+        assert [[p.hex() for p in row] for row in net.cpts[node].table] == \
+            [[p.hex() for p in row] for row in table.tolist()], node
+    # the same net from the dataset as fit reads its file
+    columns = Columns(specs=ds.specs, columns=ds.columns)
+    assert net == (fit_mle(columns, graph) if ess is None else fit_bayes(columns, graph, ess=ess))
 
 
 class TestChiSquare:

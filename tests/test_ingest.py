@@ -1,6 +1,7 @@
 import codecs
 import csv
 import gc
+import io
 import json
 import random
 import re
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpscausal import cli, ingest
+from cpscausal import cli, datafile, ingest
 from cpscausal.errors import (
     CpsCausalError,
     DataError,
@@ -46,6 +47,7 @@ from cpscausal.ingest import (
     records_json,
 )
 from cpscausal.fixtures import FIXTURE_NAMES, get_fixture
+from cpscausal.jsontext import json_text
 from cpscausal.simgen import sample_with_clamp, write_historian_csv
 from oracles import (
     read_as_one_array,
@@ -452,13 +454,22 @@ def test_dataset_from_text_matches_reference(document):
     assert written or not canonical
     # the writer writes every cell as one digit when every DP has at most 10 states
     assert read_as_one_array(text) == (written and max(reference_dataset_from_text(text).cards) <= 10)
+    # fit's reader reads the same texts, from the same blocks
+    assert _columns_outcome(lambda: datafile._columns_as_written(io.BytesIO(text.encode()))) == \
+        (_columns_outcome(lambda: reference_dataset_from_text(text)) if read_as_one_array(text) else None)
+
+
+def _columns_outcome(read):
+    """The specs and columns of the dataset ``read()`` gives; None when it gives none."""
+    ds = read()
+    return None if ds is None else (ds.specs, ds.columns)
 
 
 _SPECS = [{"name": name, "kind": "actuator", "states": ["s0", "s1", "s2"], "bin_edges": None, "codes": None}
           for name in "AB"]
 _TWO_SPECS = json.dumps(_SPECS)
 # the writer's text of a dataset of these specs, up to its records
-_WRITTEN_SPECS = ingest.json_text({"specs": _SPECS}, "\n").removesuffix("\n}")
+_WRITTEN_SPECS = json_text({"specs": _SPECS}, "\n").removesuffix("\n}")
 DATASET_TEXT_CORPUS = {
     # the whole text as the writer writes it, read as one array
     "one-record-per-line": ("[\n    [0,1],\n    [2,0]\n  ]", True),
@@ -467,6 +478,8 @@ DATASET_TEXT_CORPUS = {
     "int64-extremes": ("[\n    [9223372036854775807,-9223372036854775808]\n  ]", False),
     "negative": ("[\n    [-1,0]\n  ]", False),
     "no-columns": ("[\n    []\n  ]", False),
+    "state-out-of-range": ("[\n    [0,3],\n    [2,0]\n  ]", False),
+    "state-out-of-range-in-last-record": ("[\n    [0,1],\n    [2,9]\n  ]", False),
     # in the writer's layout but for one fault, left to json
     "layout-beyond-int64": ("[\n    [9223372036854775808,0]\n  ]", False),
     "layout-below-int64": ("[\n    [-9223372036854775809,0]\n  ]", False),
@@ -533,8 +546,8 @@ DATASET_DOCUMENT_CORPUS = {
     "top-level-array": "[[0,1]]",
     "empty-object": "{}",
     "no-text": "",
-    "ends-after-the-data-key": f"{_WRITTEN_SPECS}{ingest._DATA_KEY}",
-    "ends-after-the-first-bracket": f"{_WRITTEN_SPECS}{ingest._DATA_KEY}[",
+    "ends-after-the-data-key": f"{_WRITTEN_SPECS}{datafile._DATA_KEY}",
+    "ends-after-the-first-bracket": f"{_WRITTEN_SPECS}{datafile._DATA_KEY}[",
 }
 
 
@@ -1193,16 +1206,18 @@ def _dataset_file_texts():
         yield _written_dataset(cards, 50)[0]
 
 
-@pytest.mark.parametrize("chars", [1, 7, 64, ingest._BLOCK_CHARS])
+@pytest.mark.parametrize("chars", [1, 7, 64, datafile._BLOCK_CHARS])
 def test_dataset_file_reads_as_its_text(tmp_path, chars):
     path = tmp_path / "dataset.json"
-    with mock.patch.object(ingest, "_BLOCK_CHARS", chars):
+    with mock.patch.object(datafile, "_BLOCK_CHARS", chars):
         for text in _dataset_file_texts():
             path.write_bytes(text.encode())
             ds = read_dataset_file(str(path))
             assert (ds is not None) == (read_as_one_array(text) and not text.startswith("\ufeff")), text
             if ds is not None:
                 assert _read_outcome(lambda _: ds, None) == _read_outcome(dataset_from_text, text)
+            # fit's columns come from the same blocks, and from no other text
+            assert _columns_outcome(lambda: datafile.read_columns(str(path))) == _columns_outcome(lambda: ds), text
 
 
 def test_cli_reads_each_dataset_file_as_the_reference_reads_its_text(tmp_path):
