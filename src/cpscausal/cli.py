@@ -10,19 +10,19 @@ JSON artifacts are laid out by :func:`jsontext.json_text`, where the
 dataset reader also finds the layout it reads fast; ``_dump_json`` adds the
 final newline. Every artifact is written in pieces through one hashing
 ``_atomic_write``. ``discretize`` reads the historian log a block at a time,
-once to check it and once to map it to states, and writes the dataset a
-block of records at a time; ``learn`` and ``fit`` read a dataset file that
-is exactly the writer's, of DPs of at most 10 states, a block of records
-at a time, ``learn`` into an array and ``fit`` into one ``bytes`` per DP,
-and any other once, whole, through ``json``. No command holds the text of
-a log as a whole, except to name a fault in it.
+once to check it and once to map it to states, one ``bytes`` per DP, and
+writes the dataset a block of records at a time; ``learn`` and ``fit`` read
+a dataset file that is exactly the writer's, of DPs of at most 10 states, a
+block of records at a time, ``learn`` into an array and ``fit`` into one
+``bytes`` per DP, and any other once, whole, through ``json``. No command
+holds the text of a log as a whole, except to name a fault in it.
 
 This module imports only the standard library and the package's errors;
 each command imports the modules it runs, so ``--version``, ``--help``,
-``compare``, ``export``, ``infer`` and ``impact`` start without numpy, and
-so does ``fit`` on a dataset file in the writer's layout. The library
-names the commands use still resolve as attributes of this module, on
-first access.
+``discretize``, ``compare``, ``export``, ``infer`` and ``impact`` start
+without numpy, and so does ``fit`` on a dataset file in the writer's
+layout. The library names the commands use still resolve as attributes of
+this module, on first access.
 """
 
 from __future__ import annotations
@@ -68,14 +68,14 @@ FIXTURE_NAMES = ("chain3", "collider3", "fork3", "stage1", "stage1_learnt", "sta
 # the library names the commands run, by module; in-process callers, such as
 # the benchmark's traced pass, read and wrap them as attributes of this module
 _HOMES = {
-    "datafile": ("read_columns",),
+    "datafile": ("column_blocks", "dataset_chunks", "read_columns"),
     "fixtures": ("get_fixture",),
     "graph": ("compare", "extend_to_dag", "graph_from_json", "graph_to_dot", "graph_to_json"),
     "impact": ("ImpactConfig", "discover_impact", "load_attacks", "report_to_json"),
     "inference": ("Query", "fit_bayes", "fit_mle", "net_from_json", "net_to_json", "posterior"),
-    "ingest": ("LogText", "dataset_from_json", "dataset_json_chunks", "dataset_to_json", "discretize",
-               "discretize_text", "format_spec_file", "parse_log", "parse_spec_file", "read_dataset_file"),
+    "ingest": ("dataset_from_json", "dataset_to_json", "discretize", "parse_log", "read_dataset_file"),
     "learning": ("ClConfig", "HcConfig", "PcConfig", "learn_cl", "learn_hc", "learn_pc"),
+    "logfile": ("LogText", "discretize_log", "format_spec_file", "parse_spec_file"),
     "simgen": ("sample_with_clamp", "write_historian_csv"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
@@ -150,7 +150,7 @@ def _read(path: str) -> str:
 def _log_text(path: str):
     """The historian log file at ``path`` as the ``LogText`` that its block
     reader reads; a file that ``_read`` refuses raises ``_read``'s error."""
-    from .ingest import LogText
+    from .logfile import LogText
 
     try:
         return LogText.of_file(path)
@@ -165,6 +165,8 @@ def _load_json(path: str):
         raise DataError(f"{path} is not valid JSON: {exc}") from None
     except ValueError as exc:  # an integer of more digits than Python converts
         raise ParseError(f"{path} holds a number that cannot be read: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path} nests its arrays or objects too deeply to read") from None
 
 
 def _load_dataset(path: str):
@@ -234,7 +236,7 @@ def _state_indices(net, labels: dict[str, str]) -> dict[str, int]:
 
 def cmd_sample(args) -> int:
     from .inference import net_from_json
-    from .ingest import format_spec_file
+    from .logfile import format_spec_file
     from .simgen import sample_with_clamp, write_historian_csv
 
     if bool(args.fixture) == bool(args.net):
@@ -269,19 +271,20 @@ def cmd_sample(args) -> int:
 
 
 def cmd_discretize(args) -> int:
-    from .ingest import dataset_json_chunks, discretize_text, parse_spec_file
+    from .datafile import column_blocks, dataset_chunks
+    from .logfile import discretize_log, parse_spec_file
 
     log = _log_text(args.input)
     try:
         specs = parse_spec_file(_read(args.spec))
     except CpsCausalError:
-        discretize_text(log, ())  # a fault in the log is named before one in the spec file
+        discretize_log(log, ())  # a fault in the log is named before one in the spec file
         raise
-    ds = discretize_text(log, specs)
+    n, columns = discretize_log(log, specs)
     _write_with_manifest(
-        Path(args.out), dataset_json_chunks(ds), "discretize",
+        Path(args.out), dataset_chunks(specs, column_blocks(columns, n)), "discretize",
         {"input": Path(args.input).name, "spec": Path(args.spec).name}, {})
-    print(f"discretized {ds.n_records} records x {len(ds.specs)} variables to {args.out}")
+    print(f"discretized {n} records x {len(specs)} variables to {args.out}")
     return EXIT_OK
 
 

@@ -27,8 +27,10 @@ writer's template row repeated. Any other text is left to :mod:`json`,
 which reads it or names its error. ``ingest`` fills ``learn``'s array of
 records from the blocks, and :func:`read_columns` gathers them into
 :class:`Columns`, one ``bytes`` of state indices per DP, which ``fit``
-counts. Standard library and the package's errors only, so that ``fit``
-reads such a file without numpy.
+counts. The one writer, :func:`record_chunks`, mirrors the reader: it
+fills the same template row with each DP's digits, a block of records at
+a time. Standard library and the package's errors only, so that
+``discretize`` writes, and ``fit`` reads, such a file without numpy.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import io
 import json
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from math import isfinite
 from typing import BinaryIO
@@ -49,16 +51,12 @@ ACTUATOR = "actuator"
 
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
 
-# The block size of ingest's log reader and of the dataset file's writer and
-# reader. The log reader reads plain records in blocks of at least this many
-# characters, each cut at a line end, and csv rows in batches of the lines
-# of a quarter block; a log file is read in blocks of this many bytes, and a
-# dataset file is written and read in blocks of records of about this many
-# bytes. 64 KiB is about 250 records of the benchmark's 51-DP log, or 1,350
-# of its 12-DP one. discretize_text then holds 0.9 MB beyond the dataset
-# (3.6 MB with 256 KiB blocks), and takes as long as parse_log plus
-# discretize on the 51-DP log and a quarter less on the 12-DP one: more,
-# smaller blocks pay numpy's per-call cost once per block and DP
+# The block size of the dataset file's writer and reader: a dataset file is
+# written and read in blocks of whole records of about this many bytes,
+# some 600 records of the benchmark's 51-DP dataset or 2,000 of its 12-DP
+# one. fit's and learn's reads and the writer each take 3-5 ms on either
+# dataset with 64 KiB blocks, and as long with 256 KiB ones, which only hold
+# four times the bytes (2-core x86-64 VM)
 _BLOCK_CHARS = 1 << 16
 
 
@@ -164,6 +162,9 @@ _LAST_ROW_END = b"]" + _DATA_END
 # every digit as "0", and as its value; any other byte as it is
 _DIGIT_AS_ZERO = bytes.maketrans(b"0123456789", b"0" * 10)
 _DIGIT_AS_VALUE = bytes.maketrans(b"0123456789", bytes(range(10)))
+# the integers 0 to 9, and each as its ASCII digit
+_ONE_DIGIT = bytes(range(10))
+_VALUE_AS_DIGIT = bytes.maketrans(_ONE_DIGIT, b"0123456789")
 
 
 def _written_head(specs: tuple[VariableSpec, ...]) -> str:
@@ -175,6 +176,13 @@ def row_bytes(w: int) -> int:
     """The bytes of a record of ``w`` one-digit cells in the writer's
     layout, from its first cell to the next record's first."""
     return 2 * w - 1 + len(_ROW_END)
+
+
+def _template_row(w: int, end: bytes) -> bytes:
+    """A record of ``w`` one-digit cells as the writer lays it out, every
+    digit as ``0``, from its first cell to the next record's: ``0,0,0`` and
+    then ``end``, the bytes from its last cell to the next record's first."""
+    return b",".join([b"0"] * w) + end
 
 
 def written_records(fh: BinaryIO) -> tuple[tuple[VariableSpec, ...], int, Iterator[bytes]] | None:
@@ -202,7 +210,7 @@ def written_records(fh: BinaryIO) -> tuple[tuple[VariableSpec, ...], int, Iterat
     try:
         text = head[:at].decode()
         specs = _specs_from_json(json.loads(text + "}")["specs"])
-    except (KeyError, TypeError, ValueError, OverflowError, CpsCausalError):
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError, CpsCausalError):
         return None
     # the writer's text of the specs, then a "[" and the records, in which
     # every cell is one digit when every DP has at most 10 states
@@ -220,17 +228,65 @@ def _checked_blocks(fh: BinaryIO, n: int, w: int) -> Iterator[bytes]:
     :func:`written_records` gives them, up to the first block that is not
     in the writer's layout: each record as ``0,2,1],\\n    [`` and the last
     as ``0,2,1]\\n  ]\\n}\\n``."""
-    cells = b",".join([b"0"] * w)
-    row = len(cells) + len(_ROW_END)
+    template = _template_row(w, _ROW_END)
+    row = len(template)
     step = max(1, _BLOCK_CHARS // row)
-    rows = (cells + _ROW_END) * step
+    rows = template * step
     for at in range(0, n, step):
         k = min(step, n - at)
         block = fh.read(k * row)
-        layout = rows[:k * row] if at + k < n else rows[:(k - 1) * row] + cells + _LAST_ROW_END
+        layout = rows[:k * row] if at + k < n else rows[:(k - 1) * row] + template[:-len(_ROW_END)] + _LAST_ROW_END
         if block.translate(_DIGIT_AS_ZERO) != layout:
             return
         yield block
+
+
+def records_per_chunk(w: int) -> int:
+    """The records of ``w`` cells in each block that the writer writes."""
+    return max(1, _BLOCK_CHARS // (2 * w + len(_ROW_END)))
+
+
+def column_blocks(columns: Sequence[bytes | Sequence[int]], n: int) -> Iterator[tuple[int, list]]:
+    """The ``n`` records of ``columns``, one sequence of state indices per
+    DP, as :func:`record_chunks` writes them: ``records_per_chunk`` records
+    at a time, and their count."""
+    step = records_per_chunk(len(columns))
+    for at in range(0, n, step):
+        yield min(step, n - at), [column[at:at + step] for column in columns]
+
+
+def dataset_chunks(specs: Sequence[VariableSpec],
+                   blocks: Iterable[tuple[int, Sequence[bytes | Sequence[int]]]]) -> Iterator[bytes]:
+    """The bytes of the dataset file of ``specs`` whose records ``blocks``
+    holds, as :func:`record_chunks` takes them, as the CLI writes it
+    (``json_text`` of the dataset and a newline), in pieces: its specs, its
+    records a block at a time, and its end."""
+    yield (_written_head(tuple(specs)) + _DATA_KEY).encode()
+    yield from record_chunks(blocks, _RECORD_SEP)
+    yield _DATA_END
+
+
+def record_chunks(blocks: Iterable[tuple[int, Sequence[bytes | Sequence[int]]]], sep: bytes) -> Iterator[bytes]:
+    """The records of ``blocks``, each a record count and the records'
+    integers one sequence per column, as compact JSON lists joined by
+    ``sep`` (``[0,2,1]`` + sep + ``[1,0,1]``), a block at a time. A block
+    whose columns are all ``bytes`` of the integers 0 to 9 fills
+    :func:`_checked_blocks`' template row, one stride-slice assignment of
+    each column's digits; any other is written a record at a time."""
+    end = b"]" + sep + b"["
+    for k, (n, columns) in enumerate(blocks):
+        head = sep + b"[" if k else b"["
+        if all(isinstance(column, (bytes, bytearray)) and not column.translate(None, _ONE_DIGIT)
+               for column in columns):
+            row = _template_row(len(columns), end)
+            text = bytearray(head + row * n)
+            for j, column in enumerate(columns):
+                text[len(head) + 2 * j::len(row)] = column.translate(_VALUE_AS_DIGIT)
+            del text[len(text) - len(end) + 1:]  # the separator and "[" after the last record
+            yield bytes(text)
+        else:
+            rows = ("[" + ",".join(map(str, record)) + "]" for record in zip(*columns))
+            yield head[:-1] + sep.decode().join(rows).encode()
 
 
 def read_columns(path: str) -> Columns | None:

@@ -286,6 +286,8 @@ def load_attacks(text: str) -> tuple[AttackSpec, ...]:
         raise ParseError(f"attack file is not valid JSON: {exc}") from None
     except ValueError as exc:  # an integer of more digits than Python converts
         raise ParseError(f"attack file holds a number that cannot be read: {exc}") from None
+    except RecursionError:
+        raise ParseError("attack file nests its arrays or objects too deeply to read") from None
     return attacks_from_json(obj)
 
 

@@ -6,8 +6,9 @@ except that a 2-D integer array, such as a dataset's records, gets one row
 per line. Standard library and the package's errors only: an array can
 only exist once numpy is loaded, so a value that holds none is written
 without importing it, and the rows of one that does are written by
-:func:`ingest.records_json`. The readers of net, attack and domain-graph
-files use these helpers without loading numpy.
+:func:`ingest.records_json`, through the dataset file's writer. The
+readers of net, attack and domain-graph files use these helpers without
+loading numpy.
 """
 
 from __future__ import annotations

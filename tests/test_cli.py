@@ -738,6 +738,37 @@ class TestErrors:
                                             f"{raised.value}")
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("place", ["export-graph", "compare-right", "learn-dataset", "learn-dataset-specs",
+                                       "fit-dataset-specs", "fit-graph", "infer-net", "impact-attacks",
+                                       "impact-stages"])
+    def test_json_nested_past_the_recursion_limit_is_parse_error(self, repo_root, tmp_path, place):
+        golden = repo_root / "tests/golden/stage1"
+        deep, deep_specs = tmp_path / "deep.json", tmp_path / "deep_specs.json"
+        deep.write_text("[" * 100_000)
+        # nested specs ahead of the writer's data key, which the one-digit reader parses first
+        text = (golden / "dataset.json").read_text()
+        deep_specs.write_text('{"specs": ' + "[" * 100_000 + text[text.index(',\n  "data": ['):])
+        with pytest.raises(RecursionError):
+            json.loads(deep.read_text())
+        graph, net, out = str(golden / "graph.json"), str(golden / "net.json"), str(tmp_path / "out.json")
+        argv, bad = {
+            "export-graph": (["export", "--graph", str(deep)], deep),
+            "compare-right": (["compare", "--left", graph, "--right", str(deep)], deep),
+            "learn-dataset": (["learn", "--dataset", str(deep), "--out", out], deep),
+            "learn-dataset-specs": (["learn", "--dataset", str(deep_specs), "--out", out], deep_specs),
+            "fit-dataset-specs": (["fit", "--dataset", str(deep_specs), "--graph", graph, "--out", out], deep_specs),
+            "fit-graph": (["fit", "--dataset", str(golden / "dataset.json"), "--graph", str(deep), "--out", out],
+                          deep),
+            "infer-net": (["infer", "--net", str(deep), "--target", "P101"], deep),
+            "impact-attacks": (["impact", "--net", net, "--attacks", str(deep)], deep),
+            "impact-stages": (["impact", "--net", net, "--attacks", attacks_path("stage1.json"), "--stages",
+                               str(deep)], deep),
+        }[place]
+        file = "attack file" if place == "impact-attacks" else str(bad)
+        assert _exit_and_error(argv) == (3, f"error [ParseError]: {file} nests its arrays or objects too deeply "
+                                            f"to read")
+        assert not (tmp_path / "out.json").exists()
+
     def test_truncated_dataset_is_invalid_json(self, repo_root, tmp_path, capsys):
         dataset = tmp_path / "dataset.json"
         dataset.write_text((repo_root / "tests/golden/stage1/dataset.json").read_text()[:-20])
@@ -826,6 +857,7 @@ _LEARNING_AND_AFTER = {"cpscausal.learning", "cpscausal.impact", "cpscausal.infe
 _OPENSSL = {"_hashlib"}
 _BUILTIN_SHA256 = sys.implementation.name == "cpython" and any(
     importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+_DISCRETIZE_SKIPS = _LEARNING_AND_AFTER | {"numpy", "cpscausal.ingest", *_OPENSSL}
 _FIT_SKIPS = {"numpy", "cpscausal.ingest", "cpscausal.estimation", "cpscausal.learning", "cpscausal.impact",
               "cpscausal.simgen", "cpscausal.fixtures", *_OPENSSL}
 
@@ -838,8 +870,13 @@ _FIT_SKIPS = {"numpy", "cpscausal.ingest", "cpscausal.estimation", "cpscausal.le
     (["compare", "--left", "{golden}/graph.json", "--right", "{golden}/graph.json"], 0, {"numpy", *_OPENSSL}),
     (["export", "--graph", "{golden}/graph.json"], 0, {"numpy", *_OPENSSL}),
     (["export", "--graph", "{golden}/graph.json", "--format", "json"], 0, {"numpy", *_OPENSSL}),
+    # discretize reads a log, plain, through csv or with a fault, with neither numpy nor ingest
     (["discretize", "--input", "{golden}/sample.csv", "--spec", "{golden}/stage1.vspec", "--out", "{tmp}/d.json"],
-     0, _LEARNING_AND_AFTER | _OPENSSL),
+     0, _DISCRETIZE_SKIPS),
+    (["discretize", "--input", "{tmp}/quoted.csv", "--spec", "{golden}/stage1.vspec", "--out", "{tmp}/d.json"],
+     0, _DISCRETIZE_SKIPS),
+    (["discretize", "--input", "{tmp}/faulty.csv", "--spec", "{golden}/stage1.vspec", "--out", "{tmp}/d.json"],
+     3, _DISCRETIZE_SKIPS),
     # fit counts a dataset file in the writer's layout, and extends a graph
     # with undirected edges, with neither numpy nor ingest, estimation or learning
     (["fit", "--dataset", "{golden}/dataset.json", "--graph", "{tmp}/dag.json", "--out", "{tmp}/net.json"],
@@ -858,7 +895,8 @@ _FIT_SKIPS = {"numpy", "cpscausal.ingest", "cpscausal.estimation", "cpscausal.le
     (["infer", "--net", "{golden}/net.json", "--target", "P101", "--evidence", "LIT101=Low,FIT101=High"],
      0, {"numpy", "cpscausal.learning", "cpscausal.simgen", "cpscausal.fixtures", *_OPENSSL}),
 ], ids=["version", "help", "usage_error", "unknown_fixture", "compare", "export_dot", "export_json",
-        "discretize", "fit_dag", "fit_pdag", "fit_bayes", "learn", "impact", "impact_conditioned_staged",
+        "discretize", "discretize_csv_rows", "discretize_fault", "fit_dag", "fit_pdag", "fit_bayes", "learn",
+        "impact", "impact_conditioned_staged",
         "infer_evidence"])
 def test_each_command_loads_only_the_modules_it_runs(repo_root, tmp_path, argv, code, absent):
     if not _BUILTIN_SHA256:
@@ -867,6 +905,10 @@ def test_each_command_loads_only_the_modules_it_runs(repo_root, tmp_path, argv, 
     # a DAG, which fit needs no learning module to extend
     (tmp_path / "dag.json").write_text(json.dumps(json.loads((golden / "net.json").read_text())["graph"]))
     (tmp_path / "stages.json").write_text(json.dumps({"FIT101": 1, "LIT101": "1", "MV101": 1, "P101": 1, "P102": 1}))
+    # the sample log with its timestamps quoted and a blank line, which csv reads, and with a cell that is no number
+    header, _, records = (golden / "sample.csv").read_text().partition("\n")
+    (tmp_path / "quoted.csv").write_text(header + "\n\n" + re.sub(r"(?m)^(\d+),", r'"\1",', records))
+    (tmp_path / "faulty.csv").write_text(header + "\n" + records.replace("480.0", "x", 1))
     argv = [a.format(golden=golden, tmp=tmp_path) for a in argv]
     modules = tmp_path / "modules.txt"
     run = subprocess.run([sys.executable, "-c", _COMMAND_PROBE, str(modules), *argv], env=_src_env(repo_root),

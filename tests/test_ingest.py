@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpscausal import cli, datafile, ingest
+from cpscausal import cli, datafile, ingest, logfile
 from cpscausal.errors import (
     CpsCausalError,
     DataError,
@@ -741,6 +741,17 @@ def test_records_json_writes_each_row_as_compact_json(data):
     assert json.loads(b"[" + text + b"]") == data
 
 
+@pytest.mark.parametrize("chars", [1, 40, datafile._BLOCK_CHARS])
+@pytest.mark.parametrize("dtype, high", [(np.uint8, 9), (np.uint8, 255), (np.uint16, 300), (np.int64, 9)],
+                         ids=["uint8-one-digit", "uint8", "uint16", "int64-one-digit"])
+def test_records_json_writes_each_block_as_json_writes_it(chars, dtype, high):
+    # a block of uint8 cells of 0 to 9 fills the writer's template row; any other block goes a row at a time
+    data = (np.arange(90).reshape(30, 3) * 7 % (high + 1)).astype(dtype)
+    with mock.patch.object(datafile, "_BLOCK_CHARS", chars):
+        text = records_json(data, b",\n    ")
+    assert text == ",\n    ".join(json.dumps(row, separators=(",", ":")) for row in data.tolist()).encode()
+
+
 def test_records_json_writes_the_same_bytes_for_every_integer_dtype():
     data = np.array([[0, 255, 9], [10, 99, 100], [200, 1, 0], [255, 254, 7]])
     written = {dtype: records_json(data.astype(dtype), b",\n    ") for dtype in (np.int64, np.uint8, np.uint16)}
@@ -911,7 +922,7 @@ def test_no_record_of_a_plain_numeric_log_reaches_csv_reader():
     header = ["LIT101,Timestamp,MV101\n"]
     assert _lines_read_by_csv(parse_log, text) == header
     assert _lines_read_by_csv(discretize_text, text, [_sensor("LIT101")]) == header
-    with mock.patch.object(ingest, "_BLOCK_CHARS", 1):
+    with mock.patch.object(logfile, "_BLOCK_CHARS", 1):
         assert _lines_read_by_csv(parse_log, text) == header
     # a block the C reader refuses goes to csv, and a fault is named from all of the text
     assert "1,x\n" in _lines_read_by_csv(parse_log, "A,B\n1,x\n")
@@ -964,7 +975,7 @@ def test_discretize_matches_reference(text, specs):
 
 # --- block by block -------------------------------------------------------------
 #
-# The log reader reads plain text in blocks of at least ingest._BLOCK_CHARS
+# The log reader reads plain text in blocks of at least logfile._BLOCK_CHARS
 # characters, and csv rows in batches sized from it; blocks of a character
 # or a few put a block or batch boundary after every line, or after every
 # few lines.
@@ -995,7 +1006,7 @@ def _sensors(text) -> list[VariableSpec]:
 @pytest.mark.parametrize("chars", [1, 2, 7])
 @pytest.mark.parametrize("text", PARSE_CORPUS.values(), ids=PARSE_CORPUS.keys())
 def test_small_blocks_parse_and_discretize_as_the_reference(text, chars):
-    with mock.patch.object(ingest, "_BLOCK_CHARS", chars):
+    with mock.patch.object(logfile, "_BLOCK_CHARS", chars):
         _assert_parses_as_reference(text)
         _assert_discretizes_as_reference(text, _sensors(text))
 
@@ -1003,7 +1014,7 @@ def test_small_blocks_parse_and_discretize_as_the_reference(text, chars):
 @pytest.mark.parametrize("chars", [1, 2, 7])
 @pytest.mark.parametrize("text, specs", DISCRETIZE_CORPUS.values(), ids=DISCRETIZE_CORPUS.keys())
 def test_small_blocks_discretize_the_corpus_as_the_reference(text, specs, chars):
-    with mock.patch.object(ingest, "_BLOCK_CHARS", chars):
+    with mock.patch.object(logfile, "_BLOCK_CHARS", chars):
         _assert_discretizes_as_reference(text, specs)
 
 
@@ -1042,7 +1053,7 @@ STRADDLE_CORPUS = {
 @pytest.mark.parametrize("text, specs", STRADDLE_CORPUS.values(), ids=STRADDLE_CORPUS.keys())
 def test_block_boundary_anywhere_before_a_fault(text, specs):
     for chars in [*range(1, min(len(text), 40) + 1), len(text)]:
-        with mock.patch.object(ingest, "_BLOCK_CHARS", chars):
+        with mock.patch.object(logfile, "_BLOCK_CHARS", chars):
             _assert_parses_as_reference(text)
             _assert_discretizes_as_reference(text, specs)
 
@@ -1054,9 +1065,57 @@ def test_block_boundary_anywhere_before_a_fault(text, specs):
 @settings(deadline=None)
 def test_small_blocks_match_the_reference_on_generated_logs(log, chars, specs):
     text, _ = log
-    with mock.patch.object(ingest, "_BLOCK_CHARS", chars):
+    with mock.patch.object(logfile, "_BLOCK_CHARS", chars):
         _assert_parses_as_reference(text)
         _assert_discretizes_as_reference(text, [make(name) for name, make in specs])
+
+
+@st.composite
+def _binned_logs(draw):
+    """A historian log whose sensor readings are each drawn uniformly inside
+    a bin and written with ``repr``, so that nearly every cell is a distinct
+    string, and whose actuator cells are codes; with its specs and the state
+    of every cell."""
+    rnd = draw(st.randoms(use_true_random=False))
+    specs = []
+    for k in range(draw(st.integers(1, 6))):
+        states = tuple(f"s{s}" for s in range(draw(st.integers(2, 5))))
+        if draw(st.booleans()):
+            edges = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=len(states) - 1, max_size=len(states) - 1,
+                                         unique=True)))
+            specs.append(VariableSpec(f"S{k}", SENSOR, states, bin_edges=tuple(edges)))
+        else:
+            specs.append(VariableSpec(f"A{k}", ACTUATOR, states, codes=tuple(rnd.sample(range(-3, 20), len(states)))))
+    records = [[rnd.randrange(spec.cardinality) for spec in specs] for _ in range(draw(st.integers(1, 60)))]
+
+    def cell(spec, state):
+        if spec.kind == ACTUATOR:
+            return str(spec.codes[state])
+        edges = spec.bin_edges
+        span = edges[-1] - edges[0] + 1.0
+        low = edges[state - 1] if state else edges[0] - span
+        high = edges[state] if state < len(edges) else edges[-1] + span
+        reading = rnd.uniform(low, high)
+        return repr(reading if low <= reading < high else low)
+
+    lines = [",".join(["Timestamp", *(spec.name for spec in specs)])]
+    lines += [",".join([str(t), *map(cell, specs, record)]) for t, record in enumerate(records)]
+    return "\n".join(lines) + "\n", specs, records
+
+
+@given(log=_binned_logs(), chars=st.sampled_from([1, 40, logfile._BLOCK_CHARS]))
+@settings(deadline=None)
+def test_readings_drawn_inside_their_bins_discretize_to_those_bins(log, chars):
+    text, specs, records = log
+    with mock.patch.object(logfile, "_BLOCK_CHARS", chars):
+        ds = discretize_text(text, specs)
+        n, columns = logfile.discretize_log(LogText.of_str(text), specs)
+    assert ds.data.tolist() == records
+    want = reference_discretize(reference_parse_log(text), specs)
+    assert ds.specs == want.specs and ds.data.dtype == want.data.dtype and np.array_equal(ds.data, want.data)
+    # the command's own path, which holds no array, writes the same file
+    written = b"".join(datafile.dataset_chunks(specs, datafile.column_blocks(columns, n)))
+    assert written == cli._dump_json(dataset_to_json(want)).encode()
 
 
 def _traced_peak_beyond_dataset(read, text, specs) -> int:
@@ -1128,14 +1187,14 @@ _LOG_FILE_CORPUS = {**{name: (text, None) for name, text in PARSE_CORPUS.items()
                     "byte-order-mark-inside": ("A,B\n1,\ufeff2\n", None)}
 
 
-@pytest.mark.parametrize("chars", [1, 7, ingest._BLOCK_CHARS])
+@pytest.mark.parametrize("chars", [1, 7, logfile._BLOCK_CHARS])
 @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["no-bom", "bom"])
 @pytest.mark.parametrize("text, specs", _LOG_FILE_CORPUS.values(), ids=_LOG_FILE_CORPUS.keys())
 def test_log_file_discretizes_as_its_text(tmp_path, text, specs, bom, chars):
     path = tmp_path / "log.csv"
     path.write_bytes(bom + text.encode())
     specs = specs or _sensors(text)
-    with mock.patch.object(ingest, "_BLOCK_CHARS", chars):
+    with mock.patch.object(logfile, "_BLOCK_CHARS", chars):
         log = LogText.of_file(str(path))
         got = _outcome(discretize_text, log, specs)
         want = _outcome(discretize_text, text, specs)
@@ -1154,7 +1213,7 @@ def test_log_file_discretizes_as_its_text(tmp_path, text, specs, bom, chars):
 def test_log_file_that_is_not_utf8_is_refused(tmp_path, data):
     path = tmp_path / "log.csv"
     path.write_bytes(data)
-    with mock.patch.object(ingest, "_BLOCK_CHARS", 8), pytest.raises(UnicodeDecodeError):
+    with mock.patch.object(logfile, "_BLOCK_CHARS", 8), pytest.raises(UnicodeDecodeError):
         LogText.of_file(str(path))
 
 
@@ -1171,9 +1230,9 @@ def _datasets_at_block_boundaries():
             yield f"{cards[0]}-states", DiscreteDataset(specs=ds.specs, data=ds.data[:n])
 
 
-@pytest.mark.parametrize("chars", [1, 17, 40, ingest._BLOCK_CHARS])
+@pytest.mark.parametrize("chars", [1, 17, 40, datafile._BLOCK_CHARS])
 def test_streamed_dataset_is_the_dumped_text(chars):
-    with mock.patch.object(ingest, "_BLOCK_CHARS", chars):
+    with mock.patch.object(datafile, "_BLOCK_CHARS", chars):
         for name, ds in _datasets_at_block_boundaries():
             assert b"".join(dataset_json_chunks(ds)) == cli._dump_json(dataset_to_json(ds)).encode(), \
                 (name, ds.n_records)
@@ -1181,7 +1240,7 @@ def test_streamed_dataset_is_the_dumped_text(chars):
 
 def test_streamed_dataset_is_the_dumped_text_across_full_size_blocks(twostage):
     ds = twostage.sample(5_000, seed=4)
-    step = ingest._BLOCK_CHARS // len(b"0," * len(ds.specs) + b"],\n    [")
+    step = datafile._BLOCK_CHARS // len(b"0," * len(ds.specs) + b"],\n    [")
     for n in (step - 1, step, step + 1, 2 * step):
         part = DiscreteDataset(specs=ds.specs, data=ds.data[:n])
         chunks = list(dataset_json_chunks(part))
