@@ -13,15 +13,15 @@ final newline. Every artifact is written in pieces through one hashing
 once to check it and once to map it to states, one ``bytes`` per DP, and
 writes the dataset a block of records at a time; ``learn`` and ``fit`` read
 a dataset file that is exactly the writer's, of DPs of at most 10 states, a
-block of records at a time, ``learn`` into an array and ``fit`` into one
-``bytes`` per DP, and any other once, whole, through ``json``. No command
-holds the text of a log as a whole, except to name a fault in it.
+block of records at a time into one ``bytes`` per DP, and any other once,
+whole, through ``json``. No command holds the text of a log as a whole,
+except to name a fault in it.
 
 This module imports only the standard library and the package's errors;
 each command imports the modules it runs, so ``--version``, ``--help``,
 ``discretize``, ``compare``, ``export``, ``infer`` and ``impact`` start
-without numpy, and so does ``fit`` on a dataset file in the writer's
-layout. The library names the commands use still resolve as attributes of
+without numpy, and so do ``learn`` and ``fit`` on a dataset file in the
+writer's layout. The library names the commands use still resolve as attributes of
 this module, on first access.
 """
 
@@ -73,7 +73,7 @@ _HOMES = {
     "graph": ("compare", "extend_to_dag", "graph_from_json", "graph_to_dot", "graph_to_json"),
     "impact": ("ImpactConfig", "discover_impact", "load_attacks", "report_to_json"),
     "inference": ("Query", "fit_bayes", "fit_mle", "net_from_json", "net_to_json", "posterior"),
-    "ingest": ("dataset_from_json", "dataset_to_json", "discretize", "parse_log", "read_dataset_file"),
+    "ingest": ("dataset_from_json", "dataset_to_json", "discretize", "parse_log"),
     "learning": ("ClConfig", "HcConfig", "PcConfig", "learn_cl", "learn_hc", "learn_pc"),
     "logfile": ("LogText", "discretize_log", "format_spec_file", "parse_spec_file"),
     "simgen": ("sample_with_clamp", "write_historian_csv"),
@@ -169,20 +169,12 @@ def _load_json(path: str):
         raise ParseError(f"{path} nests its arrays or objects too deeply to read") from None
 
 
-def _load_dataset(path: str):
-    """The dataset file at ``path``, read a block of records at a time when
-    it is exactly what ``discretize`` writes for DPs of at most 10 states,
-    else whole by ``json``; ``dataset_from_json`` then names any fault."""
-    from .ingest import read_dataset_file
-
-    ds = read_dataset_file(path)
-    return ds if ds is not None else _dataset_from_json_file(path)
-
-
 def _load_columns(path: str):
-    """The dataset file at ``path`` as ``fit`` counts it: its columns, read
-    without numpy when the file is exactly what ``discretize`` writes for
-    DPs of at most 10 states, else the dataset that ``json`` reads."""
+    """The dataset file at ``path`` as ``learn`` and ``fit`` count it: its
+    columns, read a block of records at a time and without numpy when the
+    file is exactly what ``discretize`` writes for DPs of at most 10
+    states, else the dataset that ``json`` reads whole; ``dataset_from_json``
+    then names any fault."""
     from .datafile import read_columns
 
     ds = read_columns(path)
@@ -292,7 +284,7 @@ def cmd_learn(args) -> int:
     from .graph import graph_to_json
     from .learning import ClConfig, HcConfig, PcConfig, learn_cl, learn_hc, learn_pc
 
-    ds = _load_dataset(args.dataset)
+    ds = _load_columns(args.dataset)
     score = args.score
     if args.algo == "pc":
         if score not in (None, "chi2"):
@@ -314,7 +306,7 @@ def cmd_learn(args) -> int:
             raise UsageError("cl is scored by mutual information; drop --score")
         if not args.root:
             raise UsageError("cl needs --root")
-        _require_node(ds.names, args.root)
+        _require_node([spec.name for spec in ds.specs], args.root)
         graph = learn_cl(ds, ClConfig(root=args.root))
     config = {
         "algo": args.algo, "score": score, "alpha": args.alpha, "root": args.root,

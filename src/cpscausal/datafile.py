@@ -24,13 +24,13 @@ record takes as many bytes. :func:`written_records` reads such a text a
 block of records at a time: the specs are written back and compared with
 the text, and each block, every digit translated to ``0``, must equal the
 writer's template row repeated. Any other text is left to :mod:`json`,
-which reads it or names its error. ``ingest`` fills ``learn``'s array of
-records from the blocks, and :func:`read_columns` gathers them into
-:class:`Columns`, one ``bytes`` of state indices per DP, which ``fit``
-counts. The one writer, :func:`record_chunks`, mirrors the reader: it
+which reads it or names its error. :func:`read_columns` gathers the blocks
+into :class:`Columns`, one ``bytes`` of state indices per DP, which
+``learn`` and ``fit`` count. The one writer, :func:`record_chunks`, mirrors the reader: it
 fills the same template row with each DP's digits, a block of records at
 a time. Standard library and the package's errors only, so that
-``discretize`` writes, and ``fit`` reads, such a file without numpy.
+``discretize`` writes, and ``learn`` and ``fit`` read, such a file without
+numpy.
 """
 
 from __future__ import annotations
@@ -114,8 +114,8 @@ class VariableSpec:
 
 @dataclass(frozen=True)
 class Columns:
-    """A dataset as ``fit`` counts it: its specs, and its records as one
-    ``bytes`` of state indices per DP, in record order."""
+    """A dataset as ``learn`` and ``fit`` count it: its specs, and its
+    records as one ``bytes`` of state indices per DP, in record order."""
 
     specs: tuple[VariableSpec, ...]
     columns: tuple[bytes, ...]

@@ -12,13 +12,9 @@ states and its parents ``q`` configurations:
                   ``P(c|r) = (N(c,r) + ess/(q*r_i)) / (N(r) + ess/q)``
 
 Each probability is the float that numpy computes from the same counts in
-an integer array, in the same order of operations. A family of at most 256
-cells is counted from per-state bitsets (cached sufficient statistics;
-Moore & Lee 1998, JAIR 8): each state of each DP gets the set of its
-records as the bits of one Python int, read in base 2 from the DP's
-column, and a cell's count is the popcount of the AND of one bitset per DP
-of the family. A larger family is counted with
-:class:`collections.Counter` over its records' states.
+an integer array, in the same order of operations. The counts come from
+:class:`tally.Tallies`, the counting kernel that the scores, tests and
+learners share.
 
 :func:`posterior` runs bucket elimination (Dechter 1999) over log-space
 factors with a min-degree elimination order, in plain Python: each bucket
@@ -30,16 +26,14 @@ evidence has probability zero, so callers must handle unreachable states
 explicitly. The brute-force enumeration oracle it is tested against lives
 in the test suite.
 
-This module imports only the standard library, ``graph``, ``jsontext`` and
-the package's errors, so that ``fit`` on a dataset file that
+This module imports only the standard library, ``graph``, ``jsontext``,
+``tally`` and the package's errors, so that ``fit`` on a dataset file that
 :func:`datafile.read_columns` reads, ``infer`` and ``impact`` start
 without numpy. ``simgen`` samples these CPTs with numpy.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import exp, inf, log, prod
 from numbers import Real
@@ -56,6 +50,7 @@ from .errors import (
 )
 from .graph import CausalGraph, _is_list_of, graph_from_json, graph_to_json, topological_order
 from .jsontext import refuse_lone_surrogate
+from .tally import Tallies
 
 
 @dataclass(frozen=True)
@@ -142,59 +137,10 @@ class BayesNet:
 
 # --- fitting ------------------------------------------------------------------
 
-class _Tallies:
-    """Contingency counts of a dataset's families, from its DPs' columns of
-    state indices and their cardinalities ``cards``. A family of at most
-    256 cells is counted from per-state bitsets, each DP's made once, when
-    a family first needs them; a larger one with :class:`Counter`. See the
-    module docstring."""
-
-    def __init__(self, columns: Sequence[Sequence[int]], cards: Sequence[int]):
-        self.columns, self.cards = columns, cards
-        self._bits: dict[int, list[int]] = {}
-
-    def __call__(self, family: Sequence[int]) -> list[list[int]]:
-        """The counts of the family of columns ``family``, parents first and
-        child last: one row of the child's states per parent configuration,
-        row-major."""
-        cards = [self.cards[k] for k in family]
-        if prod(cards) <= 1 << 8:
-            # one bitset per cell, row-major: the first DP's, each ANDed
-            # with each state's of the next DP, and so on
-            cells = self._state_bits(family[0])
-            for k in family[1:]:
-                cells = [a & b for a in cells for b in self._state_bits(k)]
-            flat = [cell.bit_count() for cell in cells]
-        else:
-            flat = [0] * prod(cards)
-            for states, count in Counter(zip(*[self.columns[k] for k in family])).items():
-                cell = 0
-                for state, card in zip(states, cards):
-                    cell = cell * card + state
-                flat[cell] = count
-        r = cards[-1]
-        return [flat[at:at + r] for at in range(0, len(flat), r)]
-
-    def _state_bits(self, k: int) -> list[int]:
-        """For each state of DP ``k``, the records in it as the set bits of an
-        int, one bit per record, in the same order for every state and DP.
-        Each but the last state's is read in base 2 from the column, a
-        ``bytes``, translated to ``1`` where it holds the state and ``0``
-        elsewhere; the last state's holds the records left."""
-        if k not in self._bits:
-            column, card = self.columns[k], self.cards[k]
-            bits = [int(column.translate(b"0" * s + b"1" + b"0" * (255 - s)), 2) for s in range(card - 1)]
-            rest = (1 << len(column)) - 1
-            for b in bits:
-                rest ^= b
-            self._bits[k] = bits + [rest]
-        return self._bits[k]
-
-
 def _fit(ds, graph: CausalGraph, smooth) -> BayesNet:
     topological_order(graph)
     column_of = {spec.name: k for k, spec in enumerate(ds.specs)}
-    tally = _Tallies(ds.columns, [spec.cardinality for spec in ds.specs])
+    tally = Tallies(ds.columns, [spec.cardinality for spec in ds.specs])
     cpts = {}
     for node in graph.nodes:
         parents = tuple(sorted(graph.parents(node)))

@@ -16,11 +16,10 @@ The dataset JSON file's layout and its writer are :mod:`datafile`'s. The
 CLI writes the file a block of records at a time with
 :func:`datafile.dataset_chunks`, the bytes that :func:`dataset_json_chunks`
 gives for a dataset, and :func:`jsontext.json_text` for its dict, which lays
-out the records with :func:`records_json`. :func:`read_dataset_file` and
-:func:`dataset_from_text` read the writer's text of a dataset whose DPs
-have at most 10 states, and so one digit per cell, into one array from the
-checked blocks of :func:`datafile.written_records`, and any other text
-through :mod:`json`.
+out the records with :func:`records_json`. :func:`dataset_from_text` reads
+the writer's text of a dataset whose DPs have at most 10 states, and so one
+digit per cell, through the columns of :mod:`datafile`'s one reader, and
+any other text through :mod:`json`.
 """
 
 from __future__ import annotations
@@ -31,24 +30,22 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
-from typing import BinaryIO
 
 import numpy as np
 
 from .datafile import (  # noqa: F401  ACTUATOR, SENSOR: still named here
     ACTUATOR,
     SENSOR,
+    Columns,
     VariableSpec,
+    _columns_as_written,
     _specs_from_json,
     _specs_to_json,
     dataset_chunks,
     record_chunks,
     records_per_chunk,
-    row_bytes,
-    written_records,
 )
 from .errors import (
-    CpsCausalError,
     EmptyDataset,
     ParseError,
     UnknownColumn,
@@ -62,11 +59,6 @@ from .logfile import (  # noqa: F401  format_spec_file, parse_spec_file: still n
     parse_spec_file,
     readings,
 )
-
-# The largest contingency table that estimation._tally counts from the
-# per-state bitsets (DiscreteDataset._state_bits) rather than by bincount
-BITSET_CELLS = 128
-
 
 @dataclass(frozen=True)
 class RawLog:
@@ -137,32 +129,10 @@ class DiscreteDataset:
         return tuple(spec.cardinality for spec in self.specs)
 
     @cached_property
-    def _state_bits(self) -> tuple[np.ndarray, np.ndarray]:
-        """The per-state bitsets of every column, stacked: a
-        ``(states, ceil(n_records / 64))`` uint64 array in which bit
-        ``n % 64`` of word ``n // 64`` in row ``first[k] + s`` is set iff
-        record ``n`` has column ``k`` in state ``s``; the bits past the last
-        record are zero. Returns the array and ``first``. A DP with more than
-        ``BITSET_CELLS`` states, whose families the bitsets never count, gets
-        no rows and ``first`` -1."""
-        n = self.n_records
-        width = -(-n // 64) * 64
-        cards = np.array(self.cards)
-        kept = np.where(cards <= BITSET_CELLS, cards, 0)
-        first = np.where(kept > 0, np.cumsum(kept) - kept, -1)
-        bits = np.empty((int(kept.sum()), width // 64), dtype=np.uint64)
-        for k in np.flatnonzero(kept).tolist():
-            member = np.zeros((kept[k], width), dtype=bool)
-            np.equal(self.data[:, k], np.arange(kept[k], dtype=self.data.dtype)[:, None], out=member[:, :n])
-            # popcounts and ANDs do not depend on the byte order inside a word
-            bits[first[k]:first[k] + kept[k]] = np.packbits(member, axis=1, bitorder="little").view(np.uint64)
-        return bits, first
-
-    @property
     def columns(self) -> tuple[bytes | list[int], ...]:
-        """Each DP's state indices in record order, as ``fit`` counts them
-        (see :class:`datafile.Columns`): a ``bytes`` for a DP of at most 256
-        states, else a list."""
+        """Each DP's state indices in record order, as ``fit`` and the
+        learners count them (see :class:`datafile.Columns`): a ``bytes`` for
+        a DP of at most 256 states, else a list."""
         return tuple(col.astype(np.uint8).tobytes() if card <= 1 << 8 else col.tolist()
                      for col, card in zip(self.data.T, self.cards))
 
@@ -307,19 +277,6 @@ def dataset_json_chunks(ds: DiscreteDataset) -> Iterator[bytes]:
     return dataset_chunks(ds.specs, _record_blocks(ds.data))
 
 
-def read_dataset_file(path: str) -> DiscreteDataset | None:
-    """The dataset in the file at ``path`` when its bytes are exactly the
-    writer's (:func:`dataset_json_chunks`) and each DP has at most 10
-    states, read a block of records at a time into one array; else None,
-    also when the file cannot be read, and the caller reads the file whole
-    through :mod:`json`, which reads it or names its error."""
-    try:
-        with open(path, "rb") as fh:
-            return _dataset_as_written(fh)
-    except OSError:
-        return None
-
-
 def dataset_from_text(text: str) -> DiscreteDataset:
     """Read dataset JSON text: the same dataset, or the same error, as
     ``dataset_from_json(json.loads(text))``. The text of a file exactly as
@@ -328,31 +285,19 @@ def dataset_from_text(text: str) -> DiscreteDataset:
     written back and compared with the text, and its records are checked
     byte by byte against the writer's layout. Text that is not JSON raises
     :class:`json.JSONDecodeError`, with json's own message."""
-    ds = _dataset_as_written(io.BytesIO(text.encode()))
-    return ds if ds is not None else dataset_from_json(json.loads(text))
+    columns = _columns_as_written(io.BytesIO(text.encode()))
+    return _dataset_of_columns(columns) if columns is not None else dataset_from_json(json.loads(text))
 
 
-def _dataset_as_written(fh: BinaryIO) -> DiscreteDataset | None:
-    """The dataset of DPs of at most 10 states whose UTF-8 text, as the
-    writer lays it out, is what ``fh`` holds, its records read a block at a
-    time by :func:`datafile.written_records` into one uint8 array; None
-    when there is none, and json then reads it."""
-    found = written_records(fh)
-    if found is None:
-        return None
-    specs, n, blocks = found
-    w = len(specs)
-    data, at = np.empty((n, w), dtype=np.uint8), 0
-    for block in blocks:
-        rows = np.frombuffer(block, dtype=np.uint8).reshape(-1, row_bytes(w))
-        np.subtract(rows[:, 0:2 * w:2], ord("0"), out=data[at:at + len(rows)])
-        at += len(rows)
-    if at < n:
-        return None
-    try:
-        return DiscreteDataset(specs=specs, data=data)
-    except CpsCausalError:
-        return None
+def _dataset_of_columns(columns: Columns) -> DiscreteDataset:
+    """The dataset whose columns :func:`datafile.read_columns` read, as
+    one uint8 array, filled a column at a time as each is let go."""
+    specs, columns = columns.specs, list(columns.columns)
+    data = np.empty((len(columns[0]), len(specs)), dtype=np.uint8)
+    for k in range(len(specs)):
+        data[:, k] = np.frombuffer(columns[k], dtype=np.uint8)
+        columns[k] = None
+    return DiscreteDataset(specs=specs, data=data)
 
 
 def _record_blocks(data: np.ndarray) -> Iterator[tuple[int, list]]:

@@ -9,6 +9,15 @@ directed (undirected edges flagged), in which case
 :func:`graph.extend_to_dag` produces a consistent fully directed
 extension.
 
+Each learner takes a dataset as anything with ``specs`` and ``columns``:
+a :class:`datafile.Columns`, as ``learn`` reads a dataset file, or an
+:class:`ingest.DiscreteDataset`. It counts through one
+:class:`tally.Tallies` for the whole run, and tests or scores each table
+with :mod:`estimation`'s own formulas, so that each statistic, score and
+mutual information is the float that ``chi_square_ci``, ``family_score``
+or ``mutual_information`` gives for it. This module, like those, imports
+only the standard library and the package, and no numpy.
+
 PC's orientation keeps the PDAG as per-node parent, child and undirected
 sets, so each Meek rule is a set expression; ``extend_to_dag`` reads the
 graph's own per-node maps. The test suite's oracles keep the earlier scans
@@ -22,18 +31,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import inf
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import InsufficientData, UnknownColumn, UsageError
-from .estimation import _chi2_sf, _chi_square_stats, _family_scores, mutual_information
+from .estimation import _chi2_sf, _chi_square, _column_of, _mutual_information, _scorer, _tallies
 # no longer called here; bench/tracing.py wraps them under these names
-from .estimation import chi_square_ci, family_score  # noqa: F401
+from .estimation import chi_square_ci, family_score, mutual_information  # noqa: F401
 from .graph import LEARNT, CausalGraph, Edge
-# in graph, so that fit extends a PDAG without numpy; still named here
+# in graph, so that fit extends a PDAG without the learners; still named here
 from .graph import extend_to_dag  # noqa: F401
-from .ingest import DiscreteDataset
+from .tally import Tallies
 
 
 @dataclass(frozen=True)
@@ -80,12 +88,17 @@ class HcResult(NamedTuple):
     trace: tuple[float, ...]
 
 
-def _require_learnable(ds: DiscreteDataset) -> None:
+def _require_learnable(ds) -> None:
     if len(ds.specs) < 2:
         raise InsufficientData("structure learning needs at least 2 variables")
 
 
-def learn_pc(ds: DiscreteDataset, cfg: PcConfig = PcConfig()) -> PcResult:
+def _names(ds) -> tuple[str, ...]:
+    """The dataset's DP names, in column order."""
+    return tuple(spec.name for spec in ds.specs)
+
+
+def learn_pc(ds, cfg: PcConfig = PcConfig()) -> PcResult:
     """PC algorithm: skeleton by conditional-independence tests, then
     v-structure orientation and Meek rules R1-R4.
 
@@ -99,48 +112,46 @@ def learn_pc(ds: DiscreteDataset, cfg: PcConfig = PcConfig()) -> PcResult:
     counts is exact, so its level-0 statistic is 0, p = 1, and every one of
     its edges goes at level 0 with the separating set ``()``.
 
-    Each test of an unordered pair runs once, computed as
+    Each test of an unordered pair runs once, by :func:`_ci_statistic`, as
     ``chi_square_ci(ds, min(i, j), max(i, j), s)`` computes it, and is
-    memoized: level 0 in one batch, and at later levels each pair's untested
-    sets in one batch when the walk reaches the pair. A p-value is computed
-    from the memoized statistic each time the walk reads a test, and only
-    then.
+    memoized. A p-value is computed from the memoized statistic each time
+    the walk reads a test, and only then.
     """
     _require_learnable(ds)
-    names = sorted(ds.names)
+    names = sorted(_names(ds))
     adj: dict[str, set[str]] = {n: set(names) - {n} for n in names}
     sepsets: dict[tuple[str, str], tuple[str, ...]] = {}
     max_cond = cfg.max_cond_size if cfg.max_cond_size is not None else len(names) - 2
 
+    column, tally = _column_of(ds), _tallies(ds)
     # statistics under the key (min(i, j), max(i, j), s)
-    col = {v: ds.index(v) for v in names}
     stats: dict[tuple[str, str, tuple[str, ...]], tuple[float, int]] = {}
 
-    def run(keys: list[tuple[str, str, tuple[str, ...]]]) -> None:
-        keys = [key for key in keys if key not in stats]
-        if keys:
-            stat, dof = _chi_square_stats(ds, [(*(col[v] for v in s), col[a], col[b]) for a, b, s in keys])
-            stats.update(zip(keys, zip(stat.tolist(), dof.tolist())))
-
-    run([(i, j, ()) for i, j in itertools.combinations(names, 2)])  # all of level 0 at once
     for level in range(max_cond + 1):
         if all(len(adj[i]) <= level for i in names):  # no pair has a set of this size left
             break
         for i in names:
             for j in sorted(adj[i]):
                 a, b = min(i, j), max(i, j)
-                keys = [(a, b, s) for s in itertools.combinations(sorted(adj[i] - {j}), level)]
-                run(keys)  # the pair's untested sets in one batch, then read in order
-                for key in keys:
-                    if _chi2_sf(*stats[key]) > cfg.alpha:
+                for s in itertools.combinations(sorted(adj[i] - {j}), level):
+                    if (a, b, s) not in stats:
+                        stats[a, b, s] = _ci_statistic(tally, column, a, b, s)
+                    if _chi2_sf(*stats[a, b, s]) > cfg.alpha:
                         adj[i].discard(j)
                         adj[j].discard(i)
-                        sepsets[(i, j)] = sepsets[(j, i)] = key[2]
+                        sepsets[(i, j)] = sepsets[(j, i)] = s
                         break
     return _pc_orient(ds, names, adj, sepsets)
 
 
-def _pc_orient(ds: DiscreteDataset, names: list[str], adj: dict[str, set[str]],
+def _ci_statistic(tally: Tallies, column: dict[str, int], i: str, j: str, s: tuple[str, ...]) -> tuple[float, int]:
+    """The chi-square statistic and degrees of freedom of i independent of
+    j given s, from the table of ``(*s, i, j)``."""
+    ci, cj = column[i], column[j]
+    return _chi_square(tally.flat((*(column[v] for v in s), ci, cj)), tally.cards[ci], tally.cards[cj])
+
+
+def _pc_orient(ds, names: list[str], adj: dict[str, set[str]],
                sepsets: dict[tuple[str, str], tuple[str, ...]]) -> PcResult:
     """PC's second phase on a learnt skeleton: v-structures, then Meek
     rules R1-R4 until a pass over the sorted undirected pairs orients none.
@@ -189,10 +200,10 @@ def _pc_orient(ds: DiscreteDataset, names: list[str], adj: dict[str, set[str]],
 
     edges = [Edge(p, n, LEARNT, True) for n in names for p in pa[n]]
     edges += [Edge(a, b, LEARNT, False) for a in names for b in und[a] if a < b]
-    return PcResult(CausalGraph(nodes=ds.names, edges=tuple(edges)), sepsets)
+    return PcResult(CausalGraph(nodes=_names(ds), edges=tuple(edges)), sepsets)
 
 
-def learn_hc(ds: DiscreteDataset, cfg: HcConfig = HcConfig()) -> HcResult:
+def learn_hc(ds, cfg: HcConfig = HcConfig()) -> HcResult:
     """Greedy hill-climb over add/remove/reverse moves from the empty graph.
 
     Each iteration applies the single strictly score-improving move with
@@ -207,116 +218,151 @@ def learn_hc(ds: DiscreteDataset, cfg: HcConfig = HcConfig()) -> HcResult:
     The search keeps a delta cache (Chickering 2002; bnlearn's ``hc``):
     each node's family score, and its score with every other node toggled
     into or out of its parent set. A move changes one family (two for a
-    reversal), and only those families are rescored. Legality comes from the
-    descendant sets, built once per iteration: ``s -> d`` may be added iff
-    ``s`` is not a descendant of ``d``, and reversed iff no other child of
-    ``s`` reaches ``d``. Gains are the same float expressions as a move-by-
-    move rescoring, so graph and trace do not depend on the cache. The
-    empty graph's n x n families are scored in one batch, and so are the
-    families each move changes.
+    reversal), and only those families are rescored, each node's own
+    family focused in the counting kernel first (see :mod:`tally`), so that
+    the families one parent away are counted from its table. Each node
+    also keeps its improving add and remove moves sorted best first, so
+    that an iteration reads the first legal move of each node and the
+    reversals of the current edges (:func:`_best_move`). Gains are the same
+    float expressions as a move-by-move rescoring, so graph and trace do
+    not depend on the cache.
     """
     _require_learnable(ds)
-    names = sorted(ds.names)
+    names = sorted(_names(ds))
     n = len(names)
     cap = cfg.max_parents if cfg.max_parents is not None else n
-    col = [ds.index(v) for v in names]
+    column, tally = _column_of(ds), _tallies(ds)
+    col = [column[v] for v in names]
+    scorer = _scorer(cfg.score_method, cfg.ess, tally.n_records)
     memo: dict[tuple[int, tuple[int, ...]], float] = {}  # (child, sorted parents) -> family score
 
-    adj = np.zeros((n, n), dtype=bool)  # adj[s, d]: s is a parent of d
-    own = np.empty(n)                   # own[d]: score of d's family
-    toggled = np.full((n, n), -np.inf)  # toggled[s, d]: d's family score with s toggled,
-                                        # -inf for s == d and for adds past max_parents
+    def scored(d: int, ps: tuple[int, ...]) -> float:
+        if (d, ps) not in memo:
+            memo[d, ps] = scorer(tally.flat((*(col[p] for p in ps), col[d])), tally.cards[col[d]])
+        return memo[d, ps]
 
-    def rescore(*children: int) -> None:
-        """Refill own and toggled for the children, scoring every family
-        not yet in the memo in one batch."""
-        plan = []
-        for d in children:
-            ps = tuple(np.flatnonzero(adj[:, d]).tolist())
-            room = len(ps) < cap
-            flips = {s: tuple(p for p in ps if p != s) if s in ps else tuple(sorted(ps + (s,)))
-                     for s in range(n) if s != d and (room or s in ps)}
-            plan.append((d, ps, flips))
-        todo = list(dict.fromkeys(key for d, ps, flips in plan
-                                  for key in ((d, ps), *((d, f) for f in flips.values()))
-                                  if key not in memo))
-        scores = _family_scores(ds, [(*(col[p] for p in ps), col[d]) for d, ps in todo], cfg.score_method, cfg.ess)
-        memo.update(zip(todo, scores))
-        for d, ps, flips in plan:
-            own[d] = memo[(d, ps)]
-            toggled[:, d] = -np.inf
-            for s, f in flips.items():
-                toggled[s, d] = memo[(d, f)]
+    parents: list[set[int]] = [set() for _ in range(n)]
+    own = [0.0] * n                                  # own[d]: score of d's family
+    # toggled[d][s]: d's family score with s toggled, with no entry for s == d
+    # and for adds past max_parents; moves[d]: d's _moves
+    toggled: list[dict[int, float]] = [{} for _ in range(n)]
+    moves: list[list[tuple[float, int, int]]] = [[] for _ in range(n)]
 
-    rescore(*range(n))  # the empty graph's n x n families in one batch
-    total = sum(own.tolist())
+    def rescore(d: int) -> None:
+        ps = tuple(sorted(parents[d]))
+        flips = {s: tuple(p for p in ps if p != s) if s in parents[d] else tuple(sorted((*ps, s)))
+                 for s in range(n) if s != d and (len(ps) < cap or s in parents[d])}
+        if (d, ps) not in memo or any((d, f) not in memo for f in flips.values()):
+            tally.focus((*(col[p] for p in ps), col[d]))
+        own[d] = scored(d, ps)
+        toggled[d] = {s: scored(d, f) for s, f in flips.items()}
+        moves[d] = _moves(parents[d], own[d], toggled[d])
+
+    for d in range(n):
+        rescore(d)
+    total = sum(own)
     trace: list[float] = []
     for _ in range(cfg.max_iter):
-        reach = _descendants(adj)
-        gain = toggled - own  # gain[s, d] of adding or removing s -> d
-        best = _best_move(np.stack((
-            np.where(~adj & ~reach.T, gain, -np.inf),                                          # add
-            np.where(adj, gain, -np.inf),                                                      # remove
-            np.where(adj & ~_links(adj, reach), gain + toggled.T - own[:, None], -np.inf),  # reverse
-        )))
+        best = _best_move(parents, own, toggled, moves)
         if best is None:
             # a stale iteration changes nothing: plateau_k of them only repeat the score
             trace += [total] * min(cfg.plateau_k, cfg.max_iter - len(trace))
             break
         delta, kind, s, d = best
-        adj[s, d] = kind == 0
-        if kind == 2:
-            adj[d, s] = True
-            rescore(s, d)
+        if kind == 0:
+            parents[d].add(s)
         else:
-            rescore(d)
+            parents[d].remove(s)
+        if kind == 2:
+            parents[s].add(d)
+            rescore(s)
+        rescore(d)
         total += delta
         trace.append(total)
 
-    edges = tuple(Edge(names[s], names[d], LEARNT, True) for s, d in zip(*np.nonzero(adj)))
-    return HcResult(CausalGraph(nodes=ds.names, edges=edges), tuple(trace))
+    arcs = sorted((s, d) for d in range(n) for s in parents[d])
+    edges = tuple(Edge(names[s], names[d], LEARNT, True) for s, d in arcs)
+    return HcResult(CausalGraph(nodes=_names(ds), edges=edges), tuple(trace))
 
 
-def _best_move(gains: np.ndarray) -> tuple[float, int, int, int] | None:
-    """The largest strictly positive ``gains[kind, src, dst]`` with its
-    position, or None. Equal gains go to the smallest (kind, src, dst):
-    the first maximum in C order."""
-    k = int(np.argmax(gains))
-    if not gains.flat[k] > 0:
-        return None
-    return (float(gains.flat[k]), *(int(i) for i in np.unravel_index(k, gains.shape)))
+def _moves(parents: set[int], own: float, toggled: dict[int, float]) -> list[tuple[float, int, int]]:
+    """A node's improving moves of one parent, from its family's score
+    ``own`` and its scores with each other node toggled: each add (kind 0)
+    and remove (kind 1) of ``src`` of gain ``toggled[src] - own`` above 0,
+    as ``(-gain, kind, src)``, best first."""
+    return sorted((-(t - own), int(s in parents), s) for s, t in toggled.items() if t - own > 0)
 
 
-def _descendants(adj: np.ndarray) -> np.ndarray:
-    """Transitive closure of a DAG's adjacency matrix: ``out[u, v]`` iff
-    ``v`` is a strict descendant of ``u``."""
-    reach = adj
-    while True:
-        wider = reach | _links(reach, reach)
-        if (wider == reach).all():
-            return reach
-        reach = wider
+def _best_move(parents: list[set[int]], own: list[float], toggled: list[dict[int, float]],
+               moves: list[list[tuple[float, int, int]]]) -> tuple[float, int, int, int] | None:
+    """The legal move of the largest strictly positive gain, as ``(gain,
+    kind, src, dst)`` with kinds add 0, remove 1 and reverse 2, or None;
+    equal gains go to the smallest ``(kind, src, dst)``. ``s -> d`` may be
+    added iff ``s`` is not a descendant of ``d``, and reversed iff no child
+    of ``s`` reaches ``d``; a reversal gains ``d``'s toggle of ``s`` and
+    ``s``'s of ``d``, as ``((toggled[d][s] - own[d]) + toggled[s][d]) -
+    own[s]``."""
+    children: list[list[int]] = [[] for _ in parents]
+    for d, ps in enumerate(parents):
+        for s in ps:
+            children[s].append(d)
+    below = _descendants(children)
+    best = None  # (-gain, kind, src, dst)
+    for d, column in enumerate(moves):
+        for neg, kind, s in column:
+            if best is not None and (neg, kind, s, d) >= best:
+                break
+            if kind == 0 and below[d] >> s & 1:
+                continue  # s is a descendant of d: adding s -> d would close a cycle
+            best = neg, kind, s, d
+            break
+    for s, kids in enumerate(children):
+        for d in kids:
+            gain = ((toggled[d][s] - own[d]) + toggled[s].get(d, -inf)) - own[s]
+            if gain > 0 and (best is None or (-gain, 2, s, d) < best) and not any(below[k] >> d & 1 for k in kids):
+                best = -gain, 2, s, d
+    return None if best is None else (-best[0], *best[1:])
 
 
-def _links(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The boolean matrix product ``a @ b``, through float32: numpy's bool
-    matmul has no BLAS kernel, and path counts up to 2**24 are exact."""
-    return a.astype(np.float32) @ b.astype(np.float32) > 0
+def _descendants(children: list[list[int]]) -> list[int]:
+    """Each node's strict descendants in a DAG given by its children, as
+    the set bits of an int."""
+    indegree = [0] * len(children)
+    for kids in children:
+        for c in kids:
+            indegree[c] += 1
+    order = [u for u, k in enumerate(indegree) if not k]
+    for u in order:  # Kahn's algorithm: the list grows as it is read
+        for c in children[u]:
+            indegree[c] -= 1
+            if not indegree[c]:
+                order.append(c)
+    below = [0] * len(children)
+    for u in reversed(order):
+        for c in children[u]:
+            below[u] |= 1 << c | below[c]
+    return below
 
 
-def learn_cl(ds: DiscreteDataset, cfg: ClConfig) -> CausalGraph:
+def learn_cl(ds, cfg: ClConfig) -> CausalGraph:
     """Chow-Liu: maximum-weight spanning tree on pairwise mutual
     information, grown from the configured root by Prim's algorithm, so that
     each edge points away from the root. Links rank by the larger mutual
     information, then by the sorted node pair: under that strict order the
     tree is unique."""
     _require_learnable(ds)
-    if cfg.root not in ds.names:
+    nodes = _names(ds)
+    if cfg.root not in nodes:
         raise UnknownColumn(f"root {cfg.root!r} is not a dataset variable")
-    names = sorted(ds.names)
+    names = sorted(nodes)
+    column, tally = _column_of(ds), _tallies(ds)
 
-    weights = {(u, v): mutual_information(ds, u, v)
-               for u, v in itertools.combinations(names, 2)}
+    def mi(u: str, v: str) -> float:
+        i, j = column[u], column[v]
+        tally.focus((i,))  # so that v's last state is the rest of each of u's
+        return _mutual_information(tally.flat((i, j)), tally.cards[i], tally.cards[j], tally.n_records)
+
+    weights = {(u, v): mi(u, v) for u, v in itertools.combinations(names, 2)}
     link: dict[str, tuple[float, tuple[str, str], str]] = {}  # each DP off the tree -> its best link to it
     edges: list[Edge] = []
     u, rest = cfg.root, set(names) - {cfg.root}
@@ -328,4 +374,4 @@ def learn_cl(ds: DiscreteDataset, cfg: ClConfig) -> CausalGraph:
         u = min(rest, key=link.__getitem__)
         rest.remove(u)
         edges.append(Edge(link[u][2], u, LEARNT, True))
-    return CausalGraph(nodes=ds.names, edges=tuple(edges))
+    return CausalGraph(nodes=nodes, edges=tuple(edges))

@@ -342,7 +342,7 @@ def reference_cpt_tables(ds: DiscreteDataset, graph: CausalGraph, ess: float | N
     ``fit_bayes`` fits, computed by numpy from ``counts``'s integer table."""
     out = {}
     for node in graph.nodes:
-        n = counts(ds, node, tuple(sorted(graph.parents(node))))
+        n = np.array(counts(ds, node, tuple(sorted(graph.parents(node)))), dtype=np.intp)
         if ess is None:
             row = n.sum(axis=1)
             empty = row == 0
@@ -393,7 +393,7 @@ def reference_pc_skeleton_start(ds: DiscreteDataset) -> tuple[list[str], dict[st
     # drops its edges with an empty separating set, without a test
     # (chi_square_ci rejects a constant DP).
     for i in names:
-        if (counts(ds, i) > 0).sum() == 1:
+        if sum(1 for n in counts(ds, i)[0] if n) == 1:
             for j in adj[i]:
                 adj[j].discard(i)
                 sepsets[(i, j)] = sepsets[(j, i)] = ()
@@ -557,14 +557,16 @@ def reference_extend_to_dag(pdag: CausalGraph) -> CausalGraph:
 def reference_family_score(ds: DiscreteDataset, child: str, parents: tuple[str, ...],
                            method: str = "bic", ess: float = 1.0) -> float:
     """One family's score from its own count table: BIC as one numpy sum
-    over the non-zero cells, K2 and BDeu row by row with ``math.lgamma``."""
-    n = counts(ds, child, parents)
+    over the non-zero cells of their ``math.log`` terms, K2 and BDeu row by
+    row with ``math.lgamma``."""
+    n = np.array(counts(ds, child, parents), dtype=np.intp)
     q, r = n.shape
     row = n.sum(axis=1)
     if method == "bic":
         mask = n > 0
         row_totals = np.broadcast_to(row[:, None], n.shape)
-        ll = float((n[mask] * np.log(n[mask] / row_totals[mask])).sum())
+        logs = np.array([math.log(x) for x in (n[mask] / row_totals[mask]).tolist()])
+        ll = float((n[mask] * logs).sum())
         return ll - (math.log(ds.n_records) / 2.0) * (r - 1) * q
     if method == "k2":
         out = 0.0

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpscausal import estimation, inference, learning
+from cpscausal import estimation, learning
 from cpscausal.datafile import Columns
 from cpscausal.errors import (
     DuplicateParent,
@@ -35,7 +35,8 @@ from cpscausal.estimation import (
 from cpscausal.fixtures import FIXTURE_NAMES, get_fixture
 from cpscausal.graph import CausalGraph, Edge
 from cpscausal.inference import net_from_json, net_to_json
-from cpscausal.ingest import ACTUATOR, BITSET_CELLS, DiscreteDataset, VariableSpec
+from cpscausal.ingest import ACTUATOR, DiscreteDataset, VariableSpec
+from cpscausal.tally import BITSET_CELLS, Tallies
 from oracles import reference_chi_square, reference_counts, reference_cpt_tables, reference_family_score
 
 
@@ -53,17 +54,18 @@ def make_ds(columns: dict[str, list[int]], cards: dict[str, int] | None = None) 
 class TestCounts:
     def test_direct_tally(self):
         ds = make_ds({"A": [0, 0, 1, 0]})
-        assert counts(ds, "A").tolist() == [[3, 1]]
+        assert counts(ds, "A") == [[3, 1]]
 
     def test_conservation(self):
         rng = np.random.default_rng(0)
         ds = make_ds({"A": rng.integers(0, 2, 50).tolist(),
                       "B": rng.integers(0, 3, 50).tolist()}, cards={"B": 3})
-        assert counts(ds, "A", ("B",)).sum() == 50
+        assert sum(map(sum, counts(ds, "A", ("B",)))) == 50
 
     def test_row_count_is_parent_config_product(self):
         ds = make_ds({"A": [0, 1], "B": [0, 1], "C": [0, 2]}, cards={"C": 3})
-        assert counts(ds, "A", ("B", "C")).shape == (6, 2)
+        table = counts(ds, "A", ("B", "C"))
+        assert len(table) == 6 and {len(row) for row in table} == {2}
 
     def test_duplicate_parent(self):
         ds = make_ds({"A": [0, 1], "B": [0, 1]})
@@ -79,17 +81,18 @@ class TestCounts:
 
 
 # Seven binary DPs (B0..B6), one DP each with 3 to 12 states (C3..C12), and
-# C43, so that a family can have exactly 129 cells (3 * 43)
-_ORACLE_CARDS = {**{f"B{k}": 2 for k in range(7)}, **{f"C{c}": c for c in range(3, 13)}, "C43": 43}
+# C19, so that a family can have 1,026 cells (2 * 3 * 9 * 19), the fewest
+# above BITSET_CELLS that these DPs give
+_ORACLE_CARDS = {**{f"B{k}": 2 for k in range(7)}, **{f"C{c}": c for c in range(3, 13)}, "C19": 19}
 _ORACLE_FAMILIES = [
-    ("B0", ()), ("C12", ()), ("C43", ()),
+    ("B0", ()), ("C12", ()), ("C19", ()),
     ("C3", ("B4", "B1")),
-    ("B2", ("C12", "C7")),                            # 168 cells
-    ("C4", ("B5", "B0", "B3", "B2", "B1")),           # 128 cells, the largest bitset table
-    ("C3", ("C43",)),                                 # 129 cells, the smallest bincount table
-    ("C11", ("C12",)),                                # 132 cells
-    ("B6", ("B3", "B5", "B0", "B4", "B1")),           # 64 cells
-    ("C5", ("C12", "B2", "C7", "B6", "C3")),          # 5040 cells
+    ("B2", ("C12", "C7")),                                  # 168 cells
+    ("C4", ("B5", "B0", "B3", "B2", "C8", "B1")),           # 1,024 cells, the largest bitset table
+    ("C3", ("C19", "B6", "C9")),                            # 1,026 cells, a Counter table
+    ("C11", ("C12", "C9")),                                 # 1,188 cells
+    ("B6", ("B3", "B5", "B0", "B4", "B1")),                 # 64 cells
+    ("C5", ("C12", "B2", "C7", "B6", "C3")),                # 5,040 cells
 ]
 
 
@@ -106,34 +109,34 @@ def _oracle_families(seed: int, n_families: int = 40) -> list[tuple[str, tuple[s
     return out
 
 
-class TestCountsOracle:
-    """``counts`` tallies tables of at most 128 cells from bitsets and larger
-    ones by bincount; both must match a record-by-record tally."""
+def _oracle_ds(n: int) -> DiscreteDataset:
+    rng = np.random.default_rng(n)
+    return make_ds({v: rng.integers(0, c, n).tolist() for v, c in _ORACLE_CARDS.items()}, cards=_ORACLE_CARDS)
 
-    def test_families_cover_both_sides_of_128_cells(self):
+
+class TestCountsOracle:
+    """``counts`` tallies tables of at most BITSET_CELLS cells from bitsets
+    and larger ones with Counter; both must match a record-by-record tally."""
+
+    def test_families_cover_both_sides_of_the_switch(self):
         cells = {math.prod(_ORACLE_CARDS[v] for v in (*ps, c)) for c, ps in _oracle_families(0)}
-        assert {128, 129} <= cells
-        assert min(cells) <= 128 < max(cells)
-        assert max(len(ps) for c, ps in _oracle_families(0)) == 5
+        assert BITSET_CELLS in cells
+        assert min(cells) <= BITSET_CELLS < min(c for c in cells if c > BITSET_CELLS) <= BITSET_CELLS + 2
+        assert max(len(ps) for c, ps in _oracle_families(0)) >= 5
 
     # 63, 64 and 65 records end just before, on and after a 64-bit word
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 1000])
     @pytest.mark.parametrize("layout", ["row_major", "column_major"])
     def test_matches_reference_tally(self, n, layout):
-        rng = np.random.default_rng(n)
-        ds = make_ds({v: rng.integers(0, c, n).tolist() for v, c in _ORACLE_CARDS.items()}, cards=_ORACLE_CARDS)
+        ds = _oracle_ds(n)
         if layout == "column_major":
             ds = DiscreteDataset(specs=ds.specs, data=np.asfortranarray(ds.data, dtype=np.uint8))
         for child, parents in _oracle_families(n):
-            expected = reference_counts(ds, child, parents)
-            got = counts(ds, child, parents)
-            assert got.dtype == expected.dtype == np.intp, (child, parents)
-            assert got.shape == expected.shape, (child, parents)
-            assert np.array_equal(got, expected), (child, parents)
+            assert counts(ds, child, parents) == reference_counts(ds, child, parents).tolist(), (child, parents)
 
-    def test_bincount_of_uint8_columns_does_not_wrap_round(self):
+    def test_counter_of_many_cells_does_not_wrap_round(self):
         # three 12-state DPs: 1,728 cells, above BITSET_CELLS, so counted by
-        # bincount from the dataset's uint8 columns; cells 256 and above wrap in uint8
+        # Counter from the dataset's bytes; cells 256 and above wrap in a byte
         rng = np.random.default_rng(5)
         ds = make_ds({v: [11, *rng.integers(0, 12, 600).tolist()] for v in "XYZ"}, cards=dict.fromkeys("XYZ", 12))
         before = ds.data.copy()
@@ -141,59 +144,78 @@ class TestCountsOracle:
         for child, parents in [("Z", ("X", "Y")), ("X", ("Z", "Y")), ("Y", ("Z", "X"))]:
             expected = reference_counts(ds, child, parents)
             assert expected[-1, -1] >= 1  # the last cell, 1,727, is counted
-            assert np.array_equal(counts(ds, child, parents), expected), (child, parents)
+            assert counts(ds, child, parents) == expected.tolist(), (child, parents)
         assert np.array_equal(ds.data, before)  # and the columns are left as they were
 
 
-# batches of families of the same cardinalities, as DP names with the child
-# last, for _tally under a patched budget: binary families that all share one
-# DP and families that share none, and families on both sides of BITSET_CELLS
-_BUDGET_BATCHES = [
+# families as DP names with the child last, counted through one Tallies in
+# turn: binary families that all share one DP and families that share none,
+# and families on both sides of BITSET_CELLS, each in two orders
+_KERNEL_BATCHES = [
     [("B0",), ("B3",)],
     [("B1", "B0"), ("B2", "B0"), ("B3", "B0"), ("B6", "B0")],
     [("B4", "B5", "B1"), ("B0", "B2", "B3"), ("B6", "B1", "B5")],
     [("B5", "B0", "B3", "B2", "B1", "B4"), ("B0", "B1", "B2", "B3", "B4", "B6"), ("B6", "B5", "B4", "B3", "B2", "B1")],
-    [("B5", "B0", "B3", "B2", "B1", "C4")],     # 128 cells, the largest bitset table
-    [("C43", "C3")],                            # 129 cells, the smallest bincount table
-    [("C12", "C7", "B2")],                      # 168 cells
+    [("B5", "B0", "B3", "B2", "C8", "B1", "C4")],     # 1,024 cells, the largest bitset table
+    [("C19", "B6", "C9", "C3")],                      # 1,026 cells, a Counter table
+    [("C12", "C7", "B2")],                            # 168 cells
 ]
 
 
-class TestTallyBudget:
-    """``_tally`` tiles families, and the 64-record words of a family that
-    outgrows ``_BLOCK_BYTES``; its counts, and the scores and statistics
-    made of them, must not depend on the budget."""
+def _kernel_results(ds, batch, fresh=False):
+    """For each family of ``batch``, counted through one Tallies in turn, or
+    each through its own when ``fresh``: its BIC, K2 and BDeu scores, and
+    the statistic of its last two DPs given the others."""
+    column = estimation._column_of(ds)
+    tally = Tallies(ds.columns, ds.cards)
+    scorers = [estimation._scorer(method, 1.0, ds.n_records) for method in ("bic", "k2", "bdeu")]
+    out = []
+    for family in batch:
+        n = (Tallies(ds.columns, ds.cards) if fresh else tally).flat([column[v] for v in family])
+        out.append(([score(n, ds.cardinality(family[-1])) for score in scorers],
+                    estimation._chi_square(n, ds.cardinality(family[-2]), ds.cardinality(family[-1]))
+                    if len(family) >= 2 else None))
+    return out
 
-    def test_batches_cover_both_sides_of_bitset_cells(self):
-        cells = {math.prod(_ORACLE_CARDS[v] for v in batch[0]) for batch in _BUDGET_BATCHES}
+
+class TestKernelShortcuts:
+    """A table the kernel reads back from one counted before, in another
+    order, sums out of the focused table, splits from it by one more DP, or
+    counts afresh, must hold the same counts, and the scores and statistics
+    made of them must be the same floats."""
+
+    def test_batches_cover_both_sides_of_the_switch(self):
+        cells = {math.prod(_ORACLE_CARDS[v] for v in batch[0]) for batch in _KERNEL_BATCHES}
         assert min(cells) <= BITSET_CELLS < max(cells) and BITSET_CELLS in cells
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 1000])
-    def test_counts_scores_and_statistics_are_exact_under_any_budget(self, n, monkeypatch):
-        rng = np.random.default_rng(n)
-        ds = make_ds({v: rng.integers(0, c, n).tolist() for v, c in _ORACLE_CARDS.items()}, cards=_ORACLE_CARDS)
-        words = -(-n // 64)
-        for batch in _BUDGET_BATCHES:
-            cols = [tuple(map(ds.index, family)) for family in batch]
-            cards = tuple(_ORACLE_CARDS[v] for v in batch[0])
-            tests = [c for c in cols if len(c) >= 2]
-
-            def results():
-                return ([estimation._family_scores(ds, cols, method, 1.0) for method in ("bic", "k2", "bdeu")],
-                        [a.tolist() for a in estimation._chi_square_stats(ds, tests)] if tests else None)
-
-            expected = [reference_counts(ds, f[-1], f[:-1]) for f in batch]
-            default = results()
-            one_family = 8 * math.prod(cards) * words
-            for budget in (1, one_family - 1, one_family, one_family + 1, 2 * one_family, estimation._BLOCK_BYTES):
-                with monkeypatch.context() as patch:
-                    patch.setattr(estimation, "_BLOCK_BYTES", budget)
-                    for family, want in zip(batch, expected):
-                        assert np.array_equal(counts(ds, family[-1], family[:-1]), want), (budget, family)
-                    tally = estimation._tally(ds, np.array(cols), cards)
-                    assert tally.dtype == np.intp, budget
-                    assert tally.tolist() == [want.ravel().tolist() for want in expected], (budget, batch)
-                    assert results() == default, (budget, batch)
+    def test_counts_scores_and_statistics_do_not_depend_on_the_path(self, n):
+        ds = _oracle_ds(n)
+        column = estimation._column_of(ds)
+        for batch in _KERNEL_BATCHES:
+            expected = [reference_counts(ds, f[-1], f[:-1]).ravel().tolist() for f in batch]
+            fresh = [Tallies(ds.columns, ds.cards).flat([column[v] for v in f]) for f in batch]
+            assert fresh == expected, batch
+            default = _kernel_results(ds, batch)
+            tally = Tallies(ds.columns, ds.cards)
+            for family, want in zip(batch, expected):
+                cols = [column[v] for v in family]
+                # each sub-family by one DP less, focused, then the family split from it by the DP left out
+                for k in range(len(cols)):
+                    rest = cols[:k] + cols[k + 1:]
+                    if rest:
+                        tally.focus(rest)
+                        assert Tallies(ds.columns, ds.cards).flat(rest) == tally.flat(rest)
+                    assert tally.flat(cols) == want, (n, family, k)
+                # the family focused, and each sub-family summed out of it, in reverse order
+                tally.focus(cols)
+                for k in range(1, len(cols)):
+                    part = cols[k:][::-1]
+                    assert tally.flat(part) == Tallies(ds.columns, ds.cards).flat(part), (n, family, part)
+                # the family read back in reverse order
+                assert tally.flat(cols[::-1]) == reference_counts(ds, family[0], family[:0:-1]).ravel().tolist()
+            assert _kernel_results(ds, batch) == default == _kernel_results(ds, batch, fresh=True)
+            assert _kernel_results(ds, batch[::-1]) == default[::-1]
 
 
 class TestFitMle:
@@ -273,9 +295,10 @@ class TestFitBayes:
             family_scores(ds, "A", [("B",)], method="bdeu", ess=ess)
 
 
-# families of 255 and 256 cells, the largest that fit counts from bitsets,
-# and of 257, the smallest it counts with Counter
-_CELL_EDGES = [(3, 5, 17), (16, 16), (2, 2, 2, 2, 4, 4), (257,), (2, 257)]
+# families of 1,023 and 1,024 cells, the largest that the kernel counts from
+# bitsets, of 1,025, the smallest it counts with Counter, and with a DP of
+# more than 256 states, which it counts with Counter whatever its cells
+_CELL_EDGES = [(3, 11, 31), (32, 32), (2, 2, 2, 2, 8, 8), (5, 5, 41), (257,), (2, 257)]
 
 
 @given(cards=st.sampled_from(_CELL_EDGES) | st.lists(st.integers(2, 300), min_size=1, max_size=3).filter(
@@ -292,8 +315,8 @@ def test_fit_counts_are_estimations_counts(cards, n, seed, wide):
     ds = make_ds({**extra, **dict(reversed(columns.items()))},
                  cards={"W": 300, **dict(zip(names, cards))})
     family = [ds.index(name) for name in names]
-    tally = inference._Tallies(ds.columns, ds.cards)
-    assert tally(family) == counts(ds, names[-1], names[:-1]).tolist()
+    tally = Tallies(ds.columns, ds.cards)
+    assert tally(family) == counts(ds, names[-1], names[:-1]) == reference_counts(ds, names[-1], names[:-1]).tolist()
 
 
 def _fit_cases():
@@ -393,6 +416,101 @@ class TestChiSquare:
                 assert res.statistic == pytest.approx(stat, rel=1e-12, abs=1e-12), (i, j, s)
                 checked += 1
         assert checked >= 50
+
+
+@st.composite
+def count_tables(draw):
+    """A small contingency table of two or three DPs of 2 to 4 states, row-
+    major over the DPs, with at least one record; zero cells and cells of
+    one record are drawn often, so that empty and single-record rows are
+    common."""
+    cards = draw(st.lists(st.integers(2, 4), min_size=2, max_size=3))
+    cells = draw(st.lists(st.sampled_from([0, 0, 1]) | st.integers(0, 10),
+                          min_size=math.prod(cards), max_size=math.prod(cards)).filter(any))
+    return cards, cells
+
+
+def _table_dataset(cards: list[int], cells: list[int]) -> DiscreteDataset:
+    """The dataset of DPs X0, X1, ... whose table, row-major over them in
+    that order, is ``cells``."""
+    records = [state for cell, count in enumerate(cells) for state in [cell] * count]
+    columns = {}
+    for k in range(len(cards)):
+        stride = math.prod(cards[k + 1:])
+        columns[f"X{k}"] = [cell // stride % cards[k] for cell in records]
+    return make_ds(columns, cards={f"X{k}": card for k, card in enumerate(cards)})
+
+
+def _assert_close(got: float, terms: list, floor: int = 0) -> None:
+    """``got`` is the sum of the mpmath ``terms`` within 1e-12 relative to
+    the sum of their magnitudes, which is the sum itself wherever the terms
+    share a sign, plus ``floor``."""
+    exact = mpmath.fsum(terms)
+    assert abs(mpmath.mpf(got) - exact) <= 1e-12 * (mpmath.fsum(abs(t) for t in terms) + floor), (got, exact)
+
+
+@given(table=count_tables(), ess=st.sampled_from([1e-3, 0.37, 1.0, 2.5, 100.0]))
+@settings(max_examples=300, deadline=None)
+def test_scores_and_statistics_match_mpmath(table, ess):
+    # the family scores, the mutual information and the chi-square statistic
+    # of small tables against their closed forms at 50 digits
+    cards, cells = table
+    ds = _table_dataset(cards, cells)
+    names = list(ds.names)
+    child, parents = names[-1], tuple(names[:-1])
+    r, q, n_records = cards[-1], math.prod(cards[:-1]), sum(cells)
+    rows = [cells[at:at + r] for at in range(0, len(cells), r)]
+    lg = mpmath.loggamma
+    with mpmath.workdps(50):
+        ll = [c * mpmath.log(mpmath.mpf(c) / sum(row)) for row in rows for c in row if c]
+        _assert_close(family_score(ds, child, parents, "bic"),
+                      ll + [-mpmath.log(n_records) / 2 * (r - 1) * q])
+        k2 = [t for row in rows for t in (lg(r), -lg(sum(row) + r), *(lg(c + 1) for c in row))]
+        _assert_close(family_score(ds, child, parents, "k2"), k2)
+        a_row, a_cell = mpmath.mpf(ess) / q, mpmath.mpf(ess) / (q * r)
+        bdeu = [t for row in rows
+                for t in (lg(a_row), -lg(a_row + sum(row)), *(u for c in row for u in (lg(a_cell + c), -lg(a_cell))))]
+        _assert_close(family_score(ds, child, parents, "bdeu", ess=ess), bdeu)
+
+        # the first two DPs' mutual information, over the table summed over the third
+        ci, cj = cards[0], cards[1]
+        joint = [sum(cells[(a * cj + b) * (len(cells) // (ci * cj)):][:len(cells) // (ci * cj)]) for a in range(ci)
+                 for b in range(cj)]
+        row_i = [sum(joint[a * cj:(a + 1) * cj]) for a in range(ci)]
+        col_j = [sum(joint[b::cj]) for b in range(cj)]
+        mi = [mpmath.mpf(joint[a * cj + b]) / n_records
+              * mpmath.log(mpmath.mpf(joint[a * cj + b]) * n_records / (row_i[a] * col_j[b]))
+              for a in range(ci) for b in range(cj) if joint[a * cj + b]]
+        # each term's ratio is rounded before its log, and the terms' weights add up to 1
+        _assert_close(mutual_information(ds, names[0], names[1]), mi, floor=1)
+
+        # the last two DPs given the first when there are three
+        si, sj = cards[-2], cards[-1]
+        chi2, strata = [], 0
+        for at in range(0, len(cells), si * sj):
+            stratum = cells[at:at + si * sj]
+            total = sum(stratum)
+            if not total:
+                continue
+            strata += 1
+            for a in range(si):
+                for b in range(sj):
+                    expected = mpmath.mpf(sum(stratum[a * sj:(a + 1) * sj]) * sum(stratum[b::sj])) / total
+                    if expected:
+                        chi2.append((stratum[a * sj + b] - expected) ** 2 / expected)
+        if 1 in (_states_seen(cards, cells, len(cards) - 2), _states_seen(cards, cells, len(cards) - 1)):
+            with pytest.raises(InsufficientData):
+                chi_square_ci(ds, names[-2], names[-1], tuple(names[:-2]))
+        else:
+            res = chi_square_ci(ds, names[-2], names[-1], tuple(names[:-2]))
+            assert res.dof == (si - 1) * (sj - 1) * strata
+            _assert_close(res.statistic, chi2 or [mpmath.mpf(0)])
+
+
+def _states_seen(cards: list[int], cells: list[int], k: int) -> int:
+    """How many states of the table's DP ``k`` its records hold."""
+    stride = math.prod(cards[k + 1:])
+    return len({cell // stride % cards[k] for cell, count in enumerate(cells) if count})
 
 
 def assert_chi2_tail(p: float, stat: float, dof: int) -> None:
@@ -530,15 +648,17 @@ class TestFamilyScoresMatchReference:
                 assert got == want, (child, method)
 
     def test_tables_above_the_bitset_limit(self):
-        # 5 * 6 * 7 = 210 cells: bincount, mixed in one batch with bitset tables
+        # 5 * 6 * 9 * 7 = 1,890 cells: Counter, mixed in one call with bitset tables
         rng = np.random.default_rng(5)
-        cards = {"A": 5, "B": 6, "C": 7, "D": 2}
+        cards = {"A": 5, "B": 6, "C": 7, "D": 2, "E": 9}
         ds = make_ds({v: rng.integers(0, c, 400).tolist() for v, c in cards.items()}, cards=cards)
-        parent_sets = [(), ("A",), ("A", "B"), ("B", "D"), ("D",)]
+        parent_sets = [(), ("A",), ("A", "B"), ("A", "B", "E"), ("B", "D"), ("D",)]
+        assert 5 * 6 * 9 * 7 > BITSET_CELLS
         for method in ("bic", "k2", "bdeu"):
             assert family_scores(ds, "C", parent_sets, method) == [
                 reference_family_score(ds, "C", ps, method) for ps in parent_sets]
-            assert family_score(ds, "C", ("A", "B"), method) == reference_family_score(ds, "C", ("A", "B"), method)
+            assert family_score(ds, "C", ("A", "B", "E"), method) == \
+                reference_family_score(ds, "C", ("A", "B", "E"), method)
 
     def test_errors(self):
         ds = make_ds({"A": [0, 1], "B": [1, 0]})

@@ -43,7 +43,6 @@ from cpscausal.ingest import (
     parse_log,
     parse_spec_file,
     project,
-    read_dataset_file,
     records_json,
 )
 from cpscausal.fixtures import FIXTURE_NAMES, get_fixture
@@ -1179,7 +1178,7 @@ def test_dataset_reader_holds_one_copy_of_the_text(twostage):
 # --- log and dataset files, a block at a time --------------------------------------
 #
 # The CLI reads a historian log file through LogText.of_file and a dataset
-# file through read_dataset_file, a block of bytes at a time; each must give
+# file through datafile.read_columns, a block of bytes at a time; each must give
 # what the text of the file gives.
 
 _LOG_FILE_CORPUS = {**{name: (text, None) for name, text in PARSE_CORPUS.items()}, **STRADDLE_CORPUS,
@@ -1271,12 +1270,22 @@ def test_dataset_file_reads_as_its_text(tmp_path, chars):
     with mock.patch.object(datafile, "_BLOCK_CHARS", chars):
         for text in _dataset_file_texts():
             path.write_bytes(text.encode())
-            ds = read_dataset_file(str(path))
-            assert (ds is not None) == (read_as_one_array(text) and not text.startswith("\ufeff")), text
-            if ds is not None:
-                assert _read_outcome(lambda _: ds, None) == _read_outcome(dataset_from_text, text)
-            # fit's columns come from the same blocks, and from no other text
-            assert _columns_outcome(lambda: datafile.read_columns(str(path))) == _columns_outcome(lambda: ds), text
+            columns = datafile.read_columns(str(path))
+            assert (columns is not None) == (read_as_one_array(text) and not text.startswith("\ufeff")), text
+            if columns is not None:
+                assert _columns_outcome(lambda: columns) == \
+                    _columns_outcome(lambda: reference_dataset_from_text(text)) == \
+                    _columns_outcome(lambda: dataset_from_text(text)), text
+
+
+def _loaded_outcome(read, arg):
+    """The specs and columns of the dataset ``read(arg)`` gives, or the
+    class and message of its error."""
+    try:
+        ds = read(arg)
+    except (CpsCausalError, json.JSONDecodeError) as exc:
+        return type(exc), str(exc)
+    return ds.specs, ds.columns
 
 
 def test_cli_reads_each_dataset_file_as_the_reference_reads_its_text(tmp_path):
@@ -1284,10 +1293,10 @@ def test_cli_reads_each_dataset_file_as_the_reference_reads_its_text(tmp_path):
     for text in _dataset_file_texts():
         path.write_bytes(text.encode())
         # the CLI drops a leading byte-order mark, and names a text that is not JSON as a data error
-        want = _read_outcome(reference_dataset_from_text, text.removeprefix("\ufeff"))
+        want = _loaded_outcome(reference_dataset_from_text, text.removeprefix("\ufeff"))
         if want[0] is json.JSONDecodeError:
             want = DataError, f"{path} is not valid JSON: {want[1]}"
-        assert _read_outcome(cli._load_dataset, str(path)) == want, text
+        assert _loaded_outcome(cli._load_columns, str(path)) == want, text
 
 
 _ONE_DIGIT_TEXT = _written_dataset((3, 2), 20)[0]
@@ -1303,9 +1312,9 @@ _JSON_DATASET_FILES = {
 def test_cli_reads_a_dataset_file_that_json_reads_in_one_attempt(tmp_path, text):
     path = tmp_path / "dataset.json"
     path.write_bytes(text.encode())
-    as_written, loads = mock.Mock(wraps=ingest._dataset_as_written), mock.Mock(wraps=json.loads)
-    with mock.patch.object(ingest, "_dataset_as_written", as_written), mock.patch("json.loads", loads):
-        ds = cli._load_dataset(str(path))
+    as_written, loads = mock.Mock(wraps=datafile._columns_as_written), mock.Mock(wraps=json.loads)
+    with mock.patch.object(datafile, "_columns_as_written", as_written), mock.patch("json.loads", loads):
+        ds = cli._load_columns(str(path))
     # one look for the writer's layout, then json parses the whole text once
     assert as_written.call_count == 1
     assert [call.args[0] for call in loads.call_args_list].count(text) == 1
@@ -1342,9 +1351,9 @@ def test_cli_file_readers_hold_no_more_as_the_file_grows(tmp_path, twostage, for
         dataset = tmp_path / f"{name}.json"
         extra["write", name], _ = _traced_peak(lambda: cli._atomic_write(dataset, dataset_json_chunks(read)))
         assert dataset.read_bytes() == cli._dump_json(dataset_to_json(read)).encode()
-        peak, back = _traced_peak(lambda: cli._load_dataset(str(dataset)))
-        extra["dataset", name] = peak - back.data.nbytes
-        assert np.array_equal(back.data, read.data)
+        peak, back = _traced_peak(lambda: cli._load_columns(str(dataset)))
+        extra["dataset", name] = peak - sum(map(len, back.columns))
+        assert back.specs == read.specs and back.columns == read.columns
     for reader in ("log", "write", "dataset"):
         # a block at a time: four times the file, and the same memory beyond the dataset
         assert extra[reader, "40k"] <= 1.25 * extra[reader, "10k"], (reader, extra)

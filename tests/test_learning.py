@@ -23,6 +23,7 @@ from cpscausal.learning import (
     HcConfig,
     PcConfig,
     _best_move,
+    _moves,
     _pc_orient,
     extend_to_dag,
     learn_cl,
@@ -30,6 +31,7 @@ from cpscausal.learning import (
     learn_pc,
 )
 from cpscausal.simgen import forward_sample
+from cpscausal.tally import Tallies
 from oracles import (
     all_spanning_trees,
     random_net,
@@ -98,12 +100,12 @@ class TestPc:
         c = ds.index("P102")
         data[:, c] = ds.cardinality("P102") - 1
         ds = DiscreteDataset(specs=ds.specs, data=data)
-        tests = [(*s, min(c, j), max(c, j))
-                 for j in range(len(ds.names)) if j != c
-                 for s in itertools.combinations([k for k in range(len(ds.names)) if k not in (c, j)], n_cond)]
-        stats, dofs = learning._chi_square_stats(ds, tests)
-        assert stats.tolist() == [0.0] * len(tests)
-        assert all(learning._chi2_sf(0.0, dof) == 1.0 for dof in dofs.tolist())
+        tally, column = Tallies(ds.columns, ds.cards), {v: ds.index(v) for v in ds.names}
+        tests = [learning._ci_statistic(tally, column, min("P102", j), max("P102", j), s)
+                 for j in ds.names if j != "P102"
+                 for s in itertools.combinations([v for v in ds.names if v not in ("P102", j)], n_cond)]
+        assert [stat for stat, dof in tests] == [0.0] * len(tests)
+        assert all(learning._chi2_sf(0.0, dof) == 1.0 for stat, dof in tests)
 
     def test_single_variable_insufficient(self):
         ds = make_ds({"A": [0, 1]})
@@ -328,20 +330,76 @@ class TestHcMatchesReference:
         for method in ("bic", "k2", "bdeu"):
             self.assert_same(ds, HcConfig(score_method=method))
 
+    @staticmethod
+    def hc_state(n, edges, own, toggled):
+        """learn_hc's search state over nodes 0..n-1: their parent sets from
+        ``edges`` (src, dst), each node's ``own`` score and ``toggled``
+        scores, and its moves."""
+        parents = [{s for s, d in edges if d == v} for v in range(n)]
+        return parents, own, toggled, [_moves(parents[d], own[d], toggled[d]) for d in range(n)]
+
     def test_best_move_tie_break(self):
-        # gains[kind, src, dst], kinds add < remove < reverse
-        g = np.full((3, 3, 3), -np.inf)
-        g[2, 0, 1] = g[1, 2, 0] = g[0, 2, 1] = 1.5
-        assert _best_move(g) == (1.5, 0, 2, 1)
-        g[0, 2, 1] = -np.inf
-        assert _best_move(g) == (1.5, 1, 2, 0)
-        g[1, 2, 0] = -np.inf
-        g[2, 1, 0] = g[2, 0, 2] = 1.5
-        assert _best_move(g) == (1.5, 2, 0, 1)
-        g[1, 1, 1] = 2.0
-        assert _best_move(g) == (2.0, 1, 1, 1)
-        g[g > 0] = 0.0  # a move must strictly improve the score
-        assert _best_move(g) is None
+        # 2 -> 0 -> 1 with every score 0 but these: adding 2 -> 1, removing
+        # 2 -> 0 and reversing 0 -> 1 (0.5 for 1 without 0, 1.0 for 0 with 1)
+        # each gain 1.5; adding 1 -> 0 gains 1.0 but would close a cycle
+        toggled = [{1: 1.0, 2: 1.5}, {0: 0.5, 2: 1.5}, {0: -1.0, 1: -5.0}]
+        state = self.hc_state(3, [(2, 0), (0, 1)], [0.0, 0.0, 0.0], toggled)
+        assert _best_move(*state) == (1.5, 0, 2, 1)  # the add first
+        toggled[1][2] = -1.0
+        state = self.hc_state(3, [(2, 0), (0, 1)], [0.0, 0.0, 0.0], toggled)
+        assert _best_move(*state) == (1.5, 1, 2, 0)  # then the remove
+        toggled[0][2] = 0.25
+        state = self.hc_state(3, [(2, 0), (0, 1)], [0.0, 0.0, 0.0], toggled)
+        assert _best_move(*state) == (1.5, 2, 0, 1)  # then the reversal
+        # adding 2 -> 1 and 1 -> 2 each gain 2.0, but 1 -> 2 would close a cycle
+        toggled[1][2], toggled[2][1] = 2.0, 0.0
+        state = self.hc_state(3, [(2, 0), (0, 1)], [0.0, 0.0, -2.0], toggled)
+        assert _best_move(*state) == (2.0, 0, 2, 1)  # a larger gain wins
+        state = self.hc_state(3, [(2, 0), (0, 1)], [2.0, 2.0, 3.0], toggled)
+        assert _best_move(*state) is None  # a move must strictly improve the score: adding 2 -> 1 gains 0.0
+
+    def test_reversal_past_another_path_is_illegal(self):
+        # 0 -> 1 -> 2 and 0 -> 2: reversing 0 -> 2 would close 0 -> 1 -> 2 -> 0
+        toggled = [{2: 0.0}, {0: 0.0, 2: 0.0}, {0: 5.0, 1: 0.0}]
+        state = self.hc_state(3, [(0, 1), (1, 2), (0, 2)], [-5.0, 0.0, 0.0], toggled)
+        assert _best_move(*state) == (5.0, 1, 0, 2)  # the remove; the reversal would gain 10
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_matches_a_scan_of_every_move(self, data):
+        # scores from a few values, so that gains tie exactly, on a random
+        # DAG; each node's toggle of another may be missing, as past max_parents
+        n = data.draw(st.integers(2, 6))
+        order = data.draw(st.permutations(range(n)))
+        edges = [(order[a], order[b]) for a, b in itertools.combinations(range(n), 2) if data.draw(st.booleans())]
+        values = st.sampled_from([-1.0, 0.0, 0.5, 1.5, 2.0])
+        parents = [{s for s, d in edges if d == v} for v in range(n)]
+        toggled = [{s: data.draw(values) for s in range(n) if s != d and (s in parents[d] or data.draw(st.booleans()))}
+                   for d in range(n)]
+        own = [data.draw(values) for _ in range(n)]
+
+        def reaches(graph, a, b):
+            seen, stack = set(), [a]
+            while stack:
+                v = stack.pop()
+                if v == b:
+                    return True
+                stack += [w for s, w in graph if s == v and w not in seen]
+                seen.update(w for s, w in graph if s == v)
+            return False
+
+        want = []
+        for s, d in itertools.permutations(range(n), 2):
+            if (s, d) in edges:
+                want.append((-(toggled[d][s] - own[d]), 1, s, d))
+                rest = [e for e in edges if e != (s, d)]
+                if d in toggled[s] and not reaches(rest, s, d):
+                    want.append((-(((toggled[d][s] - own[d]) + toggled[s][d]) - own[s]), 2, s, d))
+            elif s in toggled[d] and not reaches(edges, d, s):
+                want.append((-(toggled[d][s] - own[d]), 0, s, d))
+        best = min((key for key in want if key[0] < 0), default=None)
+        got = _best_move(*self.hc_state(n, edges, own, toggled))
+        assert got == (None if best is None else (-best[0], *best[1:]))
 
     def test_exact_ties(self):
         # A and B are the same column, so A -> B and B -> A gain the same
@@ -393,16 +451,16 @@ class TestPcMatchesReference:
             data[:, ds.index(v)] = ds.cardinality(v) - 1  # a state other than 0
         ds = DiscreteDataset(specs=ds.specs, data=data)
         seen = []
-        batched = learning._chi_square_stats
+        statistic = learning._ci_statistic
 
-        def recording(ds, tests):
-            stats, dofs = batched(ds, tests)
-            seen.extend(zip(tests, stats.tolist()))
-            return stats, dofs
+        def recording(tally, column, i, j, s):
+            stat, dof = statistic(tally, column, i, j, s)
+            seen.append((i, j, stat))
+            return stat, dof
 
-        monkeypatch.setattr(learning, "_chi_square_stats", recording)
+        monkeypatch.setattr(learning, "_ci_statistic", recording)
         self.assert_same(ds)
-        assert all(stat == 0.0 for (*s, i, j), stat in seen if {ds.names[i], ds.names[j]} & set(constant))
+        assert all(stat == 0.0 for i, j, stat in seen if {i, j} & set(constant))
         for cfg in self.CONFIGS:
             got = learn_pc(ds, cfg)
             for c in constant:
@@ -415,19 +473,21 @@ class TestPcMatchesReference:
         # chi_square_ci gives for the pair in name order
         ds = get_fixture(fixture).sample(n, seed=31)
         seen = []
-        batched = learning._chi_square_stats
+        statistic = learning._ci_statistic
 
-        def recording(ds, tests):
-            stats, dofs = batched(ds, tests)
-            seen.extend(zip(tests, stats.tolist(), dofs.tolist()))
-            return stats, dofs
+        def recording(tally, column, i, j, s):
+            stat, dof = statistic(tally, column, i, j, s)
+            seen.append(((i, j, s), stat, dof))
+            return stat, dof
 
-        monkeypatch.setattr(learning, "_chi_square_stats", recording)
+        monkeypatch.setattr(learning, "_ci_statistic", recording)
         learn_pc(ds, PcConfig(alpha=0.05))
         assert seen
-        for (*s, i, j), stat, dof in seen:
-            assert ds.names[i] < ds.names[j]
-            res = chi_square_ci(ds, ds.names[i], ds.names[j], [ds.names[k] for k in s])
+        # each test of a pair and a conditioning set runs once
+        assert len({key for key, stat, dof in seen}) == len(seen)
+        for (i, j, s), stat, dof in seen:
+            assert i < j
+            res = chi_square_ci(ds, i, j, s)
             assert (res.statistic, res.dof) == (stat, dof), (i, j, s)
 
 
