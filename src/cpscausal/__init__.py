@@ -6,7 +6,8 @@ a cyber attack on a given target set impacts.
 
 The version and the error classes are bound on import. Every other public
 name is imported from its module on first access (PEP 562), so that
-``import cpscausal`` loads no numpy.
+``import cpscausal`` loads no numpy, which only the sampler of
+``simgen`` imports.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ __version__ = "0.1.0"
 from .errors import CpsCausalError, DataError, ModelError, UsageError
 
 _HOMES = {
-    "datafile": ("VariableSpec",),
+    "datafile": ("DiscreteDataset", "VariableSpec"),
     "estimation": ("CiResult", "chi_square_ci", "counts", "mutual_information", "score"),
     "graph": ("CausalGraph", "Edge", "EdgeDiff", "add_edge", "break_cycles", "compare", "d_separated",
               "extend_to_dag", "is_dag", "markov_equivalent", "structures", "topological_order"),
     "impact": ("AttackSpec", "ImpactConfig", "ImpactReport", "classify_attack", "discover_impact",
                "load_domain_graph"),
     "inference": ("BayesNet", "Cpt", "Query", "fit_bayes", "fit_mle", "posterior"),
-    "ingest": ("DiscreteDataset", "RawLog", "discretize", "discretize_text", "parse_log", "project"),
+    "ingest": ("RawLog", "discretize", "parse_log", "project"),
     "learning": ("ClConfig", "HcConfig", "PcConfig", "learn_cl", "learn_hc", "learn_pc"),
     "simgen": ("FixtureNet", "forward_sample", "sample_with_clamp"),
 }

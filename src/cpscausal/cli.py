@@ -11,17 +11,16 @@ dataset reader also finds the layout it reads fast; ``_dump_json`` adds the
 final newline. Every artifact is written in pieces through one hashing
 ``_atomic_write``. ``discretize`` reads the historian log a block at a time,
 once to check it and once to map it to states, one ``bytes`` per DP, and
-writes the dataset a block of records at a time; ``learn`` and ``fit`` read
-a dataset file that is exactly the writer's, of DPs of at most 10 states, a
-block of records at a time into one ``bytes`` per DP, and any other once,
-whole, through ``json``. No command holds the text of a log as a whole,
-except to name a fault in it.
+writes the dataset a block of records at a time. ``learn`` and ``fit`` read
+a dataset file through ``_load_columns``, the one reader: a file that is
+exactly the writer's, of DPs of at most 10 states, a block of records at a
+time into one ``bytes`` per DP, and any other once, whole, through
+``json``. No command holds the text of a log as a whole, except to name a
+fault in it.
 
 This module imports only the standard library and the package's errors;
-each command imports the modules it runs, so ``--version``, ``--help``,
-``discretize``, ``compare``, ``export``, ``infer`` and ``impact`` start
-without numpy, and so do ``learn`` and ``fit`` on a dataset file in the
-writer's layout. The library names the commands use still resolve as attributes of
+each command imports the modules it runs, and only ``sample`` loads
+numpy. The library names the commands use still resolve as attributes of
 this module, on first access.
 """
 
@@ -68,12 +67,12 @@ FIXTURE_NAMES = ("chain3", "collider3", "fork3", "stage1", "stage1_learnt", "sta
 # the library names the commands run, by module; in-process callers, such as
 # the benchmark's traced pass, read and wrap them as attributes of this module
 _HOMES = {
-    "datafile": ("column_blocks", "dataset_chunks", "read_columns"),
+    "datafile": ("column_blocks", "dataset_chunks", "dataset_from_json", "dataset_to_json", "read_columns"),
     "fixtures": ("get_fixture",),
     "graph": ("compare", "extend_to_dag", "graph_from_json", "graph_to_dot", "graph_to_json"),
     "impact": ("ImpactConfig", "discover_impact", "load_attacks", "report_to_json"),
     "inference": ("Query", "fit_bayes", "fit_mle", "net_from_json", "net_to_json", "posterior"),
-    "ingest": ("dataset_from_json", "dataset_to_json", "discretize", "parse_log"),
+    "ingest": ("discretize", "parse_log"),
     "learning": ("ClConfig", "HcConfig", "PcConfig", "learn_cl", "learn_hc", "learn_pc"),
     "logfile": ("LogText", "discretize_log", "format_spec_file", "parse_spec_file"),
     "simgen": ("sample_with_clamp", "write_historian_csv"),
@@ -95,8 +94,8 @@ EXIT_MODEL = 4
 
 
 def _dump_json(obj) -> str:
-    """Artifact text: ``json.dumps(obj, indent=2)``, except that a 2-D
-    integer array, such as a dataset's records, gets one row per line."""
+    """Artifact text: ``json.dumps(obj, indent=2)``, except that
+    ``jsontext.Rows``, such as a dataset's records, get one row per line."""
     return json_text(obj, "\n") + "\n"
 
 
@@ -170,21 +169,14 @@ def _load_json(path: str):
 
 
 def _load_columns(path: str):
-    """The dataset file at ``path`` as ``learn`` and ``fit`` count it: its
-    columns, read a block of records at a time and without numpy when the
-    file is exactly what ``discretize`` writes for DPs of at most 10
-    states, else the dataset that ``json`` reads whole; ``dataset_from_json``
-    then names any fault."""
-    from .datafile import read_columns
+    """The dataset file at ``path``, as ``learn`` and ``fit`` read it: a
+    block of records at a time when the file is exactly what ``discretize``
+    writes for DPs of at most 10 states, else whole, through ``json``;
+    ``dataset_from_json`` then names any fault."""
+    from .datafile import dataset_from_json, read_columns
 
     ds = read_columns(path)
-    return ds if ds is not None else _dataset_from_json_file(path)
-
-
-def _dataset_from_json_file(path: str):
-    from .ingest import dataset_from_json
-
-    return dataset_from_json(_load_json(path))
+    return ds if ds is not None else dataset_from_json(_load_json(path))
 
 
 def _parse_assignments(text: str) -> dict[str, str]:
@@ -287,15 +279,13 @@ def cmd_learn(args) -> int:
     ds = _load_columns(args.dataset)
     score = args.score
     if args.algo == "pc":
-        if score not in (None, "chi2"):
-            raise UsageError("pc uses the chi2 independence test; --score must be chi2")
+        if score is not None:
+            raise UsageError("pc uses the chi2 independence test; drop --score")
         cfg = PcConfig(alpha=args.alpha, max_cond_size=args.max_cond_size)
         graph = learn_pc(ds, cfg).graph
     elif args.algo == "hc":
         if score is None:
             score = "bic"
-        if score == "chi2":
-            raise UsageError("hc needs a decomposable score: bic, k2, or bdeu")
         if score == "bdeu":
             _require_ess(args.ess)
         cfg = HcConfig(score_method=score, plateau_k=args.plateau_k, max_iter=args.max_iter,
@@ -455,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("learn", help="learn a causal graph from a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--algo", choices=("pc", "hc", "cl"), default="hc")
-    p.add_argument("--score", choices=("chi2", "bic", "k2", "bdeu"))
+    p.add_argument("--score", choices=("bic", "k2", "bdeu"))
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--root", help="root node (cl only)")
     p.add_argument("--ess", type=float, default=1.0)

@@ -1,7 +1,11 @@
-"""Variable specs and the dataset file: its layout and its one fast reader.
+"""Variable specs, the one dataset type, and the dataset file: its layout,
+its one writer and its fast reader.
 
 A :class:`VariableSpec` fixes a DP's state vocabulary, and a sensor's bin
-edges. A dataset file holds the specs and the records' state indices:
+edges. A :class:`DiscreteDataset` holds the specs and one column of state
+indices per DP, a ``bytes`` for a DP of at most 256 states; every command
+and the library's counting kernel (:attr:`DiscreteDataset.tallies`) read
+it so. A dataset file holds the specs and the records' state indices:
 
   {"specs": [{"name", "kind", "states", "bin_edges", "codes"}, ...],
    "data": [[state index per spec], ...]}
@@ -19,18 +23,18 @@ which the CLI writes with :func:`jsontext.json_text`, as
     ]
   }
 
-When every DP has at most 10 states, every cell is one digit, so every
-record takes as many bytes. :func:`written_records` reads such a text a
-block of records at a time: the specs are written back and compared with
-the text, and each block, every digit translated to ``0``, must equal the
-writer's template row repeated. Any other text is left to :mod:`json`,
-which reads it or names its error. :func:`read_columns` gathers the blocks
-into :class:`Columns`, one ``bytes`` of state indices per DP, which
-``learn`` and ``fit`` count. The one writer, :func:`record_chunks`, mirrors the reader: it
-fills the same template row with each DP's digits, a block of records at
-a time. Standard library and the package's errors only, so that
-``discretize`` writes, and ``learn`` and ``fit`` read, such a file without
-numpy.
+The one writer, :func:`record_chunks`, writes the records a block at a
+time: a block whose cells are all one digit fills a template row with
+each DP's digits, and any other is written a record at a time. When every DP
+has at most 10 states, every cell is one digit, so every record takes as
+many bytes. :func:`written_records` reads such a text a block of records
+at a time: the specs are written back and compared with the text, and
+each block, every digit translated to ``0``, must equal the writer's
+template row repeated; :func:`read_columns` gathers the blocks into a
+dataset. Any other text is left to :mod:`json`, and
+:func:`dataset_from_json` reads what it parses or names its fault.
+Standard library and the package only, so that no command but ``sample``
+loads numpy.
 """
 
 from __future__ import annotations
@@ -39,12 +43,16 @@ import io
 import json
 import re
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from math import isfinite
 from typing import BinaryIO
 
-from .errors import CpsCausalError, ParseError
-from .jsontext import json_text, refuse_lone_surrogate
+from .errors import CpsCausalError, EmptyDataset, ParseError, UnknownColumn, UnmappedActuatorValue
+from .jsontext import Rows, json_text, refuse_lone_surrogate
+from .tally import Tallies
 
 SENSOR = "sensor"
 ACTUATOR = "actuator"
@@ -113,12 +121,81 @@ class VariableSpec:
 
 
 @dataclass(frozen=True)
-class Columns:
-    """A dataset as ``learn`` and ``fit`` count it: its specs, and its
-    records as one ``bytes`` of state indices per DP, in record order."""
+class DiscreteDataset:
+    """A discretized dataset: its specs, and its records as one column of
+    state indices per DP, in record order: a ``bytes`` for a DP of at most
+    256 states, else a list of ints. A column given as any other sequence
+    of ints is held so once its states are checked.
+
+    Raises :class:`EmptyDataset` when the columns do not match the specs
+    one to one and in length, or hold no record, :class:`ParseError` when a
+    name repeats, and :class:`UnmappedActuatorValue` for the first DP with
+    a state index outside its states. A dataset of no DPs holds no record."""
 
     specs: tuple[VariableSpec, ...]
-    columns: tuple[bytes, ...]
+    columns: tuple[bytes | list[int], ...] = field(repr=False)
+
+    def __post_init__(self):
+        specs, columns = tuple(self.specs), tuple(self.columns)
+        if len(columns) != len(specs) or len(set(map(len, columns))) > 1:
+            raise EmptyDataset("data shape does not match specs")
+        if columns and not len(columns[0]):
+            raise EmptyDataset("dataset needs at least one record")
+        object.__setattr__(self, "specs", specs)
+        if len(self._column_of) != len(specs):
+            repeated = sorted({name for name in self.names if self.names.count(name) > 1})
+            raise ParseError(f"variable names must be unique; repeated: {', '.join(map(repr, repeated))}")
+        held = []
+        for spec, column in zip(specs, columns):
+            card = spec.cardinality
+            if card <= 1 << 8 and not isinstance(column, (bytes, bytearray)):
+                with suppress(ValueError, TypeError):  # a state outside 0..255, or not an int
+                    column = bytes(column)
+            if isinstance(column, (bytes, bytearray)):
+                if card < 1 << 8 and column.translate(None, bytes(range(card))):
+                    raise UnmappedActuatorValue(f"{spec.name}: state index out of range")
+            elif min(column) < 0 or max(column) >= card:
+                raise UnmappedActuatorValue(f"{spec.name}: state index out of range")
+            held.append(bytes(column) if card <= 1 << 8 else list(column))
+        object.__setattr__(self, "columns", tuple(held))
+
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        return tuple(s.name for s in self.specs)
+
+    @cached_property
+    def _column_of(self) -> dict[str, int]:
+        return {name: k for k, name in enumerate(self.names)}
+
+    @cached_property
+    def cards(self) -> tuple[int, ...]:
+        """The cardinality of each column, in column order."""
+        return tuple(spec.cardinality for spec in self.specs)
+
+    @cached_property
+    def tallies(self) -> Tallies:
+        """The one counting kernel over the columns, which keeps every table
+        it counts for each later count of the dataset."""
+        return Tallies(self.columns, self.cards)
+
+    @property
+    def n_records(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+    def index(self, name: str) -> int:
+        try:
+            return self._column_of[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            raise UnknownColumn(f"no variable named {name!r}") from None
+
+    def spec(self, name: str) -> VariableSpec:
+        return self.specs[self.index(name)]
+
+    def column(self, name: str) -> bytes | list[int]:
+        return self.columns[self.index(name)]
+
+    def cardinality(self, name: str) -> int:
+        return self.spec(name).cardinality
 
 
 def _specs_to_json(specs: tuple[VariableSpec, ...]) -> list[dict]:
@@ -289,12 +366,12 @@ def record_chunks(blocks: Iterable[tuple[int, Sequence[bytes | Sequence[int]]]],
             yield head[:-1] + sep.decode().join(rows).encode()
 
 
-def read_columns(path: str) -> Columns | None:
-    """The dataset in the file at ``path`` as :class:`Columns`, when its
-    bytes are exactly the writer's, each DP has at most 10 states and the
-    records pass :class:`ingest.DiscreteDataset`'s checks; else None, also
-    when the file cannot be read, and the caller reads the file whole
-    through :mod:`json`, which reads it or names its error."""
+def read_columns(path: str) -> DiscreteDataset | None:
+    """The dataset in the file at ``path``, when its bytes are exactly the
+    writer's, each DP has at most 10 states and the records pass
+    :class:`DiscreteDataset`'s checks; else None, also when the file cannot
+    be read, and the caller reads the file whole through :mod:`json`, which
+    reads it or names its error."""
     try:
         with open(path, "rb") as fh:
             return _columns_as_written(fh)
@@ -302,11 +379,11 @@ def read_columns(path: str) -> Columns | None:
         return None
 
 
-def _columns_as_written(fh: BinaryIO) -> Columns | None:
-    """The columns of the dataset whose writer's text ``fh`` holds, as
-    :func:`read_columns` reads them: each DP's digits gathered from the
-    blocks of :func:`written_records` into one ``bytes``, then translated to
-    state indices and checked against the DP's states, one DP at a time."""
+def _columns_as_written(fh: BinaryIO) -> DiscreteDataset | None:
+    """The dataset whose writer's text ``fh`` holds, as :func:`read_columns`
+    reads it: each DP's digits gathered from the blocks of
+    :func:`written_records` into one ``bytes``, then translated to state
+    indices, one DP at a time."""
     found = written_records(fh)
     if found is None:
         return None
@@ -318,12 +395,84 @@ def _columns_as_written(fh: BinaryIO) -> Columns | None:
         for j, column in enumerate(digits):
             column[at:at + k] = block[2 * j::row]
         at += k
-    if at < n or len({s.name for s in specs}) != len(specs):
+    if at < n:
         return None
     columns = []
     while digits:  # a DP at a time, so that the records are held about once
-        column = digits.pop(0).translate(_DIGIT_AS_VALUE)
-        if any(state in column for state in range(specs[len(columns)].cardinality, 10)):
-            return None
-        columns.append(bytes(column))
-    return Columns(specs=specs, columns=tuple(columns))
+        columns.append(bytes(digits.pop(0).translate(_DIGIT_AS_VALUE)))
+    try:
+        return DiscreteDataset(specs=specs, columns=columns)
+    except CpsCausalError:
+        return None
+
+
+def dataset_to_json(ds: DiscreteDataset) -> dict:
+    """The dataset as a dict for the CLI's JSON writer, whose ``data`` the
+    writer lays out one record per line, through :func:`record_chunks`."""
+    return {"specs": _specs_to_json(ds.specs),
+            "data": Rows(lambda sep: record_chunks(column_blocks(ds.columns, ds.n_records), sep))}
+
+
+def dataset_from_json(obj: dict) -> DiscreteDataset:
+    """Validate a parsed dataset JSON object. ``data`` must be a list of
+    records of one integer per spec: a bool, a float, a string or an
+    integer outside int64 raises :class:`ParseError`. The cells are first
+    read as int64, as numpy's ``asarray(data, dtype=int64)`` reads them, so
+    that a fault has the class and message it has there, and any other
+    check of :class:`DiscreteDataset` comes before that of the cells'
+    types."""
+    try:
+        specs = _specs_from_json(obj["specs"])
+        shape, cells, types = _int64_cells(obj["data"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed dataset JSON: {exc}") from None
+    except OverflowError:
+        raise ParseError("malformed dataset JSON: a data cell is outside the int64 range") from None
+    try:
+        if len(shape) != 2 or shape[1] != len(specs):
+            raise EmptyDataset("data shape does not match specs")
+        ds = DiscreteDataset(specs=specs, columns=[cells[k::len(specs)] for k in range(len(specs))])
+    except CpsCausalError:
+        # numpy refuses a cell outside int64 before any check of the
+        # dataset; _int64_cells leaves that check to here for int cells
+        if cells and (min(cells) < -1 << 63 or max(cells) >= 1 << 63):
+            raise ParseError("malformed dataset JSON: a data cell is outside the int64 range") from None
+        raise
+    # checked last, so that a dataset that fails a check above keeps its error
+    if not all(issubclass(t, int) and t is not bool for t in types):
+        raise ParseError("malformed dataset JSON: every data cell must be an integer")
+    return ds
+
+
+def _int64_cells(data) -> tuple[tuple[int, ...], list[int], set[type]]:
+    """The shape of the nested lists ``data``, its cells in row-major
+    order, each as ``int`` reads it, and the cells' types: the shape and
+    the faults of numpy's ``asarray(data, dtype=int64)``, but for an
+    ``int`` cell outside int64, which the caller refuses. A level that
+    mixes lists and other values, or holds lists of unequal lengths,
+    raises numpy's :class:`ValueError`; the first other cell that ``int``
+    refuses raises its error, or :class:`OverflowError` when it is outside
+    int64."""
+    shape, cells = [], [data]
+    while True:
+        types = set(map(type, cells))
+        lists = {t for t in types if issubclass(t, (list, tuple))}
+        if not lists:
+            break
+        if lists != types or len(set(map(len, cells))) > 1:
+            raise ValueError("setting an array element with a sequence. The requested array has an inhomogeneous "
+                             f"shape after {len(shape)} dimensions. The detected shape was {tuple(shape)} + "
+                             "inhomogeneous part.")
+        shape.append(len(cells[0]))
+        cells = list(chain.from_iterable(cells))
+    if types - {int}:
+        cells = list(map(_int64, cells))
+    return tuple(shape), cells, types
+
+
+def _int64(cell) -> int:
+    """``int(cell)``, when it is inside int64; else :class:`OverflowError`."""
+    value = int(cell)
+    if not -1 << 63 <= value < 1 << 63:
+        raise OverflowError
+    return value

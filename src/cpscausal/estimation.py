@@ -7,15 +7,15 @@ table has ``prod(parent_cards)`` rows of ``child_card`` cells. The CPT
 estimators :func:`fit_mle` and :func:`fit_bayes` live in :mod:`inference`;
 they are named here too.
 
-A dataset is anything with ``specs`` and ``columns``: a
-:class:`datafile.Columns`, as ``learn`` and ``fit`` read a dataset file, or
-an :class:`ingest.DiscreteDataset`. Every count comes from the one counting
-kernel, :class:`tally.Tallies`. :func:`counts`, :func:`family_score`,
-:func:`family_scores`, :func:`chi_square_ci` and :func:`mutual_information`
-count through their own; the learners keep one for a whole run and apply
-the same formulas (``_scorer``, ``_chi_square`` and ``_mutual_information``)
-to its tables, so each formula exists once and a learner's score or
-statistic is the same float as the public function's. PC runs each test of
+A dataset is a :class:`datafile.DiscreteDataset`. Every count comes from
+the one counting kernel, :class:`tally.Tallies`, which the dataset holds as
+its ``tallies`` and which keeps every table it counts. :func:`counts`,
+:func:`family_score`, :func:`family_scores`, :func:`chi_square_ci`,
+:func:`mutual_information` and :func:`score` count through it, and so do
+the learners, which apply the same formulas (``_scorer``, ``_chi_square``
+and ``_mutual_information``) to its tables, so each formula exists once
+and a learner's score or statistic is the same float as the public
+function's. PC runs each test of
 an unordered pair once, with the pair in name order, and memoizes its
 decision (see ``learning.learn_pc``).
 
@@ -58,7 +58,6 @@ from .errors import DuplicateParent, InsufficientData, NonPositiveEss, UnknownCo
 from .graph import CausalGraph, topological_order
 # the net model and its fitting live in inference, which fit runs without numpy; still named here
 from .inference import BayesNet, Cpt, fit_bayes, fit_mle  # noqa: F401
-from .tally import Tallies
 
 
 @dataclass(frozen=True)
@@ -72,11 +71,6 @@ class CiResult:
 def _column_of(ds) -> dict[str, int]:
     """Each DP's column in the dataset ``ds``, by name."""
     return {spec.name: k for k, spec in enumerate(ds.specs)}
-
-
-def _tallies(ds) -> Tallies:
-    """The counting kernel over the dataset ``ds``'s columns."""
-    return Tallies(ds.columns, [spec.cardinality for spec in ds.specs])
 
 
 def _family(column: Mapping[str, int], child: str, parents: Sequence[str]) -> tuple[int, ...]:
@@ -121,7 +115,7 @@ def _pairwise_sum(terms: Sequence[float], lo: int = 0, n: int | None = None) -> 
 def counts(ds, child: str, parents: tuple[str, ...] | list[str] = ()) -> list[list[int]]:
     """Contingency counts N(child_state, parent_config): one row of the
     child's states per parent configuration."""
-    return _tallies(ds)(_family(_column_of(ds), child, parents))
+    return ds.tallies(_family(_column_of(ds), child, parents))
 
 
 def chi_square_ci(ds, i: str, j: str, s: tuple[str, ...] | list[str] = (), alpha: float = 0.01) -> CiResult:
@@ -137,7 +131,7 @@ def chi_square_ci(ds, i: str, j: str, s: tuple[str, ...] | list[str] = (), alpha
         raise DuplicateParent("i, j, and the conditioning set must be disjoint")
     column = _column_of(ds)
     family = _family(column, j, s + (i,))
-    tally = _tallies(ds)
+    tally = ds.tallies
     for v in (i, j):
         if sum(1 for n in tally.flat((column[v],)) if n) == 1:
             raise InsufficientData(f"{v} is constant in the data")
@@ -217,7 +211,7 @@ def mutual_information(ds, i: str, j: str) -> float:
     if i == j:
         raise DuplicateParent("mutual information needs two distinct variables")
     cj, ci = _family(_column_of(ds), i, (j,))
-    tally = _tallies(ds)
+    tally = ds.tallies
     return _mutual_information(tally.flat((ci, cj)), tally.cards[ci], tally.cards[cj], tally.n_records)
 
 
@@ -249,7 +243,7 @@ def family_scores(ds, child: str, parent_sets: list[tuple[str, ...]], method: st
         raise UsageError(f"unknown score method {method!r}")
     column = _column_of(ds)
     families = [_family(column, child, ps) for ps in parent_sets]
-    tally = _tallies(ds)
+    tally = ds.tallies
     scorer = _scorer(method, ess, tally.n_records)
     return [scorer(tally.flat(family), tally.cards[family[-1]]) for family in families]
 

@@ -13,8 +13,8 @@ states and its parents ``q`` configurations:
 
 Each probability is the float that numpy computes from the same counts in
 an integer array, in the same order of operations. The counts come from
-:class:`tally.Tallies`, the counting kernel that the scores, tests and
-learners share.
+the dataset's :attr:`datafile.DiscreteDataset.tallies`, the counting
+kernel that the scores, tests and learners share.
 
 :func:`posterior` runs bucket elimination (Dechter 1999) over log-space
 factors with a min-degree elimination order, in plain Python: each bucket
@@ -26,9 +26,8 @@ evidence has probability zero, so callers must handle unreachable states
 explicitly. The brute-force enumeration oracle it is tested against lives
 in the test suite.
 
-This module imports only the standard library, ``graph``, ``jsontext``,
-``tally`` and the package's errors, so that ``fit`` on a dataset file that
-:func:`datafile.read_columns` reads, ``infer`` and ``impact`` start
+This module imports only the standard library, ``graph``, ``jsontext``
+and the package's errors, so that ``fit``, ``infer`` and ``impact`` start
 without numpy. ``simgen`` samples these CPTs with numpy.
 """
 
@@ -50,7 +49,6 @@ from .errors import (
 )
 from .graph import CausalGraph, _is_list_of, graph_from_json, graph_to_json, topological_order
 from .jsontext import refuse_lone_surrogate
-from .tally import Tallies
 
 
 @dataclass(frozen=True)
@@ -139,15 +137,11 @@ class BayesNet:
 
 def _fit(ds, graph: CausalGraph, smooth) -> BayesNet:
     topological_order(graph)
-    column_of = {spec.name: k for k, spec in enumerate(ds.specs)}
-    tally = Tallies(ds.columns, [spec.cardinality for spec in ds.specs])
+    tally = ds.tallies
     cpts = {}
     for node in graph.nodes:
         parents = tuple(sorted(graph.parents(node)))
-        for name in (*parents, node):
-            if name not in column_of:
-                raise UnknownColumn(f"no variable named {name!r}")
-        family = [column_of[name] for name in (*parents, node)]
+        family = [ds.index(name) for name in (*parents, node)]
         table, uniform = smooth(tally(family))
         cpts[node] = Cpt(
             child=node,
@@ -162,8 +156,7 @@ def _fit(ds, graph: CausalGraph, smooth) -> BayesNet:
 
 def fit_mle(ds, graph: CausalGraph) -> BayesNet:
     """Maximum-likelihood CPTs: exact count ratios, uniform on unseen rows.
-    ``ds`` is an :class:`ingest.DiscreteDataset` or a
-    :class:`datafile.Columns`: anything with ``specs`` and ``columns``."""
+    ``ds`` is a :class:`datafile.DiscreteDataset`."""
 
     def smooth(n: list[list[int]]):
         table, uniform = [], []

@@ -2,20 +2,16 @@
 helpers that its file readers share.
 
 :func:`json_text` lays a value out as ``json.dumps(obj, indent=2)`` does,
-except that a 2-D integer array, such as a dataset's records, gets one row
-per line. Standard library and the package's errors only: an array can
-only exist once numpy is loaded, so a value that holds none is written
-without importing it, and the rows of one that does are written by
-:func:`ingest.records_json`, through the dataset file's writer. The
-readers of net, attack and domain-graph files use these helpers without
-loading numpy.
+except that :class:`Rows`, such as a dataset's records, get one row per
+line, as the dataset file's writer writes them. Standard library and the
+package's errors only.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import sys
+from collections.abc import Callable, Iterable
 
 from .errors import ParseError
 
@@ -37,19 +33,25 @@ def split_lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
+class Rows:
+    """Rows of integers, which :func:`json_text` writes one per line:
+    ``chunks(sep)`` gives them as compact JSON lists joined by ``sep``, in
+    pieces."""
+
+    def __init__(self, chunks: Callable[[bytes], Iterable[bytes]]):
+        self.chunks = chunks
+
+
 def json_text(obj, newline: str) -> str:
     """``obj`` as ``json.dumps(obj, indent=2)`` lays it out, for a value that
-    starts a line after ``newline``, except that a 2-D integer array, such as
-    a dataset's records, gets one row per line."""
+    starts a line after ``newline``, except that :class:`Rows` get one row
+    per line."""
     inner = newline + "  "
     if isinstance(obj, dict) and obj:
         return "{" + inner + ("," + inner).join(
             f"{json.dumps(str(key))}: {json_text(value, inner)}" for key, value in obj.items()) + newline + "}"
     if isinstance(obj, list) and obj:
         return "[" + inner + ("," + inner).join(json_text(value, inner) for value in obj) + newline + "]"
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(obj, np.ndarray) and len(obj):
-        from .ingest import records_json
-
-        return "[" + inner + records_json(obj, ("," + inner).encode()).decode() + newline + "]"
+    if isinstance(obj, Rows):
+        return "[" + inner + b"".join(obj.chunks(("," + inner).encode())).decode() + newline + "]"
     return json.dumps(obj)

@@ -9,13 +9,12 @@ directed (undirected edges flagged), in which case
 :func:`graph.extend_to_dag` produces a consistent fully directed
 extension.
 
-Each learner takes a dataset as anything with ``specs`` and ``columns``:
-a :class:`datafile.Columns`, as ``learn`` reads a dataset file, or an
-:class:`ingest.DiscreteDataset`. It counts through one
-:class:`tally.Tallies` for the whole run, and tests or scores each table
-with :mod:`estimation`'s own formulas, so that each statistic, score and
-mutual information is the float that ``chi_square_ci``, ``family_score``
-or ``mutual_information`` gives for it. This module, like those, imports
+Each learner takes a :class:`datafile.DiscreteDataset`, counts through
+the dataset's one :class:`tally.Tallies` (its ``tallies``), and tests or
+scores each table with :mod:`estimation`'s own formulas, so that each
+statistic, score and mutual information is the float that
+``chi_square_ci``, ``family_score`` or ``mutual_information`` gives for
+it. This module, like those, imports
 only the standard library and the package, and no numpy.
 
 PC's orientation keeps the PDAG as per-node parent, child and undirected
@@ -35,7 +34,7 @@ from math import inf
 from typing import NamedTuple
 
 from .errors import InsufficientData, UnknownColumn, UsageError
-from .estimation import _chi2_sf, _chi_square, _column_of, _mutual_information, _scorer, _tallies
+from .estimation import _chi2_sf, _chi_square, _column_of, _mutual_information, _scorer
 # no longer called here; bench/tracing.py wraps them under these names
 from .estimation import chi_square_ci, family_score, mutual_information  # noqa: F401
 from .graph import LEARNT, CausalGraph, Edge
@@ -123,7 +122,7 @@ def learn_pc(ds, cfg: PcConfig = PcConfig()) -> PcResult:
     sepsets: dict[tuple[str, str], tuple[str, ...]] = {}
     max_cond = cfg.max_cond_size if cfg.max_cond_size is not None else len(names) - 2
 
-    column, tally = _column_of(ds), _tallies(ds)
+    column, tally = _column_of(ds), ds.tallies
     # statistics under the key (min(i, j), max(i, j), s)
     stats: dict[tuple[str, str, tuple[str, ...]], tuple[float, int]] = {}
 
@@ -231,7 +230,7 @@ def learn_hc(ds, cfg: HcConfig = HcConfig()) -> HcResult:
     names = sorted(_names(ds))
     n = len(names)
     cap = cfg.max_parents if cfg.max_parents is not None else n
-    column, tally = _column_of(ds), _tallies(ds)
+    column, tally = _column_of(ds), ds.tallies
     col = [column[v] for v in names]
     scorer = _scorer(cfg.score_method, cfg.ess, tally.n_records)
     memo: dict[tuple[int, tuple[int, ...]], float] = {}  # (child, sorted parents) -> family score
@@ -355,7 +354,7 @@ def learn_cl(ds, cfg: ClConfig) -> CausalGraph:
     if cfg.root not in nodes:
         raise UnknownColumn(f"root {cfg.root!r} is not a dataset variable")
     names = sorted(nodes)
-    column, tally = _column_of(ds), _tallies(ds)
+    column, tally = _column_of(ds), ds.tallies
 
     def mi(u: str, v: str) -> float:
         i, j = column[u], column[v]

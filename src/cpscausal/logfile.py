@@ -60,8 +60,8 @@ from .jsontext import split_lines
 # characters, each cut at a line end, and csv rows in batches of the lines
 # of a quarter block; a log file is read in blocks of this many bytes. A
 # block's cells take some 28 bytes per character of its text, their str
-# objects most of it: beyond the dataset, discretize_text holds 0.7 MB of a
-# 40k-record log of the 12-DP fixture with 24 KiB blocks, 1.7 MB with
+# objects most of it: beyond the dataset, discretizing a 40k-record log
+# of the 12-DP fixture held 0.7 MB with 24 KiB blocks, 1.7 MB with
 # 64 KiB ones and 6.9 MB with 256 KiB ones, against its text of 1.9 MB.
 # The benchmark's 51-DP and 12-DP logs map to states in 115 and 134 ms with
 # 24 KiB blocks, 109 and 134 ms with 64 KiB and 105 and 130 ms with 256 KiB
@@ -385,8 +385,9 @@ class StateMaps:
 def discretize_log(log: LogText, specs: Sequence[VariableSpec]) -> tuple[int, list[bytearray | list[int]]]:
     """The record count of the historian log and each spec's states in
     record order, a ``bytearray`` for a spec of at most 256 states, else a
-    list: the records of ``ingest.discretize_text(log, specs)``, or its
-    error, but for the checks of ``DiscreteDataset`` on the specs. Every
+    list: the one path from a log to a dataset, whose columns these are once
+    :class:`datafile.DiscreteDataset` checks them against the specs, as
+    ``ingest.discretize(ingest.parse_log(text), specs)`` gives them. Every
     block is read before :meth:`StateMaps.check` raises."""
     columns, _, read = _read_log(log)
     maps = StateMaps(columns, specs)

@@ -12,6 +12,10 @@ are consumed record-major; within a record, nodes are visited in
 topological order and each unclamped node consumes exactly one draw,
 choosing the smallest state whose inclusive CPT-row cumulative exceeds the
 uniform. Fixed seed therefore means bit-identical datasets.
+
+This is the one module of the package that imports numpy: the draws are
+made a node at a time over all records, and the sampled dataset's
+columns are written to CSV through numpy's object-array indexing.
 """
 
 from __future__ import annotations
@@ -24,11 +28,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .datafile import ACTUATOR, SENSOR, VariableSpec
+from .datafile import ACTUATOR, SENSOR, DiscreteDataset, VariableSpec
 from .errors import UnknownVariable
 from .graph import topological_order
 from .inference import BayesNet
-from .ingest import DiscreteDataset, state_dtype
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -74,8 +77,8 @@ def sample_with_clamp(net: BayesNet, n: int, seed: int,
     free = [v for v in order if v not in clamp]
     u = uniforms(seed, n * len(free)).reshape(n, len(free)) if free else np.empty((n, 0))
 
-    # the net's state indices, which the specs' dtype may be too narrow to hold
-    dtype = state_dtype(net.cardinality(v) for v in order)
+    # the net's state indices: bytes-wide when every node has at most 256 states
+    dtype = np.uint8 if max(net.cardinality(v) for v in order) <= 1 << 8 else np.int64
     columns: dict[str, np.ndarray] = {}
     for name, state in clamp.items():
         columns[name] = np.full(n, state, dtype=dtype)
@@ -90,8 +93,8 @@ def sample_with_clamp(net: BayesNet, n: int, seed: int,
         columns[node] = np.minimum(states, cpt.cardinality - 1).astype(dtype)
 
     specs = specs if specs is not None else _identity_specs(net)
-    data = np.column_stack([columns[s.name] for s in specs])
-    return DiscreteDataset(specs=specs, data=data)
+    return DiscreteDataset(specs=specs, columns=[
+        columns[s.name].tobytes() if dtype == np.uint8 else columns[s.name].tolist() for s in specs])
 
 
 def forward_sample(net: BayesNet, n: int, seed: int,
@@ -112,7 +115,7 @@ def write_historian_csv(ds: DiscreteDataset) -> str:
     the float just below the lowest edge, or as its interval's left edge.
     """
     columns = []
-    for k, spec in enumerate(ds.specs):
+    for spec, column in zip(ds.specs, ds.columns):
         if spec.kind == SENSOR:
             e = spec.bin_edges
             vals = [e[0] - 1.0, *((a + b) / 2.0 for a, b in zip(e, e[1:])), e[-1] + 1.0]
@@ -122,7 +125,8 @@ def write_historian_csv(ds: DiscreteDataset) -> str:
         else:
             codes = spec.codes if spec.codes is not None else tuple(range(len(spec.states)))
             rep = [str(c) for c in codes]
-        columns.append(np.array(rep, dtype=object)[ds.data[:, k]].tolist())
+        states = np.frombuffer(column, np.uint8) if isinstance(column, bytes) else np.array(column)
+        columns.append(np.array(rep, dtype=object)[states].tolist())
     rows = map(",".join, zip(map(str, range(ds.n_records)), *columns))
     return "\n".join(chain([",".join(["Timestamp", *ds.names])], rows)) + "\n"
 

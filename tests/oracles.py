@@ -15,7 +15,7 @@ PC drops the edges of constant DPs before any test, then runs one
 chi-square test each time it visits a pair and a conditioning set, and its
 orientation and the PDAG extension scan every name for each rule; a
 historian log is parsed, discretized and written cell by cell; dataset JSON
-is read by ``json`` into one list per record.
+is read by ``json`` into one list per record, and its cells by numpy.
 Slow and simple on purpose.
 """
 
@@ -38,6 +38,7 @@ import numpy as np
 from cpscausal.errors import (
     CpsCausalError,
     CyclicGraph,
+    EmptyDataset,
     EmptyInput,
     MissingColumn,
     NoConsistentExtension,
@@ -51,6 +52,7 @@ from cpscausal.errors import (
     UnmappedActuatorValue,
     ZeroProbabilityEvidence,
 )
+from cpscausal.datafile import _columns_as_written, _specs_from_json
 from cpscausal.estimation import chi_square_ci, counts, mutual_information
 from cpscausal.graph import (
     LEARNT,
@@ -63,7 +65,7 @@ from cpscausal.graph import (
     topological_order,
 )
 from cpscausal.inference import BayesNet, Cpt, Query, _validate_query
-from cpscausal.ingest import SENSOR, DiscreteDataset, RawLog, VariableSpec, dataset_from_json, dataset_from_text
+from cpscausal.ingest import SENSOR, DiscreteDataset, RawLog, VariableSpec, dataset_from_json
 from cpscausal.learning import (
     ClConfig,
     HcConfig,
@@ -329,7 +331,7 @@ def reference_counts(ds: DiscreteDataset, child: str, parents: tuple[str, ...] =
     cards = [ds.cardinality(v) for v in parents]
     table = np.zeros((int(np.prod(cards, dtype=np.int64)), ds.cardinality(child)), dtype=np.intp)
     columns, c = [ds.index(v) for v in parents], ds.index(child)
-    for record in ds.data.tolist():
+    for record in records(ds):
         row = 0
         for k, card in zip(columns, cards):
             row = row * card + record[k]
@@ -362,7 +364,7 @@ def reference_chi_square(ds: DiscreteDataset, i: str, j: str, s: tuple[str, ...]
     s, tallied record by record and summed one non-empty stratum at a time."""
     ci, cj = ds.cardinality(i), ds.cardinality(j)
     xi, xj = ds.column(i), ds.column(j)
-    strata = [tuple(row) for row in ds.data[:, [ds.index(v) for v in s]].tolist()]
+    strata = list(zip(*(ds.column(v) for v in s))) if s else [()] * ds.n_records
     stat, dof = 0.0, 0
     for key in itertools.product(*(range(ds.cardinality(v)) for v in s)):
         obs = np.zeros((ci, cj))
@@ -791,9 +793,9 @@ def reference_parse_log(text: str) -> RawLog:
         raise ParseError("column names must be unique and non-empty")
 
     n_cols = len(header)
-    values = np.empty((len(rows) - 1, len(columns)), dtype=np.float64)
+    values: list[list[float]] = [[] for _ in columns]
     timestamps: list[str] = []
-    for out_row, (r, row) in enumerate(rows[1:]):
+    for r, row in rows[1:]:
         if len(row) != n_cols:
             raise RaggedRow(f"line {r}: expected {n_cols} cells, got {len(row)}")
         for out, k in enumerate(value_idx):
@@ -806,11 +808,11 @@ def reference_parse_log(text: str) -> RawLog:
             # such as "\u0661"; none of them is a reading
             if not isfinite(value) or "_" in cell or not cell.isascii():
                 raise NonNumericCell(f"line {r}, column {header[k]!r}: {cell!r}")
-            values[out_row, out] = value
+            values[out].append(value)
         if ts_idx:
             timestamps.append(row[ts_idx[0]].strip())
 
-    return RawLog(columns=columns, values=values, timestamps=tuple(timestamps) if ts_idx else None)
+    return RawLog(columns=columns, values=tuple(values), timestamps=tuple(timestamps) if ts_idx else None)
 
 
 def reference_state_of(spec: VariableSpec, value: float) -> int:
@@ -834,14 +836,14 @@ def reference_discretize(log: RawLog, specs: list[VariableSpec] | tuple[Variable
     for spec in specs:
         if spec.name not in log.columns:
             raise MissingColumn(f"log has no column {spec.name!r}")
-    data = np.empty((log.n_records, len(specs)), dtype=np.int64)
-    for k, spec in enumerate(specs):
+    columns = []
+    for spec in specs:
         raw = log.column(spec.name)
         if spec.kind == SENSOR:
-            data[:, k] = np.searchsorted(np.asarray(spec.bin_edges), raw, side="right")
+            columns.append(np.searchsorted(np.asarray(spec.bin_edges), raw, side="right").tolist())
         else:
-            data[:, k] = [reference_state_of(spec, v) for v in raw]
-    return DiscreteDataset(specs=specs, data=data)
+            columns.append([reference_state_of(spec, v) for v in raw])
+    return DiscreteDataset(specs=specs, columns=columns)
 
 
 def reference_write_historian_csv(ds: DiscreteDataset) -> str:
@@ -870,21 +872,55 @@ def reference_write_historian_csv(ds: DiscreteDataset) -> str:
     buf.write(",".join(["Timestamp", *ds.names]) + "\n")
     for t in range(ds.n_records):
         row = [str(t)]
-        row += [rep[k][ds.data[t, k]] for k in range(len(ds.specs))]
+        row += [rep[k][ds.columns[k][t]] for k in range(len(ds.specs))]
         buf.write(",".join(row) + "\n")
     return buf.getvalue()
 
 
+def records(ds: DiscreteDataset) -> list[list[int]]:
+    """The dataset's records, one list of state indices per record."""
+    return [list(record) for record in zip(*ds.columns)]
+
+
+def reference_dataset_from_json(obj) -> DiscreteDataset:
+    """``dataset_from_json`` with the cells read by numpy's
+    ``asarray(data, dtype=int64)``, whose faults it names as numpy does,
+    then the dataset's checks, then every cell's type."""
+    try:
+        specs = _specs_from_json(obj["specs"])
+        data = np.asarray(obj["data"], dtype=np.int64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed dataset JSON: {exc}") from None
+    except OverflowError:
+        raise ParseError("malformed dataset JSON: a data cell is outside the int64 range") from None
+    if data.ndim != 2 or data.shape[1] != len(specs):
+        raise EmptyDataset("data shape does not match specs")
+    ds = DiscreteDataset(specs=specs, columns=[column.tolist() for column in data.T])
+    if not all(isinstance(cell, int) and not isinstance(cell, bool) for row in obj["data"] for cell in row):
+        raise ParseError("malformed dataset JSON: every data cell must be an integer")
+    return ds
+
+
 def reference_dataset_from_text(text: str) -> DiscreteDataset:
-    """``dataset_from_text`` as ``json.loads`` into Python lists, then the
-    dict validator."""
-    return dataset_from_json(json.loads(text))
+    """The dataset of a dataset file's ``text``, read by ``json.loads`` into
+    Python lists, then by :func:`reference_dataset_from_json`."""
+    return reference_dataset_from_json(json.loads(text))
+
+
+def read_dataset_text(text: str) -> DiscreteDataset:
+    """The dataset of a dataset file's ``text`` as the CLI's one reader,
+    ``cli._load_columns``, reads the file: in the writer's layout, a block
+    of records at a time, and else through ``json`` and
+    ``dataset_from_json``. Text that is not JSON raises
+    :class:`json.JSONDecodeError`."""
+    ds = _columns_as_written(io.BytesIO(text.encode()))
+    return ds if ds is not None else dataset_from_json(json.loads(text))
 
 
 def read_as_one_array(text: str) -> bool:
-    """Whether ``dataset_from_text`` reads ``text`` without handing all of
-    it to ``json.loads``, that is, its records as one array and not as a
-    list per record."""
+    """Whether :func:`read_dataset_text` reads ``text`` without handing
+    all of it to ``json.loads``, that is, a block of records at a time and
+    not as a list per record."""
     seen = []
     loads = json.loads
 
@@ -894,7 +930,7 @@ def read_as_one_array(text: str) -> bool:
 
     with mock.patch("json.loads", spy):
         try:
-            dataset_from_text(text)
+            read_dataset_text(text)
         except (CpsCausalError, json.JSONDecodeError):
             pass
     return text not in seen

@@ -120,8 +120,7 @@ def test_c03_score_equivalence():
         cards = {"A": int(rng.integers(2, 4)), "B": int(rng.integers(2, 4)), "C": 2}
         specs = tuple(VariableSpec(v, ACTUATOR, tuple(f"s{k}" for k in range(cards[v])))
                       for v in ("A", "B", "C"))
-        data = np.column_stack([rng.integers(0, cards[v], n) for v in ("A", "B", "C")])
-        ds = DiscreteDataset(specs=specs, data=data)
+        ds = DiscreteDataset(specs=specs, columns=[rng.integers(0, cards[v], n).tolist() for v in ("A", "B", "C")])
         for method in ("bic", "bdeu"):
             gap = abs(score(ds, chain, method) - score(ds, fork, method))
             worst = max(worst, gap)
@@ -181,8 +180,7 @@ def test_c06_mle_exactness():
         card_a = max(cols["A"]) + 1
         specs = (VariableSpec("A", ACTUATOR, tuple(f"s{k}" for k in range(max(2, card_a)))),
                  VariableSpec("B", ACTUATOR, ("s0", "s1")))
-        ds = DiscreteDataset(specs=specs, data=np.column_stack(
-            [np.array(cols["A"]), np.array(cols["B"])]))
+        ds = DiscreteDataset(specs=specs, columns=[cols["A"], cols["B"]])
         g = CausalGraph(nodes=("A", "B"), edges=(Edge("A", "B"),))
         net = fit_mle(ds, g)
         tally = Counter(zip(cols["A"], cols["B"]))

@@ -8,10 +8,12 @@ import importlib.util
 import io
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,14 +30,15 @@ from cpscausal.ingest import (
     ACTUATOR,
     DiscreteDataset,
     VariableSpec,
-    dataset_from_text,
+    dataset_from_json,
     dataset_to_json,
     format_spec_file,
 )
+from cpscausal.jsontext import Rows
 from cpscausal.fixtures import get_fixture
 from cpscausal.graph import CausalGraph, Edge, graph_to_json
 from cpscausal.simgen import forward_sample, write_historian_csv
-from oracles import read_as_one_array, reference_parse_log
+from oracles import read_as_one_array, read_dataset_text, reference_parse_log
 
 
 def attacks_path(name: str) -> str:
@@ -364,6 +367,24 @@ class TestErrors:
         code = main(["learn", "--dataset", str(pipeline / "dataset.json"),
                      "--algo", "pc", "--score", "bic", "--out", str(tmp_path / "x.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("score", ["k2", "bdeu"])
+    def test_pc_with_any_score_rejected(self, pipeline, tmp_path, capsys, score):
+        code = main(["learn", "--dataset", str(pipeline / "dataset.json"),
+                     "--algo", "pc", "--score", score, "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert capsys.readouterr().err == "error [usage]: pc uses the chi2 independence test; drop --score\n"
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("algo", ["pc", "hc", "cl"])
+    def test_chi2_is_not_a_score(self, pipeline, tmp_path, capsys, algo):
+        # chi2 is PC's independence test, which --score does not choose
+        with pytest.raises(SystemExit) as exc:
+            main(["learn", "--dataset", str(pipeline / "dataset.json"), "--algo", algo, "--root", "LIT101",
+                  "--score", "chi2", "--out", str(tmp_path / "x.json")])
+        assert exc.value.code == 2
+        assert "argument --score: invalid choice: 'chi2'" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     def test_target_not_in_net_is_model_error(self, pipeline, tmp_path):
         attacks = tmp_path / "a.json"
@@ -831,6 +852,13 @@ def test_package_imports_numpy_as_its_only_dependency(repo_root):
     assert {m.partition(".")[0] for m in loaded} - set(sys.stdlib_module_names) == {"cpscausal", "numpy"}
 
 
+@pytest.mark.parametrize("module", sorted(
+    {m.name for m in pkgutil.iter_modules([str(Path(cli.__file__).parent)])} - {"simgen", "fixtures"}))
+def test_only_the_sampler_imports_numpy(repo_root, module):
+    # fixtures holds FixtureNet, whose sample() runs the sampler
+    assert "numpy" not in _new_modules(repo_root, f"import cpscausal.{module}")
+
+
 def test_package_and_cli_import_no_numpy(repo_root):
     loaded = _new_modules(repo_root, "import cpscausal, cpscausal.cli")
     assert "numpy" not in loaded
@@ -893,6 +921,9 @@ _LEARN_SKIPS = {"numpy", "cpscausal.ingest", "cpscausal.impact", "cpscausal.simg
     (["learn", "--dataset", "{golden}/dataset.json", "--algo", "pc", "--out", "{tmp}/graph.json"], 0, _LEARN_SKIPS),
     (["learn", "--dataset", "{golden}/dataset.json", "--algo", "cl", "--root", "LIT101", "--out", "{tmp}/graph.json"],
      0, _LEARN_SKIPS),
+    # a dataset file with a DP of more than 10 states is read whole, through json, and without numpy too
+    (["learn", "--dataset", "{tmp}/wide.json", "--algo", "hc", "--out", "{tmp}/graph.json"], 0, _LEARN_SKIPS),
+    (["fit", "--dataset", "{tmp}/wide.json", "--graph", "{tmp}/dag.json", "--out", "{tmp}/net.json"], 0, _FIT_SKIPS),
     (["impact", "--net", "{golden}/net.json", "--attacks", attacks_path("stage1.json"), "--out", "{tmp}/impact.json"],
      0, {"numpy", "cpscausal.learning", "cpscausal.simgen", "cpscausal.fixtures", *_OPENSSL}),
     (["impact", "--net", "{golden}/net.json", "--attacks", attacks_path("stage1.json"), "--condition-preconditions",
@@ -902,7 +933,8 @@ _LEARN_SKIPS = {"numpy", "cpscausal.ingest", "cpscausal.impact", "cpscausal.simg
      0, {"numpy", "cpscausal.learning", "cpscausal.simgen", "cpscausal.fixtures", *_OPENSSL}),
 ], ids=["version", "help", "usage_error", "unknown_fixture", "compare", "export_dot", "export_json",
         "discretize", "discretize_csv_rows", "discretize_fault", "fit_dag", "fit_pdag", "fit_bayes", "learn",
-        "learn_hc_bdeu", "learn_pc", "learn_cl", "impact", "impact_conditioned_staged",
+        "learn_hc_bdeu", "learn_pc", "learn_cl", "learn_hc_wide_states", "fit_wide_states", "impact",
+        "impact_conditioned_staged",
         "infer_evidence"])
 def test_each_command_loads_only_the_modules_it_runs(repo_root, tmp_path, argv, code, absent):
     if not _BUILTIN_SHA256:
@@ -915,6 +947,12 @@ def test_each_command_loads_only_the_modules_it_runs(repo_root, tmp_path, argv, 
     header, _, records = (golden / "sample.csv").read_text().partition("\n")
     (tmp_path / "quoted.csv").write_text(header + "\n\n" + re.sub(r"(?m)^(\d+),", r'"\1",', records))
     (tmp_path / "faulty.csv").write_text(header + "\n" + records.replace("480.0", "x", 1))
+    # the golden dataset with a 12-state DP besides, so that its records have cells of two digits
+    wide = json.loads((golden / "dataset.json").read_text())
+    wide["specs"].append({"name": "W", "kind": "actuator", "states": [f"s{k}" for k in range(12)]})
+    wide["data"] = [[*record, k % 12] for k, record in enumerate(wide["data"])]
+    (tmp_path / "wide.json").write_text(cli._dump_json(dataset_to_json(dataset_from_json(wide))))
+    assert not read_as_one_array((tmp_path / "wide.json").read_text())
     argv = [a.format(golden=golden, tmp=tmp_path) for a in argv]
     modules = tmp_path / "modules.txt"
     run = subprocess.run([sys.executable, "-c", _COMMAND_PROBE, str(modules), *argv], env=_src_env(repo_root),
@@ -1063,11 +1101,13 @@ def test_artifacts_are_utf8_whatever_the_locale(repo_root, tmp_path):
 
 
 def test_dump_json_writes_one_record_per_line():
-    dataset = {"specs": [{"name": "A", "codes": [1, 2]}], "data": np.array([[0, 1], [1, -2]])}
+    records = [[0, 1], [1, -2]]
+    rows = Rows(lambda sep: [sep.join(json.dumps(row, separators=(",", ":")).encode() for row in records)])
+    dataset = {"specs": [{"name": "A", "codes": [1, 2]}], "data": rows}
     assert cli._dump_json(dataset) == (
         '{\n  "specs": [\n    {\n      "name": "A",\n      "codes": [\n        1,\n        2\n'
         '      ]\n    }\n  ],\n  "data": [\n    [0,1],\n    [1,-2]\n  ]\n}\n')
-    assert json.loads(cli._dump_json(dataset)) == {**dataset, "data": [[0, 1], [1, -2]]}
+    assert json.loads(cli._dump_json(dataset)) == {**dataset, "data": records}
 
 
 @pytest.mark.parametrize("cardinality, n_vars", [(12, 3), (150, 3), (3, 1)],
@@ -1078,11 +1118,12 @@ def test_dump_json_writes_datasets_that_load_back(cardinality, n_vars):
     data[:2] = [[0] * n_vars, [cardinality - 1] * n_vars]
     specs = tuple(VariableSpec(f"X{k}", ACTUATOR, tuple(f"s{j}" for j in range(cardinality)))
                   for k in range(n_vars))
-    text = cli._dump_json(dataset_to_json(DiscreteDataset(specs=specs, data=data)))
-    assert np.array_equal(json.loads(text)["data"], data)
+    ds = DiscreteDataset(specs=specs, columns=data.T.tolist())
+    text = cli._dump_json(dataset_to_json(ds))
+    assert json.loads(text)["data"] == data.tolist()
     rows = ",\n    ".join(json.dumps(row, separators=(",", ":")) for row in data.tolist())
     assert text.endswith(f'"data": [\n    {rows}\n  ]\n}}\n')
-    assert np.array_equal(dataset_from_text(text).data, data)
+    assert read_dataset_text(text) == ds
     assert read_as_one_array(text) == (cardinality <= 10)
 
 
@@ -1115,8 +1156,7 @@ def test_bench_hooks_write_and_read_what_discretize_does(repo_root, tmp_path, st
     again = cli.discretize(cli.parse_log(cli._read(str(log_path))), cli.parse_spec_file(cli._read(str(spec_path))))
     assert cli._dump_json(cli.dataset_to_json(again)).encode() == out.read_bytes()
     back = cli.dataset_from_json(cli._load_json(str(out)))
-    assert back.specs == ds.specs
-    assert np.array_equal(back.data, ds.data)
+    assert back == ds
     assert read_as_one_array(out.read_text())
 
 

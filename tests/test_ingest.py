@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpscausal import cli, datafile, ingest, logfile
+from cpscausal import cli, datafile, logfile
 from cpscausal.errors import (
     CpsCausalError,
     DataError,
+    EmptyDataset,
     EmptyInput,
     MissingColumn,
     NonNumericCell,
@@ -34,22 +35,20 @@ from cpscausal.ingest import (
     RawLog,
     VariableSpec,
     dataset_from_json,
-    dataset_from_text,
-    dataset_json_chunks,
     dataset_to_json,
     discretize,
-    discretize_text,
     format_spec_file,
     parse_log,
     parse_spec_file,
     project,
-    records_json,
 )
 from cpscausal.fixtures import FIXTURE_NAMES, get_fixture
 from cpscausal.jsontext import json_text
 from cpscausal.simgen import sample_with_clamp, write_historian_csv
 from oracles import (
     read_as_one_array,
+    read_dataset_text,
+    records,
     reference_dataset_from_text,
     reference_discretize,
     reference_parse_log,
@@ -60,13 +59,26 @@ LIT101 = VariableSpec("LIT101", SENSOR, ("Low", "Medium", "High"), bin_edges=(21
 MV101 = VariableSpec("MV101", ACTUATOR, ("Close", "Open"), codes=(1, 2))
 
 
+def discretize_log(text, specs) -> DiscreteDataset:
+    """The dataset that ``discretize`` writes for the historian log
+    ``text``, a str or a ``LogText``: the states of
+    :func:`logfile.discretize_log`, or its error, then the dataset's checks."""
+    _, columns = logfile.discretize_log(text if isinstance(text, LogText) else LogText.of_str(text), specs)
+    return DiscreteDataset(specs=tuple(specs), columns=columns)
+
+
+def dataset_chunks(ds: DiscreteDataset):
+    """The bytes that ``discretize`` writes for the dataset, in pieces."""
+    return datafile.dataset_chunks(ds.specs, datafile.column_blocks(ds.columns, ds.n_records))
+
+
 class TestParseLog:
     def test_minimal_well_formed(self):
         log = parse_log("LIT101,MV101\n100.5,1\n800.25,2\n")
         assert log.columns == ("LIT101", "MV101")
         assert log.n_records == 2
-        assert log.values[1, 0] == 800.25
-        assert log.column("MV101").tolist() == [1.0, 2.0]
+        assert log.values[0][1] == 800.25
+        assert log.column("MV101") == [1.0, 2.0]
         with pytest.raises(UnknownColumn, match="no column named 'LIT102'"):
             log.column("LIT102")
 
@@ -116,6 +128,10 @@ class TestParseLog:
         assert log.columns == ("A",)
         assert log.timestamps == ("2015-12-28 10:00:00", "later")
 
+    def test_log_of_timestamps_only_keeps_its_record_count(self):
+        log = parse_log("Timestamp\nt0\nt1\n")
+        assert (log.columns, log.values, log.n_records) == ((), (), 2)
+
     def test_duplicate_columns_rejected(self):
         with pytest.raises(ParseError):
             parse_log("A,A\n1,2\n")
@@ -138,17 +154,17 @@ class TestDiscretize:
     def test_sensor_intervals(self):
         log = parse_log("LIT101\n100\n500\n900\n")
         ds = discretize(log, [LIT101])
-        assert ds.data[:, 0].tolist() == [0, 1, 2]  # Low, Medium, High
+        assert ds.columns == (bytes([0, 1, 2]),)  # Low, Medium, High
 
     def test_edge_value_goes_to_upper_interval(self):
         log = parse_log("LIT101\n210\n750\n")
         ds = discretize(log, [LIT101])
-        assert ds.data[:, 0].tolist() == [1, 2]
+        assert ds.columns == (bytes([1, 2]),)
 
     def test_actuator_codes(self):
         log = parse_log("MV101\n1\n2\n1\n")
         ds = discretize(log, [MV101])
-        assert ds.data[:, 0].tolist() == [0, 1, 0]
+        assert ds.columns == (bytes([0, 1, 0]),)
 
     def test_unmapped_actuator_value(self):
         log = parse_log("MV101\n3\n")
@@ -164,7 +180,7 @@ class TestDiscretize:
     @pytest.mark.parametrize("reading, shown", [(1.5, "1.5"), (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
     def test_non_integer_actuator_reading_shows_the_plain_value(self, reading, shown):
         # a RawLog built through the API can hold NaN or inf, which parse_log rejects
-        log = RawLog(columns=("MV101",), values=np.array([[1.0], [reading]]))
+        log = RawLog(columns=("MV101",), values=([1.0, reading],))
         message = f"MV101: non-integer actuator value {shown}"
         with pytest.raises(UnmappedActuatorValue, match=f"^{re.escape(message)}$"):
             discretize(log, [MV101])
@@ -175,15 +191,15 @@ class TestDiscretize:
         raw = rng.uniform(50, 1000, size=200)
         log = parse_log("LIT101\n" + "\n".join(repr(float(v)) for v in raw))
         ds = discretize(log, [LIT101])
-        again = np.array([reference_state_of(LIT101, [100.0, 500.0, 900.0][s]) for s in ds.data[:, 0]])
-        assert np.array_equal(again, ds.data[:, 0])
+        again = [reference_state_of(LIT101, [100.0, 500.0, 900.0][s]) for s in ds.columns[0]]
+        assert bytes(again) == ds.columns[0]
 
     def test_histogram_conserves_records(self):
         rng = np.random.default_rng(6)
         raw = rng.uniform(0, 1200, size=500)
         log = parse_log("LIT101\n" + "\n".join(repr(float(v)) for v in raw))
         ds = discretize(log, [LIT101])
-        assert np.bincount(ds.data[:, 0], minlength=3).sum() == 500
+        assert sum(map(ds.columns[0].count, range(3))) == 500
 
 
 class TestProject:
@@ -194,8 +210,7 @@ class TestProject:
     def test_identity(self):
         ds = self._ds()
         out = project(ds, ["LIT101", "MV101"])
-        assert out.names == ds.names
-        assert np.array_equal(out.data, ds.data)
+        assert out == ds
 
     def test_subset_preserves_records(self):
         out = project(self._ds(), ["MV101"])
@@ -219,7 +234,7 @@ class TestProject:
         assert out.names == tuple(names)
         assert out.n_records == 100
         for n in names:
-            assert np.array_equal(out.column(n), wide.column(n))
+            assert out.column(n) == wide.column(n)
 
 
 class TestVariableSpec:
@@ -288,25 +303,23 @@ P101 actuator Off,On
 def test_dataset_json_round_trip():
     log = parse_log("LIT101,MV101\n100,1\n500,2\n900,1\n")
     ds = discretize(log, [LIT101, MV101])
-    back = dataset_from_json(dataset_to_json(ds))
-    assert back.specs == ds.specs
-    assert np.array_equal(back.data, ds.data)
+    back = dataset_from_json(json.loads(cli._dump_json(dataset_to_json(ds))))
+    assert back == ds
 
 
 def test_dataset_json_rejects_non_finite_edge():
-    obj = dataset_to_json(discretize(parse_log("LIT101\n100\n"), [LIT101]))
+    obj = json.loads(cli._dump_json(dataset_to_json(discretize(parse_log("LIT101\n100\n"), [LIT101]))))
     obj["specs"][0]["bin_edges"] = [float("nan"), 750.0]
     with pytest.raises(ParseError, match="LIT101: bin edges must be finite"):
-        dataset_from_json(json.loads(json.dumps({**obj, "data": obj["data"].tolist()})))
+        dataset_from_json(json.loads(json.dumps(obj)))
 
 
 def test_dataset_json_in_the_indented_layout_still_loads():
     ds = discretize(parse_log("LIT101,MV101\n100,1\n500,2\n900,1\n"), [LIT101, MV101])
-    old_layout = json.dumps({**dataset_to_json(ds), "data": ds.data.tolist()}, indent=2)  # one cell per line
+    old_layout = json.dumps({**dataset_to_json(ds), "data": records(ds)}, indent=2)  # one cell per line
     assert "[\n      0,\n      0\n    ]" in old_layout
-    for back in dataset_from_json(json.loads(old_layout)), dataset_from_text(old_layout):
-        assert back.specs == ds.specs
-        assert np.array_equal(back.data, ds.data)
+    for back in dataset_from_json(json.loads(old_layout)), read_dataset_text(old_layout):
+        assert back == ds
 
 
 class _Raw(str):
@@ -377,7 +390,7 @@ def _dataset_documents(draw):
         specs = tuple(make(name) for make, name in zip(makers, names))
         rows = draw(st.lists(st.tuples(*(st.integers(0, s.cardinality - 1) for s in specs)),
                              min_size=1, max_size=5))
-        text = cli._dump_json(dataset_to_json(DiscreteDataset(specs=specs, data=np.array(rows, dtype=np.int64))))
+        text = cli._dump_json(dataset_to_json(DiscreteDataset(specs=specs, columns=list(zip(*rows)))))
         if form == "edited":
             # the ends of the text as often as anywhere inside it
             i = draw(st.one_of(st.integers(0, len(text)), st.sampled_from([0, len(text) - 1, len(text)])))
@@ -432,7 +445,7 @@ def _read_outcome(read, text):
         ds = read(text)
     except (CpsCausalError, json.JSONDecodeError) as exc:
         return type(exc), str(exc)
-    return ds.specs, ds.data.dtype, ds.data.tolist()
+    return ds.specs, ds.columns
 
 
 def _written_text(text):
@@ -446,9 +459,9 @@ def _written_text(text):
 # the ci profile's example count, and never fewer than 200
 @given(document=_dataset_documents())
 @settings(max_examples=max(200, settings().max_examples), deadline=None)
-def test_dataset_from_text_matches_reference(document):
+def test_dataset_reader_matches_reference(document):
     text, canonical = document
-    assert _read_outcome(dataset_from_text, text) == _read_outcome(reference_dataset_from_text, text)
+    assert _read_outcome(read_dataset_text, text) == _read_outcome(reference_dataset_from_text, text)
     written = text == _written_text(text)
     assert written or not canonical
     # the writer writes every cell as one digit when every DP has at most 10 states
@@ -553,7 +566,7 @@ DATASET_DOCUMENT_CORPUS = {
 @pytest.mark.parametrize("records, one_array", DATASET_TEXT_CORPUS.values(), ids=DATASET_TEXT_CORPUS.keys())
 def test_dataset_records_read_as_the_reference_reads_them(records, one_array):
     text = f'{_WRITTEN_SPECS},\n  "data": {records}\n}}\n'
-    assert _read_outcome(dataset_from_text, text) == _read_outcome(reference_dataset_from_text, text)
+    assert _read_outcome(read_dataset_text, text) == _read_outcome(reference_dataset_from_text, text)
     assert read_as_one_array(text) == one_array
 
 
@@ -561,84 +574,103 @@ def _written_dataset(cards, n_records, seed=0):
     """The writer's text of a dataset of actuators with ``cards`` states, and the dataset."""
     rng = np.random.default_rng(seed)
     specs = tuple(VariableSpec(f"D{k}", ACTUATOR, tuple(f"s{i}" for i in range(card))) for k, card in enumerate(cards))
-    data = np.stack([rng.integers(0, card, n_records) for card in cards], axis=1)
-    data[0] = np.array(cards) - 1  # every column's widest cell at least once
-    ds = DiscreteDataset(specs=specs, data=data)
+    columns = [rng.integers(0, card, n_records).tolist() for card in cards]
+    for column, card in zip(columns, cards):
+        column[0] = card - 1  # every column's widest cell at least once
+    ds = DiscreteDataset(specs=specs, columns=columns)
     return cli._dump_json(dataset_to_json(ds)), ds
 
 
-# the cardinalities of datasets with a DP of more than 10 states, and the dtype of their records
-_WIDE_DATASETS = {"12-states": ((12, 3, 2), np.uint8), "150-states": ((150, 12, 10, 2), np.uint8),
-                  "300-states": ((300, 12, 2), np.uint16)}
+# the cardinalities of datasets with a DP of more than 10 states, and the type of their columns
+_WIDE_DATASETS = {"12-states": ((12, 3, 2), (bytes,) * 3), "150-states": ((150, 12, 10, 2), (bytes,) * 4),
+                  "300-states": ((300, 12, 2), (list, bytes, bytes))}
 
 
-@pytest.mark.parametrize("cards, dtype", _WIDE_DATASETS.values(), ids=_WIDE_DATASETS.keys())
-def test_written_dataset_with_more_than_ten_states_is_read_through_json(cards, dtype):
+@pytest.mark.parametrize("cards, kinds", _WIDE_DATASETS.values(), ids=_WIDE_DATASETS.keys())
+def test_written_dataset_with_more_than_ten_states_is_read_through_json(cards, kinds):
     text, ds = _written_dataset(cards, 50)
     assert f"[{cards[0] - 1}," in text  # cells of more than one digit
     assert not read_as_one_array(text)
-    back = dataset_from_text(text)
-    # the narrowest dtype that holds the largest state index
-    assert back.specs == ds.specs and back.data.dtype == ds.data.dtype == dtype
-    assert np.array_equal(back.data, ds.data)
+    back = read_dataset_text(text)
+    # a bytes column for a DP of at most 256 states, a list for a wider one
+    assert back == ds and tuple(map(type, back.columns)) == tuple(map(type, ds.columns)) == kinds
 
 
-def test_every_constructor_gives_the_same_uint8_dataset():
+def test_every_constructor_gives_the_same_dataset():
     fixture = get_fixture("twostage")
     ds = sample_with_clamp(fixture.net, 300, 7, specs=fixture.specs)
     log, text = write_historian_csv(ds), cli._dump_json(dataset_to_json(ds))
     assert read_as_one_array(text) and not read_as_one_array(text[:-1])  # no final newline: json reads it
     built = {
-        "discretize_text": discretize_text(log, fixture.specs),
+        "discretize_log": discretize_log(log, fixture.specs),
         "discretize": discretize(parse_log(log), fixture.specs),
-        "dataset_from_text": dataset_from_text(text),
-        "dataset_from_text-json": dataset_from_text(text[:-1]),
+        "read_columns": read_dataset_text(text),
+        "json": read_dataset_text(text[:-1]),
         "dataset_from_json": dataset_from_json(json.loads(text)),
         "project": project(ds, ds.names),
+        "columns-as-lists": DiscreteDataset(specs=ds.specs, columns=[list(column) for column in ds.columns]),
     }
-    assert ds.data.dtype == np.uint8
-    assert sample_with_clamp(fixture.net, 50, 1, clamp={"MV101": 1}, specs=fixture.specs).data.dtype == np.uint8
+    assert all(type(column) is bytes for column in ds.columns)
+    assert all(type(column) is bytes
+               for column in sample_with_clamp(fixture.net, 50, 1, clamp={"MV101": 1}, specs=fixture.specs).columns)
     for path, other in built.items():
-        assert other.specs == ds.specs, path
-        assert other.data.dtype == np.uint8 and np.array_equal(other.data, ds.data), path
+        assert other == ds, path
+        assert all(type(column) is bytes for column in other.columns), path
 
 
-def test_dataset_holds_the_narrowest_dtype_of_its_own_columns():
-    _, ds = _written_dataset((300, 12, 2), 40)
-    assert ds.data.dtype == np.uint16
-    assert project(ds, ["D2", "D0"]).data.dtype == np.uint16
+def test_dataset_holds_bytes_up_to_256_states_and_lists_beyond():
+    _, ds = _written_dataset((300, 256, 2), 40)
+    assert tuple(map(type, ds.columns)) == (list, bytes, bytes)
+    assert tuple(map(type, project(ds, ["D2", "D0"]).columns)) == (bytes, list)
+    # a bytes column is held as it is given; a bytearray as bytes
     narrow = project(ds, ["D2", "D1"])
-    assert narrow.data.dtype == np.uint8 and narrow.data.flags.c_contiguous
-    assert np.array_equal(narrow.data, ds.data[:, [2, 1]])
-    # data of the dtype already is kept as given; any other integer array is copied
-    assert DiscreteDataset(specs=narrow.specs, data=narrow.data).data is narrow.data
-    assert DiscreteDataset(specs=ds.specs, data=ds.data.astype(np.int32)).data.dtype == np.uint16
-    assert ingest.state_dtype([2, 256]) == np.uint8
-    assert ingest.state_dtype([257]) == ingest.state_dtype([65_536]) == np.uint16
-    assert ingest.state_dtype([65_537]) == np.int64
-    with pytest.raises(TypeError, match="integers"):
-        DiscreteDataset(specs=ds.specs, data=ds.data.astype(np.float64))
+    assert DiscreteDataset(specs=narrow.specs, columns=narrow.columns).columns[0] is narrow.columns[0]
+    assert DiscreteDataset(specs=narrow.specs, columns=map(bytearray, narrow.columns)) == narrow
+    # a bytes column of a DP of more than 256 states is held as a list
+    wide = DiscreteDataset(specs=ds.specs, columns=[bytes([255]) * 40, *ds.columns[1:]])
+    assert wide.columns[0] == [255] * 40
 
 
-@pytest.mark.parametrize("card, dtype", [(256, np.uint8), (1000, np.uint16)])
-def test_multi_digit_cells_are_read_without_wraparound(card, dtype):
+@pytest.mark.parametrize("columns, error, message", [
+    ([[0, 1], [1]], EmptyDataset, "data shape does not match specs"),
+    ([[0, 1]], EmptyDataset, "data shape does not match specs"),
+    ([[], []], EmptyDataset, "dataset needs at least one record"),
+    ([b"", b""], EmptyDataset, "dataset needs at least one record"),
+    ([[0, 2], [0, 1]], UnmappedActuatorValue, "^A: state index out of range$"),
+    ([b"\0\2", b"\0\1"], UnmappedActuatorValue, "^A: state index out of range$"),
+    ([[0, 1], [-1, 1]], UnmappedActuatorValue, "^B: state index out of range$"),
+], ids=["ragged", "too-few-columns", "no-records", "no-records-bytes", "past-the-states", "past-the-states-bytes",
+        "negative"])
+def test_dataset_checks_its_columns(columns, error, message):
+    specs = (VariableSpec("A", ACTUATOR, ("s0", "s1")), VariableSpec("B", ACTUATOR, ("s0", "s1")))
+    with pytest.raises(error, match=message):
+        DiscreteDataset(specs=specs, columns=columns)
+
+
+def test_dataset_of_no_dps_holds_no_record():
+    # as the JSON of a dataset of no DPs, [[]], reads
+    assert DiscreteDataset(specs=(), columns=()).n_records == 0
+    assert dataset_from_json({"specs": [], "data": [[], []]}).n_records == 0
+
+
+@pytest.mark.parametrize("card, kind", [(256, bytes), (1000, list)])
+def test_multi_digit_cells_are_read_without_wraparound(card, kind):
     specs = (VariableSpec("WIDE", ACTUATOR, tuple(f"s{i}" for i in range(card))),
              VariableSpec("D", ACTUATOR, ("a", "b")))
     cells = [c for c in (0, 9, 10, 99, 100, 199, 200, 201, 254, 255, 256, 257, 300, 511, 512, 999) if c < card]
-    data = np.array([[c, c % 2] for c in cells])
-    text = cli._dump_json(dataset_to_json(DiscreteDataset(specs=specs, data=data)))
+    text = cli._dump_json(dataset_to_json(DiscreteDataset(specs=specs, columns=[cells, [c % 2 for c in cells]])))
     assert not read_as_one_array(text)
-    back = dataset_from_text(text)
-    assert back.data.dtype == dtype and back.data.tolist() == data.tolist()
+    back = read_dataset_text(text)
+    assert type(back.columns[0]) is kind and list(back.columns[0]) == cells
 
 
 @pytest.mark.parametrize("cell", [256, 300, 511])
 def test_cell_past_a_uint8_dataset_is_refused_not_wrapped(cell):
     # each of these cells, cut to 8 bits, is a state of a 256-state DP
     specs = (VariableSpec("WIDE", ACTUATOR, tuple(f"s{i}" for i in range(256))),)
-    text = cli._dump_json(dataset_to_json(DiscreteDataset(specs=specs, data=np.array([[0], [255]]))))
+    text = cli._dump_json(dataset_to_json(DiscreteDataset(specs=specs, columns=[[0, 255]])))
     text = text.replace("[255]", f"[{cell}]")
-    for read in dataset_from_text, reference_dataset_from_text:
+    for read in read_dataset_text, reference_dataset_from_text:
         with pytest.raises(UnmappedActuatorValue, match="state index out of range"):
             read(text)
 
@@ -671,14 +703,14 @@ def test_edit_anywhere_in_a_long_dataset_is_not_read_as_one_array(cards, edit):
     written, _ = _written_dataset(cards, 320)
     text = edit(written)
     assert len(text) == len(written) and text != written
-    assert _read_outcome(dataset_from_text, text) == _read_outcome(reference_dataset_from_text, text)
+    assert _read_outcome(read_dataset_text, text) == _read_outcome(reference_dataset_from_text, text)
     assert not read_as_one_array(text)
     assert _written_text(text) != text
 
 
 @pytest.mark.parametrize("text", DATASET_DOCUMENT_CORPUS.values(), ids=DATASET_DOCUMENT_CORPUS.keys())
 def test_dataset_document_read_as_the_reference_reads_it(text):
-    assert _read_outcome(dataset_from_text, text) == _read_outcome(reference_dataset_from_text, text)
+    assert _read_outcome(read_dataset_text, text) == _read_outcome(reference_dataset_from_text, text)
 
 
 # edits of the writer's text of a small dataset, and whether the text is
@@ -708,7 +740,7 @@ def test_only_the_writers_exact_text_is_read_as_one_array(edit, one_array):
     written = cli._dump_json(dataset_to_json(_SMALL))
     text = edit(written)
     assert text != written or edit is _NEAR_MISSES["as-written"][0]  # every other edit applies
-    assert _read_outcome(dataset_from_text, text) == _read_outcome(reference_dataset_from_text, text)
+    assert _read_outcome(read_dataset_text, text) == _read_outcome(reference_dataset_from_text, text)
     assert read_as_one_array(text) == one_array == (text == _written_text(text))
 
 
@@ -716,17 +748,16 @@ def test_only_the_writers_exact_text_is_read_as_one_array(edit, one_array):
 def test_dataset_cell_that_is_not_an_integer_is_a_parse_error(cell):
     text = json.dumps({"specs": [{"name": "A", "kind": "actuator", "states": ["s0", "s1"]}], "data": [[0], [1]]})
     text = text.replace("[1]", f"[{cell}]")
-    for read in dataset_from_text, reference_dataset_from_text:
+    for read in read_dataset_text, reference_dataset_from_text:
         with pytest.raises(ParseError, match="malformed dataset JSON"):
             read(text)
 
 
-def test_dataset_from_json_reads_an_integer_array_and_rejects_others():
-    specs = ({"name": "A", "kind": "actuator", "states": ["s0", "s1"]},)
-    assert dataset_from_json({"specs": specs, "data": np.array([[0], [1]], dtype=np.uint8)}).data.tolist() == [[0], [1]]
-    for data in np.array([[0.0], [1.0]]), np.array([[False], [True]]):
-        with pytest.raises(ParseError):
-            dataset_from_json({"specs": specs, "data": data})
+def _records_written(rows, kind=list) -> bytes:
+    """The bytes that :func:`datafile.record_chunks` writes for ``rows``,
+    handed to it as columns of ``kind``, ``bytes`` or ``list``."""
+    columns = [kind(column) for column in zip(*rows)]
+    return b"".join(datafile.record_chunks(datafile.column_blocks(columns, len(rows)), b",\n    "))
 
 
 @pytest.mark.parametrize("data", [
@@ -734,28 +765,27 @@ def test_dataset_from_json_reads_an_integer_array_and_rejects_others():
     [[0, 1], [1, 0]],
     [[], []],
 ], ids=["int64-extremes", "one-digit", "no-columns"])
-def test_records_json_writes_each_row_as_compact_json(data):
-    text = records_json(np.array(data, dtype=np.int64), b",\n    ")
+def test_record_chunks_write_each_row_as_compact_json(data):
+    text = _records_written(data)
     assert text == ",\n    ".join(json.dumps(row, separators=(",", ":")) for row in data).encode()
     assert json.loads(b"[" + text + b"]") == data
 
 
 @pytest.mark.parametrize("chars", [1, 40, datafile._BLOCK_CHARS])
-@pytest.mark.parametrize("dtype, high", [(np.uint8, 9), (np.uint8, 255), (np.uint16, 300), (np.int64, 9)],
-                         ids=["uint8-one-digit", "uint8", "uint16", "int64-one-digit"])
-def test_records_json_writes_each_block_as_json_writes_it(chars, dtype, high):
-    # a block of uint8 cells of 0 to 9 fills the writer's template row; any other block goes a row at a time
-    data = (np.arange(90).reshape(30, 3) * 7 % (high + 1)).astype(dtype)
+@pytest.mark.parametrize("kind, high", [(bytes, 9), (bytes, 255), (list, 300), (list, 9)],
+                         ids=["bytes-one-digit", "bytes", "list", "list-one-digit"])
+def test_record_chunks_write_each_block_as_json_writes_it(chars, kind, high):
+    # a block of bytes columns of 0 to 9 fills the writer's template row; any other block goes a row at a time
+    data = [[(3 * row + col) * 7 % (high + 1) for col in range(3)] for row in range(30)]
     with mock.patch.object(datafile, "_BLOCK_CHARS", chars):
-        text = records_json(data, b",\n    ")
-    assert text == ",\n    ".join(json.dumps(row, separators=(",", ":")) for row in data.tolist()).encode()
+        text = _records_written(data, kind)
+    assert text == ",\n    ".join(json.dumps(row, separators=(",", ":")) for row in data).encode()
 
 
-def test_records_json_writes_the_same_bytes_for_every_integer_dtype():
-    data = np.array([[0, 255, 9], [10, 99, 100], [200, 1, 0], [255, 254, 7]])
-    written = {dtype: records_json(data.astype(dtype), b",\n    ") for dtype in (np.int64, np.uint8, np.uint16)}
-    rows = [json.dumps(row, separators=(",", ":")) for row in data.tolist()]
-    assert set(written.values()) == {",\n    ".join(rows).encode()}
+def test_record_chunks_write_the_same_bytes_for_bytes_and_list_columns():
+    data = [[0, 255, 9], [10, 99, 100], [200, 1, 0], [255, 254, 7]]
+    rows = [json.dumps(row, separators=(",", ":")) for row in data]
+    assert _records_written(data, bytes) == _records_written(data, list) == ",\n    ".join(rows).encode()
 
 
 def _outcome(fn, *args):
@@ -820,9 +850,9 @@ def _assert_parses_as_reference(text) -> RawLog | None:
     if isinstance(want, tuple):
         assert got == want
         return None
-    assert (got.columns, got.timestamps) == (want.columns, want.timestamps)
-    assert got.values.shape == want.values.shape
-    assert got.values.tobytes() == want.values.tobytes()  # -0.0 keeps its sign
+    assert (got.columns, got.timestamps, got.n_records) == (want.columns, want.timestamps, want.n_records)
+    # repr tells each float apart, and -0.0 from 0.0
+    assert [list(map(repr, column)) for column in got.values] == [list(map(repr, column)) for column in want.values]
     return got
 
 
@@ -915,12 +945,12 @@ def test_no_record_of_a_plain_numeric_log_reaches_csv_reader():
     text = "LIT101,Timestamp,MV101\n100.5, 2015-12-28 10:00:00 ,1\n800.25,t1,2\n"
     log = parse_log(text)
     assert log.columns == ("LIT101", "MV101")
-    assert log.values.tolist() == [[100.5, 1.0], [800.25, 2.0]]
+    assert log.values == ([100.5, 800.25], [1.0, 2.0])
     assert log.timestamps == ("2015-12-28 10:00:00", "t1")
     # csv reads the header, and no line after it
     header = ["LIT101,Timestamp,MV101\n"]
     assert _lines_read_by_csv(parse_log, text) == header
-    assert _lines_read_by_csv(discretize_text, text, [_sensor("LIT101")]) == header
+    assert _lines_read_by_csv(discretize_log, text, [_sensor("LIT101")]) == header
     with mock.patch.object(logfile, "_BLOCK_CHARS", 1):
         assert _lines_read_by_csv(parse_log, text) == header
     # a block the C reader refuses goes to csv, and a fault is named from all of the text
@@ -967,9 +997,7 @@ def test_discretize_matches_reference(text, specs):
     if isinstance(want, tuple):
         assert got == want
     else:
-        assert got.specs == want.specs
-        assert got.data.dtype == want.data.dtype
-        assert np.array_equal(got.data, want.data)
+        assert got == want
 
 
 # --- block by block -------------------------------------------------------------
@@ -980,16 +1008,14 @@ def test_discretize_matches_reference(text, specs):
 # few lines.
 
 def _assert_discretizes_as_reference(text, specs) -> None:
-    """Check that ``discretize_text`` gives the dataset or the error that the
+    """Check that ``discretize_log`` gives the dataset or the error that the
     reference parse and discretize give for ``text``."""
-    got = _outcome(discretize_text, text, specs)
+    got = _outcome(discretize_log, text, specs)
     want = _outcome(lambda: reference_discretize(reference_parse_log(text), specs))
     if isinstance(want, tuple):
         assert got == want
     else:
-        assert got.specs == want.specs
-        assert got.data.dtype == want.data.dtype
-        assert np.array_equal(got.data, want.data)
+        assert got == want
 
 
 def _sensors(text) -> list[VariableSpec]:
@@ -1105,28 +1131,31 @@ def _binned_logs(draw):
 @given(log=_binned_logs(), chars=st.sampled_from([1, 40, logfile._BLOCK_CHARS]))
 @settings(deadline=None)
 def test_readings_drawn_inside_their_bins_discretize_to_those_bins(log, chars):
-    text, specs, records = log
+    text, specs, states = log
     with mock.patch.object(logfile, "_BLOCK_CHARS", chars):
-        ds = discretize_text(text, specs)
-        n, columns = logfile.discretize_log(LogText.of_str(text), specs)
-    assert ds.data.tolist() == records
+        ds = discretize_log(text, specs)
+    assert records(ds) == states
     want = reference_discretize(reference_parse_log(text), specs)
-    assert ds.specs == want.specs and ds.data.dtype == want.data.dtype and np.array_equal(ds.data, want.data)
-    # the command's own path, which holds no array, writes the same file
-    written = b"".join(datafile.dataset_chunks(specs, datafile.column_blocks(columns, n)))
-    assert written == cli._dump_json(dataset_to_json(want)).encode()
+    assert ds == want
+    # the command's writer writes the file that the dataset's JSON dumps to
+    assert b"".join(dataset_chunks(ds)) == cli._dump_json(dataset_to_json(want)).encode()
 
 
 def _traced_peak_beyond_dataset(read, text, specs) -> int:
-    """The peak of the memory that ``read(text, specs)`` allocates, less its
-    dataset's records."""
+    """The peak of the memory that ``read(text, specs)`` allocates, less the
+    dataset's columns that it returns."""
     tracemalloc.start()
     try:
-        ds = read(text, specs)
+        columns = read(text, specs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak - ds.data.nbytes
+    return peak - sum(map(len, columns))
+
+
+def _log_columns(text, specs):
+    """The columns of states that ``discretize`` gathers from the log ``text``."""
+    return logfile.discretize_log(LogText.of_str(text), specs)[1]
 
 
 def _quote_timestamps(text: str) -> str:
@@ -1150,27 +1179,28 @@ def test_memory_beyond_the_dataset_does_not_grow_with_the_log(twostage, form):
         extra = [_traced_peak_beyond_dataset(read, text, ds.specs) for text in (small, large)]
         return extra[1] > 1.25 * extra[0]
 
-    assert not grows(discretize_text)
-    assert grows(lambda text, specs: discretize(parse_log(text), specs))
+    assert not grows(_log_columns)
+    assert grows(lambda text, specs: discretize(parse_log(text), specs).columns)
 
 
-@pytest.mark.parametrize("reader", ["discretize_text", "dataset_from_text"])
+@pytest.mark.parametrize("reader", ["discretize_log", "read_columns"])
 def test_readers_hold_no_wider_copy_of_the_records(twostage, reader):
     ds = twostage.sample(40_000, seed=5)
-    if reader == "discretize_text":
-        extra = _traced_peak_beyond_dataset(discretize_text, write_historian_csv(ds), ds.specs)
+    if reader == "discretize_log":
+        extra = _traced_peak_beyond_dataset(_log_columns, write_historian_csv(ds), ds.specs)
     else:
         text = cli._dump_json(dataset_to_json(ds))
-        extra = _traced_peak_beyond_dataset(lambda text, specs: dataset_from_text(text), text, ds.specs)
-    # the states are written straight into the uint8 records: an int64 copy
-    # of them would take 8 bytes a cell on top
-    assert ds.data.dtype == np.uint8 and extra < 8 * ds.data.size
+        extra = _traced_peak_beyond_dataset(lambda text, specs: read_dataset_text(text).columns, text, ds.specs)
+    # the states are gathered into one byte a cell: a list of them would take
+    # 8 bytes a cell on top
+    assert all(type(column) is bytes for column in ds.columns)
+    assert extra < 8 * ds.n_records * len(ds.columns)
 
 
 def test_dataset_reader_holds_one_copy_of_the_text(twostage):
     ds = twostage.sample(40_000, seed=5)
     text = cli._dump_json(dataset_to_json(ds))
-    extra = _traced_peak_beyond_dataset(lambda text, specs: dataset_from_text(text), text, ds.specs)
+    extra = _traced_peak_beyond_dataset(lambda text, specs: read_dataset_text(text).columns, text, ds.specs)
     # the text's UTF-8 bytes, viewed in place: no str slice of the records besides
     assert text.isascii() and extra < 1.5 * len(text)
 
@@ -1195,14 +1225,14 @@ def test_log_file_discretizes_as_its_text(tmp_path, text, specs, bom, chars):
     specs = specs or _sensors(text)
     with mock.patch.object(logfile, "_BLOCK_CHARS", chars):
         log = LogText.of_file(str(path))
-        got = _outcome(discretize_text, log, specs)
-        want = _outcome(discretize_text, text, specs)
+        got = _outcome(discretize_log, log, specs)
+        want = _outcome(discretize_log, text, specs)
         assert "".join(log.blocks()) == log.text() == text
     assert (log.n_lines, log.plain) == (LogText.of_str(text).n_lines, LogText.of_str(text).plain)
     if isinstance(want, tuple):
         assert got == want
     else:
-        assert got.specs == want.specs and np.array_equal(got.data, want.data)
+        assert got == want
 
 
 @pytest.mark.parametrize("data", [b"A,B\n1,\xff2\n", b"\xef\xbb", b"\xef\xbbA\n1\n", b"A\n1\n\xed\xa0\x80\n",
@@ -1222,18 +1252,18 @@ def _datasets_at_block_boundaries():
     for name in FIXTURE_NAMES:
         ds = get_fixture(name).sample(300, seed=3)
         for n in (1, 2, 3, 5, 8, 300):
-            yield name, DiscreteDataset(specs=ds.specs, data=ds.data[:n])
+            yield name, DiscreteDataset(specs=ds.specs, columns=[column[:n] for column in ds.columns])
     for cards in ((12, 3), (300, 2, 12)):
         _, ds = _written_dataset(cards, 300)
         for n in (1, 2, 3, 5, 300):
-            yield f"{cards[0]}-states", DiscreteDataset(specs=ds.specs, data=ds.data[:n])
+            yield f"{cards[0]}-states", DiscreteDataset(specs=ds.specs, columns=[column[:n] for column in ds.columns])
 
 
 @pytest.mark.parametrize("chars", [1, 17, 40, datafile._BLOCK_CHARS])
 def test_streamed_dataset_is_the_dumped_text(chars):
     with mock.patch.object(datafile, "_BLOCK_CHARS", chars):
         for name, ds in _datasets_at_block_boundaries():
-            assert b"".join(dataset_json_chunks(ds)) == cli._dump_json(dataset_to_json(ds)).encode(), \
+            assert b"".join(dataset_chunks(ds)) == cli._dump_json(dataset_to_json(ds)).encode(), \
                 (name, ds.n_records)
 
 
@@ -1241,8 +1271,8 @@ def test_streamed_dataset_is_the_dumped_text_across_full_size_blocks(twostage):
     ds = twostage.sample(5_000, seed=4)
     step = datafile._BLOCK_CHARS // len(b"0," * len(ds.specs) + b"],\n    [")
     for n in (step - 1, step, step + 1, 2 * step):
-        part = DiscreteDataset(specs=ds.specs, data=ds.data[:n])
-        chunks = list(dataset_json_chunks(part))
+        part = DiscreteDataset(specs=ds.specs, columns=[column[:n] for column in ds.columns])
+        chunks = list(dataset_chunks(part))
         assert len(chunks) == 2 + -(-n // step)
         assert b"".join(chunks) == cli._dump_json(dataset_to_json(part)).encode()
 
@@ -1275,7 +1305,7 @@ def test_dataset_file_reads_as_its_text(tmp_path, chars):
             if columns is not None:
                 assert _columns_outcome(lambda: columns) == \
                     _columns_outcome(lambda: reference_dataset_from_text(text)) == \
-                    _columns_outcome(lambda: dataset_from_text(text)), text
+                    _columns_outcome(lambda: read_dataset_text(text)), text
 
 
 def _loaded_outcome(read, arg):
@@ -1318,8 +1348,7 @@ def test_cli_reads_a_dataset_file_that_json_reads_in_one_attempt(tmp_path, text)
     # one look for the writer's layout, then json parses the whole text once
     assert as_written.call_count == 1
     assert [call.args[0] for call in loads.call_args_list].count(text) == 1
-    want = reference_dataset_from_text(text)
-    assert ds.specs == want.specs and ds.data.dtype == want.data.dtype and np.array_equal(ds.data, want.data)
+    assert ds == reference_dataset_from_text(text)
 
 
 def _traced_peak(read):
@@ -1346,10 +1375,12 @@ def test_cli_file_readers_hold_no_more_as_the_file_grows(tmp_path, twostage, for
     for name, text in (("10k", form(small)), ("40k", form(large))):
         log = tmp_path / f"{name}.csv"
         log.write_bytes(text.encode())
-        peak, read = _traced_peak(lambda: discretize_text(cli._log_text(str(log)), ds.specs))
-        extra["log", name] = peak - read.data.nbytes
+        peak, (n, columns) = _traced_peak(lambda: logfile.discretize_log(cli._log_text(str(log)), ds.specs))
+        extra["log", name] = peak - sum(map(len, columns))
         dataset = tmp_path / f"{name}.json"
-        extra["write", name], _ = _traced_peak(lambda: cli._atomic_write(dataset, dataset_json_chunks(read)))
+        extra["write", name], _ = _traced_peak(lambda: cli._atomic_write(
+            dataset, datafile.dataset_chunks(ds.specs, datafile.column_blocks(columns, n))))
+        read = DiscreteDataset(specs=ds.specs, columns=columns)
         assert dataset.read_bytes() == cli._dump_json(dataset_to_json(read)).encode()
         peak, back = _traced_peak(lambda: cli._load_columns(str(dataset)))
         extra["dataset", name] = peak - sum(map(len, back.columns))

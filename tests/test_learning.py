@@ -96,10 +96,9 @@ class TestPc:
         # why learn_pc needs no constant-DP pre-pass: the expected counts of
         # a constant DP's tables are exact, so each of its tests gives p = 1
         ds = get_fixture("stage1").sample(300, seed=31)
-        data = ds.data.copy()
-        c = ds.index("P102")
-        data[:, c] = ds.cardinality("P102") - 1
-        ds = DiscreteDataset(specs=ds.specs, data=data)
+        columns = list(ds.columns)
+        columns[ds.index("P102")] = bytes([ds.cardinality("P102") - 1]) * ds.n_records
+        ds = DiscreteDataset(specs=ds.specs, columns=columns)
         tally, column = Tallies(ds.columns, ds.cards), {v: ds.index(v) for v in ds.names}
         tests = [learning._ci_statistic(tally, column, min("P102", j), max("P102", j), s)
                  for j in ds.names if j != "P102"
@@ -119,7 +118,7 @@ class TestPc:
         perm = [3, 0, 4, 1, 2]
         shuffled = DiscreteDataset(
             specs=tuple(ds.specs[k] for k in perm),
-            data=ds.data[:, perm].copy())
+            columns=[ds.columns[k] for k in perm])
         res2 = learn_pc(shuffled)
         assert skeleton(res.graph) == skeleton(res2.graph)
 
@@ -446,10 +445,10 @@ class TestPcMatchesReference:
         # exactly 0, so level 0 drops each of its edges with the set ()
         ds = get_fixture(fixture).sample(300, seed=31)
         constant = [v for v in ds.names if v not in kept] if all_but_two else [kept[0]]
-        data = ds.data.copy()
+        columns = list(ds.columns)
         for v in constant:
-            data[:, ds.index(v)] = ds.cardinality(v) - 1  # a state other than 0
-        ds = DiscreteDataset(specs=ds.specs, data=data)
+            columns[ds.index(v)] = bytes([ds.cardinality(v) - 1]) * ds.n_records  # a state other than 0
+        ds = DiscreteDataset(specs=ds.specs, columns=columns)
         seen = []
         statistic = learning._ci_statistic
 
@@ -546,7 +545,7 @@ class TestClMatchesReference:
     def test_duplicated_and_constant_columns(self, n):
         # B copies A and D copies C, so their links tie on mutual information;
         # K is constant, so each of its links has mutual information 0
-        x, y, z, w = (get_fixture("twostage").sample(n, seed=114).data[:, k].tolist() for k in range(4))
+        x, y, z, w = (list(column) for column in get_fixture("twostage").sample(n, seed=114).columns[:4])
         ds = make_ds({"A": x, "B": x, "C": y, "D": y, "E": z, "F": w, "K": [0] * n}, dict.fromkeys("ABCDEFK", 3))
         for root in ds.names:
             assert learn_cl(ds, ClConfig(root)) == reference_learn_cl(ds, ClConfig(root)), root

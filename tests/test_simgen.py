@@ -24,22 +24,22 @@ def test_degenerate_prior_samples_constant():
         graph=CausalGraph(nodes=("A",)),
         cpts={"A": Cpt("A", (), (), ("s0", "s1"), np.array([[1.0, 0.0]]))})
     ds = forward_sample(net, 50, seed=9)
-    assert np.all(ds.data == 0)
+    assert ds.columns == (bytes(50),)
 
 
 def test_same_seed_bit_identical(stage1):
     a = stage1.sample(500, seed=77)
     b = stage1.sample(500, seed=77)
-    assert np.array_equal(a.data, b.data)
+    assert a == b
     c = stage1.sample(500, seed=78)
-    assert not np.array_equal(a.data, c.data)
+    assert a.columns != c.columns
 
 
 def test_marginals_converge(stage1):
     ds = stage1.sample(50_000, seed=1)
     # marginal of LIT101 straight from its prior row
     lit = ds.column("LIT101")
-    freq = np.bincount(lit, minlength=3) / len(lit)
+    freq = np.bincount(np.frombuffer(lit, np.uint8), minlength=3) / len(lit)
     assert np.max(np.abs(freq - np.array([0.05, 0.75, 0.20]))) < 0.01
 
 
@@ -56,18 +56,18 @@ def test_fit_mle_recovers_cpts(name):
 class TestClamp:
     def test_clamped_root_constant(self, stage1):
         ds = stage1.sample(200, seed=3, clamp={"LIT101": 2})
-        assert np.all(ds.column("LIT101") == 2)
+        assert ds.column("LIT101") == bytes([2]) * 200
 
     def test_descendants_respond(self, stage1):
         # forcing the valve open drives the flow CPT row [0.02, 0.98]
         ds = stage1.sample(50_000, seed=4, clamp={"MV101": 1})
-        high = float((ds.column("FIT101") == 1).mean())
+        high = ds.column("FIT101").count(1) / ds.n_records
         assert abs(high - 0.98) < 0.01
 
     def test_empty_clamp_equals_forward_sample(self, stage1):
         a = sample_with_clamp(stage1.net, 300, seed=5, clamp={}, specs=stage1.specs)
         b = forward_sample(stage1.net, 300, seed=5, specs=stage1.specs)
-        assert np.array_equal(a.data, b.data)
+        assert a == b
 
     def test_unknown_clamp_variable(self, stage1):
         with pytest.raises(UnknownVariable):
@@ -80,8 +80,7 @@ def test_historian_csv_round_trip(stage1):
     log = parse_log(text)
     assert log.timestamps is not None
     back = discretize(log, ds.specs)
-    assert back.specs == ds.specs
-    assert np.array_equal(back.data, ds.data)
+    assert back == ds
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -97,10 +96,10 @@ def test_historian_csv_matches_reference_on_odd_specs():
              VariableSpec("V", ACTUATOR, ("x", "y", "z"), codes=(-3, 10**20, 0)),
              VariableSpec("W", ACTUATOR, tuple(f"s{k}" for k in range(12))))
     rng = np.random.default_rng(3)
-    data = np.column_stack([rng.integers(0, s.cardinality, size=200) for s in specs])
-    ds = DiscreteDataset(specs=specs, data=data)
+    columns = [rng.integers(0, s.cardinality, size=200).tolist() for s in specs]
+    ds = DiscreteDataset(specs=specs, columns=columns)
     assert write_historian_csv(ds) == reference_write_historian_csv(ds)
-    one = DiscreteDataset(specs=specs, data=data[:1])
+    one = DiscreteDataset(specs=specs, columns=[column[:1] for column in columns])
     assert write_historian_csv(one) == reference_write_historian_csv(one)
 
 
@@ -111,7 +110,7 @@ def test_historian_csv_matches_reference_on_odd_specs():
 ])
 def test_historian_csv_round_trip_at_extreme_edges(edges):
     spec = VariableSpec("S", SENSOR, tuple(f"s{k}" for k in range(len(edges) + 1)), bin_edges=edges)
-    ds = DiscreteDataset(specs=(spec,), data=np.repeat(np.arange(len(edges) + 1), 3)[:, None])
+    ds = DiscreteDataset(specs=(spec,), columns=[[state for state in range(len(edges) + 1) for _ in range(3)]])
     text = write_historian_csv(ds)
     assert text == reference_write_historian_csv(ds)
-    assert np.array_equal(discretize(parse_log(text), ds.specs).data, ds.data)
+    assert discretize(parse_log(text), ds.specs) == ds
