@@ -9,12 +9,12 @@ output digests. Exit codes: 0 success, 2 usage error, 3 data error,
 JSON artifacts are laid out by :func:`jsontext.json_text`, where the
 dataset reader also finds the layout it reads fast; ``_dump_json`` adds the
 final newline. Every artifact is written in pieces through one hashing
-``_atomic_write``. ``discretize`` reads the historian log a block at a time,
-once to check it and once to map it to states, one ``bytes`` per DP, and
-writes the dataset a block of records at a time. ``learn`` and ``fit`` read
-a dataset file through ``_load_columns``, the one reader: a file that is
-exactly the writer's, of DPs of at most 10 states, a block of records at a
-time into one ``bytes`` per DP, and any other once, whole, through
+``_atomic_write``. ``discretize`` reads the historian log once, a block at
+a time, and maps each block to states, one ``bytes`` per DP, as it is read;
+it writes the dataset a block of records at a time. ``learn`` and ``fit``
+read a dataset file through ``_load_columns``, the one reader: a file that
+is exactly the writer's, of DPs of at most 10 states, a block of records at
+a time into one ``bytes`` per DP, and any other once, whole, through
 ``json``. No command holds the text of a log as a whole, except to name a
 fault in it.
 
@@ -146,17 +146,6 @@ def _read(path: str) -> str:
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
-def _log_text(path: str):
-    """The historian log file at ``path`` as the ``LogText`` that its block
-    reader reads; a file that ``_read`` refuses raises ``_read``'s error."""
-    from .logfile import LogText
-
-    try:
-        return LogText.of_file(path)
-    except (OSError, UnicodeDecodeError):
-        return LogText.of_str(_read(path))
-
-
 def _load_json(path: str):
     try:
         return json.loads(_read(path))
@@ -256,15 +245,19 @@ def cmd_sample(args) -> int:
 
 def cmd_discretize(args) -> int:
     from .datafile import column_blocks, dataset_chunks
-    from .logfile import discretize_log, parse_spec_file
+    from .logfile import LogText, discretize_log, parse_spec_file
 
-    log = _log_text(args.input)
+    log = LogText.of_file(args.input)
     try:
-        specs = parse_spec_file(_read(args.spec))
-    except CpsCausalError:
-        discretize_log(log, ())  # a fault in the log is named before one in the spec file
+        try:
+            specs = parse_spec_file(_read(args.spec))
+        except CpsCausalError:
+            discretize_log(log, ())  # a fault in the log is named before one in the spec file
+            raise
+        n, columns = discretize_log(log, specs)
+    except (OSError, UnicodeDecodeError):
+        _read(args.input)  # names the log file that cannot be read
         raise
-    n, columns = discretize_log(log, specs)
     _write_with_manifest(
         Path(args.out), dataset_chunks(specs, column_blocks(columns, n)), "discretize",
         {"input": Path(args.input).name, "spec": Path(args.spec).name}, {})

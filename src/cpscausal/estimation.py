@@ -26,7 +26,9 @@ numpy's pairwise sum of a float64 array, which adds
 each BIC's terms (the non-zero cells, row-major), each chi-square
 stratum's cells, and the mutual information's terms and column margins.
 The chi-square statistic adds the strata one after the other, and a
-mutual-information row margin adds its cells one after the other. Integer
+mutual-information row margin adds its cells one after the other; so do
+K2's and BDeu's cell terms and :func:`score`'s families, through
+``inference.sum_left_to_right``, as ``sum`` adds floats up to Python 3.11. Integer
 counts and margins are exact, so each expected count is rounded once, in
 its division.
 
@@ -57,7 +59,7 @@ from math import exp, inf, lgamma, log
 from .errors import DuplicateParent, InsufficientData, NonPositiveEss, UnknownColumn, UsageError
 from .graph import CausalGraph, topological_order
 # the net model and its fitting live in inference, which fit runs without numpy; still named here
-from .inference import BayesNet, Cpt, fit_bayes, fit_mle  # noqa: F401
+from .inference import BayesNet, Cpt, fit_bayes, fit_mle, sum_left_to_right  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -280,14 +282,14 @@ def _dirichlet(n: list[int], r: int, a_row: float, a_cell: float) -> float:
     for at in range(0, len(n), r):
         cells = n[at:at + r]
         out += lgamma(a_row) - lgamma(a_row + sum(cells))
-        out += sum(lgamma(a_cell + v) - lgamma(a_cell) for v in cells)
+        out += sum_left_to_right(lgamma(a_cell + v) - lgamma(a_cell) for v in cells)
     return out
 
 
 def score(ds, graph: CausalGraph, method: str = "bic", ess: float = 1.0) -> float:
     """Network score: sum of family scores over all nodes. Higher is better."""
     topological_order(graph)
-    return sum(
+    return sum_left_to_right(
         family_score(ds, node, tuple(sorted(graph.parents(node))), method=method, ess=ess)
         for node in graph.nodes
     )

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import exp, inf, log, prod
 from numbers import Real
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
     InvalidCpt,
@@ -221,11 +221,21 @@ def _log(p: float) -> float:
     return log(p) if p > 0 else -inf
 
 
+def sum_left_to_right(terms: Iterable[float]) -> float:
+    """The floats ``terms`` added from the left, as ``sum`` adds them up to
+    Python 3.11 (from 3.12, ``sum`` compensates its roundings), so that
+    every interpreter writes the same outputs."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 def logsumexp(logs) -> float:
     """``log(sum(exp(l) for l in logs))``, shifted by the maximum so that no
-    term underflows; ``-inf`` when every term is."""
+    term underflows, and added left to right; ``-inf`` when every term is."""
     m = max(logs)
-    return m if m == -inf else m + log(sum(exp(x - m) for x in logs))
+    return m if m == -inf else m + log(sum_left_to_right(exp(x - m) for x in logs))
 
 
 def _cells(strides: Mapping[str, int], order: tuple[str, ...], card: Mapping[str, int], base: int = 0) -> list[int]:

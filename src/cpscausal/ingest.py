@@ -10,8 +10,8 @@ edges. The log reader, the map of readings to states and the spec file are
 log in memory. :func:`parse_log` reads the text into a :class:`RawLog`,
 one list of floats per column, and :func:`discretize` maps it to a
 :class:`DiscreteDataset` through the map that ``discretize`` runs. The
-CLI's ``discretize`` reads a log file a block at a time instead, through
-:func:`logfile.discretize_log`. Standard library and the package only.
+CLI's ``discretize`` reads a log file once, a block at a time, instead,
+through :func:`logfile.discretize_log`. Standard library and the package only.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ def parse_log(text: str) -> RawLog:
     a finite number (``nan``, ``inf``, ``1_0`` and ``\\u0661`` included).
     The first faulty record decides which error is raised, and the message
     names the line of the text on which that record starts. The records
-    are read a block at a time (:func:`logfile._read_log`).
+    are read a block at a time, in one pass (:func:`logfile._read_log`).
     """
-    columns, _, read = _read_log(LogText.of_str(text), stamps=True)
+    columns, read = _read_log(LogText.of_str(text), stamps=True)
     values: list[list[float]] = [[] for _ in columns]
     stamps = []
     for _, block, block_stamps in read(lambda cells, suspect: [readings(column, suspect) for column in cells]):

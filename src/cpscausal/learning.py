@@ -40,6 +40,7 @@ from .estimation import chi_square_ci, family_score, mutual_information  # noqa:
 from .graph import LEARNT, CausalGraph, Edge
 # in graph, so that fit extends a PDAG without the learners; still named here
 from .graph import extend_to_dag  # noqa: F401
+from .inference import sum_left_to_right
 from .tally import Tallies
 
 
@@ -259,7 +260,7 @@ def learn_hc(ds, cfg: HcConfig = HcConfig()) -> HcResult:
 
     for d in range(n):
         rescore(d)
-    total = sum(own)
+    total = sum_left_to_right(own)
     trace: list[float] = []
     for _ in range(cfg.max_iter):
         best = _best_move(parents, own, toggled, moves)

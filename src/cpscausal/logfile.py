@@ -10,23 +10,25 @@ bin edges. Bin edges are half-open ``[lo, hi)``: a value equal to an edge
 belongs to the upper interval. Timestamp columns are carried as opaque text
 and never enter the discrete data. Missing values are rejected.
 
-Every log is read by one block reader, :func:`_read_log`, from a
-:class:`LogText`, a source that gives the text a block at a time as often
-as the reader asks. Plain numeric text comes in blocks of at least
-``_BLOCK_CHARS`` characters cut at line ends, and each block's value cells
-in one ``split``, a column at a time by a stride slice; any other text, or
-a block whose cells are not all readings, comes as batches of :mod:`csv`
-rows. One scan of the whole text names any fault
-(:func:`_raise_first_fault`). :class:`StateMaps` maps a block's cells to
-states with one ``map`` per spec: ``float`` then ``bisect_right`` over a
-sensor's edges, and a dict of the cells met so far for an actuator, which
-reads and checks each distinct cell once; a column that no spec maps is
-read by ``float`` only to check it. :func:`discretize_log` gathers the
+Every log is read by one block reader, :func:`_read_log`, in one pass
+over a :class:`LogText`, a source that gives the text a block at a time.
+The blocks hold at least ``_BLOCK_CHARS`` characters, cut at line ends,
+and a block of plain numeric text gives its value cells in one ``split``,
+a column at a time by a stride slice. From the first block that holds a
+quote, a NUL or a carriage return outside a CRLF line end on, the text
+comes as batches of :mod:`csv` rows, as does a block whose cells are not
+all readings, and a log whose header is not its first line. One scan of
+the whole text names any fault (:func:`_raise_first_fault`).
+:class:`StateMaps` maps a block's cells to states with one ``map`` per
+spec: ``float`` then ``bisect_right`` over a sensor's edges, and a dict of
+the cells met so far for an actuator, which reads and checks each distinct
+cell once; a column that no spec maps is read by ``float`` only to check
+it. :func:`discretize_log` gathers the
 states into one ``bytes`` per spec, which :func:`datafile.dataset_chunks`
 writes, so that ``discretize`` runs on the standard library alone and
 holds the dataset and one block, never the whole log as numbers. A
-:class:`LogText` of a file (:meth:`LogText.of_file`) reads the file twice,
-a block at a time, and holds its whole text only to name a fault.
+:class:`LogText` of a file (:meth:`LogText.of_file`) reads the file once,
+a block at a time, and reads its whole text only to name a fault.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from math import isfinite
 from numbers import Real
-from pathlib import Path
 from typing import NoReturn
 
 from .datafile import SENSOR, VariableSpec
@@ -57,8 +58,9 @@ from .errors import (
 from .jsontext import split_lines
 
 # The log reader reads plain records in blocks of at least this many
-# characters, each cut at a line end, and csv rows in batches of the lines
-# of a quarter block; a log file is read in blocks of this many bytes. A
+# characters, each cut at a line end, and csv rows in batches of as many
+# rows as a quarter block holds lines as long as the header; a log file is
+# read in blocks of this many bytes. A
 # block's cells take some 28 bytes per character of its text, their str
 # objects most of it: beyond the dataset, discretizing a 40k-record log
 # of the 12-DP fixture held 0.7 MB with 24 KiB blocks, 1.7 MB with
@@ -77,8 +79,7 @@ Convert = Callable[[list[Sequence[str]], bool], list]
 
 @dataclass(frozen=True)
 class LogText:
-    """The text of a historian log as its block reader reads it, and what
-    one pass over the whole text tells of it.
+    """The text of a historian log as its block reader reads it.
 
     ``blocks()`` gives the text from its start, as often as it is called:
     its first line, then blocks of at least ``_BLOCK_CHARS`` characters, or
@@ -87,47 +88,33 @@ class LogText:
 
     blocks: Callable[[], Iterator[str]]
     text: Callable[[], str]
-    n_lines: int  # the line ends, plus one when the text does not end in one
-    size: int  # the length of the text in the unit its blocks are cut in
-    plain: bool  # no quote or NUL, and no carriage return outside a CRLF line end
 
     @classmethod
     def of_str(cls, text: str) -> LogText:
         first = text.find("\n") + 1 or len(text)
-        return cls(blocks=lambda: chain([text[:first]], _cuts(text, first)), text=lambda: text,
-                   n_lines=text.count("\n") + (not text.endswith("\n")), size=len(text),
-                   plain='"' not in text and "\0" not in text and text.count("\r") == text.count("\r\n"))
+        return cls(blocks=lambda: chain([text[:first]], _cuts(text, first)), text=lambda: text)
 
     @classmethod
     def of_file(cls, path: str) -> LogText:
         """The UTF-8 text of the file at ``path`` without a leading byte-order
         mark, as ``open(path, encoding="utf-8-sig", newline="")`` reads it.
-        One pass over the file's blocks counts its lines and makes the
-        whole-text checks; each later call of ``blocks()`` reads it again.
-        Raises :class:`OSError` when the file cannot be read and
-        :class:`UnicodeDecodeError` when it is not UTF-8."""
-        n_lines, size, ends, plain = 0, 0, False, True
-        for block in _file_blocks(path):
-            if not block.isascii():
-                block.decode()  # cut at a line end, so a block of UTF-8 is UTF-8 on its own
-            n_lines += block.count(b"\n")
-            size += len(block)
-            ends = block.endswith(b"\n") if block else ends
-            plain = plain and b'"' not in block and b"\0" not in block and \
-                (b"\r" not in block or block.count(b"\r") == block.count(b"\r\n"))
-        return cls(blocks=lambda: map(bytes.decode, _file_blocks(path)),
-                   text=lambda: Path(path).read_bytes().removeprefix(codecs.BOM_UTF8).decode(),
-                   n_lines=n_lines + (not ends), size=size, plain=plain)
+        Nothing is read until ``blocks()`` or ``text()`` is called, and each
+        call reads the file again, through :func:`_file_blocks`."""
+        return cls(blocks=lambda: _file_blocks(path), text=lambda: "".join(_file_blocks(path)))
 
 
-def _file_blocks(path: str) -> Iterator[bytes]:
-    """The bytes of the file at ``path`` after a leading UTF-8 byte-order
+def _file_blocks(path: str) -> Iterator[str]:
+    """The UTF-8 text of the file at ``path`` after a leading byte-order
     mark: its first line, then blocks of at least ``_BLOCK_CHARS`` bytes,
-    each cut at a line end."""
+    each cut at a line end. A file that holds no more than the start of a
+    byte-order mark holds no text, as ``utf-8-sig`` decodes it. Raises
+    :class:`OSError` when the file cannot be read and
+    :class:`UnicodeDecodeError` when a block is not UTF-8."""
     with open(path, "rb") as fh:
-        yield fh.readline().removeprefix(codecs.BOM_UTF8)
+        first = fh.readline()
+        yield "" if codecs.BOM_UTF8.startswith(first) else first.removeprefix(codecs.BOM_UTF8).decode()
         while block := fh.read(_BLOCK_CHARS):
-            yield block if block.endswith(b"\n") else block + fh.readline()
+            yield (block if block.endswith(b"\n") else block + fh.readline()).decode()
 
 
 def _cuts(text: str, at: int) -> Iterator[str]:
@@ -151,24 +138,25 @@ def _unique_names(columns: tuple[str, ...]) -> bool:
     return len(set(columns)) == len(columns) and all(columns)
 
 
-def _read_log(log: LogText, stamps: bool = False) -> tuple[tuple[str, ...], int, Callable[[Convert], Iterator[tuple]]]:
-    """The value columns of the log, a bound on its record count, exact
-    when no line is blank and no cell spans lines, and a function that
-    reads the records a block at a time: given ``convert``, which takes a
-    block's value cells, one sequence per value column, and whether a cell
-    may hold an underscore or a character outside ASCII, it yields each
-    block's record count, what ``convert`` makes of its cells, and its
-    timestamps when ``stamps`` is true and the log has a timestamp column,
-    else None. ``convert`` raises :class:`_NotAReading` to refuse a block.
+def _read_log(log: LogText, stamps: bool = False) -> tuple[tuple[str, ...], Callable[[Convert], Iterator[tuple]]]:
+    """The value columns of the log, and a function that reads its records
+    a block at a time in one pass: given ``convert``, which takes a block's
+    value cells, one sequence per value column, and whether a cell may hold
+    an underscore or a character outside ASCII, it yields each block's
+    record count, what ``convert`` makes of its cells, and its timestamps
+    when ``stamps`` is true and the log has a timestamp column, else None.
+    ``convert`` raises :class:`_NotAReading` to refuse a block.
 
-    Plain numeric text (no quotes, NUL or ``\\r`` outside a CRLF line end,
-    the header on the first line, a value column) is split into cells a
-    block at a time, as it is. :mod:`csv` splits into rows any block whose
-    cells ``convert`` refuses, and any other text. Any fault is raised
-    through :func:`_raise_first_fault`: the header's at once, a record's
-    when its block is read."""
-    # the first line is a block of its own, so that the header of plain
-    # text, which is all that csv reads of it, costs no block
+    When the header is on the first line and there is a value column, the
+    blocks are split into cells as they are, up to the first that holds a
+    quote, a NUL or a ``\\r`` outside a CRLF line end; :mod:`csv` splits into
+    rows that block and the rest of the text, where a quoted cell may span
+    lines, any block whose cells ``convert`` refuses, and any other log
+    from its header on. Any fault is raised through
+    :func:`_raise_first_fault`: the header's at once, a record's when its
+    block is read."""
+    # the first line is a block of its own, so that the header, which is
+    # all that csv reads of plain text, costs no block
     chunks = log.blocks()
     reader = csv.reader(chain.from_iterable(map(io.StringIO, chunks)))
     header = None
@@ -179,16 +167,14 @@ def _read_log(log: LogText, stamps: bool = False) -> tuple[tuple[str, ...], int,
     ts_idx, value_idx, columns = _header_columns(header)
     if not _unique_names(columns):
         _raise_first_fault(log.text())
-    # csv.reader gives these a meaning of its own: quoting, a line end, and
-    # on Python 3.10 an error; with no value column, a blank line, which csv
-    # skips, would pass for a record
-    plain = reader.line_num == 1 and bool(columns) and log.plain
+    # with no value column, a blank line, which csv skips, would pass for a record
+    plain = reader.line_num == 1 and bool(columns)
     ts = ts_idx[0] if stamps and ts_idx else None
     width = len(header)
 
     # csv's rows take some four times the memory of their text, so a batch
-    # holds as many rows as a quarter of a block holds lines, on average
-    size = max(1, _BLOCK_CHARS * log.n_lines // log.size // 4)
+    # holds as many rows as a quarter of a block holds lines as long as the header
+    size = max(1, _BLOCK_CHARS // 4 // (sum(map(len, header)) + width))
 
     def rows_read(source: Iterator[list[str]], convert: Convert) -> Iterator[tuple]:
         """The records of the csv rows of ``source`` that are not blank, a
@@ -209,6 +195,12 @@ def _read_log(log: LogText, stamps: bool = False) -> tuple[tuple[str, ...], int,
     def plain_batches(convert: Convert) -> Iterator[tuple]:
         n_commas, limit = width - 1, csv.field_size_limit()
         for block in chunks:  # after the first line, which csv has read
+            # csv.reader gives these a meaning of its own: quoting, a line end,
+            # and on Python 3.10 an error; each block before this one ends a record
+            if '"' in block or "\0" in block or ("\r" in block and block.count("\r") != block.count("\r\n")):
+                rest = chain.from_iterable(map(io.StringIO, chain([block], chunks)))
+                yield from rows_read(csv.reader(rest), convert)
+                return
             lines = block.split("\n")
             if not lines[-1]:
                 lines.pop()
@@ -234,7 +226,7 @@ def _read_log(log: LogText, stamps: bool = False) -> tuple[tuple[str, ...], int,
                 return
         _raise_first_fault(log.text())
 
-    return columns, log.n_lines - reader.line_num, read
+    return columns, read
 
 
 class _NotAReading(Exception):
@@ -389,7 +381,7 @@ def discretize_log(log: LogText, specs: Sequence[VariableSpec]) -> tuple[int, li
     :class:`datafile.DiscreteDataset` checks them against the specs, as
     ``ingest.discretize(ingest.parse_log(text), specs)`` gives them. Every
     block is read before :meth:`StateMaps.check` raises."""
-    columns, _, read = _read_log(log)
+    columns, read = _read_log(log)
     maps = StateMaps(columns, specs)
     out: list = [bytearray() if spec.cardinality <= 1 << 8 else [] for spec in specs]
     n = 0

@@ -7,6 +7,7 @@ import importlib
 import importlib.util
 import io
 import json
+import math
 import os
 import pkgutil
 import re
@@ -23,7 +24,8 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT202012
 
-from cpscausal import cli
+import cpscausal
+from cpscausal import cli, logfile
 from cpscausal.cli import main
 from cpscausal.errors import DataError
 from cpscausal.ingest import (
@@ -265,6 +267,45 @@ class TestErrors:
         code = main(["discretize", "--input", str(log), "--spec", str(spec), "--out", str(tmp_path / "x.json")])
         assert code == 3
         assert capsys.readouterr().err == f"error [DataError]: {raised.value}\n"
+
+    @pytest.mark.parametrize("spec_text", ["A actuator Off,On\n", "A bogus Off,On\n"], ids=["good-spec", "bad-spec"])
+    def test_log_that_is_not_utf8_past_its_first_block_leaves_no_output(self, tmp_path, capsys, spec_text):
+        # the bad byte lies in a later block than the ones read before it is met
+        log = tmp_path / "log.csv"
+        log.write_bytes(b"A\n" + b"1\n" * 40_000 + b"\xc3\n")
+        spec = tmp_path / "s.vspec"
+        spec.write_text(spec_text)
+        with pytest.raises(DataError) as raised:
+            cli._read(str(log))
+        code = main(["discretize", "--input", str(log), "--spec", str(spec), "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        assert capsys.readouterr().err == f"error [DataError]: {raised.value}\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["log.csv", "s.vspec"]
+
+    @pytest.mark.parametrize("form", [
+        lambda text: text,
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: re.sub(r"(?m)^(999),", r'"\1",', text),
+        lambda text: re.sub(r"(?m)^([^,\n]+),", r'"\1",', text),
+    ], ids=["plain", "crlf", "quoted-late", "quoted"])
+    def test_discretize_reads_the_log_file_once(self, repo_root, tmp_path, monkeypatch, form):
+        golden = repo_root / "tests/golden/stage1"
+        log = tmp_path / "log.csv"
+        log.write_bytes(form((golden / "sample.csv").read_text()).encode())
+        monkeypatch.setattr(logfile, "_BLOCK_CHARS", 4096)
+        opened, real_open = [], open
+
+        def spy(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        out = tmp_path / "dataset.json"
+        monkeypatch.setattr("builtins.open", spy)
+        code = main(["discretize", "--input", str(log), "--spec", str(golden / "stage1.vspec"), "--out", str(out)])
+        monkeypatch.undo()
+        assert code == 0
+        assert opened.count(str(log)) == 1
+        assert out.read_bytes() == (golden / "dataset.json").read_bytes()
 
     @pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb"])
     def test_log_of_a_cut_byte_order_mark_is_read_as_no_text(self, tmp_path, capsys, data):
@@ -1326,3 +1367,48 @@ def test_any_spec_file_is_read_or_refused_with_its_error_class(tmp_path_factory,
     (d / "log.vspec").write_bytes(text.encode())
     _assert_read_or_refused(["discretize", "--input", str(d / "log.csv"), "--spec", str(d / "log.vspec"),
                              "--out", str(d / "dataset.json")])
+
+
+def _compensated_sum(terms, start=0):
+    """``sum`` as Python 3.12 and later add floats: each rounding is
+    compensated, by Neumaier's method; any other terms as ``sum`` adds them."""
+    terms = list(terms)
+    if not any(isinstance(t, float) for t in terms) or not all(isinstance(t, (int, float)) for t in terms):
+        return sum(terms, start)
+    total, lost = float(start), 0.0
+    for t in map(float, terms):
+        s = total + t
+        lost += (total - s) + t if abs(total) >= abs(t) else (t - s) + total
+        total = s
+    return total + lost if lost and math.isfinite(lost) else total
+
+
+def test_no_output_depends_on_how_sum_rounds_floats(repo_root, tmp_path, monkeypatch, twostage):
+    from cpscausal.estimation import score
+    from cpscausal.learning import HcConfig, learn_hc
+
+    golden = repo_root / "tests/golden/stage1"
+    # at this size, K2's and BDeu's scores of the fixture move when sum compensates
+    ds = twostage.sample(500, seed=1)
+    dataset = tmp_path / "dataset.json"
+    dataset.write_text(cli._dump_json(dataset_to_json(ds)))
+
+    def outputs(out):
+        out.mkdir()
+        assert main(["impact", "--net", str(golden / "net.json"), "--attacks", attacks_path("stage1.json"),
+                     "--out", str(out / "impact.json")]) == 0
+        for method in ("k2", "bdeu"):
+            assert main(["learn", "--dataset", str(dataset), "--algo", "hc", "--score", method,
+                         "--out", str(out / f"{method}.json")]) == 0
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        # the floats that reach no file: HC's score trace and the network score, by their bits
+        floats = {method: [*map(float.hex, learn_hc(ds, HcConfig(score_method=method)).trace),
+                           score(ds, twostage.net.graph, method).hex()] for method in ("bic", "k2", "bdeu")}
+        return files, floats
+
+    as_added = outputs(tmp_path / "left-to-right")
+    assert as_added[0]["impact.json"] == (golden / "impact.json").read_bytes()
+    assert _compensated_sum([1.0, 1e-16, 1e-16]) != 1.0 and _compensated_sum([1, 2]) == 3
+    for module in [importlib.import_module(f"cpscausal.{m.name}") for m in pkgutil.iter_modules(cpscausal.__path__)]:
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    assert outputs(tmp_path / "compensated") == as_added

@@ -15,7 +15,7 @@ from cpscausal.errors import (
 )
 from cpscausal.fixtures import get_fixture
 from cpscausal.graph import CausalGraph, Edge, d_separated
-from cpscausal.inference import BayesNet, Cpt, Query, posterior
+from cpscausal.inference import BayesNet, Cpt, Query, logsumexp, posterior, sum_left_to_right
 from oracles import IncompleteAssignment, StateSpaceTooLarge, brute_force_posterior, joint_prob, random_net
 
 FIXTURES = ("stage1", "stage1_learnt", "stage6", "chain3", "fork3", "collider3", "twostage")
@@ -348,3 +348,10 @@ def test_posterior_matches_brute_force_with_zeros_and_tiny_entries(case):
     assert got.shape == expected.shape
     for a, b in zip(got.ravel().tolist(), expected.ravel().tolist()):
         assert math.isclose(a, b, rel_tol=1e-12, abs_tol=_ABS_TOL), (a, b)
+
+
+def test_logsumexp_adds_left_to_right():
+    # 1 + 1e-16 rounds to 1, twice; Python 3.12's compensated sum gives 1 + 2e-16
+    assert logsumexp([0.0, math.log(1e-16), math.log(1e-16)]) == 0.0
+    assert sum_left_to_right([1.0, 1e-16, 1e-16]) == 1.0
+    assert sum_left_to_right([1e-16, 1e-16, 1.0]) == 1.0000000000000002

@@ -1083,6 +1083,28 @@ def test_block_boundary_anywhere_before_a_fault(text, specs):
             _assert_discretizes_as_reference(text, specs)
 
 
+# plain records, then a quoted cell that spans lines: csv reads the log
+# from the block that holds the quote on
+_QUOTED_LATER = "Timestamp,A,B\n" + "".join(f"t{k},{k % 3},{k % 2}\n" for k in range(20)) + '"t\n20",1,0\nt21,2,1\n'
+
+
+@pytest.mark.parametrize("fault", ["", "t22,x,1\n", "t22,1\n"], ids=["none", "bad-cell", "ragged-row"])
+@pytest.mark.parametrize("chars", [1, 7, 16, 40])
+def test_csv_reads_from_the_block_of_the_first_quote_on(chars, fault):
+    text = _QUOTED_LATER + fault
+    with mock.patch.object(logfile, "_BLOCK_CHARS", chars):
+        blocks = list(LogText.of_str(text).blocks())
+        at = next(k for k, block in enumerate(blocks) if '"' in block)
+        assert at > 1
+        # the header, then no line before the quote's block
+        want = [blocks[0], *io.StringIO("".join(blocks[at:]))]
+        if not fault:
+            assert _lines_read_by_csv(parse_log, text) == want
+            assert _lines_read_by_csv(discretize_log, text, _sensors(text)) == want
+        _assert_parses_as_reference(text)
+        _assert_discretizes_as_reference(text, _sensors(text))
+
+
 @given(log=_historian_logs(), chars=st.integers(1, 64),
        specs=st.lists(st.tuples(st.sampled_from(["P101", "LIT101", "FIT101", "MV101", "AIT201"]),
                                 st.sampled_from([_sensor, _codes])),
@@ -1213,7 +1235,9 @@ def test_dataset_reader_holds_one_copy_of_the_text(twostage):
 
 _LOG_FILE_CORPUS = {**{name: (text, None) for name, text in PARSE_CORPUS.items()}, **STRADDLE_CORPUS,
                     "non-ascii-names": ("Zeit,F\u00fcll\u00b0,\u0394p\n1,2\n3,4\n", None),
-                    "byte-order-mark-inside": ("A,B\n1,\ufeff2\n", None)}
+                    "byte-order-mark-inside": ("A,B\n1,\ufeff2\n", None),
+                    "quote-in-a-later-block": (_QUOTED_LATER, None),
+                    "quote-in-a-later-block-before-a-bad-cell": (_QUOTED_LATER + "t22,x,1\n", None)}
 
 
 @pytest.mark.parametrize("chars", [1, 7, logfile._BLOCK_CHARS])
@@ -1228,22 +1252,45 @@ def test_log_file_discretizes_as_its_text(tmp_path, text, specs, bom, chars):
         got = _outcome(discretize_log, log, specs)
         want = _outcome(discretize_log, text, specs)
         assert "".join(log.blocks()) == log.text() == text
-    assert (log.n_lines, log.plain) == (LogText.of_str(text).n_lines, LogText.of_str(text).plain)
     if isinstance(want, tuple):
         assert got == want
     else:
         assert got == want
 
 
-@pytest.mark.parametrize("data", [b"A,B\n1,\xff2\n", b"\xef\xbb", b"\xef\xbbA\n1\n", b"A\n1\n\xed\xa0\x80\n",
+@pytest.mark.parametrize("data", [b"A,B\n1,\xff2\n", b"\xef\xbbA\n1\n", b"A\n1\n\xed\xa0\x80\n",
                                   b"A\n" + b"1\n" * 40 + b"\xc3\n", codecs.BOM_UTF8 + b"A\n\x80\n"],
-                         ids=["bad-byte", "cut-byte-order-mark", "bad-start", "surrogate", "cut-sequence-late",
-                              "after-byte-order-mark"])
+                         ids=["bad-byte", "bad-start", "surrogate", "cut-sequence-late", "after-byte-order-mark"])
 def test_log_file_that_is_not_utf8_is_refused(tmp_path, data):
     path = tmp_path / "log.csv"
     path.write_bytes(data)
-    with mock.patch.object(logfile, "_BLOCK_CHARS", 8), pytest.raises(UnicodeDecodeError):
-        LogText.of_file(str(path))
+    log = LogText.of_file(str(path))  # which reads nothing yet
+    with mock.patch.object(logfile, "_BLOCK_CHARS", 8):
+        with pytest.raises(UnicodeDecodeError):
+            "".join(log.blocks())
+        with pytest.raises(UnicodeDecodeError):
+            log.text()
+
+
+@pytest.mark.parametrize("data", [b"", b"\xef", b"\xef\xbb", codecs.BOM_UTF8],
+                         ids=["empty", "first-byte-of-a-byte-order-mark", "cut-byte-order-mark", "byte-order-mark"])
+def test_log_file_of_a_cut_byte_order_mark_reads_as_no_text(tmp_path, data):
+    # Python's utf-8-sig decoder reads a file that holds no more than the
+    # start of a byte-order mark as no text, not as an error
+    path = tmp_path / "log.csv"
+    path.write_bytes(data)
+    log = LogText.of_file(str(path))
+    assert "".join(log.blocks()) == log.text() == cli._read(str(path)) == ""
+    with pytest.raises(EmptyInput, match="log has no header row"):
+        logfile.discretize_log(log, [_sensor("A")])
+
+
+def test_log_file_that_cannot_be_opened_is_read_only_when_asked(tmp_path):
+    log = LogText.of_file(str(tmp_path / "missing.csv"))
+    with pytest.raises(FileNotFoundError):
+        next(log.blocks())
+    with pytest.raises(FileNotFoundError):
+        log.text()
 
 
 def _datasets_at_block_boundaries():
@@ -1375,7 +1422,7 @@ def test_cli_file_readers_hold_no_more_as_the_file_grows(tmp_path, twostage, for
     for name, text in (("10k", form(small)), ("40k", form(large))):
         log = tmp_path / f"{name}.csv"
         log.write_bytes(text.encode())
-        peak, (n, columns) = _traced_peak(lambda: logfile.discretize_log(cli._log_text(str(log)), ds.specs))
+        peak, (n, columns) = _traced_peak(lambda: logfile.discretize_log(LogText.of_file(str(log)), ds.specs))
         extra["log", name] = peak - sum(map(len, columns))
         dataset = tmp_path / f"{name}.json"
         extra["write", name], _ = _traced_peak(lambda: cli._atomic_write(
